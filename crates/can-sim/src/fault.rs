@@ -65,6 +65,16 @@ impl BurstParams {
         assert_probability(self.ber_bad, "ber_bad");
     }
 
+    /// The per-bit probability of leaving the given state and the bit
+    /// error rate inside it.
+    fn state(&self, bad: bool) -> (f64, f64) {
+        if bad {
+            (self.p_bad_to_good, self.ber_bad)
+        } else {
+            (self.p_good_to_bad, self.ber_good)
+        }
+    }
+
     /// The long-run fraction of bits spent in the bad state.
     pub fn bad_state_fraction(&self) -> f64 {
         let total = self.p_good_to_bad + self.p_bad_to_good;
@@ -82,6 +92,41 @@ impl BurstParams {
     }
 }
 
+/// Bits a random channel model draws ahead per refill, at most. Bounds the
+/// work of one refill when the bit error rate is tiny: a quiet run that
+/// reaches the window ends there, and the next refill continues the same
+/// RNG stream from the following bit.
+const SCHEDULE_WINDOW: u64 = 4_096;
+
+/// The pre-drawn flip schedule of a random channel model
+/// ([`FaultModel::RandomBitErrors`], [`FaultModel::Bursty`]).
+///
+/// The per-bit draws of these models do not depend on the bus level, so
+/// they can be made ahead of time, in the same order as the per-bit path:
+/// the schedule holds the run of quiet (non-flipping) bits starting at the
+/// next bit the model sees, and whether the bit right after the run is a
+/// drawn flip. The simulator's accelerated engines read the run as the
+/// model's next activity and skip it in closed form; every flip lands on
+/// the same bit as under lockstep.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FlipSchedule {
+    /// Drawn quiet bits, starting at the next bit the model sees.
+    quiet: u64,
+    /// Whether the bit after the quiet run is a drawn flip; `false` when
+    /// the run stopped at the refill window (4 096 bits).
+    flip: bool,
+    /// The model can never flip again (and draws nothing more).
+    inert: bool,
+}
+
+/// One pre-drawn bit of a random channel model.
+enum Draw {
+    Quiet,
+    Flip,
+    /// The model can never flip again; nothing was drawn.
+    Inert,
+}
+
 /// A bus-level fault model applied after the wired-AND.
 #[derive(Debug, Default)]
 pub enum FaultModel {
@@ -95,16 +140,21 @@ pub enum FaultModel {
         /// Deterministic RNG for reproducible runs (boxed to keep the
         /// enum small).
         rng: Box<StdRng>,
+        /// Flips drawn ahead from `rng`.
+        schedule: FlipSchedule,
     },
     /// A Gilbert–Elliott burst-error channel: errors cluster while the
     /// channel is in its bad state.
     Bursty {
         /// Channel parameters.
         params: BurstParams,
-        /// Whether the channel is currently in the bad state.
+        /// Whether the channel is in the bad state after the last
+        /// pre-drawn bit.
         in_bad_state: bool,
         /// Deterministic RNG.
         rng: Box<StdRng>,
+        /// Flips drawn ahead from `rng`.
+        schedule: FlipSchedule,
     },
     /// Flip exactly the bits at the given instants (sorted, deduplicated).
     Scripted {
@@ -123,10 +173,13 @@ impl FaultModel {
     /// Panics unless `0.0 <= ber <= 1.0`.
     pub fn random(ber: f64, seed: u64) -> Self {
         assert_probability(ber, "BER");
-        FaultModel::RandomBitErrors {
+        let mut model = FaultModel::RandomBitErrors {
             ber,
             rng: Box::new(StdRng::seed_from_u64(seed)),
-        }
+            schedule: FlipSchedule::default(),
+        };
+        model.refill();
+        model
     }
 
     /// A Gilbert–Elliott burst channel starting in the good state.
@@ -136,11 +189,14 @@ impl FaultModel {
     /// Panics if any parameter is not a probability.
     pub fn bursty(params: BurstParams, seed: u64) -> Self {
         params.validate();
-        FaultModel::Bursty {
+        let mut model = FaultModel::Bursty {
             params,
             in_bad_state: false,
             rng: Box::new(StdRng::seed_from_u64(seed)),
-        }
+            schedule: FlipSchedule::default(),
+        };
+        model.refill();
+        model
     }
 
     /// A scripted channel flipping exactly the given bit times.
@@ -151,31 +207,17 @@ impl FaultModel {
     }
 
     /// The earliest bit time at or after `now` at which this model may
-    /// disturb the bus or needs its per-bit [`FaultModel::apply`] call
-    /// (RNG advancement). `None` means the model is permanently inert
-    /// from `now` on; `Some(t)` with `t > now` promises that skipping the
-    /// `apply` calls in `[now, t)` is unobservable.
+    /// disturb the bus. `None` means the model is permanently inert from
+    /// `now` on; `Some(t)` with `t > now` promises that the bits in
+    /// `[now, t)` pass undisturbed, so the simulator may consume them in
+    /// closed form instead of calling [`FaultModel::apply`] per bit. For
+    /// the random models `t` is the next pre-drawn flip, or the end of the
+    /// drawn window.
     pub fn next_activity(&self, now: u64) -> Option<u64> {
         match self {
             FaultModel::None => None,
-            // A live RNG advances on every bit — never skippable.
-            FaultModel::RandomBitErrors { ber, .. } => (*ber > 0.0).then_some(now),
-            FaultModel::Bursty {
-                params,
-                in_bad_state,
-                ..
-            } => {
-                let p_leave = if *in_bad_state {
-                    params.p_bad_to_good
-                } else {
-                    params.p_good_to_bad
-                };
-                let ber = if *in_bad_state {
-                    params.ber_bad
-                } else {
-                    params.ber_good
-                };
-                (p_leave > 0.0 || ber > 0.0).then_some(now)
+            FaultModel::RandomBitErrors { schedule, .. } | FaultModel::Bursty { schedule, .. } => {
+                (!schedule.inert).then(|| now + schedule.quiet)
             }
             // The cursor only advances on an exact hit, so a gap before
             // the next scripted flip leaves the model untouched. A cursor
@@ -188,39 +230,37 @@ impl FaultModel {
         }
     }
 
+    /// Consumes `bits` undisturbed bits inside the window declared by
+    /// [`FaultModel::next_activity`] — exactly equivalent to `bits`
+    /// [`FaultModel::apply`] calls there.
+    pub(crate) fn skip(&mut self, bits: u64) {
+        if let FaultModel::RandomBitErrors { schedule, .. } | FaultModel::Bursty { schedule, .. } =
+            self
+        {
+            if schedule.inert {
+                return;
+            }
+            debug_assert!(bits <= schedule.quiet, "skip past the next flip");
+            schedule.quiet -= bits;
+            if schedule.quiet == 0 && !schedule.flip {
+                self.refill();
+            }
+        }
+    }
+
     /// Applies the model to the resolved bus level at bit time `now`.
     pub fn apply(&mut self, level: Level, now: u64) -> Level {
         match self {
             FaultModel::None => level,
-            FaultModel::RandomBitErrors { ber, rng } => {
-                if *ber > 0.0 && rng.random_bool(*ber) {
-                    level.opposite()
-                } else {
+            FaultModel::RandomBitErrors { schedule, .. } | FaultModel::Bursty { schedule, .. } => {
+                if schedule.inert {
                     level
-                }
-            }
-            FaultModel::Bursty {
-                params,
-                in_bad_state,
-                rng,
-            } => {
-                let p_leave = if *in_bad_state {
-                    params.p_bad_to_good
-                } else {
-                    params.p_good_to_bad
-                };
-                if p_leave > 0.0 && rng.random_bool(p_leave) {
-                    *in_bad_state = !*in_bad_state;
-                }
-                let ber = if *in_bad_state {
-                    params.ber_bad
-                } else {
-                    params.ber_good
-                };
-                if ber > 0.0 && rng.random_bool(ber) {
-                    level.opposite()
-                } else {
+                } else if schedule.quiet > 0 {
+                    self.skip(1);
                     level
+                } else {
+                    self.refill();
+                    level.opposite()
                 }
             }
             FaultModel::Scripted { flips, cursor } => {
@@ -231,6 +271,69 @@ impl FaultModel {
                     level
                 }
             }
+        }
+    }
+
+    /// Draws the next schedule of a random model, whose previous one is
+    /// used up: the quiet run up to and including the next flip, at most
+    /// [`SCHEDULE_WINDOW`] bits.
+    fn refill(&mut self) {
+        let mut next = FlipSchedule::default();
+        while next.quiet < SCHEDULE_WINDOW {
+            match self.draw() {
+                Draw::Quiet => next.quiet += 1,
+                Draw::Flip => {
+                    next.flip = true;
+                    break;
+                }
+                Draw::Inert => {
+                    next.inert = true;
+                    break;
+                }
+            }
+        }
+        if let FaultModel::RandomBitErrors { schedule, .. } | FaultModel::Bursty { schedule, .. } =
+            self
+        {
+            *schedule = next;
+        }
+    }
+
+    /// Draws one bit of a random model, consuming the RNG exactly as one
+    /// per-bit application does.
+    fn draw(&mut self) -> Draw {
+        match self {
+            FaultModel::RandomBitErrors { ber, rng, .. } => {
+                if *ber == 0.0 {
+                    Draw::Inert
+                } else if rng.random_bool(*ber) {
+                    Draw::Flip
+                } else {
+                    Draw::Quiet
+                }
+            }
+            FaultModel::Bursty {
+                params,
+                in_bad_state,
+                rng,
+                ..
+            } => {
+                let (p_leave, ber) = params.state(*in_bad_state);
+                if p_leave == 0.0 && ber == 0.0 {
+                    // An absorbing, error-free state.
+                    return Draw::Inert;
+                }
+                if p_leave > 0.0 && rng.random_bool(p_leave) {
+                    *in_bad_state = !*in_bad_state;
+                }
+                let (_, ber) = params.state(*in_bad_state);
+                if ber > 0.0 && rng.random_bool(ber) {
+                    Draw::Flip
+                } else {
+                    Draw::Quiet
+                }
+            }
+            FaultModel::None | FaultModel::Scripted { .. } => Draw::Inert,
         }
     }
 }
@@ -287,6 +390,14 @@ impl FaultStack {
             .iter()
             .filter_map(|layer| layer.next_activity(now))
             .min()
+    }
+
+    /// Consumes `bits` undisturbed bits inside the window declared by
+    /// [`FaultStack::next_activity`] (see [`FaultModel::skip`]).
+    pub(crate) fn skip(&mut self, bits: u64) {
+        for layer in &mut self.layers {
+            layer.skip(bits);
+        }
     }
 }
 
@@ -735,6 +846,137 @@ mod tests {
             },
             0,
         );
+    }
+
+    /// Flip positions of `model` over `bits` bits, read through the
+    /// accelerated seam: jump to each declared activity with
+    /// [`FaultModel::skip`], apply only there.
+    fn flips_via_schedule(model: &mut FaultModel, bits: u64) -> Vec<u64> {
+        let mut flips = Vec::new();
+        let mut now = 0;
+        while now < bits {
+            match model.next_activity(now) {
+                None => break,
+                Some(t) if t > now => {
+                    let gap = t.min(bits) - now;
+                    model.skip(gap);
+                    now += gap;
+                }
+                Some(_) => {
+                    if model.apply(Level::Recessive, now).is_dominant() {
+                        flips.push(now);
+                    }
+                    now += 1;
+                }
+            }
+        }
+        flips
+    }
+
+    /// Per-bit reference of [`FaultModel::random`], drawn in the test.
+    fn random_reference(ber: f64, seed: u64, bits: u64) -> Vec<u64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..bits)
+            .filter(|_| ber > 0.0 && rng.random_bool(ber))
+            .collect()
+    }
+
+    /// Per-bit reference of [`FaultModel::bursty`], drawn in the test.
+    fn bursty_reference(params: BurstParams, seed: u64, bits: u64) -> Vec<u64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut bad = false;
+        let mut flips = Vec::new();
+        for t in 0..bits {
+            let (p_leave, ber) = if bad {
+                (params.p_bad_to_good, params.ber_bad)
+            } else {
+                (params.p_good_to_bad, params.ber_good)
+            };
+            if p_leave == 0.0 && ber == 0.0 {
+                break;
+            }
+            if p_leave > 0.0 && rng.random_bool(p_leave) {
+                bad = !bad;
+            }
+            let ber = if bad { params.ber_bad } else { params.ber_good };
+            if ber > 0.0 && rng.random_bool(ber) {
+                flips.push(t);
+            }
+        }
+        flips
+    }
+
+    #[test]
+    fn random_schedule_matches_per_bit_draws() {
+        const BITS: u64 = 1_200_000;
+        // 1e-5 lies far below 1 / SCHEDULE_WINDOW: most refills end at the
+        // window without a flip and the next one continues the stream.
+        assert!(1e-5 < 1.0 / SCHEDULE_WINDOW as f64);
+        for (ber, seed) in [(1e-5, 3), (3e-4, 4), (0.02, 5), (0.0, 6), (1.0, 7)] {
+            let reference = random_reference(ber, seed, BITS);
+            let per_bit: Vec<u64> = {
+                let mut model = FaultModel::random(ber, seed);
+                (0..BITS)
+                    .filter(|&t| model.apply(Level::Recessive, t).is_dominant())
+                    .collect()
+            };
+            let skipped = flips_via_schedule(&mut FaultModel::random(ber, seed), BITS);
+            assert_eq!(per_bit, reference, "apply, ber {ber}");
+            assert_eq!(skipped, reference, "skip, ber {ber}");
+        }
+        assert!(
+            random_reference(1e-5, 3, BITS).len() >= 3,
+            "the refill path flips"
+        );
+        assert_eq!(FaultModel::random(0.0, 1).next_activity(9), None);
+        assert_eq!(FaultModel::random(1.0, 1).next_activity(9), Some(9));
+    }
+
+    #[test]
+    fn bursty_schedule_matches_per_bit_draws() {
+        const BITS: u64 = 1_200_000;
+        let sparse = BurstParams {
+            p_good_to_bad: 2e-5,
+            p_bad_to_good: 0.2,
+            ber_good: 0.0,
+            ber_bad: 0.3,
+        };
+        let noisy_good = BurstParams {
+            ber_good: 1e-5,
+            ..emi_burst()
+        };
+        // Stuck in the bad state after the first bit, flipping every bit.
+        let always = BurstParams {
+            p_good_to_bad: 1.0,
+            p_bad_to_good: 0.0,
+            ber_good: 0.0,
+            ber_bad: 1.0,
+        };
+        // An absorbing, error-free good state: inert from the start.
+        let never = BurstParams {
+            p_good_to_bad: 0.0,
+            p_bad_to_good: 1.0,
+            ber_good: 0.0,
+            ber_bad: 1.0,
+        };
+        for (i, params) in [sparse, emi_burst(), noisy_good, always, never]
+            .into_iter()
+            .enumerate()
+        {
+            let seed = 100 + i as u64;
+            let reference = bursty_reference(params, seed, BITS);
+            let per_bit: Vec<u64> = {
+                let mut model = FaultModel::bursty(params, seed);
+                (0..BITS)
+                    .filter(|&t| model.apply(Level::Recessive, t).is_dominant())
+                    .collect()
+            };
+            let skipped = flips_via_schedule(&mut FaultModel::bursty(params, seed), BITS);
+            assert_eq!(per_bit, reference, "apply, params {i}");
+            assert_eq!(skipped, reference, "skip, params {i}");
+        }
+        assert_eq!(FaultModel::bursty(never, 1).next_activity(0), None);
+        assert_eq!(bursty_reference(always, 1, 10).len(), 10);
     }
 
     #[test]

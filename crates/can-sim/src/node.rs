@@ -143,6 +143,22 @@ impl Node {
         controller & agent
     }
 
+    /// Whether the node's MCU is crashed at `now` (a [`TxFault`] crash
+    /// window): controller, application and agent are frozen.
+    fn is_down(&self, now: BitInstant) -> bool {
+        self.tx_fault
+            .as_ref()
+            .is_some_and(|fault| fault.is_down(now.bits()))
+    }
+
+    /// Whether the node is down at `now` with its controller frozen in a
+    /// busy state (mid-frame or error signalling). Lockstep bus-load
+    /// accounting counts every such bit as busy, so the accelerated
+    /// engines must too.
+    pub(crate) fn is_frozen_busy(&self, now: BitInstant) -> bool {
+        self.controller.is_busy() && self.is_down(now)
+    }
+
     /// The earliest bit time at or after `now` at which this node may
     /// drive the bus, emit an event or otherwise needs per-bit processing,
     /// assuming the bus stays recessive until then. `None` means "never"
@@ -183,11 +199,7 @@ impl Node {
     /// recessive bus, given the window lies inside a horizon declared by
     /// [`Node::next_activity`].
     pub fn advance_idle(&mut self, bits: u64, from: BitInstant) {
-        if self
-            .tx_fault
-            .as_ref()
-            .is_some_and(|fault| fault.is_down(from.bits()))
-        {
+        if self.is_down(from) {
             // Crashed MCU: everything is frozen until the restart, and the
             // fault itself has no per-bit state while down.
             return;
@@ -319,11 +331,7 @@ impl Node {
     pub fn sample_into(&mut self, bus: Level, now: BitInstant, out: &mut StepOutput) {
         // A crashed MCU samples nothing: controller, application and
         // agent are all frozen until the restart.
-        if self
-            .tx_fault
-            .as_ref()
-            .is_some_and(|fault| fault.is_down(now.bits()))
-        {
+        if self.is_down(now) {
             return;
         }
 

@@ -611,39 +611,57 @@ impl Simulator {
         if let Some(trace) = &mut self.trace {
             trace.push_run(Level::Recessive, gap);
         }
+        self.faults.skip(gap);
+        // An idle bus is busy only through a crashed node whose controller
+        // froze mid-frame; the crash window caps the gap, so that holds
+        // for all of it.
+        let busy = self.nodes.iter().any(|node| node.is_frozen_busy(self.now));
         for node in &mut self.nodes {
             node.advance_idle(gap, self.now);
         }
-        // An idle bus contributes no busy bits, so `busy_bits` and
-        // `obs_window_busy` are untouched; only the window *boundaries*
-        // inside the gap must still fire their utilization observations.
+        self.account_uniform_bits(gap, busy, obs);
+    }
+
+    /// Busy and windowed-utilization accounting for `n` bits starting at
+    /// the current instant that are all busy or all idle — byte-identical
+    /// to the per-bit updates of `n` lockstep steps — then advances the
+    /// clock past them.
+    fn account_uniform_bits(&mut self, n: u64, busy: bool, obs: bool) {
+        if busy {
+            self.busy_bits += n;
+        }
         if obs {
-            self.pend_bits += gap;
-            let start = self.now.bits();
+            self.pend_bits += n;
+            if busy {
+                self.pend_busy_bits += n;
+            }
             // A window observation fires at bit `b` when
             // `(b + 1) % OBS_WINDOW_BITS == 0`. The first boundary in the
-            // gap flushes whatever the lockstep path had accumulated; any
-            // further boundaries cover all-idle windows and record zero.
+            // run flushes whatever the lockstep path had accumulated; any
+            // further boundaries close windows that lie wholly inside the
+            // run.
+            let start = self.now.bits();
             let first_flush = (start + 1).next_multiple_of(OBS_WINDOW_BITS) - 1;
-            if first_flush < start + gap {
-                let windows = (start + gap - 1 - first_flush) / OBS_WINDOW_BITS + 1;
-                let percent = u64::from(self.obs_window_busy) * 100 / OBS_WINDOW_BITS;
-                self.recorder.observe_with(
-                    "can_bus_utilization_percent",
-                    can_obs::PERCENT_BUCKETS,
-                    percent,
-                );
-                for _ in 1..windows {
+            let busy_in = |bits: u64| if busy { bits as u32 } else { 0 };
+            if first_flush < start + n {
+                let before = first_flush - start + 1;
+                self.obs_window_busy += busy_in(before);
+                let rest = n - before;
+                let mut percent = u64::from(self.obs_window_busy) * 100 / OBS_WINDOW_BITS;
+                for _ in 0..=rest / OBS_WINDOW_BITS {
                     self.recorder.observe_with(
                         "can_bus_utilization_percent",
                         can_obs::PERCENT_BUCKETS,
-                        0,
+                        percent,
                     );
+                    percent = if busy { 100 } else { 0 };
                 }
-                self.obs_window_busy = 0;
+                self.obs_window_busy = busy_in(rest % OBS_WINDOW_BITS);
+            } else {
+                self.obs_window_busy += busy_in(n);
             }
         }
-        self.now += BitDuration::bits(gap);
+        self.now += BitDuration::bits(n);
     }
 
     /// Advances the simulation by one *quantum*: a closed-form skip over an
@@ -857,16 +875,21 @@ impl Simulator {
 
         // Commit: every node advances `n` bits in its negotiated role.
         // A stretch with any transmitter or receiver is busy for all `n`
-        // bits (those states cannot end inside it); one with neither has
-        // an all-recessive, all-idle bus and is busy for none.
+        // bits (those states cannot end inside it); so is one with a
+        // crashed node frozen mid-frame. One with none of these has an
+        // all-recessive, all-idle bus and is busy for none.
         let busy = self
             .packed_roles
             .iter()
-            .any(|role| matches!(role, StretchRole::Transmit { .. } | StretchRole::Receive));
-        let n64 = u64::from(n);
+            .zip(&self.nodes)
+            .any(|(role, node)| {
+                matches!(role, StretchRole::Transmit { .. } | StretchRole::Receive)
+                    || node.is_frozen_busy(self.now)
+            });
         if let Some(trace) = &mut self.trace {
             trace.push_word(bus, n);
         }
+        self.faults.skip(u64::from(n));
         for (i, node) in self.nodes.iter_mut().enumerate() {
             let (req, consumed) = self.rx_dry[i];
             // The dry run can be installed as-is only if it covered
@@ -881,37 +904,8 @@ impl Simulator {
                 rx_swap,
             );
         }
-        if busy {
-            self.busy_bits += n64;
-        }
-        if obs {
-            self.pend_bits += n64;
-            if busy {
-                self.pend_busy_bits += n64;
-            }
-            // At most one utilization-window boundary fits in a ≤64-bit
-            // stretch; the busy state is uniform across it.
-            let start = self.now.bits();
-            let first_flush = (start + 1).next_multiple_of(OBS_WINDOW_BITS) - 1;
-            if first_flush < start + n64 {
-                let before = (first_flush - start + 1) as u32;
-                debug_assert!(u64::from(n - before) < OBS_WINDOW_BITS);
-                if busy {
-                    self.obs_window_busy += before;
-                }
-                let percent = u64::from(self.obs_window_busy) * 100 / OBS_WINDOW_BITS;
-                self.recorder.observe_with(
-                    "can_bus_utilization_percent",
-                    can_obs::PERCENT_BUCKETS,
-                    percent,
-                );
-                self.obs_window_busy = if busy { n - before } else { 0 };
-            } else if busy {
-                self.obs_window_busy += n;
-            }
-        }
-        self.now += BitDuration::bits(n64);
-        Some(n64)
+        self.account_uniform_bits(u64::from(n), busy, obs);
+        Some(u64::from(n))
     }
 
     /// Runs until `predicate` returns `true` for a newly appended event, or

@@ -442,15 +442,32 @@ impl BitAgent for MichiCan {
 
     fn drive_horizon(&self, now: BitInstant) -> Option<BitInstant> {
         // While injecting, the counterattack drives dominant immediately.
-        // Otherwise an injection can begin only after the handler has
-        // *observed* another bit (`on_bit` at `now` decides the level for
-        // `now + 1`), so one bit from now is the earliest possible drive
-        // under arbitrary future bus input.
+        // Otherwise injection arms only inside `on_bit`, at the bit whose
+        // destuffed position reaches `counterattack_start`, and drives from
+        // the bit after. Each `on_bit` advances `cnt` by at most one (stuff
+        // bits and violations do not advance it), and a SOF needs
+        // `cnt_sof >= 11` first, so under arbitrary bus input the earliest
+        // arming bit is a fixed distance away. The bound deliberately
+        // ignores the FSM verdict, `own_transmission` and
+        // `prevention_enabled`: a supervisor may flip prevention inside a
+        // stretch.
         if self.injecting {
-            Some(now)
-        } else {
-            Some(now + BitDuration::bits(1))
+            return Some(now);
         }
+        let start = u64::from(self.config.counterattack_start);
+        let cnt = u64::from(self.cnt);
+        let sof_idle = MIN_INTERFRAME_RECESSIVE as u64;
+        let bits = match self.state {
+            HandlerState::InFrame if cnt < start => start - cnt,
+            // Too late for this frame: finish it (leaving needs at least
+            // one more counted bit), hunt a full SOF, then count up again.
+            HandlerState::InFrame => {
+                let to_end = u64::from(self.config.counterattack_end).saturating_sub(cnt);
+                to_end.max(1) + sof_idle + start
+            }
+            HandlerState::BusIdle => sof_idle.saturating_sub(u64::from(self.cnt_sof)) + start,
+        };
+        Some(now + BitDuration::bits(bits))
     }
 
     fn skip_idle(&mut self, bits: u64, _from: BitInstant) {

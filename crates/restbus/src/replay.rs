@@ -22,6 +22,9 @@ struct Slot {
 /// sender's share of it) at its configured period.
 pub struct ReplayApp {
     slots: Vec<Slot>,
+    /// The earliest `next_due` over all slots (`u64::MAX` when empty), so
+    /// the per-bit poll and horizon queries are O(1) between frames.
+    earliest_due: u64,
     generated: u64,
 }
 
@@ -59,10 +62,22 @@ impl ReplayApp {
                 }
             })
             .collect();
-        ReplayApp {
+        let mut app = ReplayApp {
             slots,
+            earliest_due: u64::MAX,
             generated: 0,
-        }
+        };
+        app.refresh_earliest_due();
+        app
+    }
+
+    fn refresh_earliest_due(&mut self) {
+        self.earliest_due = self
+            .slots
+            .iter()
+            .map(|s| s.next_due)
+            .min()
+            .unwrap_or(u64::MAX);
     }
 
     /// Frames handed to the controller so far.
@@ -78,22 +93,23 @@ impl ReplayApp {
 
 impl Application for ReplayApp {
     fn poll(&mut self, now: BitInstant) -> Option<CanFrame> {
-        for slot in &mut self.slots {
-            if now.bits() >= slot.next_due {
-                slot.next_due += slot.period_bits;
-                self.generated += 1;
-                return Some(slot.frame);
-            }
+        if now.bits() < self.earliest_due {
+            return None;
         }
-        None
+        // The first due slot in matrix order goes out.
+        let slot = self
+            .slots
+            .iter_mut()
+            .find(|slot| now.bits() >= slot.next_due)?;
+        slot.next_due += slot.period_bits;
+        let frame = slot.frame;
+        self.generated += 1;
+        self.refresh_earliest_due();
+        Some(frame)
     }
 
     fn next_activity(&self, _now: BitInstant) -> Option<BitInstant> {
-        self.slots
-            .iter()
-            .map(|slot| slot.next_due)
-            .min()
-            .map(BitInstant::from_bits)
+        (!self.slots.is_empty()).then(|| BitInstant::from_bits(self.earliest_due))
     }
 }
 
@@ -155,6 +171,22 @@ mod tests {
                 a.poll(BitInstant::from_bits(t)),
                 b.poll(BitInstant::from_bits(t))
             );
+        }
+    }
+
+    #[test]
+    fn cached_horizon_matches_a_full_scan() {
+        let mut app = ReplayApp::for_matrix(&tiny_matrix());
+        for t in 0..60_000u64 {
+            let scan = app.slots.iter().map(|s| s.next_due).min();
+            assert_eq!(
+                app.next_activity(BitInstant::from_bits(t)),
+                scan.map(BitInstant::from_bits)
+            );
+            // The first due slot in matrix order wins, as in a full scan.
+            let due = app.slots.iter().position(|s| t >= s.next_due);
+            let frame = app.poll(BitInstant::from_bits(t));
+            assert_eq!(frame.map(|f| f.id()), due.map(|i| app.ids()[i]));
         }
     }
 
