@@ -15,7 +15,7 @@
 //! the Parrot baseline as the victim's application, or none.
 //!
 //! Cells are fanned out with [`crate::runner::ExperimentPlan`], so the
-//! table is byte-identical at any `--shards` count and in all three
+//! table is byte-identical at any `--shards` count and in both
 //! simulation modes (pinned by `tests/differential_fast_forward.rs`).
 
 use can_attacks::registry::{all_variants, variants_for, AttackAgent, AttackParams, AttackVariant};

@@ -9,7 +9,6 @@
 //!             [--shards <n> | -j <n>]  # parallel workers (0 = all cores)
 //!             [--metrics-out <path>]   # per-run observability export
 //!             [--journal-out <path>]   # causal sim-time event journal export
-//!             [--fast]                 # idle fast-forward simulation core
 //!             [--packed]               # word-packed bus kernel
 //!             [--attacks <name|all>]   # adversary-zoo selection (attacks)
 //!             [--detectors <name|all>] # detector selection (ids bake-off)
@@ -35,16 +34,11 @@
 //! `--full` runs the paper-scale parameterizations (e.g. 160,000 random
 //! FSMs); the default is a faster configuration with identical shape.
 //!
-//! `--fast` runs the simulator-backed grid artifacts (table2,
-//! multi_attacker, faults) with the idle fast-forward core
-//! (`SimMode::FastForward`). The output is byte-identical to the default
-//! lockstep mode — CI diffs the two — it just skips quiescent bus
-//! stretches in closed form (see `DESIGN.md §9`).
-//!
-//! `--packed` runs the same artifacts with the word-packed bus kernel
-//! (`SimMode::Packed`): event-free stretches resolve the wired-AND up to
-//! 64 bits at a time (see `DESIGN.md §11`). Output is again
-//! byte-identical — CI diffs this mode too.
+//! `--packed` runs the simulator-backed artifacts with the word-packed bus
+//! kernel (`SimMode::Packed`): quiescent bus stretches are skipped in
+//! closed form (`DESIGN.md §9`) and event-free stretches resolve the
+//! wired-AND up to 64 bits at a time (`DESIGN.md §11`). The output is
+//! byte-identical to the default lockstep mode — CI diffs the two.
 //!
 //! `--shards` fans the grid artifacts (faults, detection, table2,
 //! multi_attacker) out across worker threads; the output is byte-identical
@@ -73,7 +67,7 @@
 //!
 //! ```text
 //! experiments sweep --dir <path> [--workload campaign|synthetic]
-//!                   [--replicas <n>] [--run-ms <f>] [--fast]     # campaign
+//!                   [--replicas <n>] [--run-ms <f>] [--packed]   # campaign
 //!                   [--cells <n>] [--cell-work <n>]              # synthetic
 //!                   [--seed <n|0xHEX>] [--chunk <cells>] [--max-attempts <n>]
 //!                   [--shards <n> | -j <n>] [--timeout-ms <n>] [--backoff-ms <n>]
@@ -136,13 +130,7 @@ fn main() {
         }
     };
     let full = args.iter().any(|a| a == "--full");
-    let mode = if args.iter().any(|a| a == "--packed") {
-        bench::runner::SimMode::Packed
-    } else if args.iter().any(|a| a == "--fast") {
-        bench::runner::SimMode::FastForward
-    } else {
-        bench::runner::SimMode::Lockstep
-    };
+    let mode = sim_mode(&args);
     let artifacts: Option<PathBuf> = args
         .iter()
         .position(|a| a == "--artifacts")
@@ -398,18 +386,11 @@ fn sweep_command(raw: &[String]) -> Result<(), String> {
             .map(String::as_str)
             .unwrap_or("campaign");
         let inner: Arc<dyn SweepWorkload> = match kind {
-            "campaign" => {
-                let mode = if args.iter().any(|a| a == "--fast") {
-                    bench::runner::SimMode::FastForward
-                } else {
-                    bench::runner::SimMode::Lockstep
-                };
-                Arc::new(CampaignSweep::new(
-                    num(value("--replicas"), "--replicas", 4)?,
-                    num(value("--run-ms"), "--run-ms", 150.0)?,
-                    mode,
-                ))
-            }
+            "campaign" => Arc::new(CampaignSweep::new(
+                num(value("--replicas"), "--replicas", 4)?,
+                num(value("--run-ms"), "--run-ms", 150.0)?,
+                sim_mode(&args),
+            )),
             "synthetic" => Arc::new(SyntheticSweep {
                 cells: num(value("--cells"), "--cells", 10_000)?,
                 work: num(value("--cell-work"), "--cell-work", 1_000)?,
@@ -452,9 +433,19 @@ fn sweep_command(raw: &[String]) -> Result<(), String> {
     }
 }
 
+/// The simulation mode the command line asks for: `--packed` selects the
+/// packed kernel, the default is the lockstep reference.
+fn sim_mode(args: &[String]) -> bench::runner::SimMode {
+    if args.iter().any(|a| a == "--packed") {
+        bench::runner::SimMode::Packed
+    } else {
+        bench::runner::SimMode::Lockstep
+    }
+}
+
 /// The base execution options for a grid artifact: metered by the root
 /// recorder, journaled by the root journal, in the simulation mode
-/// `--fast`/`--packed` asked for.
+/// `--packed` asked for.
 fn exec_opts(mode: bench::runner::SimMode, recorder: &Recorder, journal: &Journal) -> ExecOpts {
     ExecOpts::new()
         .with_recorder(recorder.clone())

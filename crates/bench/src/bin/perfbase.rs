@@ -13,9 +13,10 @@
 //! fault-campaign grid (with the speedup), raw simulator bits/sec with
 //! event logging on and off, the metrics layer's hot-path cost with the
 //! recorder disabled vs enabled (the disabled path must be within noise
-//! of no recorder at all), lockstep vs idle fast-forward throughput at
-//! 10/30/60 % busload (the 10 % row must clear a 3× speedup),
-//! cells/sec for the campaign grid, and wall time per grid artifact. Numbers depend on the host; the *outputs* of
+//! of no recorder at all), lockstep vs packed-kernel throughput at
+//! 10/30/60/90 % busload (the 10 % row must clear a 3× speedup, the 30 %
+//! row 5×), cells/sec for the campaign grid, and wall time per grid
+//! artifact. Numbers depend on the host; the *outputs* of
 //! every measured workload stay byte-identical across shard counts (see
 //! `bench::runner` — this binary asserts it for the campaign report *and*
 //! for the merged metrics snapshot of the metered campaign).
@@ -29,7 +30,7 @@ use bench::scenarios::{restbus_matrix, run_multi_attacker_scan, run_table2};
 use can_core::app::{PeriodicSender, SilentApplication};
 use can_core::{BusSpeed, CanFrame, CanId};
 use can_obs::{Journal, Recorder};
-use can_sim::{Node, SimBuilder};
+use can_sim::{Node, SimBuilder, Simulator};
 use restbus::ReplayApp;
 
 /// One timed run: returns (elapsed seconds, result).
@@ -72,83 +73,36 @@ fn sim_bits_per_sec_with(
     bits as f64 / secs
 }
 
-/// The kernel self-telemetry of one bus, run in all three engines: the
+/// A periodic 8-byte sender plus a receiver at 50 kbit/s, with the
+/// sender's period set so the bus duty cycle approximates `target_load`
+/// (an 8-byte data frame occupies ≈ 111 bus bits before stuffing).
+fn periodic_bus(target_load: f64) -> Simulator {
+    let frame = CanFrame::data_frame(CanId::from_raw(0x222), &[0xA5; 8]).expect("valid frame");
+    let period = ((111.0 / target_load).round() as u64).max(130);
+    SimBuilder::new(BusSpeed::K50)
+        .node(Node::new(
+            "tx",
+            Box::new(PeriodicSender::new(frame, period, 40)),
+        ))
+        .node(Node::new("rx", Box::new(SilentApplication)))
+        .build()
+}
+
+/// The kernel self-telemetry of one bus, run in both engines: the
 /// `kernel_telemetry` section of `BENCH_sim.json`. Bits/skips/stretches
 /// are integer counters from the kernels themselves, so the section
 /// doubles as a cheap engine-coverage check (the packed run must report
-/// packed bits, the fast run skipped bits).
+/// packed and skipped bits).
 fn kernel_telemetry_section(bits: u64, target_load: f64) -> String {
-    let speed = BusSpeed::K50;
-    let frame = CanFrame::data_frame(CanId::from_raw(0x222), &[0xA5; 8]).expect("valid frame");
-    let period = ((111.0 / target_load).round() as u64).max(130);
-    let build = || {
-        SimBuilder::new(speed)
-            .node(Node::new(
-                "tx",
-                Box::new(PeriodicSender::new(frame, period, 40)),
-            ))
-            .node(Node::new("rx", Box::new(SilentApplication)))
-            .build()
-    };
-    let mut lockstep = build();
+    let mut lockstep = periodic_bus(target_load);
     lockstep.run(bits);
-    let mut fast = build();
-    fast.run_fast(bits);
-    let mut packed = build();
+    let mut packed = periodic_bus(target_load);
     packed.run_packed(bits);
     format!(
-        "{{\n    \"lockstep\": {},\n    \"fast_forward\": {},\n    \"packed\": {}\n  }}",
+        "{{\n    \"lockstep\": {},\n    \"packed\": {}\n  }}",
         lockstep.kernel_telemetry().to_json(),
-        fast.kernel_telemetry().to_json(),
         packed.kernel_telemetry().to_json()
     )
-}
-
-/// One fast-forward speedup sample at an approximate target busload.
-struct FastForwardSample {
-    target_load: f64,
-    observed_load: f64,
-    lockstep_bits_per_sec: f64,
-    fast_bits_per_sec: f64,
-    speedup: f64,
-}
-
-/// Measures lockstep vs fast-forward wall clock on a periodic-sender bus
-/// whose duty cycle approximates `target_load`. Both runs are verified to
-/// land on the same clock and the same busy-bit count (the differential
-/// tests prove the full byte-identity contract; this is the cheap guard).
-fn fast_forward_sample(bits: u64, target_load: f64) -> FastForwardSample {
-    let speed = BusSpeed::K50;
-    let frame = CanFrame::data_frame(CanId::from_raw(0x222), &[0xA5; 8]).expect("valid frame");
-    // An 8-byte data frame occupies ≈ 111 bus bits before stuffing; the
-    // period sets the duty cycle.
-    let period = ((111.0 / target_load).round() as u64).max(130);
-    let build = || {
-        SimBuilder::new(speed)
-            .node(Node::new(
-                "tx",
-                Box::new(PeriodicSender::new(frame, period, 40)),
-            ))
-            .node(Node::new("rx", Box::new(SilentApplication)))
-            .build()
-    };
-    let mut lockstep = build();
-    let (lock_secs, _) = timed(|| lockstep.run(bits));
-    let mut fast = build();
-    let (fast_secs, _) = timed(|| fast.run_fast(bits));
-    assert_eq!(lockstep.now(), fast.now(), "fast-forward clock mismatch");
-    assert_eq!(
-        lockstep.busy_bits(),
-        fast.busy_bits(),
-        "fast-forward busy-bit mismatch"
-    );
-    FastForwardSample {
-        target_load,
-        observed_load: fast.observed_bus_load(),
-        lockstep_bits_per_sec: bits as f64 / lock_secs,
-        fast_bits_per_sec: bits as f64 / fast_secs,
-        speedup: lock_secs / fast_secs,
-    }
 }
 
 /// One packed-kernel speedup sample at an approximate target busload.
@@ -160,26 +114,16 @@ struct PackedSample {
     speedup: f64,
 }
 
-/// Measures lockstep vs packed-kernel wall clock on the same
-/// periodic-sender bus as [`fast_forward_sample`]. Unlike fast-forward,
-/// the packed kernel keeps winning as busload rises: frame bodies resolve
-/// word-at-a-time instead of bit-by-bit.
+/// Measures lockstep vs packed-kernel wall clock on [`periodic_bus`]. At
+/// low load the idle-gap skips carry the speedup; as load rises the frame
+/// bodies, resolved word-at-a-time instead of bit-by-bit, take over. Both
+/// runs are verified to land on the same clock and the same busy-bit
+/// count (the differential tests prove the full byte-identity contract;
+/// this is the cheap guard).
 fn packed_sample(bits: u64, target_load: f64) -> PackedSample {
-    let speed = BusSpeed::K50;
-    let frame = CanFrame::data_frame(CanId::from_raw(0x222), &[0xA5; 8]).expect("valid frame");
-    let period = ((111.0 / target_load).round() as u64).max(130);
-    let build = || {
-        SimBuilder::new(speed)
-            .node(Node::new(
-                "tx",
-                Box::new(PeriodicSender::new(frame, period, 40)),
-            ))
-            .node(Node::new("rx", Box::new(SilentApplication)))
-            .build()
-    };
-    let mut lockstep = build();
+    let mut lockstep = periodic_bus(target_load);
     let (lock_secs, _) = timed(|| lockstep.run(bits));
-    let mut packed = build();
+    let mut packed = periodic_bus(target_load);
     let (packed_secs, _) = timed(|| packed.run_packed(bits));
     assert_eq!(lockstep.now(), packed.now(), "packed clock mismatch");
     assert_eq!(
@@ -301,38 +245,14 @@ fn main() {
          ({speedup:.2}x with {shards} shards)"
     );
 
-    // 2b. Idle fast-forward: lockstep vs quiescent skip-ahead at three
-    // busloads. The speedup is the inverse of the duty cycle minus the
-    // closed-form skip bookkeeping; at 10 % load it must clear 3×.
-    let ff_bits: u64 = if quick { 400_000 } else { 2_000_000 };
-    let ff_samples: Vec<FastForwardSample> = [0.10, 0.30, 0.60]
+    // 2b. Packed bus kernel: lockstep vs idle-gap skips plus
+    // word-at-a-time wired-AND, from a mostly idle bus (where the skips
+    // carry the speedup) to a busy one (where the packed frame bodies
+    // must carry it by themselves).
+    let packed_bits: u64 = if quick { 400_000 } else { 2_000_000 };
+    let packed_samples: Vec<PackedSample> = [0.10, 0.30, 0.60, 0.90]
         .iter()
-        .map(|&load| fast_forward_sample(ff_bits, load))
-        .collect();
-    for s in &ff_samples {
-        eprintln!(
-            "  fast_forward: target {:.0}% (observed {:.1}%): lockstep {:.0} bits/s, \
-             fast {:.0} bits/s ({:.1}x)",
-            s.target_load * 100.0,
-            s.observed_load * 100.0,
-            s.lockstep_bits_per_sec,
-            s.fast_bits_per_sec,
-            s.speedup
-        );
-    }
-    assert!(
-        ff_samples[0].speedup >= 3.0,
-        "fast-forward must clear 3x at 10% busload, measured {:.2}x",
-        ff_samples[0].speedup
-    );
-
-    // 2c. Packed bus kernel: lockstep vs word-at-a-time wired-AND on an
-    // *active* bus. Sampled at higher busloads than the fast-forward rows
-    // because this is where idle skipping stops helping and the packed
-    // frame-body resolution has to carry the speedup by itself.
-    let packed_samples: Vec<PackedSample> = [0.30, 0.60, 0.90]
-        .iter()
-        .map(|&load| packed_sample(ff_bits, load))
+        .map(|&load| packed_sample(packed_bits, load))
         .collect();
     for s in &packed_samples {
         eprintln!(
@@ -346,9 +266,14 @@ fn main() {
         );
     }
     assert!(
-        packed_samples[0].speedup >= 5.0,
-        "the packed kernel must clear 5x at 30% busload, measured {:.2}x",
+        packed_samples[0].speedup >= 3.0,
+        "the packed kernel must clear 3x at 10% busload, measured {:.2}x",
         packed_samples[0].speedup
+    );
+    assert!(
+        packed_samples[1].speedup >= 5.0,
+        "the packed kernel must clear 5x at 30% busload, measured {:.2}x",
+        packed_samples[1].speedup
     );
 
     // 3. Wall time per grid artifact (at the parallel shard count).
@@ -365,7 +290,7 @@ fn main() {
          table2 {table2_secs:.2}s, multi_attacker {multi_secs:.2}s"
     );
 
-    // 4. Kernel self-telemetry of one 30 %-load bus under all three
+    // 4. Kernel self-telemetry of one 30 %-load bus under both
     // engines (pure integer counters — host-independent).
     let telemetry_bits: u64 = if quick { 200_000 } else { 1_000_000 };
     let kernel_telemetry = kernel_telemetry_section(telemetry_bits, 0.30);
@@ -391,27 +316,6 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",\n");
 
-    let ff_rows: String = ff_samples
-        .iter()
-        .map(|s| {
-            format!(
-                r#"      {{
-        "target_load": {target},
-        "observed_load": {observed},
-        "lockstep_bits_per_sec": {lock},
-        "fast_bits_per_sec": {fast},
-        "speedup": {speedup}
-      }}"#,
-                target = json_f(s.target_load),
-                observed = json_f(s.observed_load),
-                lock = json_f(s.lockstep_bits_per_sec),
-                fast = json_f(s.fast_bits_per_sec),
-                speedup = json_f(s.speedup),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-
     let json = format!(
         r#"{{
   "schema": "michican-perfbase/v1",
@@ -431,14 +335,8 @@ fn main() {
     "metered_snapshot_deterministic": true
   }},
   "kernel_telemetry": {kernel_telemetry},
-  "fast_forward": {{
-    "bits_simulated": {ff_bits},
-    "loads": [
-{ff_rows}
-    ]
-  }},
   "packed": {{
-    "bits_simulated": {ff_bits},
+    "bits_simulated": {packed_bits},
     "loads": [
 {packed_rows}
     ]

@@ -1,12 +1,11 @@
-//! Lockstep vs fast-forward vs packed differential harness.
+//! Lockstep vs packed differential harness.
 //!
-//! Both accelerated cores — idle fast-forward ([`Simulator::run_fast`])
-//! and the word-packed bus kernel ([`Simulator::run_packed`]) — promise
-//! *byte identity*: the same events, signal trace, metrics snapshot and
+//! The word-packed bus kernel ([`Simulator::run_packed`]) promises *byte
+//! identity*: the same events, signal trace, metrics snapshot and
 //! scenario outcome as the bit-by-bit lockstep reference, only faster.
 //! This module turns that promise into a reusable check: build the same
-//! scenario three times, drive one copy per mode, and compare every
-//! observable surface against the lockstep reference.
+//! scenario twice, drive one copy per mode, and compare every observable
+//! surface against the lockstep reference.
 //!
 //! `tests/differential_fast_forward.rs` runs the check over every scenario
 //! family (Table II, the fault campaign, the multi-attacker scan,
@@ -59,15 +58,10 @@ pub fn fingerprint(sim: &Simulator, recorder: &Recorder) -> SimFingerprint {
 
 impl SimFingerprint {
     /// Compares two fingerprints surface by surface; `Err` names the first
-    /// divergence (`self` is the lockstep reference, `other` the
-    /// fast-forward run).
+    /// divergence (`self` is the lockstep reference, `other` the packed
+    /// run).
     pub fn compare(&self, other: &SimFingerprint) -> Result<(), String> {
-        self.compare_against(other, "fast-forward")
-    }
-
-    /// [`SimFingerprint::compare`] with the candidate mode named in the
-    /// failure message (`self` is always the lockstep reference).
-    pub fn compare_against(&self, other: &SimFingerprint, mode: &str) -> Result<(), String> {
+        let mode = "packed";
         if self.now_bits != other.now_bits {
             return Err(format!(
                 "clock diverged: lockstep {} vs {mode} {}",
@@ -123,11 +117,10 @@ impl SimFingerprint {
     }
 }
 
-/// Builds the same scenario three times via `build` (handed a fresh
-/// enabled [`Recorder`] each time), runs one copy lockstep, one
-/// fast-forward and one under the packed bus kernel for `bits`, and
-/// returns `Err` naming the first diverging surface and the mode that
-/// produced it.
+/// Builds the same scenario twice via `build` (handed a fresh enabled
+/// [`Recorder`] each time), runs one copy lockstep and one under the
+/// packed bus kernel for `bits`, and returns `Err` naming the first
+/// diverging surface.
 ///
 /// The closure must be a pure constructor: any seed or configuration it
 /// captures is shared by all copies, so a divergence can only come from
@@ -141,32 +134,27 @@ where
     lockstep.run(bits);
     let reference = fingerprint(&lockstep, &lock_recorder);
 
-    let fast_recorder = Recorder::enabled();
-    let mut fast = build(fast_recorder.clone());
-    fast.run_fast(bits);
-    reference.compare_against(&fingerprint(&fast, &fast_recorder), "fast-forward")?;
-
     let packed_recorder = Recorder::enabled();
     let mut packed = build(packed_recorder.clone());
     packed.run_packed(bits);
-    reference.compare_against(&fingerprint(&packed, &packed_recorder), "packed")
+    reference.compare(&fingerprint(&packed, &packed_recorder))
 }
 
 /// Compares two scenario outcomes (anything `Debug`) produced by a
-/// lockstep and a fast-forward run of the same entry point; `Err` carries
-/// both renderings.
+/// lockstep and a packed run of the same entry point; `Err` carries both
+/// renderings.
 pub fn check_outcome<T: std::fmt::Debug>(
     label: &str,
     lockstep: &T,
-    fast: &T,
+    packed: &T,
 ) -> Result<(), String> {
     let a = format!("{lockstep:#?}");
-    let b = format!("{fast:#?}");
+    let b = format!("{packed:#?}");
     if a == b {
         Ok(())
     } else {
         Err(format!(
-            "{label}: outcomes diverged\n--- lockstep ---\n{a}\n--- fast-forward ---\n{b}"
+            "{label}: outcomes diverged\n--- lockstep ---\n{a}\n--- packed ---\n{b}"
         ))
     }
 }

@@ -19,8 +19,8 @@
 //! reuse the zoo's [`ZooDefense`] column set (none / michican / parrot).
 //!
 //! Cells fan out with [`crate::runner::ExperimentPlan`], so the table is
-//! byte-identical at any `--shards` count and in all three simulation
-//! modes (pinned by `tests/differential_fast_forward.rs`).
+//! byte-identical at any `--shards` count and in both simulation modes
+//! (pinned by `tests/differential_fast_forward.rs`).
 //!
 //! The table's honesty invariant ([`assert_ids_honesty`]): a frame-level
 //! detector only sees *completed* frames, so its detection latency can

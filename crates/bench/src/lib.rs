@@ -12,15 +12,13 @@
 //! * [`busload`] — MichiCAN vs Parrot bus-load comparison (§V-E);
 //! * [`idsbench`] — the timing-IDS bake-off: the `can_ids::registry`
 //!   detector grid attached as passive taps to a defense × scenario
-//!   cell grid, plus the focused IDS-vs-MichiCAN flood duel (extension;
-//!   `ids_compare` holds the deprecated shims of the duel's old entry
-//!   points);
+//!   cell grid, plus the focused IDS-vs-MichiCAN flood duel (extension);
 //! * [`availability`] — benign-traffic delivery under persistent attack,
 //!   healthy vs undefended vs defended (extension);
 //! * [`campaign`] — the seeded fault-injection campaign grid (robustness
 //!   extension);
-//! * [`differential`] — the lockstep-vs-fast-forward equivalence harness
-//!   backing the byte-identity guarantee of `Simulator::run_fast`;
+//! * [`differential`] — the lockstep-vs-packed equivalence harness
+//!   backing the byte-identity guarantee of `Simulator::run_packed`;
 //! * [`runner`] — the parallel deterministic experiment engine the grid
 //!   artifacts (campaign, FSM sweep, Table II, multi-attacker scan) fan
 //!   out on;
@@ -40,7 +38,6 @@ pub mod campaign;
 pub mod cpu;
 pub mod detection;
 pub mod differential;
-pub mod ids_compare;
 pub mod idsbench;
 pub mod obs;
 pub mod runner;

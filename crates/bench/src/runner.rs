@@ -28,9 +28,6 @@ pub enum SimMode {
     /// Bit-by-bit [`Simulator::run`] — the lockstep reference path.
     #[default]
     Lockstep,
-    /// [`Simulator::run_fast`]: identical events, traces, metrics and
-    /// outcomes, with quiescent bus stretches skipped in closed form.
-    FastForward,
     /// [`Simulator::run_packed`]: identical events, traces, metrics and
     /// outcomes, with event-free stretches resolved word-at-a-time by the
     /// packed wired-AND kernel and idle gaps skipped in closed form.
@@ -51,7 +48,7 @@ pub struct ExecOpts {
     /// Worker count for plan fan-out; `1` is the serial reference path,
     /// `0` means one shard per core.
     pub shards: usize,
-    /// Lockstep or idle fast-forward simulation.
+    /// Lockstep or packed simulation.
     pub mode: SimMode,
     /// Causal event journal threaded through the scenario (per-cell
     /// journals are derived from it and merged in cell-index order,
@@ -100,11 +97,6 @@ impl ExecOpts {
         self
     }
 
-    /// Selects idle fast-forward (builder style).
-    pub fn fast(self) -> Self {
-        self.with_mode(SimMode::FastForward)
-    }
-
     /// Selects the packed bus kernel (builder style).
     pub fn packed(self) -> Self {
         self.with_mode(SimMode::Packed)
@@ -114,7 +106,6 @@ impl ExecOpts {
     pub fn run(&self, sim: &mut Simulator, bits: u64) {
         match self.mode {
             SimMode::Lockstep => sim.run(bits),
-            SimMode::FastForward => sim.run_fast(bits),
             SimMode::Packed => sim.run_packed(bits),
         }
     }
@@ -122,15 +113,11 @@ impl ExecOpts {
     /// Runs `sim` for `millis` simulated milliseconds in the configured
     /// mode.
     pub fn run_millis(&self, sim: &mut Simulator, millis: f64) {
-        match self.mode {
-            SimMode::Lockstep => sim.run_millis(millis),
-            SimMode::FastForward => sim.run_millis_fast(millis),
-            SimMode::Packed => sim.run_millis_packed(millis),
-        }
+        self.run(sim, sim.speed().bits_in_millis(millis));
     }
 
     /// Advances `sim` by one quantum — a single bit in lockstep, up to
-    /// `max_bits` under fast-forward — and returns the bits advanced.
+    /// `max_bits` under the packed kernel — and returns the bits advanced.
     /// Event-polling scan loops use this to stay mode-generic.
     pub fn advance(&self, sim: &mut Simulator, max_bits: u64) -> u64 {
         match self.mode {
@@ -141,7 +128,6 @@ impl ExecOpts {
                 sim.step();
                 1
             }
-            SimMode::FastForward => sim.advance(max_bits),
             SimMode::Packed => sim.advance_packed(max_bits),
         }
     }

@@ -204,12 +204,16 @@ impl SweepWorkload for CampaignSweep {
         Ok(())
     }
 
+    /// The `"fast"` key is the engine flag: `true` selects the packed
+    /// kernel. It keeps its original name so journals written when `true`
+    /// meant idle fast-forward still resume (both engines produce the same
+    /// bytes).
     fn descriptor(&self) -> String {
         format!(
             "{{\"kind\":\"campaign\",\"replicas\":{},\"run_ms\":{},\"fast\":{}}}",
             self.replicas,
             self.run_ms,
-            matches!(self.mode, SimMode::FastForward)
+            self.mode == SimMode::Packed
         )
     }
 }
@@ -384,8 +388,10 @@ fn workload_from_json(doc: &JsonValue) -> Result<Arc<dyn SweepWorkload>, String>
                 .get("run_ms")
                 .and_then(JsonValue::as_f64)
                 .ok_or("descriptor field 'run_ms' missing or not a number")?;
+            // `"fast": true` selects the packed kernel (see
+            // `CampaignSweep::descriptor`).
             let mode = if bool_field("fast")? {
-                SimMode::FastForward
+                SimMode::Packed
             } else {
                 SimMode::Lockstep
             };
@@ -1415,7 +1421,7 @@ mod tests {
     fn descriptors_round_trip_through_the_parser() {
         for workload in [
             Arc::new(SyntheticSweep { cells: 7, work: 3 }) as Arc<dyn SweepWorkload>,
-            Arc::new(CampaignSweep::new(2, 2.5, SimMode::FastForward)),
+            Arc::new(CampaignSweep::new(2, 2.5, SimMode::Packed)),
             Arc::new(Chaotic {
                 inner: Arc::new(SyntheticSweep { cells: 9, work: 0 }),
                 chaos: ChaosSpec {

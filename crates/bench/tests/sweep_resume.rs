@@ -14,8 +14,8 @@ use std::time::Duration;
 
 use bench::runner::{derive_seed, SimMode};
 use bench::sweep::{
-    run_sweep, CampaignSweep, ChaosSpec, Chaotic, SweepConfig, SweepError, SweepWorkload,
-    SyntheticSweep, JOURNAL_FILE,
+    resume_params, run_sweep, workload_from_descriptor, CampaignSweep, ChaosSpec, Chaotic,
+    SweepConfig, SweepError, SweepWorkload, SyntheticSweep, JOURNAL_FILE, SNAPSHOT_FILE,
 };
 use can_obs::{Recorder, Registry};
 
@@ -332,7 +332,7 @@ fn campaign_sweep_is_shard_and_resume_invariant() {
     // One replica of the real 16-cell campaign grid at a short horizon:
     // serial uninterrupted vs sharded killed-and-resumed.
     let workload =
-        || -> Arc<dyn SweepWorkload> { Arc::new(CampaignSweep::new(1, 2.0, SimMode::FastForward)) };
+        || -> Arc<dyn SweepWorkload> { Arc::new(CampaignSweep::new(1, 2.0, SimMode::Packed)) };
     let base = SweepConfig {
         chunk_cells: 4,
         ..SweepConfig::default()
@@ -359,6 +359,54 @@ fn campaign_sweep_is_shard_and_resume_invariant() {
         resumed.snapshot.contains("can_bus_bits_total"),
         "campaign cells must carry the simulator's own series too"
     );
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn journal_with_fast_descriptor_resumes_as_a_packed_sweep() {
+    // Journals written while `"fast": true` selected idle fast-forward
+    // carry this exact header. They must resume, with the workload rebuilt
+    // from the header as `experiments sweep --resume` does, into the
+    // snapshot an uninterrupted packed sweep writes.
+    let workload =
+        || -> Arc<dyn SweepWorkload> { Arc::new(CampaignSweep::new(1, 2.0, SimMode::Packed)) };
+    let base = SweepConfig {
+        chunk_cells: 4,
+        ..SweepConfig::default()
+    };
+    let ref_dir = tmp_dir("fastref");
+    reference(&workload(), &base, &ref_dir);
+    let want = fs::read(ref_dir.join(SNAPSHOT_FILE)).unwrap();
+    fs::remove_dir_all(&ref_dir).ok();
+
+    let dir = tmp_dir("fastjournal");
+    let killed = SweepConfig {
+        stop_after_chunks: Some(2),
+        ..base.clone()
+    };
+    assert!(matches!(
+        run_sweep(workload(), &killed, &dir),
+        Err(SweepError::Aborted { .. })
+    ));
+    let journal = fs::read_to_string(dir.join(JOURNAL_FILE)).unwrap();
+    let header = r#"{"schema":"michican-sweep/v1","seed":13967397,"total_cells":16,"chunk_cells":4,"max_attempts":3,"workload":"{\"kind\":\"campaign\",\"replicas\":1,\"run_ms\":2,\"fast\":true}"}"#;
+    assert_eq!(journal.lines().next(), Some(header));
+
+    let params = resume_params(&dir).unwrap();
+    let resumed = SweepConfig {
+        seed: params.seed,
+        chunk_cells: params.chunk_cells,
+        max_attempts: params.max_attempts,
+        shards: 2,
+        ..SweepConfig::default()
+    };
+    run_sweep(
+        workload_from_descriptor(&params.workload).unwrap(),
+        &resumed,
+        &dir,
+    )
+    .unwrap();
+    assert_eq!(fs::read(dir.join(SNAPSHOT_FILE)).unwrap(), want);
     fs::remove_dir_all(&dir).ok();
 }
 

@@ -20,7 +20,7 @@ use can_core::{BitDuration, BitInstant, CanId, Level};
 use can_obs::{Histogram, Journal, Recorder, DEFAULT_BUCKETS, JK_PROBE, JK_STRIKE};
 
 use crate::error_flag::ERROR_FLAG_BITS;
-use crate::watch::{FrameWatch, WatchEvent, ID_COMPLETE_CNT};
+use can_core::watch::{FrameWatch, WatchEvent, ID_COMPLETE_CNT};
 
 /// Earliest destuffed position the racer will ever strike at: the bit
 /// right after the arbitration field (it must see the whole identifier

@@ -16,7 +16,7 @@ use can_core::agent::BitAgent;
 use can_core::{BitDuration, BitInstant, CanId, Level};
 use can_obs::{Journal, JK_STRIKE};
 
-use crate::watch::{FrameWatch, WatchEvent, ID_COMPLETE_CNT};
+use can_core::watch::{FrameWatch, WatchEvent, ID_COMPLETE_CNT};
 
 /// Length of an active error flag in bits (CAN 2.0 §7).
 pub const ERROR_FLAG_BITS: u32 = 6;

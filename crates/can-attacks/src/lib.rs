@@ -33,9 +33,9 @@
 //! The zoo is enumerable: [`registry`] maps stable attack names to
 //! scenario constructors with per-attack parameter grids, so campaigns
 //! (`experiments attacks --attacks all`) can sweep the whole threat space
-//! without naming each attacker in code. [`watch`] holds the shared wire
-//! observer (SOF hunting, destuffing, field tracking) the bit-level
-//! attackers build on.
+//! without naming each attacker in code. [`can_core::watch`] holds the
+//! shared wire observer (SOF hunting, destuffing, field tracking) the
+//! bit-level attackers build on.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,7 +50,6 @@ pub mod stuff_overwrite;
 pub mod suspension;
 pub mod toggling;
 pub mod truncator;
-pub mod watch;
 
 pub use adaptive::AdaptiveRacer;
 pub use error_flag::ErrorFlagInjector;
@@ -62,4 +61,3 @@ pub use stuff_overwrite::StuffBitOverwrite;
 pub use suspension::{DosKind, SuspensionAttacker};
 pub use toggling::TogglingAttacker;
 pub use truncator::{FrameTruncator, TruncateAt};
-pub use watch::{FrameWatch, WatchEvent};

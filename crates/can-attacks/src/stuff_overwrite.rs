@@ -17,7 +17,7 @@ use can_core::agent::BitAgent;
 use can_core::{BitDuration, BitInstant, CanId, Level};
 use can_obs::{Journal, JK_STRIKE};
 
-use crate::watch::{FrameWatch, WatchEvent, ID_COMPLETE_CNT};
+use can_core::watch::{FrameWatch, WatchEvent, ID_COMPLETE_CNT};
 
 /// A bit-level attacker that overwrites a computed recessive stuff bit
 /// of the victim's frames with a dominant level.

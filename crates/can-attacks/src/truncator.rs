@@ -16,7 +16,7 @@ use can_core::agent::BitAgent;
 use can_core::{BitDuration, BitInstant, CanId, Level};
 use can_obs::{Journal, JK_STRIKE};
 
-use crate::watch::{FrameWatch, WatchEvent, ID_COMPLETE_CNT};
+use can_core::watch::{FrameWatch, WatchEvent, ID_COMPLETE_CNT};
 
 /// The fixed-form boundary at which a [`FrameTruncator`] strikes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

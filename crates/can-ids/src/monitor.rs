@@ -62,17 +62,6 @@ impl IdsMonitor {
         IdsMonitorBuilder::default()
     }
 
-    /// Creates a monitor from the two classic detectors.
-    #[deprecated(
-        note = "use `IdsMonitor::builder().with(name, detector)` over the uniform `Detector` trait"
-    )]
-    pub fn new(frequency: FrequencyIds, interval: IntervalIds) -> Self {
-        Self::builder()
-            .with("frequency", Box::new(frequency))
-            .with("interval", Box::new(interval))
-            .build()
-    }
-
     /// A typical configuration for a 500 kbit/s bus: 10 ms frequency
     /// window with a 10-frame threshold; interval training over 8 samples
     /// with ±50 % tolerance.
@@ -151,13 +140,6 @@ mod tests {
         assert!(kinds.contains(&AlertKind::Frequency));
         assert!(kinds.contains(&AlertKind::Interval));
         assert!(monitor.first_alert().is_some());
-    }
-
-    #[test]
-    fn deprecated_positional_constructor_still_works() {
-        #[allow(deprecated)]
-        let monitor = IdsMonitor::new(FrequencyIds::new(2_000, 3), IntervalIds::new(2, 0.5));
-        assert_eq!(monitor.detector_names(), ["frequency", "interval"]);
     }
 
     #[test]

@@ -40,9 +40,10 @@
 //!     .any(|e| matches!(e.kind, EventKind::FrameReceived { .. })));
 //! ```
 //!
-//! Long mostly-idle runs go through [`Simulator::run_fast`], which is
-//! event-, trace- and metrics-identical to [`Simulator::run`] but skips
-//! quiescent stretches of bus time in closed form.
+//! Long runs go through [`Simulator::run_packed`], which is event-,
+//! trace- and metrics-identical to [`Simulator::run`] but skips quiescent
+//! stretches of bus time in closed form and resolves event-free stretches
+//! of traffic word-at-a-time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -78,7 +78,7 @@ impl SignalTrace {
 
     /// Appends `count` copies of `level` in closed form — byte-identical
     /// to `count` single pushes, but O(min(count, capacity)) for a ring.
-    /// The fast-forward path uses this to backfill skipped idle gaps.
+    /// The packed kernel uses this to backfill skipped idle gaps.
     pub fn push_run(&mut self, level: Level, count: u64) {
         self.recorded += count;
         let Some(cap) = self.capacity else {
@@ -387,7 +387,7 @@ impl Simulator {
     }
 
     /// Publishes the initial TEC/REC gauges once a live recorder sees the
-    /// current node set. Shared by the lockstep and fast-forward paths so
+    /// current node set. Shared by the lockstep and packed paths so
     /// the metrics registry's insertion order — and therefore its snapshot
     /// bytes — never depends on which path ran first.
     fn ensure_obs_init(&mut self) {
@@ -664,61 +664,6 @@ impl Simulator {
         self.now += BitDuration::bits(n);
     }
 
-    /// Advances the simulation by one *quantum*: a closed-form skip over an
-    /// idle gap when the whole bus is quiescent, or a single
-    /// [`Simulator::step`] otherwise. Returns the number of bits advanced
-    /// (never more than `max_bits`; `0` only when `max_bits` is `0`).
-    pub fn advance(&mut self, max_bits: u64) -> u64 {
-        let obs = self.recorder.is_enabled();
-        if obs {
-            self.ensure_obs_init();
-        }
-        let advanced = self.advance_inner(max_bits, obs);
-        if obs {
-            self.flush_obs_counters();
-        }
-        advanced
-    }
-
-    fn advance_inner(&mut self, max_bits: u64, obs: bool) -> u64 {
-        if max_bits == 0 {
-            return 0;
-        }
-        match self.idle_gap(max_bits) {
-            Some(gap) => {
-                self.skip_gap(gap, obs);
-                gap
-            }
-            None => {
-                self.step_inner(obs);
-                1
-            }
-        }
-    }
-
-    /// Runs for `bits` nominal bit times with idle fast-forward: behaves
-    /// exactly like [`Simulator::run`] — same events, trace, metrics and
-    /// final state — but skips quiescent stretches in closed form instead
-    /// of simulating them bit by bit.
-    pub fn run_fast(&mut self, bits: u64) {
-        let obs = self.recorder.is_enabled();
-        if obs {
-            self.ensure_obs_init();
-        }
-        let end = self.now.bits() + bits;
-        while self.now.bits() < end {
-            self.advance_inner(end - self.now.bits(), obs);
-        }
-        if obs {
-            self.flush_obs_counters();
-        }
-    }
-
-    /// [`Simulator::run_millis`] with idle fast-forward.
-    pub fn run_millis_fast(&mut self, millis: f64) {
-        self.run_fast(self.speed.bits_in_millis(millis));
-    }
-
     /// Advances by one quantum of the packed kernel: an idle-gap skip, a
     /// word-packed stretch of up to 64 bits, or a single lockstep bit —
     /// whichever applies first. Returns the number of bits advanced (`0`
@@ -771,11 +716,6 @@ impl Simulator {
         if obs {
             self.flush_obs_counters();
         }
-    }
-
-    /// [`Simulator::run_millis`] with the packed bus kernel.
-    pub fn run_millis_packed(&mut self, millis: f64) {
-        self.run_packed(self.speed.bits_in_millis(millis));
     }
 
     /// Attempts one packed stretch: negotiates a per-node event-free
@@ -1315,73 +1255,6 @@ mod tests {
         assert_eq!(full_one.snapshot(), full_run.snapshot());
     }
 
-    #[test]
-    fn run_fast_matches_run_on_idle_bus() {
-        let build = || {
-            let mut sim = Simulator::new(BusSpeed::K500);
-            sim.add_node(Node::new("a", Box::new(SilentApplication)));
-            sim.add_node(Node::new("b", Box::new(SilentApplication)));
-            sim.install_trace(SignalTrace::ring(64));
-            sim.install_recorder(Recorder::enabled());
-            sim
-        };
-        let mut slow = build();
-        let mut fast = build();
-        slow.run(12_345);
-        fast.run_fast(12_345);
-        assert_eq!(slow.now(), fast.now());
-        assert_eq!(slow.events(), fast.events());
-        assert_eq!(slow.busy_bits(), fast.busy_bits());
-        assert_eq!(
-            slow.trace().unwrap().snapshot(),
-            fast.trace().unwrap().snapshot()
-        );
-        assert_eq!(slow.trace().unwrap().recorded(), 12_345);
-        assert_eq!(
-            slow.recorder().snapshot_json(),
-            fast.recorder().snapshot_json()
-        );
-    }
-
-    #[test]
-    fn run_fast_matches_run_with_traffic() {
-        let build = || {
-            let mut sim = Simulator::new(BusSpeed::K500);
-            sim.add_node(Node::new(
-                "s",
-                Box::new(PeriodicSender::new(frame(0x0C4, &[1, 2, 3, 4]), 1_700, 40)),
-            ));
-            sim.add_node(Node::new("r", Box::new(SilentApplication)));
-            sim.install_trace(SignalTrace::default());
-            sim.install_recorder(Recorder::enabled());
-            sim
-        };
-        let mut slow = build();
-        let mut fast = build();
-        slow.run(25_000);
-        fast.run_fast(25_000);
-        assert_eq!(slow.events(), fast.events());
-        assert!(!fast.events().is_empty());
-        assert_eq!(
-            slow.trace().unwrap().snapshot(),
-            fast.trace().unwrap().snapshot()
-        );
-        assert_eq!(slow.busy_bits(), fast.busy_bits());
-        assert_eq!(
-            slow.recorder().snapshot_json(),
-            fast.recorder().snapshot_json()
-        );
-    }
-
-    #[test]
-    fn fast_forward_actually_skips() {
-        let mut sim = Simulator::new(BusSpeed::K500);
-        sim.add_node(Node::new("a", Box::new(SilentApplication)));
-        let advanced = sim.advance(1_000_000);
-        assert_eq!(advanced, 1_000_000, "an all-idle bus skips in one quantum");
-        assert_eq!(sim.now().bits(), 1_000_000);
-    }
-
     /// Asserts `run_packed(bits)` leaves a simulator byte-identical to
     /// `run(bits)`: same clock, events, busy accounting, trace and
     /// metrics snapshot.
@@ -1427,6 +1300,34 @@ mod tests {
             },
             12_345,
         );
+    }
+
+    #[test]
+    fn run_packed_matches_run_with_traffic() {
+        assert_packed_matches_run(
+            || {
+                let mut sim = Simulator::new(BusSpeed::K500);
+                sim.add_node(Node::new(
+                    "s",
+                    Box::new(PeriodicSender::new(frame(0x0C4, &[1, 2, 3, 4]), 1_700, 40)),
+                ));
+                sim.add_node(Node::new("r", Box::new(SilentApplication)));
+                sim.install_trace(SignalTrace::default());
+                sim.install_recorder(Recorder::enabled());
+                sim
+            },
+            25_000,
+        );
+    }
+
+    #[test]
+    fn idle_skip_actually_skips() {
+        let mut sim = Simulator::new(BusSpeed::K500);
+        sim.add_node(Node::new("a", Box::new(SilentApplication)));
+        let advanced = sim.advance_packed(1_000_000);
+        assert_eq!(advanced, 1_000_000, "an all-idle bus skips in one quantum");
+        assert_eq!(sim.now().bits(), 1_000_000);
+        assert_eq!(sim.kernel_telemetry().skipped_bits(), 1_000_000);
     }
 
     #[test]
@@ -1487,7 +1388,7 @@ mod tests {
     }
 
     #[test]
-    fn journal_export_is_identical_across_all_three_kernels() {
+    fn journal_export_is_identical_across_both_kernels() {
         use can_obs::Journal;
         let build = || {
             let mut sim = Simulator::new(BusSpeed::K500);
@@ -1513,12 +1414,9 @@ mod tests {
         use crate::fault::TxFault;
         let mut lockstep = build();
         lockstep.run(16_000);
-        let mut fast = build();
-        fast.run_fast(16_000);
         let mut packed = build();
         packed.run_packed(16_000);
         let export = lockstep.journal().export_jsonl();
-        assert_eq!(export, fast.journal().export_jsonl());
         assert_eq!(export, packed.journal().export_jsonl());
         let (events, dropped) = can_obs::journal::parse_export(&export).unwrap();
         assert!(dropped.is_empty());

@@ -16,12 +16,11 @@
 //!
 //! ## Determinism contract
 //!
-//! Taps are fed exclusively from the lockstep bit path. The accelerated
-//! kernels (fast-forward, packed) only ever skip stretches where no frame
-//! completes — the packed receiver dry-run stops *before* any parser event
-//! — so a tap observes the identical `(frame, instant)` sequence in all
-//! three sim modes (lockstep, fast-forward, packed) and at any shard
-//! count. In return a
+//! Taps are fed exclusively from the lockstep bit path. The packed kernel
+//! only ever skips or packs stretches where no frame completes — its
+//! receiver dry-run stops *before* any parser event — so a tap observes
+//! the identical `(frame, instant)` sequence in both sim modes (lockstep,
+//! packed) and at any shard count. In return a
 //! tap must be passive: it cannot influence the bus, the nodes, or the
 //! schedule. Its one hook into time is [`FrameTap::next_activity`], which
 //! participates in the idle-gap quiescence handshake: returning

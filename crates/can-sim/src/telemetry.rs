@@ -1,8 +1,8 @@
 //! Kernel self-telemetry: how the simulator spent its bits.
 //!
 //! The observability [`Registry`](can_obs::Registry) records what happened
-//! *on the bus* and is required to be byte-identical across the lockstep,
-//! fast-forward and packed kernels. Telemetry about the kernels themselves
+//! *on the bus* and is required to be byte-identical across the lockstep
+//! and packed kernels. Telemetry about the kernels themselves
 //! — how many bits each engine resolved, how long the packed stretches
 //! were, which seam refused a horizon — is *by construction* different per
 //! [`SimMode`](crate::measure::SimMode), so it lives here, outside the
@@ -143,12 +143,12 @@ impl Default for KernelTelemetry {
 
 impl KernelTelemetry {
     /// Bits resolved one at a time by the lockstep engine (including
-    /// packed/fast-forward quanta that fell back).
+    /// packed quanta that fell back).
     pub fn lockstep_bits(&self) -> u64 {
         self.lockstep_bits
     }
 
-    /// Bits skipped wholesale across idle gaps (fast-forward and packed).
+    /// Bits skipped wholesale across idle gaps by the packed kernel.
     pub fn skipped_bits(&self) -> u64 {
         self.skipped_bits
     }

@@ -1,4 +1,4 @@
-//! Accelerated engines against the lockstep reference on buses that
+//! The packed engine against the lockstep reference on buses that
 //! exercise the seams a quiet bus never reaches: a crashed node frozen
 //! mid-frame, and channel-fault stacks mixing scripted and pre-drawn
 //! random flips.
@@ -13,42 +13,38 @@ fn frame(id: u16, data: &[u8]) -> CanFrame {
     CanFrame::data_frame(CanId::from_raw(id), data).unwrap()
 }
 
-/// Runs `bits` bits with each engine and asserts the accelerated runs
-/// leave everything the lockstep run leaves: clock, events, bus load,
-/// trace, metrics snapshot and journal export.
-fn assert_engines_agree(build: impl Fn() -> Simulator, bits: u64) -> [Simulator; 3] {
+/// Runs `bits` bits with each engine and asserts the packed run leaves
+/// everything the lockstep run leaves: clock, events, bus load, trace,
+/// metrics snapshot and journal export.
+fn assert_engines_agree(build: impl Fn() -> Simulator, bits: u64) -> [Simulator; 2] {
     let mut lockstep = build();
-    let mut fast = build();
     let mut packed = build();
     lockstep.run(bits);
-    fast.run_fast(bits);
     packed.run_packed(bits);
-    for (name, other) in [("fast", &fast), ("packed", &packed)] {
-        assert_eq!(lockstep.now(), other.now(), "{name}: clock");
-        assert_eq!(lockstep.events(), other.events(), "{name}: events");
-        assert_eq!(lockstep.busy_bits(), other.busy_bits(), "{name}: busy bits");
-        assert_eq!(
-            lockstep.observed_bus_load(),
-            other.observed_bus_load(),
-            "{name}: bus load"
-        );
-        assert_eq!(
-            lockstep.trace().map(|t| t.snapshot()),
-            other.trace().map(|t| t.snapshot()),
-            "{name}: trace"
-        );
-        assert_eq!(
-            lockstep.recorder().snapshot_json(),
-            other.recorder().snapshot_json(),
-            "{name}: metrics snapshot"
-        );
-        assert_eq!(
-            lockstep.journal().export_jsonl(),
-            other.journal().export_jsonl(),
-            "{name}: journal"
-        );
-    }
-    [lockstep, fast, packed]
+    assert_eq!(lockstep.now(), packed.now(), "clock");
+    assert_eq!(lockstep.events(), packed.events(), "events");
+    assert_eq!(lockstep.busy_bits(), packed.busy_bits(), "busy bits");
+    assert_eq!(
+        lockstep.observed_bus_load(),
+        packed.observed_bus_load(),
+        "bus load"
+    );
+    assert_eq!(
+        lockstep.trace().map(|t| t.snapshot()),
+        packed.trace().map(|t| t.snapshot()),
+        "trace"
+    );
+    assert_eq!(
+        lockstep.recorder().snapshot_json(),
+        packed.recorder().snapshot_json(),
+        "metrics snapshot"
+    );
+    assert_eq!(
+        lockstep.journal().export_jsonl(),
+        packed.journal().export_jsonl(),
+        "journal"
+    );
+    [lockstep, packed]
 }
 
 /// An observer that wants every bit (so the bus never skips idle gaps)
@@ -155,16 +151,16 @@ fn faulty_bus(seed: u64) -> Simulator {
 #[test]
 fn mixed_fault_stack_is_identical_under_acceleration() {
     for seed in [1, 2, 3] {
-        let [lockstep, fast, packed] = assert_engines_agree(|| faulty_bus(seed), 60_000);
+        let [lockstep, packed] = assert_engines_agree(|| faulty_bus(seed), 60_000);
         let errors = lockstep
             .events()
             .iter()
             .filter(|e| matches!(e.kind, can_sim::EventKind::ErrorDetected { .. }))
             .count();
         assert!(errors > 0, "seed {seed}: the channel destroys frames");
-        // The pre-drawn schedules let both engines leave lockstep.
-        assert!(fast.kernel_telemetry().skipped_bits() > 0, "seed {seed}");
+        // The pre-drawn schedules let the kernel both skip and pack.
         let t = packed.kernel_telemetry();
+        assert!(t.skipped_bits() > 0, "seed {seed}");
         assert!(t.packed_bits() > 10_000, "seed {seed}: {}", t.packed_bits());
     }
 }

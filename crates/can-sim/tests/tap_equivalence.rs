@@ -1,5 +1,5 @@
 //! Passive frame taps observe the identical `(frame, instant)` sequence
-//! in all three sim modes, and exactly one delivery happens per completed
+//! in both sim modes, and exactly one delivery happens per completed
 //! bus frame.
 
 use std::cell::RefCell;
@@ -68,15 +68,11 @@ fn tap_sees_one_delivery_per_completed_frame() {
 }
 
 #[test]
-fn tap_log_is_identical_across_lockstep_fast_and_packed() {
+fn tap_log_is_identical_across_lockstep_and_packed() {
     let (mut lockstep, lockstep_logs) = build_with_taps(1);
     lockstep.run(RUN_BITS);
     let reference = lockstep_logs[0].borrow().clone();
     assert!(!reference.is_empty());
-
-    let (mut fast, fast_logs) = build_with_taps(1);
-    fast.run_fast(RUN_BITS);
-    assert_eq!(*fast_logs[0].borrow(), reference, "fast-forward diverged");
 
     let (mut packed, packed_logs) = build_with_taps(1);
     packed.run_packed(RUN_BITS);
@@ -108,7 +104,7 @@ impl FrameTap for HorizonTap {
 }
 
 #[test]
-fn tap_horizon_bounds_fast_forward_without_changing_events() {
+fn tap_horizon_bounds_idle_skips_without_changing_events() {
     let build = |with_horizon: bool| {
         let mut builder = SimBuilder::new(BusSpeed::K125)
             .node(Node::new(
@@ -122,8 +118,9 @@ fn tap_horizon_bounds_fast_forward_without_changing_events() {
         builder.build()
     };
     let mut plain = build(false);
-    plain.run_fast(RUN_BITS);
+    plain.run_packed(RUN_BITS);
     let mut bounded = build(true);
-    bounded.run_fast(RUN_BITS);
+    bounded.run_packed(RUN_BITS);
     assert_eq!(plain.events(), bounded.events());
+    assert!(bounded.kernel_telemetry().skipped_bits() > 0);
 }

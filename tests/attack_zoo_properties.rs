@@ -5,10 +5,9 @@
 //!   transmitter whose every attempt is destroyed on the wire reaches
 //!   bus-off in exactly 32 attempts (TEC +8 per bit/form error), never
 //!   more, never fewer; and
-//! * lockstep, idle fast-forward and the packed bus kernel stay
-//!   byte-identical even though the attacker intervenes mid-frame — i.e.
-//!   in the middle of what the packed kernel would otherwise resolve as
-//!   one 64-bit word.
+//! * lockstep and the packed bus kernel stay byte-identical even though
+//!   the attacker intervenes mid-frame — i.e. in the middle of what the
+//!   packed kernel would otherwise resolve as one 64-bit word.
 
 use bench::differential::check_equivalence;
 use can_attacks::{FrameTruncator, StuffBitOverwrite, TruncateAt};
@@ -107,7 +106,7 @@ proptest! {
 
     /// Mid-word intervention differential: a stuff-bit overwrite lands
     /// deep inside a frame body — unaligned territory the packed kernel
-    /// would otherwise resolve as whole 64-bit words — and all three
+    /// would otherwise resolve as whole 64-bit words — and both
     /// execution modes must still agree on every observable surface.
     #[test]
     fn lockstep_equals_packed_under_stuff_overwrite(

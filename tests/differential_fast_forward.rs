@@ -1,8 +1,11 @@
-//! Differential proof of the accelerated-core byte-identity guarantees:
-//! every scenario family is driven once in lockstep, once under idle
-//! fast-forward and once under the packed bus kernel, and every observable
-//! surface — events, signal trace, metrics snapshot, outcome — must match
-//! byte for byte across all three modes.
+//! Differential proof of the packed kernel's byte-identity guarantees:
+//! every scenario family is driven once in lockstep and once under the
+//! packed bus kernel, and every observable surface — events, signal
+//! trace, metrics snapshot, outcome — must match byte for byte across
+//! both modes.
+//!
+//! (The file name predates the packed kernel absorbing idle
+//! fast-forward; it is kept so the test ids stay stable.)
 
 use bench::attackzoo::{build_zoo_cell, run_zoo_with, zoo_cells, ZooCell};
 use bench::campaign::{run_campaign_with, CampaignConfig};
@@ -16,10 +19,6 @@ use can_obs::{parse_export, Journal, Recorder, JK_DETECTION, JK_FRAME_ERROR, JK_
 
 fn lockstep(recorder: &Recorder) -> ExecOpts {
     ExecOpts::new().with_recorder(recorder.clone())
-}
-
-fn fast(recorder: &Recorder) -> ExecOpts {
-    ExecOpts::new().with_recorder(recorder.clone()).fast()
 }
 
 fn packed(recorder: &Recorder) -> ExecOpts {
@@ -46,14 +45,6 @@ fn table2_report_and_metrics_are_identical_under_acceleration() {
     // merged metrics snapshot.
     let lock_recorder = Recorder::enabled();
     let lock = run_table2_with(400.0, &lockstep(&lock_recorder));
-    let fast_recorder = Recorder::enabled();
-    let ff = run_table2_with(400.0, &fast(&fast_recorder));
-    check_outcome("table2 fast-forward", &lock, &ff).unwrap();
-    assert_eq!(
-        lock_recorder.snapshot_json(),
-        fast_recorder.snapshot_json(),
-        "table2 metrics snapshot diverged under fast-forward"
-    );
     let packed_recorder = Recorder::enabled();
     let pk = run_table2_with(400.0, &packed(&packed_recorder));
     check_outcome("table2 packed", &lock, &pk).unwrap();
@@ -73,14 +64,6 @@ fn campaign_report_and_metrics_are_identical_under_acceleration() {
     };
     let lock_recorder = Recorder::enabled();
     let lock = run_campaign_with(&config, &lockstep(&lock_recorder));
-    let fast_recorder = Recorder::enabled();
-    let ff = run_campaign_with(&config, &fast(&fast_recorder));
-    assert_eq!(lock, ff, "campaign report diverged under fast-forward");
-    assert_eq!(
-        lock_recorder.snapshot_json(),
-        fast_recorder.snapshot_json(),
-        "campaign metrics snapshot diverged under fast-forward"
-    );
     let packed_recorder = Recorder::enabled();
     let pk = run_campaign_with(&config, &packed(&packed_recorder));
     assert_eq!(lock, pk, "campaign report diverged under the packed kernel");
@@ -96,14 +79,6 @@ fn multi_attacker_scan_is_identical_under_acceleration() {
     let counts = [1usize, 2, 3];
     let lock_recorder = Recorder::enabled();
     let lock = run_multi_attacker_scan_with(&counts, 60_000, &lockstep(&lock_recorder));
-    let fast_recorder = Recorder::enabled();
-    let ff = run_multi_attacker_scan_with(&counts, 60_000, &fast(&fast_recorder));
-    assert_eq!(lock, ff, "multi-attacker scan diverged under fast-forward");
-    assert_eq!(
-        lock_recorder.snapshot_json(),
-        fast_recorder.snapshot_json(),
-        "multi-attacker metrics snapshot diverged under fast-forward"
-    );
     let packed_recorder = Recorder::enabled();
     let pk = run_multi_attacker_scan_with(&counts, 60_000, &packed(&packed_recorder));
     assert_eq!(
@@ -125,19 +100,6 @@ fn parksense_outcomes_are_identical_under_acceleration() {
     for defended in [false, true] {
         let lock_recorder = Recorder::enabled();
         let lock = run_parksense_with(defended, 40.0, &lockstep(&lock_recorder));
-        let fast_recorder = Recorder::enabled();
-        let ff = run_parksense_with(defended, 40.0, &fast(&fast_recorder));
-        check_outcome(
-            &format!("parksense fast-forward defended={defended}"),
-            &lock,
-            &ff,
-        )
-        .unwrap();
-        assert_eq!(
-            lock_recorder.snapshot_json(),
-            fast_recorder.snapshot_json(),
-            "parksense metrics snapshot diverged under fast-forward (defended={defended})"
-        );
         let packed_recorder = Recorder::enabled();
         let pk = run_parksense_with(defended, 40.0, &packed(&packed_recorder));
         check_outcome(&format!("parksense packed defended={defended}"), &lock, &pk).unwrap();
@@ -153,10 +115,10 @@ fn parksense_outcomes_are_identical_under_acceleration() {
 fn every_zoo_cell_is_bit_identical_under_acceleration() {
     // The adversary-zoo differential pin: every registry attack variant ×
     // every defense, fingerprinted (clock, busy bits, events, metrics)
-    // across lockstep, fast-forward and the packed kernel. Bit-level
-    // attackers exercise the BitAgent drive_horizon/skip_idle seams under
-    // mid-frame intervention, which is exactly where the accelerated
-    // kernels are most likely to diverge.
+    // across lockstep and the packed kernel. Bit-level attackers exercise
+    // the BitAgent drive_horizon/skip_idle seams under mid-frame
+    // intervention, which is exactly where the packed kernel is most
+    // likely to diverge.
     let cells = zoo_cells();
     assert!(cells.len() >= 36, "registry shrank: {} cells", cells.len());
     for cell in cells {
@@ -175,8 +137,8 @@ fn every_zoo_cell_is_bit_identical_under_acceleration() {
 #[test]
 fn zoo_table_is_identical_across_modes_and_shards() {
     // Outcome-level pin: the full per-attack outcome table and the merged
-    // metrics snapshot must be byte-identical in all three modes and at
-    // any shard count (`experiments attacks --attacks all --shards N`).
+    // metrics snapshot must be byte-identical in both modes and at any
+    // shard count (`experiments attacks --attacks all --shards N`).
     let run = |opts: ExecOpts| {
         let recorder = Recorder::enabled();
         let outcomes = run_zoo_with(zoo_cells(), 20_000, &opts.with_recorder(recorder.clone()));
@@ -184,7 +146,6 @@ fn zoo_table_is_identical_across_modes_and_shards() {
     };
     let (lock, lock_snapshot) = run(ExecOpts::new());
     for (label, opts) in [
-        ("fast-forward", ExecOpts::new().fast()),
         ("packed", ExecOpts::new().packed()),
         ("4 shards", ExecOpts::new().with_shards(4)),
         ("packed + 3 shards", ExecOpts::new().packed().with_shards(3)),
@@ -230,7 +191,7 @@ fn zoo_cells_cover_every_registry_variant_against_every_defense() {
 
 // ---------------------------------------------------------------------------
 // Causal journal determinism (DESIGN.md §13): the canonical export must be
-// byte-identical across all three SimModes and at any shard count, for
+// byte-identical across both SimModes and at any shard count, for
 // every scenario family that runs under ExecOpts.
 // ---------------------------------------------------------------------------
 
@@ -252,7 +213,6 @@ fn table2_journal_is_byte_identical_across_modes_and_shards() {
     let base = run(ExecOpts::new());
     assert!(base.lines().count() > 1, "table2 journal must not be empty");
     for (label, opts) in [
-        ("fast-forward", ExecOpts::new().fast()),
         ("packed", ExecOpts::new().packed()),
         ("4 shards", ExecOpts::new().with_shards(4)),
         ("packed + 4 shards", ExecOpts::new().packed().with_shards(4)),
@@ -279,7 +239,6 @@ fn campaign_journal_is_byte_identical_across_modes_and_shards() {
         "campaign journal must not be empty"
     );
     for (label, shards, opts) in [
-        ("fast-forward", 1, ExecOpts::new().fast()),
         ("packed", 1, ExecOpts::new().packed()),
         ("4 shards", 4, ExecOpts::new()),
     ] {
@@ -304,7 +263,6 @@ fn multi_attacker_journal_is_byte_identical_across_modes_and_shards() {
         "multi-attacker journal must not be empty"
     );
     for (label, opts) in [
-        ("fast-forward", ExecOpts::new().fast()),
         ("packed", ExecOpts::new().packed()),
         ("4 shards", ExecOpts::new().with_shards(4)),
     ] {
@@ -329,16 +287,11 @@ fn parksense_journal_is_byte_identical_across_modes() {
             base.lines().count() > 1,
             "parksense journal must not be empty (defended={defended})"
         );
-        for (label, opts) in [
-            ("fast-forward", ExecOpts::new().fast()),
-            ("packed", ExecOpts::new().packed()),
-        ] {
-            assert_eq!(
-                base,
-                run(opts),
-                "parksense journal diverged under {label} (defended={defended})"
-            );
-        }
+        assert_eq!(
+            base,
+            run(ExecOpts::new().packed()),
+            "parksense journal diverged under packed (defended={defended})"
+        );
     }
 }
 
@@ -386,7 +339,7 @@ fn a_zoo_cell_reconstructs_the_attack_chain_by_chain_id() {
 // ---------------------------------------------------------------------------
 // Timing-IDS bake-off differential pins: detector taps are passive and
 // frame-driven, so attaching the full registry grid must not perturb the
-// accelerated kernels — the outcome table, the metrics snapshot and the
+// packed kernel — the outcome table, the metrics snapshot and the
 // journal export all stay byte-identical across modes and shard counts.
 // ---------------------------------------------------------------------------
 
@@ -426,7 +379,6 @@ fn ids_table_is_identical_across_modes_and_shards() {
     };
     let (lock, lock_snapshot) = run(ExecOpts::new());
     for (label, opts) in [
-        ("fast-forward", ExecOpts::new().fast()),
         ("packed", ExecOpts::new().packed()),
         ("4 shards", ExecOpts::new().with_shards(4)),
         ("packed + 3 shards", ExecOpts::new().packed().with_shards(3)),
@@ -464,7 +416,6 @@ fn ids_journal_is_byte_identical_across_modes_and_shards() {
         "ids journal must carry alert events"
     );
     for (label, opts) in [
-        ("fast-forward", ExecOpts::new().fast()),
         ("packed", ExecOpts::new().packed()),
         ("4 shards", ExecOpts::new().with_shards(4)),
         ("packed + 4 shards", ExecOpts::new().packed().with_shards(4)),

@@ -1,9 +1,12 @@
 //! Property-level equivalence: for *arbitrary* node sets, fault stacks
-//! and attack shapes, lockstep, idle fast-forward and packed-kernel runs
-//! are byte-identical — plus regression pins proving that skip-ahead
-//! never jumps over a fault-window boundary or a suspend expiry, and that
+//! and attack shapes, lockstep and packed-kernel runs are byte-identical
+//! — plus regression pins proving that the packed kernel's idle skips
+//! never jump over a fault-window boundary or a suspend expiry, and that
 //! packed stretches break exactly at mid-word fault onsets and agent
 //! intervention points.
+//!
+//! (The file name predates the packed kernel absorbing idle
+//! fast-forward; it is kept so the test ids stay stable.)
 
 use bench::differential::check_equivalence;
 use can_core::app::{PeriodicSender, SilentApplication};
@@ -18,7 +21,7 @@ fn frame(id: u16, data: &[u8]) -> CanFrame {
 }
 
 /// Distinct (id, period, payload) sender configurations with enough slack
-/// for real idle gaps (the fast-forward path must have something to skip).
+/// for real idle gaps (the idle-skip path must have something to skip).
 fn arb_senders() -> impl Strategy<Value = Vec<(u16, u64, Vec<u8>)>> {
     proptest::collection::btree_map(
         0x080u16..=CanId::MAX_RAW,
@@ -41,8 +44,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Randomized benign/attacked buses under randomized fault stacks:
-    /// lockstep, fast-forward and the packed kernel agree on every
-    /// observable surface.
+    /// lockstep and the packed kernel agree on every observable surface.
     #[test]
     fn random_buses_are_bit_identical_under_acceleration(
         senders in arb_senders(),
@@ -118,7 +120,8 @@ fn skip_ahead_never_jumps_a_tx_fault_window_boundary() {
     // protocol errors shortly after bit 2 000 (a jumped boundary would
     // leave this region silent and the assertion above vacuous).
     let mut sim = build(Recorder::disabled());
-    sim.run_fast(8_000);
+    sim.run_packed(8_000);
+    assert!(sim.kernel_telemetry().skipped_bits() > 0);
     assert!(
         sim.events().iter().any(|e| {
             matches!(e.kind, EventKind::ErrorDetected { .. })
@@ -132,7 +135,7 @@ fn skip_ahead_never_jumps_a_tx_fault_window_boundary() {
 fn skip_ahead_never_jumps_a_scripted_channel_flip() {
     // A single scripted channel flip at bit 2 500 lands in an otherwise
     // idle stretch: the spurious dominant bit reads as a SOF and ends in a
-    // stuff error a few bits later. Fast-forward must stop exactly at the
+    // stuff error a few bits later. The idle skip must stop exactly at the
     // scripted bit to reproduce it.
     let build = |recorder: Recorder| {
         SimBuilder::new(BusSpeed::K500)
@@ -148,7 +151,8 @@ fn skip_ahead_never_jumps_a_scripted_channel_flip() {
     check_equivalence(build, 6_000).unwrap();
 
     let mut sim = build(Recorder::disabled());
-    sim.run_fast(6_000);
+    sim.run_packed(6_000);
+    assert!(sim.kernel_telemetry().skipped_bits() > 0);
     assert!(
         sim.events().iter().any(|e| {
             matches!(e.kind, EventKind::ErrorDetected { .. })
@@ -181,7 +185,8 @@ fn skip_ahead_never_jumps_a_suspend_expiry() {
     check_equivalence(build, 40_000).unwrap();
 
     let mut sim = build(Recorder::disabled());
-    sim.run_fast(40_000);
+    sim.run_packed(40_000);
+    assert!(sim.kernel_telemetry().skipped_bits() > 0);
     let ack_errors = sim
         .events()
         .iter()

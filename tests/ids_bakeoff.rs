@@ -1,7 +1,6 @@
 //! End-to-end coverage of the timing-IDS bake-off (`bench::idsbench`):
 //! grid shape, the Table I honesty invariant measured on real cells, the
-//! ported IDS-vs-MichiCAN flood pins, and the deprecated `ids_compare`
-//! shims.
+//! and the ported IDS-vs-MichiCAN flood pins.
 
 use bench::idsbench::{
     assert_ids_honesty, detector_grid_for, flood_ids_defense, flood_michican_defense, ids_cells,
@@ -140,15 +139,4 @@ fn michican_is_orders_of_magnitude_faster() {
     let ratio = ids.detection_latency_bits.unwrap() as f64
         / michican.detection_latency_bits.unwrap() as f64;
     assert!(ratio > 50.0, "latency ratio {ratio:.0}× must be dramatic");
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_ids_compare_shims_forward_to_idsbench() {
-    use bench::ids_compare::{ids_defense, michican_defense};
-    assert_eq!(ids_defense(FLOOD_RUN), flood_ids_defense(FLOOD_RUN));
-    assert_eq!(
-        michican_defense(FLOOD_RUN),
-        flood_michican_defense(FLOOD_RUN)
-    );
 }

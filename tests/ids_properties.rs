@@ -5,8 +5,8 @@
 //!   quiet on the traffic they trained on, alerting within a bounded
 //!   number of frames once the distribution shifts; and
 //! * attaching the full registry detector grid as passive taps never
-//!   perturbs the simulation: lockstep, idle fast-forward and the packed
-//!   bus kernel stay byte-identical with every tap installed.
+//!   perturbs the simulation: lockstep and the packed bus kernel stay
+//!   byte-identical with every tap installed.
 
 use bench::differential::check_equivalence;
 use can_core::app::{PeriodicSender, SilentApplication};
@@ -150,7 +150,7 @@ proptest! {
     }
 
     /// Passive taps never perturb the kernel: with the full registry grid
-    /// attached, all three execution modes agree on every observable
+    /// attached, both execution modes agree on every observable
     /// surface, for arbitrary payloads and phase offsets.
     #[test]
     fn taps_preserve_mode_equivalence(
