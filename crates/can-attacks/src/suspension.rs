@@ -36,6 +36,12 @@ pub enum DosKind {
 /// `period_bits` controls the injection rate; a compromised ECU saturating
 /// the bus uses a period shorter than one frame so a frame is always
 /// pending (the controller's automatic retransmission does the rest).
+///
+/// A saturating attacker with a fixed identifier re-posts the same frame
+/// every bit, and a re-post into a mailbox that already holds it is a
+/// no-op, so once its frame is posted it declares itself quiescent
+/// ([`Application::next_activity`] returns `None`) and the packed kernel
+/// may skip those polls.
 #[derive(Debug)]
 pub struct SuspensionAttacker {
     kind: DosKind,
@@ -43,7 +49,6 @@ pub struct SuspensionAttacker {
     dlc: usize,
     period_bits: u64,
     next_due: u64,
-    injected: u64,
     rng: StdRng,
 }
 
@@ -62,7 +67,6 @@ impl SuspensionAttacker {
             dlc: 8,
             period_bits,
             next_due: 0,
-            injected: 0,
             rng: StdRng::seed_from_u64(0x5EED_CADE),
         }
     }
@@ -79,11 +83,6 @@ impl SuspensionAttacker {
         self.payload = [0; 8];
         self.payload[..payload.len()].copy_from_slice(payload);
         self
-    }
-
-    /// Number of frames handed to the controller so far.
-    pub fn injected(&self) -> u64 {
-        self.injected
     }
 
     /// The attack kind.
@@ -107,7 +106,6 @@ impl Application for SuspensionAttacker {
     fn poll(&mut self, now: BitInstant) -> Option<CanFrame> {
         if now.bits() >= self.next_due {
             self.next_due = now.bits() + self.period_bits;
-            self.injected += 1;
             let id = self.attack_id();
             let dlc = self.dlc;
             Some(CanFrame::data_frame(id, &self.payload[..dlc]).expect("valid attack frame"))
@@ -117,7 +115,14 @@ impl Application for SuspensionAttacker {
     }
 
     fn next_activity(&self, _now: BitInstant) -> Option<BitInstant> {
-        Some(BitInstant::from_bits(self.next_due))
+        // `next_due > 0` once the frame is posted. Random ids draw from the
+        // RNG on every poll, so those polls are not no-ops.
+        let fixed_id = !matches!(self.kind, DosKind::Random { .. });
+        if fixed_id && self.period_bits == 1 && self.next_due > 0 {
+            None
+        } else {
+            Some(BitInstant::from_bits(self.next_due))
+        }
     }
 }
 
@@ -138,7 +143,7 @@ mod tests {
         let id = CanId::from_raw(0x25F);
         let mut attacker = SuspensionAttacker::saturating(DosKind::Targeted { id });
         assert_eq!(attacker.poll(BitInstant::ZERO).unwrap().id(), id);
-        assert_eq!(attacker.injected(), 1);
+        assert_eq!(attacker.poll(BitInstant::from_bits(1)).unwrap().id(), id);
     }
 
     #[test]
@@ -170,10 +175,58 @@ mod tests {
     #[test]
     fn injection_respects_period() {
         let mut attacker = SuspensionAttacker::new(DosKind::Traditional, 100);
-        assert!(attacker.poll(BitInstant::from_bits(0)).is_some());
+        let first = attacker.poll(BitInstant::from_bits(0)).unwrap();
         assert!(attacker.poll(BitInstant::from_bits(50)).is_none());
-        assert!(attacker.poll(BitInstant::from_bits(100)).is_some());
-        assert_eq!(attacker.injected(), 2);
+        assert!(attacker.poll(BitInstant::from_bits(99)).is_none());
+        assert_eq!(attacker.poll(BitInstant::from_bits(100)), Some(first));
+    }
+
+    #[test]
+    fn fixed_id_saturating_attacker_is_quiescent_once_posted() {
+        let targeted = DosKind::Targeted {
+            id: CanId::from_raw(0x25F),
+        };
+        for kind in [DosKind::Traditional, targeted] {
+            let mut attacker = SuspensionAttacker::saturating(kind);
+            assert_eq!(
+                attacker.next_activity(BitInstant::ZERO),
+                Some(BitInstant::ZERO),
+                "{kind:?}: the first post is due at once"
+            );
+            attacker.poll(BitInstant::ZERO).unwrap();
+            for t in [1, 2, 1_000] {
+                assert_eq!(
+                    attacker.next_activity(BitInstant::from_bits(t)),
+                    None,
+                    "{kind:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn random_and_periodic_attackers_keep_their_poll_schedule() {
+        let below = CanId::from_raw(0x100);
+        let mut random = SuspensionAttacker::saturating(DosKind::Random { below });
+        for t in 0..5 {
+            let now = BitInstant::from_bits(t);
+            random.poll(now).unwrap();
+            assert_eq!(
+                random.next_activity(now),
+                Some(BitInstant::from_bits(t + 1))
+            );
+        }
+
+        let mut periodic = SuspensionAttacker::new(DosKind::Traditional, 100);
+        assert_eq!(
+            periodic.next_activity(BitInstant::ZERO),
+            Some(BitInstant::ZERO)
+        );
+        periodic.poll(BitInstant::ZERO).unwrap();
+        assert_eq!(
+            periodic.next_activity(BitInstant::from_bits(1)),
+            Some(BitInstant::from_bits(100))
+        );
     }
 
     #[test]

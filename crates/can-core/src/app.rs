@@ -33,6 +33,15 @@ pub trait Application {
     /// skip those polls entirely. Implementations that cannot promise this
     /// keep the conservative default `Some(now)`, which disables
     /// skip-ahead around them.
+    ///
+    /// A poll may also be skipped when all it would do is re-post a frame
+    /// the node already holds in that mailbox or is transmitting (e.g. a
+    /// saturating attacker re-posting one fixed frame every bit). This is
+    /// sound because the controller reads its mailboxes only at bits the
+    /// driver runs in lockstep — a transmission start, the end of a
+    /// transmission (success, error or arbitration loss) and a restart
+    /// flush — and lockstep polls every application before the controller
+    /// samples, so the frame is back in place whenever it is read.
     fn next_activity(&self, now: BitInstant) -> Option<BitInstant> {
         Some(now)
     }

@@ -3,16 +3,21 @@
 //! — plus regression pins proving that the packed kernel's idle skips
 //! never jump over a fault-window boundary or a suspend expiry, and that
 //! packed stretches break exactly at mid-word fault onsets and agent
-//! intervention points.
+//! intervention points, and that a saturating DoS attacker with a fixed
+//! identifier rides the packed kernel instead of pinning it to lockstep.
 //!
 //! (The file name predates the packed kernel absorbing idle
 //! fast-forward; it is kept so the test ids stay stable.)
 
 use bench::differential::check_equivalence;
+use can_attacks::{DosKind, SuspensionAttacker};
 use can_core::app::{PeriodicSender, SilentApplication};
 use can_core::{BusSpeed, CanFrame, CanId};
 use can_obs::Recorder;
-use can_sim::{ControllerConfig, EventKind, FaultModel, FaultStack, Node, SimBuilder, TxFault};
+use can_sim::{
+    ControllerConfig, EventKind, FallbackCause, FaultModel, FaultStack, Node, SimBuilder,
+    Simulator, TxFault,
+};
 use michican::prelude::*;
 use proptest::prelude::*;
 
@@ -266,5 +271,161 @@ fn packed_stretches_break_at_agent_intervention_boundaries() {
             .iter()
             .any(|e| matches!(e.kind, EventKind::ErrorDetected { .. })),
         "the defender's injections must destroy the spoofed frames"
+    );
+}
+
+/// One saturating-attacker scenario: two benign senders, a listener, the
+/// flooding attacker (optionally crashing and restarting mid-run) and an
+/// optional MichiCAN monitor that knows the benign ids.
+#[derive(Debug, Clone, Copy)]
+struct DosCase {
+    kind: DosKind,
+    retransmit: bool,
+    ber: Option<f64>,
+    crash_restart: bool,
+    defended: bool,
+}
+
+const DOS_RUN_BITS: u64 = 6_000;
+
+fn dos_sim(case: DosCase, recorder: Recorder) -> Simulator {
+    let mut builder = SimBuilder::new(BusSpeed::K500)
+        .recorder(recorder)
+        .node(Node::new(
+            "victim",
+            Box::new(PeriodicSender::new(frame(0x260, &[0x11; 8]), 700, 0)),
+        ))
+        .node(Node::new(
+            "ecu",
+            Box::new(PeriodicSender::new(frame(0x3A0, &[0x22; 4]), 1_100, 250)),
+        ))
+        .node(Node::new("rx", Box::new(SilentApplication)));
+    let mut attacker = Node::with_config(
+        "attacker",
+        Box::new(SuspensionAttacker::saturating(case.kind).with_payload(&[0xFF; 8])),
+        ControllerConfig {
+            ack_enabled: true,
+            retransmit: case.retransmit,
+        },
+    );
+    if case.crash_restart {
+        attacker = attacker.with_tx_fault(TxFault::crash_restart(1_500, 2_600));
+    }
+    builder = builder.node(attacker);
+    if case.defended {
+        let list = EcuList::from_raw(&[0x260, 0x3A0]);
+        builder = builder.node(
+            Node::new("michican", Box::new(SilentApplication))
+                .with_agent(Box::new(MichiCan::new(DetectionFsm::for_monitor(&list)))),
+        );
+    }
+    if let Some(ber) = case.ber {
+        builder = builder.fault(FaultModel::random(ber, 0xD05));
+    }
+    builder.build()
+}
+
+fn dos_cases() -> Vec<DosCase> {
+    let kinds = [
+        DosKind::Traditional,
+        DosKind::Targeted {
+            id: CanId::from_raw(0x25F),
+        },
+        DosKind::Random {
+            below: CanId::from_raw(0x260),
+        },
+    ];
+    let mut cases = Vec::new();
+    for kind in kinds {
+        for retransmit in [true, false] {
+            for ber in [None, Some(1e-3), Some(2e-2)] {
+                for crash_restart in [false, true] {
+                    for defended in [false, true] {
+                        cases.push(DosCase {
+                            kind,
+                            retransmit,
+                            ber,
+                            crash_restart,
+                            defended,
+                        });
+                    }
+                }
+            }
+        }
+    }
+    cases
+}
+
+#[test]
+fn saturating_dos_attackers_are_bit_identical_under_acceleration() {
+    // The fixed-id attackers skip their re-posts under the packed kernel;
+    // every mailbox read must still see the frame lockstep would have
+    // re-posted — across arbitration wins and losses, defender-destroyed
+    // attempts, bus-off, single-shot mode, channel errors and an MCU
+    // restart that flushes the mailbox.
+    let cases = dos_cases();
+    assert_eq!(cases.len(), 72);
+    for case in cases {
+        check_equivalence(|recorder| dos_sim(case, recorder), DOS_RUN_BITS)
+            .unwrap_or_else(|e| panic!("{case:?}: {e}"));
+    }
+}
+
+#[test]
+fn fixed_id_saturating_attacker_stops_forcing_lockstep() {
+    let case = DosCase {
+        kind: DosKind::Targeted {
+            id: CanId::from_raw(0x25F),
+        },
+        retransmit: true,
+        ber: None,
+        crash_restart: false,
+        defended: true,
+    };
+    let mut sim = dos_sim(case, Recorder::disabled());
+    sim.run_packed(DOS_RUN_BITS);
+    assert!(
+        sim.events()
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::BusOff)),
+        "the defender must drive the attacker to bus-off"
+    );
+    let telemetry = sim.kernel_telemetry();
+    let app_polls = telemetry.fallback_count(FallbackCause::AppPoll);
+    assert!(
+        app_polls * 100 <= DOS_RUN_BITS,
+        "app-poll fallbacks {app_polls} exceed 1% of {DOS_RUN_BITS} bits"
+    );
+    assert!(
+        telemetry.packed_bits() > telemetry.lockstep_bits(),
+        "packed {} vs lockstep {} bits",
+        telemetry.packed_bits(),
+        telemetry.lockstep_bits()
+    );
+}
+
+#[test]
+fn random_id_attacker_still_polls_every_bit() {
+    // Random ids draw from the attacker's RNG on every poll, so those
+    // polls are not no-ops: every bit stays lockstep, and the attacker's
+    // due poll is the refusing seam on most of them (the rest are
+    // refused earlier in node order, e.g. by error signalling).
+    let case = DosCase {
+        kind: DosKind::Random {
+            below: CanId::from_raw(0x260),
+        },
+        retransmit: true,
+        ber: None,
+        crash_restart: false,
+        defended: true,
+    };
+    let mut sim = dos_sim(case, Recorder::disabled());
+    sim.run_packed(DOS_RUN_BITS);
+    let telemetry = sim.kernel_telemetry();
+    assert_eq!(telemetry.lockstep_bits(), DOS_RUN_BITS);
+    let app_polls = telemetry.fallback_count(FallbackCause::AppPoll);
+    assert!(
+        app_polls * 4 >= DOS_RUN_BITS * 3,
+        "expected app-poll fallbacks on most bits, got {app_polls} in {DOS_RUN_BITS} bits"
     );
 }
