@@ -26,8 +26,8 @@ use can_attacks::{DosKind, SuspensionAttacker, TogglingAttacker};
 use can_core::app::{PeriodicSender, SilentApplication};
 use can_core::{BusSpeed, CanFrame, CanId};
 use can_ids::IdsMonitor;
-use can_sim::{bus_off_episodes, ErrorRole, EventKind, FaultModel, Node, SimBuilder};
-use can_trace::{write_log, LogEntry, Timeline, TimelineEvent};
+use can_sim::{bus_off_episodes, EventKind, FaultModel, Node, SimBuilder};
+use can_trace::{write_log, LogEntry, Timeline};
 use michican::prelude::*;
 use parrot::ParrotDefender;
 
@@ -234,38 +234,7 @@ fn run() -> Result<(), String> {
     }
 
     if scenario.timeline {
-        let events: Vec<TimelineEvent> = sim
-            .events()
-            .iter()
-            .filter_map(|e| match &e.kind {
-                EventKind::TransmissionStarted { .. } => Some(TimelineEvent::TransmissionStarted {
-                    node: e.node,
-                    at: e.at,
-                }),
-                EventKind::TransmissionSucceeded { .. } => {
-                    Some(TimelineEvent::TransmissionSucceeded {
-                        node: e.node,
-                        at: e.at,
-                    })
-                }
-                EventKind::ErrorDetected {
-                    role: ErrorRole::Transmitter,
-                    ..
-                } => Some(TimelineEvent::TransmitError {
-                    node: e.node,
-                    at: e.at,
-                }),
-                EventKind::BusOff => Some(TimelineEvent::BusOff {
-                    node: e.node,
-                    at: e.at,
-                }),
-                EventKind::Recovered => Some(TimelineEvent::Recovered {
-                    node: e.node,
-                    at: e.at,
-                }),
-                _ => None,
-            })
-            .collect();
+        let events = bench::scenarios::timeline_events(sim.events());
         let nodes: Vec<usize> = watched.iter().map(|&(n, _)| n).collect();
         let labels: Vec<(usize, &str)> =
             watched.iter().map(|&(n, ref l)| (n, l.as_str())).collect();

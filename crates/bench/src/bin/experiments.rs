@@ -81,7 +81,7 @@
 //! Progress is checkpointed to `<dir>/journal.jsonl` after every chunk; a
 //! killed (or RSS-guard-stopped) run continues with `--resume <dir>`,
 //! which rebuilds the workload from the journal header. The final merged
-//! `can-obs/v1` snapshot lands in `<dir>/snapshot.json` and is
+//! `can-obs/v2` snapshot lands in `<dir>/snapshot.json` and is
 //! byte-identical for every shard count and across any kill/resume point
 //! (see `DESIGN.md §10`). The report on stdout is deterministic; progress
 //! and paths go to stderr.
@@ -106,7 +106,7 @@ use can_core::counters::ERRORS_TO_BUS_OFF;
 use can_core::{BusSpeed, CanFrame, CanId, ErrorCounters, ErrorState};
 use can_obs::{Journal, Recorder};
 use can_sim::{ErrorRole, EventKind};
-use can_trace::{Timeline, TimelineEvent};
+use can_trace::Timeline;
 use mcu::{ARDUINO_DUE, NXP_S32K144};
 use michican::prevention;
 use michican::Scenario;
@@ -972,36 +972,7 @@ fn fig6(artifacts: Option<&std::path::Path>) {
             break;
         }
     }
-    let events: Vec<TimelineEvent> = sim
-        .events()
-        .iter()
-        .filter_map(|e| match &e.kind {
-            EventKind::TransmissionStarted { .. } => Some(TimelineEvent::TransmissionStarted {
-                node: e.node,
-                at: e.at,
-            }),
-            EventKind::TransmissionSucceeded { .. } => Some(TimelineEvent::TransmissionSucceeded {
-                node: e.node,
-                at: e.at,
-            }),
-            EventKind::ErrorDetected {
-                role: ErrorRole::Transmitter,
-                ..
-            } => Some(TimelineEvent::TransmitError {
-                node: e.node,
-                at: e.at,
-            }),
-            EventKind::BusOff => Some(TimelineEvent::BusOff {
-                node: e.node,
-                at: e.at,
-            }),
-            EventKind::Recovered => Some(TimelineEvent::Recovered {
-                node: e.node,
-                at: e.at,
-            }),
-            _ => None,
-        })
-        .collect();
+    let events = scenarios::timeline_events(sim.events());
     let horizon = sim.now().bits();
     let timeline = Timeline::build(&events, &attackers, horizon);
     print!(

@@ -5,7 +5,11 @@
 use can_attacks::{DosKind, SuspensionAttacker, TogglingAttacker};
 use can_core::app::SilentApplication;
 use can_core::{BusSpeed, CanId};
-use can_sim::{bus_off_episodes, DurationStats, EventKind, Node, NodeId, SimBuilder, Simulator};
+use can_sim::{
+    bus_off_episodes, DurationStats, ErrorRole, Event, EventKind, Node, NodeId, SimBuilder,
+    Simulator,
+};
+use can_trace::TimelineEvent;
 use michican::prelude::*;
 use restbus::{
     pacifica_matrix, vehicle_matrix, ParkSense, ReplayApp, Vehicle, ATTACK_ID, PARKSENSE_ID,
@@ -18,6 +22,33 @@ pub const TABLE2_SPEED: BusSpeed = BusSpeed::K50;
 
 /// The defender ECU's identifier in all Table II experiments.
 pub const DEFENDER_ID: u16 = 0x173;
+
+/// Lifts simulator events into the [`TimelineEvent`]s of the Fig. 6
+/// logic-analyzer view: transmission start and success, transmitter-side
+/// errors, bus-off and recovery. Every other event is dropped.
+pub fn timeline_events(events: &[Event]) -> Vec<TimelineEvent> {
+    events
+        .iter()
+        .filter_map(|e| {
+            let (node, at) = (e.node, e.at);
+            match &e.kind {
+                EventKind::TransmissionStarted { .. } => {
+                    Some(TimelineEvent::TransmissionStarted { node, at })
+                }
+                EventKind::TransmissionSucceeded { .. } => {
+                    Some(TimelineEvent::TransmissionSucceeded { node, at })
+                }
+                EventKind::ErrorDetected {
+                    role: ErrorRole::Transmitter,
+                    ..
+                } => Some(TimelineEvent::TransmitError { node, at }),
+                EventKind::BusOff => Some(TimelineEvent::BusOff { node, at }),
+                EventKind::Recovered => Some(TimelineEvent::Recovered { node, at }),
+                _ => None,
+            }
+        })
+        .collect()
+}
 
 /// Description of one Table II experiment.
 #[derive(Debug, Clone)]

@@ -25,7 +25,7 @@
 //!    not the grid.
 //! 4. **Journal.** Each completed chunk is appended to a versioned JSONL
 //!    journal (`journal.jsonl`) as a record carrying the chunk's merged
-//!    `can-obs/v1` snapshot and its quarantine list, flushed before the
+//!    `can-obs/v2` snapshot and its quarantine list, flushed before the
 //!    next chunk is accepted. A killed run resumes by re-running only the
 //!    chunks missing from the journal; a torn trailing record (the only
 //!    kind a `SIGKILL` can produce) is detected and dropped.
@@ -58,8 +58,9 @@ use can_obs::{Recorder, Registry, PERCENT_BUCKETS};
 use crate::campaign::{default_grid, try_run_cell_with, FaultSpec, Traffic};
 use crate::runner::{derive_seed, ExecOpts, SimMode};
 
-/// Schema tag of the sweep journal; bump on any incompatible change.
-pub const JOURNAL_SCHEMA: &str = "michican-sweep/v1";
+/// Schema tag of the sweep journal; bump on any incompatible change. Its
+/// chunks embed `can-obs/v2` snapshots; any other tag is refused on resume.
+pub const JOURNAL_SCHEMA: &str = "michican-sweep/v2";
 /// Journal file name inside a sweep directory.
 pub const JOURNAL_FILE: &str = "journal.jsonl";
 /// Final merged snapshot file name inside a sweep directory.
@@ -205,9 +206,9 @@ impl SweepWorkload for CampaignSweep {
     }
 
     /// The `"fast"` key is the engine flag: `true` selects the packed
-    /// kernel. It keeps its original name so journals written when `true`
-    /// meant idle fast-forward still resume (both engines produce the same
-    /// bytes).
+    /// kernel. It keeps the name it had when `true` meant idle
+    /// fast-forward, so the descriptor format is unchanged (both engines
+    /// produce the same bytes).
     fn descriptor(&self) -> String {
         format!(
             "{{\"kind\":\"campaign\",\"replicas\":{},\"run_ms\":{},\"fast\":{}}}",
@@ -220,8 +221,8 @@ impl SweepWorkload for CampaignSweep {
 
 /// A cheap, deterministic workload for exercising the engine itself
 /// (tests, the crash-smoke job): `work` rounds of integer mixing per cell,
-/// with counters, a histogram, a gauge and occasional traces so every
-/// merge-ordering hazard in the snapshot plane is represented.
+/// with counters, a histogram and a gauge so every merge-ordering hazard
+/// in the snapshot plane is represented.
 pub struct SyntheticSweep {
     /// Number of cells.
     pub cells: u64,
@@ -254,9 +255,6 @@ impl SweepWorkload for SyntheticSweep {
         // Gauges are last-write-wins under merge: deterministic only
         // because chunks merge in index order. Keep one to guard that.
         recorder.set_gauge("synthetic_last_cell", index as i64);
-        if index.is_multiple_of(97) {
-            recorder.trace(index, 0, "synthetic", &format!("seed=0x{seed:016X}"));
-        }
         Ok(())
     }
 
@@ -680,14 +678,12 @@ pub struct SweepReport {
     pub retries: u64,
     /// Quarantined cells, sorted by cell index.
     pub poisoned: Vec<PoisonedCell>,
-    /// The final merged `can-obs/v1` snapshot.
+    /// The final merged `can-obs/v2` snapshot.
     pub snapshot: String,
     /// Where the snapshot was written (`<dir>/snapshot.json`).
     pub snapshot_path: PathBuf,
     /// Counter series in the merged snapshot (a cheap shape summary).
     pub snapshot_counters: usize,
-    /// Trace records in the merged snapshot.
-    pub snapshot_traces: usize,
 }
 
 impl SweepReport {
@@ -720,10 +716,9 @@ impl SweepReport {
         }
         let _ = writeln!(
             out,
-            "snapshot {} bytes, {} counter series, {} traces",
+            "snapshot {} bytes, {} counter series",
             self.snapshot.len(),
-            self.snapshot_counters,
-            self.snapshot_traces
+            self.snapshot_counters
         );
         out
     }
@@ -1373,7 +1368,6 @@ pub fn run_sweep(
         retries,
         poisoned,
         snapshot_counters: merged.counters().count(),
-        snapshot_traces: merged.traces().len(),
         snapshot,
         snapshot_path,
     })

@@ -278,6 +278,47 @@ fn resume_refuses_a_different_grid() {
 }
 
 #[test]
+fn resume_refuses_a_v1_journal_by_schema() {
+    // `michican-sweep/v1` chunks embed `can-obs/v1` snapshots, which the
+    // snapshot reader no longer accepts: the whole journal is refused up
+    // front with a typed error, before any cell re-runs.
+    let dir = tmp_dir("v1journal");
+    let killed = SweepConfig {
+        stop_after_chunks: Some(2),
+        ..config(1, 10)
+    };
+    assert!(matches!(
+        run_sweep(synthetic(100), &killed, &dir),
+        Err(SweepError::Aborted { .. })
+    ));
+    let journal = dir.join(JOURNAL_FILE);
+    let v1 =
+        fs::read_to_string(&journal)
+            .unwrap()
+            .replacen("michican-sweep/v2", "michican-sweep/v1", 1);
+    fs::write(&journal, &v1).unwrap();
+    match resume_params(&dir) {
+        Err(SweepError::Journal(detail)) => {
+            assert!(detail.contains("michican-sweep/v1"), "got: {detail}")
+        }
+        other => panic!("expected a schema refusal, got {other:?}"),
+    }
+    match run_sweep(synthetic(100), &config(1, 10), &dir) {
+        Err(SweepError::Journal(detail)) => {
+            assert!(detail.contains("michican-sweep/v1"), "got: {detail}")
+        }
+        other => panic!("expected a schema refusal, got {other:?}"),
+    }
+    assert_eq!(
+        fs::read_to_string(&journal).unwrap(),
+        v1,
+        "a refused journal is left untouched"
+    );
+    assert!(!dir.join(SNAPSHOT_FILE).exists());
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn fatal_cells_quarantine_without_retry_and_survive_resume() {
     struct FatalAt13 {
         inner: SyntheticSweep,
@@ -364,10 +405,11 @@ fn campaign_sweep_is_shard_and_resume_invariant() {
 
 #[test]
 fn journal_with_fast_descriptor_resumes_as_a_packed_sweep() {
-    // Journals written while `"fast": true` selected idle fast-forward
-    // carry this exact header. They must resume, with the workload rebuilt
-    // from the header as `experiments sweep --resume` does, into the
-    // snapshot an uninterrupted packed sweep writes.
+    // `"fast": true`, named for the retired idle fast-forward, selects the
+    // packed kernel. A journal carrying this exact header must resume,
+    // with the workload rebuilt from the header as `experiments sweep
+    // --resume` does, into the snapshot an uninterrupted packed sweep
+    // writes.
     let workload =
         || -> Arc<dyn SweepWorkload> { Arc::new(CampaignSweep::new(1, 2.0, SimMode::Packed)) };
     let base = SweepConfig {
@@ -389,7 +431,7 @@ fn journal_with_fast_descriptor_resumes_as_a_packed_sweep() {
         Err(SweepError::Aborted { .. })
     ));
     let journal = fs::read_to_string(dir.join(JOURNAL_FILE)).unwrap();
-    let header = r#"{"schema":"michican-sweep/v1","seed":13967397,"total_cells":16,"chunk_cells":4,"max_attempts":3,"workload":"{\"kind\":\"campaign\",\"replicas\":1,\"run_ms\":2,\"fast\":true}"}"#;
+    let header = r#"{"schema":"michican-sweep/v2","seed":13967397,"total_cells":16,"chunk_cells":4,"max_attempts":3,"workload":"{\"kind\":\"campaign\",\"replicas\":1,\"run_ms\":2,\"fast\":true}"}"#;
     assert_eq!(journal.lines().next(), Some(header));
 
     let params = resume_params(&dir).unwrap();

@@ -1,12 +1,10 @@
 //! The causal event journal: sim-time events with stable causal ids.
 //!
 //! The [`Registry`](crate::Registry) answers *how much* (counters,
-//! histograms); the trace sink answers *what, when* (flat records). What
-//! neither can answer is *which stimulus caused which reaction*: an attack
-//! strike, the defender's detection, the counterattack it triggered and
-//! the attacker's eventual bus-off are four records with nothing linking
-//! them. The [`Journal`] closes that gap — every event carries two causal
-//! ids:
+//! histograms). The [`Journal`] answers *what, when* and *which stimulus
+//! caused which reaction*: an attack strike, the defender's detection, the
+//! counterattack it triggered and the attacker's eventual bus-off are
+//! linked because every event carries two causal ids:
 //!
 //! * **`frame_seq`** — a monotone sequence number assigned to each frame
 //!   transmission attempt as it starts on the bus;

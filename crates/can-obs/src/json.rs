@@ -2,7 +2,7 @@
 //!
 //! The workspace is offline (no `serde_json`), but two features need to
 //! *read* JSON that this crate *writes*: reconstructing a [`crate::Registry`]
-//! from its `can-obs/v1` snapshot ([`crate::Registry::from_snapshot_json`])
+//! from its `can-obs/v2` snapshot ([`crate::Registry::from_snapshot_json`])
 //! and the `bench::sweep` journal, whose JSONL records embed chunk
 //! snapshots. This module is a small, strict, recursive-descent parser for
 //! exactly that machine-generated subset of JSON, plus the string escaper

@@ -2,13 +2,14 @@
 //!
 //! Offline, dependency-free metrics for the MichiCAN suite, in the same
 //! shim spirit as `rayon-shim`/`rand-shim`: a [`Registry`] of monotonic
-//! counters, gauges and fixed-bucket [`Histogram`]s, wall-clock span
-//! timing, and a bounded structured [`TraceRecord`] sink for defense-FSM
-//! transitions — all reached through a clonable [`Recorder`] handle that
-//! is a no-op when disabled. The causal [`Journal`] sits alongside the
-//! recorder: sim-time events with stable `frame_seq`/`chain_id` ids that
-//! reconstruct a whole attack episode as one linked chain (see
-//! [`journal`]).
+//! counters, gauges and fixed-bucket [`Histogram`]s and wall-clock span
+//! timing, all reached through a clonable [`Recorder`] handle that is a
+//! no-op when disabled. Discrete events — a MichiCAN detection, its
+//! injection window, a watchdog degrade or re-arm — go to the causal
+//! [`Journal`] alongside the recorder: sim-time events with stable
+//! `frame_seq`/`chain_id` ids that reconstruct a whole attack episode as
+//! one linked chain (see [`journal`]). The journal is the only event
+//! stream; the recorder holds aggregates only.
 //!
 //! ## Design rules
 //!
@@ -26,7 +27,7 @@
 //!    excluded from the JSON snapshot; they appear only in
 //!    [`Registry::prometheus_text`].
 //! 3. **Stable schema.** The JSON snapshot self-identifies as
-//!    `can-obs/v1`; metric keys use Prometheus notation
+//!    `can-obs/v2`; metric keys use Prometheus notation
 //!    (`name{label="value"}`) so one key string serves both renderings.
 //!    The snapshot round-trips: [`Registry::from_snapshot_json`] is its
 //!    exact inverse (and [`Registry::merge_snapshot_json`] merges straight
@@ -40,7 +41,6 @@ pub mod journal;
 pub mod json;
 pub mod recorder;
 pub mod registry;
-pub mod trace;
 
 pub use journal::{
     parse_export, Journal, JournalEvent, JournalStore, JK_ARB_LOST, JK_BUS_OFF, JK_DEGRADED,
@@ -52,8 +52,4 @@ pub use json::{JsonValue, ParseError};
 pub use recorder::{Recorder, SpanGuard};
 pub use registry::{
     escape_label_value, Histogram, Registry, SpanStats, DEFAULT_BUCKETS, PERCENT_BUCKETS,
-};
-pub use trace::{
-    TraceRecord, EVT_DEGRADED, EVT_DETECTION, EVT_FSM_TRANSITION, EVT_INJECT_END, EVT_INJECT_START,
-    EVT_REARMED,
 };

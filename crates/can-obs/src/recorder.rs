@@ -16,7 +16,6 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use crate::registry::Registry;
-use crate::trace::TraceRecord;
 
 /// Cheap, clonable handle to a shared metrics registry; a disabled
 /// recorder is a `None` and every operation on it is a no-op.
@@ -33,14 +32,6 @@ impl Recorder {
     /// A live recorder over a fresh registry.
     pub fn enabled() -> Self {
         Recorder(Some(Rc::new(RefCell::new(Registry::new()))))
-    }
-
-    /// A live recorder whose trace sink retains at most `capacity`
-    /// records (the default is `registry::TRACE_CAPACITY`).
-    pub fn with_trace_capacity(capacity: usize) -> Self {
-        Recorder(Some(Rc::new(RefCell::new(Registry::with_trace_capacity(
-            capacity,
-        )))))
     }
 
     /// Whether this recorder actually records. Instrumentation sites use
@@ -102,15 +93,6 @@ impl Recorder {
     pub fn declare_histogram(&self, key: &str, bounds: &[u64]) {
         if let Some(reg) = &self.0 {
             reg.borrow_mut().declare_histogram(key, bounds);
-        }
-    }
-
-    /// Appends a structured trace record.
-    #[inline]
-    pub fn trace(&self, at_bits: u64, node: u32, event: &str, detail: &str) {
-        if let Some(reg) = &self.0 {
-            reg.borrow_mut()
-                .push_trace(TraceRecord::new(at_bits, node, event, detail));
         }
     }
 
@@ -198,7 +180,6 @@ mod tests {
         rec.add("a_total", 41);
         rec.set_gauge("g", 7);
         rec.observe("h_bits", 12);
-        rec.trace(1, 0, "detection", "x");
         drop(rec.span("wall"));
         assert!(rec.with_registry(|_| ()).is_none());
         assert!(rec.into_registry().is_empty());
@@ -238,21 +219,10 @@ mod tests {
     }
 
     #[test]
-    fn configurable_trace_capacity_bounds_the_sink() {
-        let rec = Recorder::with_trace_capacity(1);
-        rec.trace(1, 0, "detection", "a");
-        rec.trace(2, 0, "detection", "b");
-        let reg = rec.into_registry();
-        assert_eq!(reg.trace_capacity(), 1);
-        assert_eq!(reg.traces().len(), 1);
-        assert_eq!(reg.traces_dropped()["detection"], 1);
-    }
-
-    #[test]
     fn disabled_snapshot_is_the_empty_document() {
         let rec = Recorder::disabled();
         let json = rec.snapshot_json();
-        assert!(json.contains("\"schema\": \"can-obs/v1\""));
+        assert!(json.contains("\"schema\": \"can-obs/v2\""));
         assert_eq!(rec.prometheus_text(), "");
     }
 }

@@ -1,5 +1,5 @@
 //! The metrics registry: counters, gauges and fixed-bucket histograms,
-//! plus wall-clock span statistics and the structured trace sink.
+//! plus wall-clock span statistics.
 //!
 //! ## Determinism contract
 //!
@@ -16,7 +16,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::json::{self, JsonValue, ParseError};
-use crate::trace::TraceRecord;
 
 /// Default histogram bucket upper bounds (inclusive), in whatever unit the
 /// metric observes — bit times for latency histograms, percent for load
@@ -30,12 +29,9 @@ pub const DEFAULT_BUCKETS: &[u64] = &[
 /// Percent buckets (0–100) for utilization-style histograms.
 pub const PERCENT_BUCKETS: &[u64] = &[5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 95, 100];
 
-/// Default maximum trace records a registry retains (override with
-/// [`Registry::with_trace_capacity`]); later records are counted per event
-/// kind in [`Registry::traces_dropped`] instead of stored, so soak runs
-/// cannot grow the sink without bound — and overflow no longer silently
-/// biases *which* well-known events survive without saying which were lost.
-pub const TRACE_CAPACITY: usize = 10_000;
+/// The schema tag of [`Registry::snapshot_json`]; the reader refuses any
+/// other.
+const SNAPSHOT_SCHEMA: &str = "can-obs/v2";
 
 /// A fixed-bucket histogram over integer observations.
 ///
@@ -212,40 +208,21 @@ impl SpanStats {
 /// Keys are full metric identifiers in Prometheus notation, e.g.
 /// `can_errors_total{node="2",kind="stuff"}` — the label part is opaque to
 /// the registry (it only orders keys), but the renderers split it back out.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The registry holds aggregates only; discrete defense events (detection,
+/// injection window, degrade, re-arm) go to the causal [`crate::Journal`].
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Registry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, i64>,
     histograms: BTreeMap<String, Histogram>,
     spans: BTreeMap<String, SpanStats>,
-    traces: Vec<TraceRecord>,
-    trace_capacity: usize,
-    traces_dropped: BTreeMap<String, u64>,
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Registry::new()
-    }
 }
 
 impl Registry {
-    /// An empty registry with the default trace sink capacity.
+    /// An empty registry.
     pub fn new() -> Self {
-        Registry::with_trace_capacity(TRACE_CAPACITY)
-    }
-
-    /// An empty registry retaining at most `capacity` trace records.
-    pub fn with_trace_capacity(capacity: usize) -> Self {
-        Registry {
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            histograms: BTreeMap::new(),
-            spans: BTreeMap::new(),
-            traces: Vec::new(),
-            trace_capacity: capacity,
-            traces_dropped: BTreeMap::new(),
-        }
+        Registry::default()
     }
 
     /// Adds `delta` to the counter `key`.
@@ -294,16 +271,6 @@ impl Registry {
         self.spans.entry(name.to_string()).or_default().record(ns);
     }
 
-    /// Appends a structured trace record (bounded by the sink capacity;
-    /// overflow is counted per event kind).
-    pub fn push_trace(&mut self, record: TraceRecord) {
-        if self.traces.len() < self.trace_capacity {
-            self.traces.push(record);
-        } else {
-            *self.traces_dropped.entry(record.event).or_insert(0) += 1;
-        }
-    }
-
     /// Counter value, 0 when never incremented.
     pub fn counter(&self, key: &str) -> u64 {
         self.counters.get(key).copied().unwrap_or(0)
@@ -324,28 +291,6 @@ impl Registry {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
-    /// The retained trace records, in recording order.
-    pub fn traces(&self) -> &[TraceRecord] {
-        &self.traces
-    }
-
-    /// The trace sink capacity this registry was created with.
-    pub fn trace_capacity(&self) -> usize {
-        self.trace_capacity
-    }
-
-    /// Trace records dropped once the sink capacity was reached, by event
-    /// kind — so overflow can no longer silently bias which well-known
-    /// events survive.
-    pub fn traces_dropped(&self) -> &BTreeMap<String, u64> {
-        &self.traces_dropped
-    }
-
-    /// Total trace records dropped across all event kinds.
-    pub fn traces_dropped_total(&self) -> u64 {
-        self.traces_dropped.values().sum()
-    }
-
     /// Wall-clock span statistics by name.
     pub fn span_stats(&self, name: &str) -> Option<SpanStats> {
         self.spans.get(name).copied()
@@ -357,15 +302,13 @@ impl Registry {
             && self.gauges.is_empty()
             && self.histograms.is_empty()
             && self.spans.is_empty()
-            && self.traces.is_empty()
-            && self.traces_dropped.is_empty()
     }
 
     /// Merges `other` into `self`: counters and histograms add, gauges are
-    /// overwritten by the incoming value, spans combine, traces append
-    /// (subject to the capacity). Merging per-cell registries *in cell
-    /// index order* is what makes sharded runs byte-identical to serial —
-    /// see `bench::runner::ExperimentPlan::run_metered`.
+    /// overwritten by the incoming value, spans combine. Merging per-cell
+    /// registries *in cell index order* is what makes sharded runs
+    /// byte-identical to serial — see
+    /// `bench::runner::ExperimentPlan::run_metered`.
     pub fn merge(&mut self, other: &Registry) {
         for (key, &value) in &other.counters {
             self.add(key, value);
@@ -384,23 +327,20 @@ impl Registry {
         for (key, stats) in &other.spans {
             self.spans.entry(key.clone()).or_default().merge(stats);
         }
-        for record in &other.traces {
-            self.push_trace(record.clone());
-        }
-        for (kind, &n) in &other.traces_dropped {
-            *self.traces_dropped.entry(kind.clone()).or_insert(0) += n;
-        }
     }
 
-    /// Renders the deterministic JSON snapshot (schema `can-obs/v1`).
+    /// Renders the deterministic JSON snapshot (schema `can-obs/v2`).
     ///
-    /// Contains counters, gauges, histograms (with bucket counts and
-    /// estimated p50/p95/p99) and the trace sink — all integer-derived, so
+    /// Contains counters, gauges and histograms (with bucket counts and
+    /// estimated p50/p95/p99) — all integer-derived, so
     /// the same simulated run produces the same bytes on every host and
     /// every shard count. Wall-clock spans are deliberately absent.
     pub fn snapshot_json(&self) -> String {
         let mut out = String::with_capacity(4096);
-        out.push_str("{\n  \"schema\": \"can-obs/v1\",\n  \"counters\": {");
+        let _ = write!(
+            out,
+            "{{\n  \"schema\": \"{SNAPSHOT_SCHEMA}\",\n  \"counters\": {{"
+        );
         for (i, (key, value)) in self.counters.iter().enumerate() {
             let sep = if i == 0 { "" } else { "," };
             let _ = write!(out, "{sep}\n    \"{}\": {value}", json_escape(key));
@@ -442,28 +382,7 @@ impl Registry {
             }
             out.push_str("]}");
         }
-        let _ = write!(
-            out,
-            "\n  }},\n  \"trace_capacity\": {},\n  \"traces_dropped\": {{",
-            self.trace_capacity
-        );
-        for (i, (kind, n)) in self.traces_dropped.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    \"{}\": {n}", json_escape(kind));
-        }
-        out.push_str("\n  },\n  \"traces\": [");
-        for (i, record) in self.traces.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                out,
-                "{sep}\n    [{}, {}, \"{}\", \"{}\"]",
-                record.at_bits,
-                record.node,
-                json_escape(&record.event),
-                json_escape(&record.detail)
-            );
-        }
-        out.push_str("\n  ]\n}\n");
+        out.push_str("\n  }\n}\n");
         out
     }
 
@@ -473,20 +392,20 @@ impl Registry {
     /// This is the exact inverse of the snapshot for everything the
     /// snapshot contains: counters, gauges, histograms (bucket counts plus
     /// exact count/sum/min/max — the p-quantiles are derived and are
-    /// recomputed, not stored) and the trace sink. Wall-clock spans are
-    /// not in the snapshot and therefore not reconstructed. The round trip
-    /// is byte-stable: `from_snapshot_json(s)?.snapshot_json() == s` for
-    /// any `s` this crate produced.
+    /// recomputed, not stored). Wall-clock spans are not in the snapshot
+    /// and therefore not reconstructed. The round trip is byte-stable:
+    /// `from_snapshot_json(s)?.snapshot_json() == s` for any `s` this
+    /// crate produced.
     ///
-    /// Inconsistent documents — unknown schema, bucket counts that do not
-    /// sum to the histogram count, non-ascending bounds — are rejected;
-    /// `bench::sweep` relies on this as corruption detection when merging
-    /// checkpointed snapshots back from disk.
+    /// Inconsistent documents — any schema but `can-obs/v2`, bucket counts
+    /// that do not sum to the histogram count, non-ascending bounds — are
+    /// rejected; `bench::sweep` relies on this as corruption detection
+    /// when merging checkpointed snapshots back from disk.
     pub fn from_snapshot_json(text: &str) -> Result<Registry, ParseError> {
         let fail = |detail: String| ParseError::new(0, detail);
         let doc = json::parse(text)?;
         match doc.get("schema").and_then(JsonValue::as_str) {
-            Some("can-obs/v1") => {}
+            Some(SNAPSHOT_SCHEMA) => {}
             other => return Err(fail(format!("unsupported snapshot schema {other:?}"))),
         }
         let object = |field: &str| {
@@ -574,55 +493,10 @@ impl Registry {
                 },
             );
         }
-        let capacity = doc
-            .get("trace_capacity")
-            .and_then(JsonValue::as_u64)
-            .and_then(|n| usize::try_from(n).ok())
-            .ok_or_else(|| fail("missing 'trace_capacity'".into()))?;
-        reg.trace_capacity = capacity;
-        for (kind, n) in object("traces_dropped")? {
-            let n = n
-                .as_u64()
-                .ok_or_else(|| fail(format!("traces_dropped['{kind}'] is not a u64")))?;
-            reg.traces_dropped.insert(kind.clone(), n);
-        }
-        let traces = doc
-            .get("traces")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| fail("missing 'traces'".into()))?;
-        if traces.len() > capacity {
-            return Err(fail(format!(
-                "{} traces exceed the sink capacity {capacity}",
-                traces.len()
-            )));
-        }
-        for (i, record) in traces.iter().enumerate() {
-            let entry = record
-                .as_array()
-                .filter(|e| e.len() == 4)
-                .ok_or_else(|| fail(format!("trace {i} malformed")))?;
-            let (at_bits, node) = (
-                entry[0]
-                    .as_u64()
-                    .ok_or_else(|| fail(format!("trace {i}: bad at_bits")))?,
-                entry[1]
-                    .as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| fail(format!("trace {i}: bad node")))?,
-            );
-            let event = entry[2]
-                .as_str()
-                .ok_or_else(|| fail(format!("trace {i}: bad event")))?;
-            let detail = entry[3]
-                .as_str()
-                .ok_or_else(|| fail(format!("trace {i}: bad detail")))?;
-            reg.traces
-                .push(TraceRecord::new(at_bits, node, event, detail));
-        }
         Ok(reg)
     }
 
-    /// Parses a `can-obs/v1` snapshot and merges it into this registry —
+    /// Parses a `can-obs/v2` snapshot and merges it into this registry —
     /// the "merge-from-disk" primitive checkpointed sweeps use to fold a
     /// persisted chunk snapshot into a running aggregate without retaining
     /// the source registry.
@@ -808,13 +682,11 @@ mod tests {
         reg.add("a_total", 2);
         reg.set_gauge("g", -4);
         reg.observe("h_bits", &[10, 20], 15);
-        reg.push_trace(TraceRecord::new(7, 1, "detection", "pos=3"));
         let json = reg.snapshot_json();
-        assert!(json.contains("\"schema\": \"can-obs/v1\""));
+        assert!(json.contains("\"schema\": \"can-obs/v2\""));
         assert!(json.contains("\"a_total\": 2"));
         assert!(json.contains("\"g\": -4"));
         assert!(json.contains("[\"inf\", 0]"));
-        assert!(json.contains("[7, 1, \"detection\", \"pos=3\"]"));
         assert_eq!(json, reg.clone().snapshot_json(), "pure function of state");
         // Spans never reach the deterministic snapshot.
         reg.record_span("wall", 123);
@@ -837,37 +709,6 @@ mod tests {
         assert!(text.contains("lat_bits_count{} 1"));
         assert!(text.contains("cell_wall_seconds_count 1"));
         assert!(text.contains("cell_wall_seconds_sum 2.000000000"));
-    }
-
-    #[test]
-    fn trace_sink_is_bounded() {
-        let mut reg = Registry::new();
-        for i in 0..(TRACE_CAPACITY as u64 + 5) {
-            reg.push_trace(TraceRecord::new(i, 0, "e", ""));
-        }
-        assert_eq!(reg.traces().len(), TRACE_CAPACITY);
-        assert_eq!(reg.traces_dropped()["e"], 5);
-        assert_eq!(reg.traces_dropped_total(), 5);
-    }
-
-    #[test]
-    fn trace_sink_capacity_is_configurable_and_drops_count_per_kind() {
-        let mut reg = Registry::with_trace_capacity(2);
-        assert_eq!(reg.trace_capacity(), 2);
-        reg.push_trace(TraceRecord::new(1, 0, "detection", ""));
-        reg.push_trace(TraceRecord::new(2, 0, "detection", ""));
-        reg.push_trace(TraceRecord::new(3, 0, "detection", ""));
-        reg.push_trace(TraceRecord::new(4, 0, "injection_start", ""));
-        assert_eq!(reg.traces().len(), 2);
-        assert_eq!(reg.traces_dropped()["detection"], 1);
-        assert_eq!(reg.traces_dropped()["injection_start"], 1);
-        assert_eq!(reg.traces_dropped_total(), 2);
-        // Merging folds per-kind drop counts and respects self's capacity.
-        let mut other = Registry::with_trace_capacity(2);
-        other.push_trace(TraceRecord::new(5, 1, "detection", ""));
-        reg.merge(&other);
-        assert_eq!(reg.traces().len(), 2);
-        assert_eq!(reg.traces_dropped()["detection"], 2);
     }
 
     #[test]

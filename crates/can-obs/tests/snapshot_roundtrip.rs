@@ -1,13 +1,12 @@
-//! can-obs/v1 snapshot serialize → deserialize → merge round-trip.
+//! can-obs/v2 snapshot serialize → deserialize → merge round-trip.
 //!
 //! The sweep engine (`bench::sweep`) checkpoints per-chunk registries as
 //! snapshot JSON and reconstructs them on resume; byte-identical recovery
 //! is only possible if `Registry::from_snapshot_json` is the exact inverse
 //! of `Registry::snapshot_json`. These tests pin that inverse down,
-//! including the histogram-bucket and trace-sink edge cases.
+//! including the histogram-bucket edge cases and the schema refusals.
 
-use can_obs::registry::TRACE_CAPACITY;
-use can_obs::{Registry, TraceRecord, DEFAULT_BUCKETS, PERCENT_BUCKETS};
+use can_obs::{Registry, DEFAULT_BUCKETS, PERCENT_BUCKETS};
 
 fn roundtrip(reg: &Registry) -> Registry {
     let json = reg.snapshot_json();
@@ -30,8 +29,6 @@ fn populated() -> Registry {
         reg.observe("latency_bits", DEFAULT_BUCKETS, v);
     }
     reg.observe("load_pct", PERCENT_BUCKETS, 55);
-    reg.push_trace(TraceRecord::new(7, 1, "detection", "pos=3"));
-    reg.push_trace(TraceRecord::new(9, 2, "fsm_transition", "A->B"));
     reg
 }
 
@@ -53,8 +50,6 @@ fn populated_registry_round_trips_exactly() {
     assert_eq!(hist.count(), 7);
     assert_eq!(hist.min(), Some(1));
     assert_eq!(hist.max(), Some(70_000));
-    assert_eq!(back.traces().len(), 2);
-    assert_eq!(back.traces()[1].detail, "A->B");
 }
 
 #[test]
@@ -104,7 +99,6 @@ fn merge_of_parsed_equals_merge_of_original() {
     extra.add("can_frames_total{node=\"0\"}", 1);
     extra.observe("latency_bits", DEFAULT_BUCKETS, 500);
     extra.set_gauge("can_node_tec{node=\"1\"}", 0);
-    extra.push_trace(TraceRecord::new(11, 0, "detection", "pos=9"));
 
     let mut merged_direct = base.clone();
     merged_direct.merge(&extra);
@@ -134,41 +128,13 @@ fn parse_is_idempotent_across_repeated_trips() {
 }
 
 #[test]
-fn trace_sink_capacity_and_drop_counter_round_trip() {
-    let mut reg = Registry::new();
-    for i in 0..(TRACE_CAPACITY as u64 + 3) {
-        reg.push_trace(TraceRecord::new(i, 0, "e", "d"));
-    }
-    reg.push_trace(TraceRecord::new(0, 0, "other", "d"));
-    let back = roundtrip(&reg);
-    assert_eq!(back.traces().len(), TRACE_CAPACITY);
-    assert_eq!(back.traces_dropped()["e"], 3);
-    assert_eq!(back.traces_dropped()["other"], 1);
-    assert_eq!(back.traces_dropped_total(), 4);
-}
-
-#[test]
-fn non_default_trace_capacity_round_trips() {
-    // A snapshot produced by a larger-capacity registry must parse even
-    // though it holds more traces than the default sink would retain.
-    let mut reg = Registry::with_trace_capacity(TRACE_CAPACITY * 2);
-    for i in 0..(TRACE_CAPACITY as u64 + 10) {
-        reg.push_trace(TraceRecord::new(i, 0, "e", ""));
-    }
-    let back = roundtrip(&reg);
-    assert_eq!(back.trace_capacity(), TRACE_CAPACITY * 2);
-    assert_eq!(back.traces().len(), TRACE_CAPACITY + 10);
-    assert!(back.traces_dropped().is_empty());
-}
-
-#[test]
-fn escaped_keys_and_details_round_trip() {
+fn escaped_keys_round_trip() {
     let mut reg = Registry::new();
     reg.add("weird_total{label=\"a\\\"b\"}", 5);
-    reg.push_trace(TraceRecord::new(1, 0, "evt", "line1\nline2\t\"quoted\""));
+    reg.add("newline_total{label=\"line1\nline2\t\"}", 1);
     let back = roundtrip(&reg);
     assert_eq!(back.counter("weird_total{label=\"a\\\"b\"}"), 5);
-    assert_eq!(back.traces()[0].detail, "line1\nline2\t\"quoted\"");
+    assert_eq!(back.counter("newline_total{label=\"line1\nline2\t\"}"), 1);
 }
 
 #[test]
@@ -181,8 +147,15 @@ fn corrupt_documents_are_rejected() {
         Registry::from_snapshot_json("{}").is_err(),
         "missing schema"
     );
-    let wrong_schema = good.replace("can-obs/v1", "can-obs/v9");
+    let wrong_schema = good.replace("can-obs/v2", "can-obs/v9");
     assert!(Registry::from_snapshot_json(&wrong_schema).is_err());
+    // A well-formed document of the previous schema, which carried the
+    // bounded defense-event trace sink, is refused by name.
+    let v1 = "{\n  \"schema\": \"can-obs/v1\",\n  \"counters\": {\n    \"a_total\": 2\n  },\n  \
+               \"gauges\": {\n  },\n  \"histograms\": {\n  },\n  \"trace_capacity\": 10000,\n  \
+               \"traces_dropped\": {\n  },\n  \"traces\": [\n    [7, 1, \"detection\", \"pos=3\"]\n  ]\n}\n";
+    let err = Registry::from_snapshot_json(v1).expect_err("v1 is refused");
+    assert!(err.to_string().contains("can-obs/v1"), "{err}");
     // Internal inconsistency: bucket counts not summing to `count`.
     let mut reg = Registry::new();
     reg.observe("h", &[8], 3);

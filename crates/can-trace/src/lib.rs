@@ -10,8 +10,6 @@
 //! * [`vcd`] — Value Change Dump export for GTKWave/PulseView inspection;
 //! * [`replay`] — candump log replay onto a simulated bus (the software
 //!   form of the paper's PCAN restbus replay);
-//! * [`obsview`] — lifting `can-obs` defense trace records into the
-//!   timeline and VCD views;
 //! * [`chrometrace`] — Chrome-trace (Perfetto) export of `can-obs`
 //!   causal event journals.
 
@@ -20,7 +18,6 @@
 
 pub mod candump;
 pub mod chrometrace;
-pub mod obsview;
 pub mod replay;
 pub mod stats;
 pub mod timeline;
@@ -28,7 +25,6 @@ pub mod vcd;
 
 pub use candump::{parse_log, write_log, LogEntry};
 pub use chrometrace::chrome_trace_json;
-pub use obsview::{defense_timeline, defense_timeline_events, injection_vcd_signal, trace_nodes};
 pub use replay::LogReplayApp;
 pub use stats::{IdStats, TrafficStats};
 pub use timeline::{Activity, Span, Timeline, TimelineEvent};

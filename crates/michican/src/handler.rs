@@ -25,10 +25,7 @@
 use can_core::agent::BitAgent;
 use can_core::bitstream::{Destuffed, Destuffer, MIN_INTERFRAME_RECESSIVE};
 use can_core::{BitDuration, BitInstant, Level};
-use can_obs::{
-    Journal, Recorder, EVT_DETECTION, EVT_INJECT_END, EVT_INJECT_START, JK_DETECTION,
-    JK_INJECT_END, JK_INJECT_START,
-};
+use can_obs::{Journal, Recorder, JK_DETECTION, JK_INJECT_END, JK_INJECT_START};
 use serde::{Deserialize, Serialize};
 
 use crate::fsm::{DetectionFsm, FsmCursor, FsmStep};
@@ -148,7 +145,7 @@ pub struct MichiCan {
     /// Causal event journal; disabled (no-op) by default and independent
     /// of the recorder — either sink can be enabled without the other.
     journal: Journal,
-    /// Node index used in metric labels and trace records.
+    /// Node index used in metric labels and journal events.
     node_label: u32,
     /// Metric keys interned once in [`MichiCan::set_recorder`], so the
     /// per-bit hot path never formats label strings. `Some` iff the
@@ -217,7 +214,7 @@ impl MichiCan {
     }
 
     /// Attaches a metrics recorder; `node` is the index used in metric
-    /// labels (`michican_*{node="<node>"}`) and trace records. The
+    /// labels (`michican_*{node="<node>"}`). The
     /// reaction-latency histogram is declared up front so it appears in
     /// snapshots even before the first detection.
     pub fn set_recorder(&mut self, recorder: Recorder, node: u32) {
@@ -335,12 +332,6 @@ impl MichiCan {
                         self.recorder.inc(&keys.detections);
                         self.recorder
                             .observe(&keys.detection_position, u64::from(position));
-                        self.recorder.trace(
-                            now.bits(),
-                            self.node_label,
-                            EVT_DETECTION,
-                            &format!("pos={position}"),
-                        );
                         self.detected_at = Some(now.bits());
                     }
                     if self.journal.is_enabled() {
@@ -370,8 +361,6 @@ impl MichiCan {
                                 now.bits().saturating_sub(detected),
                             );
                         }
-                        self.recorder
-                            .trace(now.bits(), self.node_label, EVT_INJECT_START, "");
                     }
                     if self.journal.is_enabled() {
                         self.journal
@@ -384,15 +373,9 @@ impl MichiCan {
             // Disable multiplexing and finish frame processing (lines
             // 16–19). Bit stuffing guarantees no false SOF within the rest
             // of the frame.
-            if self.injecting {
-                if self.recorder.is_enabled() {
-                    self.recorder
-                        .trace(now.bits(), self.node_label, EVT_INJECT_END, "");
-                }
-                if self.journal.is_enabled() {
-                    self.journal
-                        .event(now.bits(), self.node_label, JK_INJECT_END, "");
-                }
+            if self.injecting && self.journal.is_enabled() {
+                self.journal
+                    .event(now.bits(), self.node_label, JK_INJECT_END, "");
             }
             self.leave_frame();
         }
@@ -683,10 +666,6 @@ mod tests {
         // injection at the RTR bit (destuffed position 13): the gap is at
         // most 11 bit times plus stuffing.
         assert!(latency.max().unwrap() <= 16);
-        let events: Vec<&str> = reg.traces().iter().map(|t| t.event.as_str()).collect();
-        assert!(events.contains(&can_obs::EVT_DETECTION));
-        assert!(events.contains(&can_obs::EVT_INJECT_START));
-        assert!(events.contains(&can_obs::EVT_INJECT_END));
     }
 
     #[test]

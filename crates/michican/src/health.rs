@@ -43,7 +43,7 @@
 use can_core::agent::BitAgent;
 use can_core::bitstream::MIN_INTERFRAME_RECESSIVE;
 use can_core::{BitInstant, Level};
-use can_obs::{Journal, Recorder, EVT_DEGRADED, EVT_REARMED, JK_DEGRADED, JK_REARMED};
+use can_obs::{Journal, Recorder, JK_DEGRADED, JK_REARMED};
 use serde::{Deserialize, Serialize};
 
 use crate::handler::MichiCan;
@@ -202,7 +202,7 @@ pub struct SupervisedMichiCan {
     recorder: Recorder,
     /// Causal event journal for watchdog transitions; disabled by default.
     journal: Journal,
-    /// Node index used in metric labels and trace records.
+    /// Node index used in metric labels and journal events.
     node_label: u32,
 }
 
@@ -305,8 +305,6 @@ impl SupervisedMichiCan {
             self.recorder.inc(&format!(
                 "michican_degradations_total{{node=\"{node}\",reason=\"{why}\"}}"
             ));
-            self.recorder
-                .trace(self.last_tick.unwrap_or(0), node, EVT_DEGRADED, why);
         }
         if self.journal.is_enabled() {
             self.journal.event(
@@ -332,8 +330,6 @@ impl SupervisedMichiCan {
             let node = self.node_label;
             self.recorder
                 .inc(&format!("michican_rearms_total{{node=\"{node}\"}}"));
-            self.recorder
-                .trace(self.last_tick.unwrap_or(0), node, EVT_REARMED, "");
         }
         if self.journal.is_enabled() {
             self.journal
@@ -907,9 +903,6 @@ mod tests {
         );
         // The wrapped handler shares the recorder.
         assert_eq!(reg.counter("michican_detections_total{node=\"0\"}"), 1);
-        let events: Vec<&str> = reg.traces().iter().map(|r| r.event.as_str()).collect();
-        assert!(events.contains(&can_obs::EVT_DEGRADED));
-        assert!(events.contains(&can_obs::EVT_REARMED));
     }
 
     #[test]

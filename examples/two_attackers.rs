@@ -9,8 +9,8 @@
 use can_attacks::{DosKind, SuspensionAttacker};
 use can_core::app::SilentApplication;
 use can_core::{BusSpeed, CanId};
-use can_sim::{bus_off_episodes, ErrorRole, EventKind, Node, SimBuilder};
-use can_trace::{Timeline, TimelineEvent};
+use can_sim::{bus_off_episodes, EventKind, Node, SimBuilder};
+use can_trace::Timeline;
 use michican::prelude::*;
 
 fn main() {
@@ -58,28 +58,7 @@ fn main() {
     }
 
     // Timeline (the Fig. 6 view).
-    let events: Vec<TimelineEvent> = sim
-        .events()
-        .iter()
-        .filter_map(|e| match &e.kind {
-            EventKind::TransmissionStarted { .. } => Some(TimelineEvent::TransmissionStarted {
-                node: e.node,
-                at: e.at,
-            }),
-            EventKind::ErrorDetected {
-                role: ErrorRole::Transmitter,
-                ..
-            } => Some(TimelineEvent::TransmitError {
-                node: e.node,
-                at: e.at,
-            }),
-            EventKind::BusOff => Some(TimelineEvent::BusOff {
-                node: e.node,
-                at: e.at,
-            }),
-            _ => None,
-        })
-        .collect();
+    let events = bench::scenarios::timeline_events(sim.events());
     let timeline = Timeline::build(&events, &[a, b], sim.now().bits());
     print!(
         "{}",

@@ -4,13 +4,16 @@
 //! serial (shards=1) reference — per-cell registries are fresh, cells are
 //! seeded by index, and registries merge in cell index order. Also locks
 //! the zero-cost contract: a disabled recorder records nothing and leaves
-//! every measured artifact untouched.
+//! every measured artifact untouched, and the one-stream contract: every
+//! defense event the counters count is in the journal, exactly once.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use bench::campaign::{run_campaign, run_campaign_with, CampaignConfig};
 use bench::detection::{run_sweep_with_sizes_sharded, run_sweep_with_sizes_with};
 use bench::obs::run_reaction_probe;
 use bench::runner::ExecOpts;
-use can_obs::Recorder;
+use can_obs::{Journal, Recorder, JK_DEGRADED, JK_DETECTION, JK_INJECT_START, JK_REARMED};
 
 fn metered(recorder: &Recorder) -> ExecOpts {
     ExecOpts::new().with_recorder(recorder.clone())
@@ -125,4 +128,71 @@ fn snapshot_carries_the_acceptance_series() {
     ] {
         assert!(json.contains(series), "snapshot is missing {series}");
     }
+}
+
+#[test]
+fn journal_defense_events_agree_with_the_counters() {
+    // The journal is the only defense-event stream: for every MichiCAN
+    // node of the packed campaign grid, each counted detection,
+    // counterattack, degradation and re-arm appears as exactly one
+    // journal event, and the metrics snapshot carries aggregates only.
+    let recorder = Recorder::enabled();
+    let journal = Journal::enabled();
+    let config = CampaignConfig {
+        run_ms: 60.0,
+        ..quick_config(2)
+    };
+    run_campaign_with(
+        &config,
+        &metered(&recorder).with_journal(journal.clone()).packed(),
+    );
+
+    let snapshot = recorder.snapshot_json();
+    assert!(snapshot.contains("\"schema\": \"can-obs/v2\""));
+    assert!(!snapshot.contains("\"traces"), "no trace sink in v2");
+
+    let mut journaled: BTreeMap<(u32, &str), u64> = BTreeMap::new();
+    journal
+        .with_store(|store| {
+            assert!(store.dropped().is_empty(), "journal must be lossless");
+            for event in store.canonical_events() {
+                for kind in [JK_DETECTION, JK_INJECT_START, JK_DEGRADED, JK_REARMED] {
+                    if event.kind == kind {
+                        *journaled.entry((event.node, kind)).or_default() += 1;
+                    }
+                }
+            }
+        })
+        .expect("journal is enabled");
+
+    let registry = recorder.into_registry();
+    let mut counted: BTreeMap<(u32, &str), u64> = BTreeMap::new();
+    for (key, value) in registry.counters() {
+        let kind = match key.split('{').next() {
+            Some("michican_detections_total") => JK_DETECTION,
+            Some("michican_counterattacks_total") => JK_INJECT_START,
+            Some("michican_degradations_total") => JK_DEGRADED,
+            Some("michican_rearms_total") => JK_REARMED,
+            _ => continue,
+        };
+        let node = key
+            .split("node=\"")
+            .nth(1)
+            .and_then(|rest| rest.split('"').next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no node label in {key}"));
+        *counted.entry((node, kind)).or_default() += value;
+    }
+
+    let nodes: BTreeSet<u32> = counted.keys().map(|&(node, _)| node).collect();
+    assert!(!nodes.is_empty(), "the grid has a MichiCAN defender");
+    for kind in [JK_DETECTION, JK_INJECT_START, JK_DEGRADED, JK_REARMED] {
+        assert!(
+            nodes
+                .iter()
+                .any(|&node| counted.get(&(node, kind)) > Some(&0)),
+            "the grid exercises {kind}"
+        );
+    }
+    assert_eq!(journaled, counted, "journal events vs counters, per node");
 }
