@@ -34,8 +34,10 @@ use can_attacks::{DosKind, SuspensionAttacker};
 use can_core::agent::BitAgent;
 use can_core::app::{PeriodicSender, SilentApplication};
 use can_core::{BitInstant, BusSpeed, CanFrame, CanId, Level};
+use can_obs::{Journal, Recorder};
 use can_sim::{
-    BurstParams, EventKind, FaultModel, FaultyAgent, Node, PinFaultConfig, SimBuilder, TxFault,
+    BurstParams, EventKind, FaultModel, FaultyAgent, Node, NodeId, PinFaultConfig, SimBuilder,
+    Simulator, TxFault,
 };
 use michican::prelude::*;
 use restbus::{vehicle_matrix, CommMatrix, Message, Vehicle};
@@ -325,6 +327,10 @@ impl BitAgent for SharedDefender {
     fn drive_horizon(&self, now: BitInstant) -> Option<BitInstant> {
         self.0.borrow().drive_horizon(now)
     }
+
+    fn observe_stretch(&mut self, word: u64, len: u32, own_tx: bool, from: BitInstant) {
+        self.0.borrow_mut().observe_stretch(word, len, own_tx, from);
+    }
 }
 
 /// A campaign cell whose scenario could not be constructed.
@@ -410,7 +416,36 @@ pub fn try_run_cell_with(
     run_ms: f64,
     opts: &ExecOpts,
 ) -> Result<CellOutcome, CellBuildError> {
-    let recorder = &opts.recorder;
+    let mut cell = build_cell(traffic, fault, seed, run_ms, &opts.recorder, &opts.journal)?;
+    let run_bits = BusSpeed::K500.bits_in_millis(run_ms);
+    opts.run(&mut cell.sim, run_bits);
+    Ok(cell_outcome(cell))
+}
+
+/// A campaign cell, built but not yet run: its simulator plus the
+/// handles its outcome reads after the run.
+pub struct Cell {
+    /// The cell's bus; run it for the cell's `run_ms`.
+    pub sim: Simulator,
+    traffic: Traffic,
+    fault: FaultSpec,
+    defender: SharedDefender,
+    monitor: NodeId,
+    flaky: NodeId,
+    attacker: Option<NodeId>,
+}
+
+/// Builds one campaign cell with `recorder` and `journal` attached to the
+/// simulator and the supervised defender. Fault windows are placed
+/// relative to `run_ms`, as in [`run_cell`].
+pub fn build_cell(
+    traffic: Traffic,
+    fault: FaultSpec,
+    seed: u64,
+    run_ms: f64,
+    recorder: &Recorder,
+    journal: &Journal,
+) -> Result<Cell, CellBuildError> {
     let speed = BusSpeed::K500;
     let run_bits = speed.bits_in_millis(run_ms);
 
@@ -435,7 +470,7 @@ pub fn try_run_cell_with(
 
     let mut builder = SimBuilder::new(speed)
         .recorder(recorder.clone())
-        .journal(opts.journal.clone())
+        .journal(journal.clone())
         .node(Node::new(
             "restbus",
             Box::new(restbus::ReplayApp::for_matrix(&matrix)),
@@ -512,7 +547,7 @@ pub fn try_run_cell_with(
     defender
         .0
         .borrow_mut()
-        .set_journal(opts.journal.clone(), defender_node as u32);
+        .set_journal(journal.clone(), defender_node as u32);
 
     let attacker = match traffic {
         Traffic::Attack => {
@@ -531,9 +566,28 @@ pub fn try_run_cell_with(
         Traffic::Benign => None,
     };
 
-    let mut sim = builder.build();
-    opts.run(&mut sim, run_bits);
+    Ok(Cell {
+        sim: builder.build(),
+        traffic,
+        fault,
+        defender,
+        monitor,
+        flaky,
+        attacker,
+    })
+}
 
+/// Reduces a finished cell run to its outcome row.
+fn cell_outcome(cell: Cell) -> CellOutcome {
+    let Cell {
+        sim,
+        traffic,
+        fault,
+        defender,
+        monitor,
+        flaky,
+        attacker,
+    } = cell;
     let mut benign_delivered = 0u64;
     let mut attack_delivered = 0u64;
     let mut benign_bus_offs = 0u64;
@@ -561,7 +615,7 @@ pub fn try_run_cell_with(
     }
 
     let supervised = defender.0.borrow();
-    Ok(CellOutcome {
+    CellOutcome {
         traffic,
         fault,
         benign_delivered,
@@ -574,7 +628,7 @@ pub fn try_run_cell_with(
         rearms: supervised.stats().rearms,
         armed_at_end: supervised.state() == HealthState::Armed,
         bus_load: sim.observed_bus_load(),
-    })
+    }
 }
 
 /// Runs the full campaign (grid = [`default_grid`] × benign/attack) on

@@ -12,7 +12,8 @@
 //! simulator — only bits, like real firmware.
 
 use crate::level::Level;
-use crate::time::BitInstant;
+use crate::packed;
+use crate::time::{BitDuration, BitInstant};
 
 /// A software component with per-bit access to the bus, as granted by a
 /// pin-multiplexed integrated CAN controller.
@@ -65,8 +66,9 @@ pub trait BitAgent {
     /// This is the agent's side of the packed kernel's stretch-negotiation
     /// contract (DESIGN.md §11). Unlike [`BitAgent::next_activity`], the
     /// promise must hold for *arbitrary* bus input: the simulator keeps
-    /// delivering every bit via `on_bit` inside a packed stretch, but it
-    /// resolves the wired-AND for the whole stretch up front, so the
+    /// delivering every bit inside a packed stretch, through one
+    /// [`BitAgent::observe_stretch`] call, but it resolves the wired-AND
+    /// for the whole stretch up front, so the
     /// agent's TX contribution must be recessive for every bit strictly
     /// before the returned instant. `None` means the agent never drives (a
     /// pure observer). The conservative default `Some(now)` keeps the
@@ -86,7 +88,27 @@ pub trait BitAgent {
     fn skip_idle(&mut self, bits: u64, from: BitInstant) {
         for i in 0..bits {
             self.set_own_transmission(false);
-            self.on_bit(Level::Recessive, from + crate::time::BitDuration::bits(i));
+            self.on_bit(Level::Recessive, from + BitDuration::bits(i));
+        }
+    }
+
+    /// Observes the `len` bus levels of one packed stretch starting at
+    /// `from`: bit `i` is [`packed::level_at`]`(word, i)`, and `own_tx`
+    /// is the own-transmission hint for the whole stretch.
+    ///
+    /// Must be exactly equivalent to `len` successive calls of
+    /// `set_own_transmission(own_tx)` + `on_bit(level_at(word, i), t)`
+    /// for `t` in `[from, from + len)`. Only called inside a stretch that
+    /// [`BitAgent::drive_horizon`] declared drive-free. The default
+    /// replays the bits one by one; an implementation overrides it to pay
+    /// one dynamic call per stretch instead of two per bit.
+    fn observe_stretch(&mut self, word: u64, len: u32, own_tx: bool, from: BitInstant) {
+        for i in 0..len {
+            self.set_own_transmission(own_tx);
+            self.on_bit(
+                packed::level_at(word, i),
+                from + BitDuration::bits(u64::from(i)),
+            );
         }
     }
 }
@@ -115,6 +137,10 @@ impl<T: BitAgent + ?Sized> BitAgent for Box<T> {
     fn skip_idle(&mut self, bits: u64, from: BitInstant) {
         (**self).skip_idle(bits, from);
     }
+
+    fn observe_stretch(&mut self, word: u64, len: u32, own_tx: bool, from: BitInstant) {
+        (**self).observe_stretch(word, len, own_tx, from);
+    }
 }
 
 /// A no-op agent: observes nothing, drives nothing.
@@ -139,6 +165,8 @@ impl BitAgent for PassiveAgent {
     }
 
     fn skip_idle(&mut self, _bits: u64, _from: BitInstant) {}
+
+    fn observe_stretch(&mut self, _word: u64, _len: u32, _own_tx: bool, _from: BitInstant) {}
 }
 
 #[cfg(test)]
@@ -152,6 +180,44 @@ mod tests {
         assert_eq!(agent.tx_level(), None);
         agent.set_own_transmission(true);
         assert_eq!(agent.tx_level(), None);
+    }
+
+    /// Logs every call, to check the default `observe_stretch` replay.
+    #[derive(Default)]
+    struct Log(Vec<(bool, Level, u64)>, bool);
+
+    impl BitAgent for Log {
+        fn on_bit(&mut self, level: Level, now: BitInstant) {
+            self.0.push((self.1, level, now.bits()));
+        }
+
+        fn tx_level(&self) -> Option<Level> {
+            None
+        }
+
+        fn set_own_transmission(&mut self, transmitting: bool) {
+            self.1 = transmitting;
+        }
+    }
+
+    #[test]
+    fn default_observe_stretch_replays_each_bit() {
+        let mut log = Log::default();
+        // Dominant mask: bits 0 and 2 dominant.
+        log.observe_stretch(0b101, 4, true, BitInstant::from_bits(10));
+        let levels: Vec<_> = log.0.iter().map(|&(_, l, _)| l).collect();
+        assert_eq!(
+            levels,
+            [
+                Level::Dominant,
+                Level::Recessive,
+                Level::Dominant,
+                Level::Recessive
+            ]
+        );
+        assert!(log.0.iter().all(|&(own, _, _)| own));
+        let times: Vec<_> = log.0.iter().map(|&(_, _, t)| t).collect();
+        assert_eq!(times, [10, 11, 12, 13]);
     }
 
     #[test]

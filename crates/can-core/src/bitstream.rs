@@ -329,7 +329,7 @@ pub enum Destuffed {
 ///
 /// Mirrors the behaviour of a receiving CAN controller over the stuffed
 /// region of a frame, and of MichiCAN's Algorithm 1 lines 6–15.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Destuffer {
     run_level: Option<Level>,
     run_len: usize,

@@ -956,6 +956,33 @@ impl Controller {
         debug_assert!(tx.index < tx.bits.len());
     }
 
+    /// The parser a stretch commit advances: the receive parser while
+    /// receiving, the monitor parser while transmitting, `None` otherwise.
+    /// The packed kernel groups nodes by equality of this parser.
+    pub(crate) fn stretch_parser(&self) -> Option<&RxParser> {
+        match &self.state {
+            State::Receiving { parser } | State::Transmitting { parser, .. } => Some(parser),
+            _ => None,
+        }
+    }
+
+    /// Commits `n` event-free bits by installing `post`, the parser state
+    /// another node in the same pre-stretch parser state reached over the
+    /// same bits (a copy, reusing this parser's buffer). A transmitter
+    /// also advances its wire index, as [`Controller::commit_transmit`]
+    /// would.
+    pub(crate) fn commit_parser_copy(&mut self, post: &RxParser, n: u32) {
+        match &mut self.state {
+            State::Receiving { parser } => post.copy_into(parser),
+            State::Transmitting { tx, parser } => {
+                post.copy_into(parser);
+                tx.index += n as usize;
+                debug_assert!(tx.index < tx.bits.len());
+            }
+            _ => unreachable!("commit_parser_copy on a controller without a frame parser"),
+        }
+    }
+
     /// Dry-runs the receive parser over the low `n` bits of `bus` on the
     /// reusable `scratch` parser: returns how many leading bits produce
     /// `RxEvent::Continue`. The bit that would produce any other event

@@ -714,6 +714,10 @@ impl<A: BitAgent> BitAgent for FaultyAgent<A> {
         // input — perturbed or not — so it passes through unchanged.
         self.inner.drive_horizon(now)
     }
+
+    // `observe_stretch` keeps the per-bit default on purpose: every
+    // observed bit may draw from the pin-fault RNG, so a stretch cannot be
+    // handed to the inner agent in one call.
 }
 
 #[cfg(test)]

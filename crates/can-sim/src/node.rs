@@ -9,7 +9,7 @@
 
 use can_core::agent::BitAgent;
 use can_core::app::Application;
-use can_core::{packed, BitDuration, BitInstant, Level};
+use can_core::{BitInstant, Level};
 
 use crate::controller::{Controller, ControllerConfig, StepOutput, StretchRole};
 use crate::fault::TxFault;
@@ -270,24 +270,24 @@ impl Node {
     }
 
     /// Commits one packed stretch of `n` bits of resolved bus word `bus`
-    /// to this node, in its negotiated `role`.
+    /// to this node's controller, in its negotiated `role`.
     ///
     /// `rx_scratch` is the node's dry-run parser from planning; `rx_swap`
     /// says it covered exactly this stretch, so it can be installed in
-    /// O(1) instead of replaying the bits. The attached agent replays the
-    /// bus word bit-by-bit — its promise was only to not *drive* inside
-    /// the stretch, not to skip observations.
+    /// O(1) instead of replaying the bits. A node whose frame parser
+    /// equals another's commits with [`Controller::commit_parser_copy`]
+    /// instead. The attached agent observes the stretch separately,
+    /// through [`Node::observe_stretch`].
     pub(crate) fn commit_stretch(
         &mut self,
         role: StretchRole,
         bus: u64,
         n: u32,
-        now: BitInstant,
         rx_scratch: &mut RxParser,
         rx_swap: bool,
     ) {
         match role {
-            StretchRole::Down => return,
+            StretchRole::Down => {}
             StretchRole::Transmit { .. } => self.controller.commit_transmit(n),
             StretchRole::Receive => {
                 if rx_swap {
@@ -304,15 +304,18 @@ impl Node {
                 self.controller.commit_passive_word(bus, n);
             }
         }
+    }
+
+    /// Lets the attached agent observe one committed packed stretch with
+    /// a single [`BitAgent::observe_stretch`] call — its promise was only
+    /// to not *drive* inside the stretch, not to skip observations.
+    pub(crate) fn observe_stretch(&mut self, role: StretchRole, bus: u64, n: u32, now: BitInstant) {
+        if role == StretchRole::Down {
+            return;
+        }
         if let Some(agent) = &mut self.agent {
             let own = matches!(role, StretchRole::Transmit { .. });
-            for i in 0..n {
-                agent.set_own_transmission(own);
-                agent.on_bit(
-                    packed::level_at(bus, i),
-                    now + BitDuration::bits(u64::from(i)),
-                );
-            }
+            agent.observe_stretch(bus, n, own, now);
         }
     }
 

@@ -43,7 +43,12 @@ enum Phase {
 
 /// A streaming CAN 2.0A frame parser fed with bus levels, starting at the
 /// SOF bit.
-#[derive(Debug, Clone)]
+///
+/// Equality is equality of the whole parse state: two equal parsers fed
+/// the same levels report the same events and stay equal, which is what
+/// lets the packed kernel parse a stretch once for every node in the same
+/// state.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RxParser {
     destuffer: Destuffer,
     unstuffed: Vec<Level>,

@@ -217,6 +217,12 @@ pub struct Simulator {
     rx_scratch: Vec<RxParser>,
     /// Arena: per-node (requested, consumed) bits of the latest dry-run.
     rx_dry: Vec<(u32, u32)>,
+    /// Arena: per node, the parse-group leader whose committed parser it
+    /// copies this stretch (`None`: it commits its own parse).
+    rx_share: Vec<Option<usize>>,
+    /// Arena: the nodes dry-run in the current stretch, one per distinct
+    /// parser state.
+    rx_leaders: Vec<usize>,
     /// Passive frame observers (see [`crate::tap::FrameTap`]): fed once
     /// per completed frame from the lockstep bit path.
     taps: Vec<Box<dyn FrameTap>>,
@@ -246,6 +252,8 @@ impl Simulator {
             packed_roles: Vec::new(),
             rx_scratch: Vec::new(),
             rx_dry: Vec::new(),
+            rx_share: Vec::new(),
+            rx_leaders: Vec::new(),
             taps: Vec::new(),
         }
     }
@@ -789,26 +797,52 @@ impl Simulator {
             return None;
         }
         // Receiver dry-runs: stop before the first parser event
-        // (ACK-slot announcement, completion, fault).
+        // (ACK-slot announcement, completion, fault). Every node samples
+        // the same bus, so receivers in equal parser states form one
+        // group: only its leader (the first in node order) is dry-run.
+        // A member's own dry run would consume `min(consumed_leader, n)`
+        // bits, and `n` is already capped there, so skipping it is exact.
         if self.rx_scratch.len() < self.nodes.len() {
             self.rx_scratch.resize_with(self.nodes.len(), RxParser::new);
             self.rx_dry.resize(self.nodes.len(), (0, 0));
+            self.rx_share.resize(self.nodes.len(), None);
         }
+        self.rx_leaders.clear();
         for (i, role) in self.packed_roles.iter().enumerate() {
-            if *role == StretchRole::Receive {
-                let req = n;
-                let consumed = self.nodes[i].controller().receive_stretch_cap(
-                    bus,
-                    req,
-                    &mut self.rx_scratch[i],
-                );
-                self.rx_dry[i] = (req, consumed);
-                n = n.min(consumed);
+            self.rx_share[i] = None;
+            if *role != StretchRole::Receive {
+                continue;
             }
+            if let Some(leader) = parse_leader(&self.nodes, &self.rx_leaders, i) {
+                self.rx_share[i] = Some(leader);
+                self.telemetry.count_parse_copied();
+                continue;
+            }
+            let req = n;
+            let consumed =
+                self.nodes[i]
+                    .controller()
+                    .receive_stretch_cap(bus, req, &mut self.rx_scratch[i]);
+            self.rx_dry[i] = (req, consumed);
+            self.rx_leaders.push(i);
+            self.telemetry.count_parse_run();
+            n = n.min(consumed);
         }
         if n == 0 {
             self.telemetry.count_fallback(FallbackCause::ReceiverDryRun);
             return None;
+        }
+        // A transmitter's monitor parser sees the same `n` bits (the bus
+        // matched its word); in a leader's state it copies instead of
+        // replaying them.
+        for (i, role) in self.packed_roles.iter().enumerate() {
+            if !matches!(role, StretchRole::Transmit { .. }) {
+                continue;
+            }
+            if let Some(leader) = parse_leader(&self.nodes, &self.rx_leaders, i) {
+                self.rx_share[i] = Some(leader);
+                self.telemetry.count_parse_copied();
+            }
         }
         self.telemetry
             .count_stretch(u64::from(n), &self.packed_roles);
@@ -830,7 +864,13 @@ impl Simulator {
             trace.push_word(bus, n);
         }
         self.faults.skip(u64::from(n));
+        // Controllers first: group leaders and unshared nodes commit
+        // their own parse, then members copy their leader's result.
+        // Controller commits emit nothing, so their order is free.
         for (i, node) in self.nodes.iter_mut().enumerate() {
+            if self.rx_share[i].is_some() {
+                continue;
+            }
             let (req, consumed) = self.rx_dry[i];
             // The dry run can be installed as-is only if it covered
             // exactly the final stretch, event-free.
@@ -839,10 +879,24 @@ impl Simulator {
                 self.packed_roles[i],
                 bus,
                 n,
-                self.now,
                 &mut self.rx_scratch[i],
                 rx_swap,
             );
+        }
+        for (i, share) in self.rx_share.iter().enumerate() {
+            if let Some(leader) = *share {
+                let (leader, member) = leader_and_member(&mut self.nodes, leader, i);
+                let post = leader
+                    .controller()
+                    .stretch_parser()
+                    .expect("a group leader is receiving");
+                member.controller_mut().commit_parser_copy(post, n);
+            }
+        }
+        // Agents observe in node order, as in lockstep, so journal order
+        // does not depend on the engine.
+        for (i, node) in self.nodes.iter_mut().enumerate() {
+            node.observe_stretch(self.packed_roles[i], bus, n, self.now);
         }
         self.account_uniform_bits(u64::from(n), busy, obs);
         Some(u64::from(n))
@@ -865,6 +919,27 @@ impl Simulator {
             }
         }
         None
+    }
+}
+
+/// The first of `leaders` whose frame parser equals node `i`'s, if any.
+fn parse_leader(nodes: &[Node], leaders: &[usize], i: usize) -> Option<usize> {
+    let parser = nodes[i].controller().stretch_parser();
+    leaders
+        .iter()
+        .copied()
+        .find(|&l| nodes[l].controller().stretch_parser() == parser)
+}
+
+/// Splits `nodes` into a shared borrow of `leader` and a mutable borrow
+/// of `member` (distinct indices).
+fn leader_and_member(nodes: &mut [Node], leader: usize, member: usize) -> (&Node, &mut Node) {
+    if leader < member {
+        let (head, tail) = nodes.split_at_mut(member);
+        (&head[leader], &mut tail[0])
+    } else {
+        let (head, tail) = nodes.split_at_mut(leader);
+        (&tail[0], &mut head[member])
     }
 }
 

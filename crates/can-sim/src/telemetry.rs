@@ -124,6 +124,8 @@ pub struct KernelTelemetry {
     stretch_len: Histogram,
     role_bits: [u64; 6],
     fallbacks: [u64; 8],
+    parses_run: u64,
+    parses_copied: u64,
 }
 
 impl Default for KernelTelemetry {
@@ -137,6 +139,8 @@ impl Default for KernelTelemetry {
             stretch_len: Histogram::new(STRETCH_BUCKETS),
             role_bits: [0; 6],
             fallbacks: [0; 8],
+            parses_run: 0,
+            parses_copied: 0,
         }
     }
 }
@@ -196,6 +200,26 @@ impl KernelTelemetry {
     /// Count of fallbacks attributed to `cause`.
     pub fn fallback_count(&self, cause: FallbackCause) -> u64 {
         self.fallbacks[cause.index()]
+    }
+
+    /// Receiver parser dry runs the packed kernel ran: one per group of
+    /// receivers in equal parser states, per stretch attempt.
+    pub fn parses_run(&self) -> u64 {
+        self.parses_run
+    }
+
+    /// Nodes (receivers, and transmitters for their monitor parser) that
+    /// took a group leader's parse instead of running their own.
+    pub fn parses_copied(&self) -> u64 {
+        self.parses_copied
+    }
+
+    pub(crate) fn count_parse_run(&mut self) {
+        self.parses_run += 1;
+    }
+
+    pub(crate) fn count_parse_copied(&mut self) {
+        self.parses_copied += 1;
     }
 
     pub(crate) fn count_lockstep_bit(&mut self) {

@@ -533,11 +533,79 @@ impl BitAgent for SupervisedMichiCan {
         self.handler.set_own_transmission(transmitting);
     }
 
+    fn next_activity(&self, now: BitInstant) -> Option<BitInstant> {
+        // Between frames with no eradication watch open, a recessive bit
+        // only counts: the idle run, the tick timestamp and the two
+        // window rollovers, all closed-form in `skip_idle`. The handler
+        // must be quiet too (hunting a SOF, not injecting).
+        if self.in_frame || self.watch_deadline.is_some() {
+            return Some(now);
+        }
+        self.handler.next_activity(now)
+    }
+
     fn drive_horizon(&self, now: BitInstant) -> Option<BitInstant> {
         // Supervision only gates whether the inner handler runs; it never
         // drives the bus itself, so the handler's promise is ours.
         self.handler.drive_horizon(now)
     }
+
+    fn skip_idle(&mut self, bits: u64, from: BitInstant) {
+        if bits == 0 {
+            return;
+        }
+        // The first tick may follow a gap (a crashed MCU's frozen timer),
+        // whose missed-tick accounting may degrade: run it as a normal bit.
+        self.set_own_transmission(false);
+        self.on_bit(Level::Recessive, from);
+        let rest = bits - 1;
+        if rest == 0 {
+            return;
+        }
+        // The remaining ticks `first..=last` are contiguous recessive bits
+        // outside a frame: no gap, no SOF, no episode, no watch.
+        debug_assert!(!self.in_frame && self.watch_deadline.is_none());
+        let first = from.bits() + 1;
+        let last = from.bits() + rest;
+        if let Some(start) = window_start_after(
+            self.missed_window_start,
+            self.config.missed_tick_window,
+            first,
+            last,
+        ) {
+            self.missed_window_start = start;
+            self.window_missed = 0;
+        }
+        if let Some(start) = window_start_after(
+            self.episode_window_start,
+            self.config.episode_window_bits,
+            first,
+            last,
+        ) {
+            self.episode_window_start = start;
+            self.episodes_in_window = 0;
+            self.sync_handler_prevention();
+        }
+        self.idle_run = self
+            .idle_run
+            .saturating_add(u32::try_from(rest).unwrap_or(u32::MAX));
+        self.last_tick = Some(last);
+        self.handler.skip_idle(rest, BitInstant::from_bits(first));
+    }
+}
+
+/// The start of a `window`-bit accounting window after the contiguous
+/// ticks `first..=last`, or `None` when none of them rolls it over.
+///
+/// Per tick `t`, the window restarts at `t` once `t - start >= window`
+/// (saturating), as in `track_missed_ticks` and `track_episode_budget`.
+fn window_start_after(start: u64, window: u64, first: u64, last: u64) -> Option<u64> {
+    if window == 0 {
+        // Every tick rolls the window over.
+        return Some(last);
+    }
+    let roll = start.checked_add(window)?.max(first);
+    (roll <= last).then(|| roll + (last - roll) / window * window)
 }
 
 #[cfg(test)]
@@ -928,6 +996,52 @@ mod tests {
         // The wrapped handler shares the journal.
         let inject = can_obs::JK_INJECT_START;
         assert!(export.contains(&format!("\"kind\":\"{inject}\"")));
+    }
+
+    #[test]
+    fn busy_while_a_frame_or_eradication_watch_is_open() {
+        let config = HealthConfig {
+            max_counterattack_failures: 1,
+            rearm_clean_frames: 2,
+            ..HealthConfig::default()
+        };
+        let mut agent = supervised(config);
+        let mut t = 0u64;
+        let (mut open_bits, mut watch_bits, mut quiet_bits) = (0, 0, 0);
+        let mut bit = |agent: &mut SupervisedMichiCan, level: Level| {
+            let now = BitInstant::from_bits(t);
+            let open = agent.in_frame || agent.watch_deadline.is_some();
+            if open {
+                assert_eq!(agent.next_activity(now), Some(now), "busy at {t}");
+                open_bits += 1;
+                watch_bits += u32::from(agent.watch_deadline.is_some());
+            } else if agent.next_activity(now).is_none() {
+                quiet_bits += 1;
+            }
+            let bus = level & agent.tx_level().unwrap_or(Level::Recessive);
+            agent.on_bit(bus, now);
+            t += 1;
+        };
+        let attack = CanFrame::data_frame(CanId::from_raw(0x064), &[0; 8]).unwrap();
+        let benign = CanFrame::data_frame(CanId::from_raw(0x173), &[1, 2]).unwrap();
+        for round in 0..6 {
+            (0..20).for_each(|_| bit(&mut agent, Level::Recessive));
+            let frame = if round % 3 == 2 { &benign } else { &attack };
+            for &level in &stuff_frame(frame).bits {
+                bit(&mut agent, level);
+            }
+            // Eradicated on even rounds: the attacker's error flag and
+            // delimiter; otherwise the bus keeps toggling.
+            for k in 0..30 {
+                let level = if round % 2 == 0 && (6..14).contains(&k) || k % 4 == 0 {
+                    Level::Recessive
+                } else {
+                    Level::Dominant
+                };
+                bit(&mut agent, level);
+            }
+        }
+        assert!(open_bits > 0 && watch_bits > 0 && quiet_bits > 0);
     }
 
     #[test]

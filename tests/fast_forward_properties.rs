@@ -4,16 +4,19 @@
 //! never jump over a fault-window boundary or a suspend expiry, and that
 //! packed stretches break exactly at mid-word fault onsets and agent
 //! intervention points, and that a saturating DoS attacker with a fixed
-//! identifier rides the packed kernel instead of pinning it to lockstep.
+//! identifier rides the packed kernel instead of pinning it to lockstep,
+//! that a supervised defender lets the kernel skip idle gaps, and that
+//! receivers in one parser state share one dry run per stretch.
 //!
 //! (The file name predates the packed kernel absorbing idle
 //! fast-forward; it is kept so the test ids stay stable.)
 
+use bench::campaign::{build_cell, FaultSpec as CampaignFault, Traffic};
 use bench::differential::check_equivalence;
 use can_attacks::{DosKind, SuspensionAttacker};
 use can_core::app::{PeriodicSender, SilentApplication};
 use can_core::{BusSpeed, CanFrame, CanId};
-use can_obs::Recorder;
+use can_obs::{Journal, Recorder};
 use can_sim::{
     ControllerConfig, EventKind, FallbackCause, FaultModel, FaultStack, Node, SimBuilder,
     Simulator, TxFault,
@@ -427,5 +430,93 @@ fn random_id_attacker_still_polls_every_bit() {
     assert!(
         app_polls * 4 >= DOS_RUN_BITS * 3,
         "expected app-poll fallbacks on most bits, got {app_polls} in {DOS_RUN_BITS} bits"
+    );
+}
+
+#[test]
+fn benign_clean_campaign_cell_idle_skips_under_supervision() {
+    // The supervised MichiCAN dongle is quiet between frames, so the
+    // packed kernel skips the campaign's idle gaps instead of stepping
+    // the watchdog through them bit by bit.
+    let run_ms = 60.0;
+    let bits = BusSpeed::K500.bits_in_millis(run_ms);
+    let build = |recorder: Recorder| {
+        let journal = Journal::disabled();
+        build_cell(
+            Traffic::Benign,
+            CampaignFault::Clean,
+            7,
+            run_ms,
+            &recorder,
+            &journal,
+        )
+        .unwrap()
+        .sim
+    };
+    check_equivalence(build, bits).unwrap();
+    let mut sim = build(Recorder::disabled());
+    sim.run_packed(bits);
+    let telemetry = sim.kernel_telemetry();
+    assert!(
+        telemetry.skipped_bits() > 0,
+        "no idle skip on a defended bus: {}",
+        telemetry.to_json()
+    );
+}
+
+/// One periodic sender, four silent receivers and a silent node carrying
+/// a supervised MichiCAN, optionally under iid channel bit errors.
+fn shared_parse_bus(ber: Option<f64>, recorder: Recorder) -> Simulator {
+    let list = EcuList::from_raw(&[0x0A5]);
+    let mut builder = SimBuilder::new(BusSpeed::K500)
+        .recorder(recorder)
+        .node(Node::new(
+            "sender",
+            Box::new(PeriodicSender::new(frame(0x0A5, &[0x3C; 8]), 700, 11)),
+        ));
+    for i in 0..4 {
+        builder = builder.node(Node::new(format!("rx{i}"), Box::new(SilentApplication)));
+    }
+    builder = builder.node(
+        Node::new("michican", Box::new(SilentApplication)).with_agent(Box::new(
+            SupervisedMichiCan::new(
+                MichiCan::new(DetectionFsm::for_monitor(&list)),
+                HealthConfig::default(),
+                SyncConfig::typical(BusSpeed::K500),
+            ),
+        )),
+    );
+    if let Some(ber) = ber {
+        builder = builder.fault(FaultModel::random(ber, 0x5EED));
+    }
+    builder.build()
+}
+
+#[test]
+fn receivers_in_one_parser_state_share_one_dry_run() {
+    const BITS: u64 = 30_000;
+    for ber in [None, Some(1e-3), Some(2e-2)] {
+        check_equivalence(|recorder| shared_parse_bus(ber, recorder), BITS)
+            .unwrap_or_else(|e| panic!("ber {ber:?}: {e}"));
+    }
+    // On the clean bus every node follows the same frame from the same
+    // SOF: one dry run per stretch attempt with receivers, and the other
+    // four receivers plus the sender's monitor parser copy it.
+    let mut sim = shared_parse_bus(None, Recorder::disabled());
+    sim.run_packed(BITS);
+    let t = sim.kernel_telemetry();
+    let attempts = t.stretches() + t.fallback_count(FallbackCause::ReceiverDryRun);
+    assert!(t.parses_run() > 0);
+    assert!(
+        t.parses_run() <= attempts,
+        "{} dry runs in {attempts} stretch attempts",
+        t.parses_run()
+    );
+    assert_eq!(
+        t.parses_copied(),
+        5 * t.parses_run(),
+        "{} copies for {} dry runs",
+        t.parses_copied(),
+        t.parses_run()
     );
 }
