@@ -53,13 +53,16 @@ fn bench_sim(c: &mut Criterion) {
     });
 
     c.bench_function("sim/table2_experiment4_full_episode", |b| {
-        use bench::scenarios::{build_experiment, table2_experiments};
+        use bench::runner::ExecOpts;
+        use bench::scenarios::{experiment_builder, table2_experiments};
         let exp = table2_experiments()
             .into_iter()
             .find(|e| e.number == 4)
             .unwrap();
         b.iter(|| {
-            let (mut sim, _) = build_experiment(black_box(&exp));
+            let mut sim = experiment_builder(black_box(&exp), &ExecOpts::new())
+                .0
+                .build();
             sim.run_until(5_000, |e| matches!(e.kind, can_sim::EventKind::BusOff))
         })
     });

@@ -145,19 +145,16 @@ pub struct ZooSim {
 }
 
 /// Assembles one zoo cell (victim + attacker + receiver) around the given
-/// simulation recorder. Pure with respect to `recorder`: the same cell
-/// always builds the same bus, so differential checks can hand this a
-/// fresh recorder per execution mode.
-pub fn build_zoo_cell(cell: &ZooCell, recorder: Recorder) -> ZooSim {
-    build_zoo_cell_observed(cell, recorder, Journal::disabled())
-}
-
-/// [`build_zoo_cell`] with a causal event [`Journal`] threaded through the
-/// bus (frame lifecycle), the defense (detection / injection / watchdog
-/// events at node 0) and the attacker (strike / probe events at node 1) —
-/// every event of one attack episode shares the attacked frame's
-/// `chain_id`, so a complete strike→detection→counterattack chain can be
-/// reconstructed from the export.
+/// simulation recorder and causal event [`Journal`]. Pure with respect to
+/// both sinks: the same cell always builds the same bus, so differential
+/// checks can hand this fresh sinks per execution mode.
+///
+/// The journal is threaded through the bus (frame lifecycle), the defense
+/// (detection / injection / watchdog events at node 0) and the attacker
+/// (strike / probe events at node 1) — every event of one attack episode
+/// shares the attacked frame's `chain_id`, so a complete
+/// strike→detection→counterattack chain can be reconstructed from the
+/// export.
 pub fn build_zoo_cell_observed(cell: &ZooCell, recorder: Recorder, journal: Journal) -> ZooSim {
     let victim = CanId::from_raw(ZOO_VICTIM_ID);
     // Internal probe: always enabled so detection/latency columns are
@@ -304,20 +301,9 @@ pub fn run_zoo_cell(cell: &ZooCell, horizon_bits: u64, opts: &ExecOpts) -> ZooOu
 /// per-cell registries merge in index order, so the result — and any
 /// metrics snapshot — is byte-identical for every shard count and mode.
 pub fn run_zoo_with(cells: Vec<ZooCell>, horizon_bits: u64, opts: &ExecOpts) -> Vec<ZooOutcome> {
-    let mode = opts.mode;
-    ExperimentPlan::new(cells, 0)
-        .with_shards(opts.shards.max(1))
-        .run_observed(
-            &opts.recorder,
-            &opts.journal,
-            move |_index, _seed, cell, cell_recorder, cell_journal| {
-                let cell_opts = ExecOpts::new()
-                    .with_mode(mode)
-                    .with_recorder(cell_recorder.clone())
-                    .with_journal(cell_journal.clone());
-                run_zoo_cell(&cell, horizon_bits, &cell_opts)
-            },
-        )
+    ExperimentPlan::new(cells, 0).run_with(opts, |_index, _seed, cell, cell_opts| {
+        run_zoo_cell(&cell, horizon_bits, cell_opts)
+    })
 }
 
 /// Renders the outcome table in the `experiments` stdout format.

@@ -31,6 +31,9 @@
 //! detector family. The table is byte-identical for every `--shards`
 //! count and simulation mode.
 //!
+//! One ordered artifact table drives both a single name and `all` (the
+//! default); an unknown name exits 2 and lists the known names.
+//!
 //! `--full` runs the paper-scale parameterizations (e.g. 160,000 random
 //! FSMs); the default is a faster configuration with identical shape.
 //!
@@ -41,7 +44,7 @@
 //! byte-identical to the default lockstep mode — CI diffs the two.
 //!
 //! `--shards` fans the grid artifacts (faults, detection, table2,
-//! multi_attacker) out across worker threads; the output is byte-identical
+//! multi_attacker, attacks, ids) out across worker threads; the output is byte-identical
 //! for every shard count (see `bench::runner` for the determinism
 //! contract).
 //!
@@ -98,7 +101,7 @@
 use std::env;
 use std::path::PathBuf;
 
-use bench::runner::{parse_shards, ExecOpts};
+use bench::runner::{parse_shards, ExecOpts, SimMode};
 use bench::scenarios::{self, table2_experiments, TABLE2_SPEED};
 use bench::{busload, cpu, detection, table1};
 use can_core::bitstream::{FrameField, FrameLayout};
@@ -110,6 +113,115 @@ use can_trace::Timeline;
 use mcu::{ARDUINO_DUE, NXP_S32K144};
 use michican::prevention;
 use michican::Scenario;
+
+/// An artifact: its command-line name, its section title, and the
+/// function that prints it.
+type Artifact = (&'static str, &'static str, fn(&Ctx));
+
+/// Every artifact, in `all` order.
+const ARTIFACTS: &[Artifact] = &[
+    ("table1", "Table I — countermeasure comparison", |_| {
+        print!("{}", table1::render_table1())
+    }),
+    ("fig1a", "Fig. 1a — CAN 2.0A data frame layout", fig1a),
+    ("fig1b", "Fig. 1b — error-state transitions", fig1b),
+    ("fig2", "Fig. 2 — DoS attack taxonomy", fig2),
+    ("fig4b", "Fig. 4b — worst-case counterattack pattern", fig4b),
+    (
+        "detection",
+        "§V-B — detection latency (random FSMs)",
+        detection_latency,
+    ),
+    (
+        "table2",
+        "Table II — empirical bus-off time (six experiments, 50 kbit/s)",
+        table2,
+    ),
+    ("table3", "Table III — theoretical bus-off time", table3),
+    (
+        "fig6",
+        "Fig. 6 — Experiment 5 bus pattern (0x066 vs 0x067)",
+        fig6,
+    ),
+    (
+        "multi_attacker",
+        "§V-C — more than two attackers",
+        multi_attacker,
+    ),
+    ("cpu", "§V-D — CPU utilization", cpu_utilization),
+    ("bus_load", "§V-E — bus load: MichiCAN vs Parrot", bus_load),
+    (
+        "on_vehicle",
+        "§V-F — on-vehicle ParkSense test (2017 Pacifica)",
+        on_vehicle,
+    ),
+    (
+        "ids_latency",
+        "Extension — quantifying Table I's IDS row",
+        ids_latency,
+    ),
+    (
+        "feasibility",
+        "Extension — analytic deadline feasibility (response-time analysis)",
+        feasibility,
+    ),
+    (
+        "availability",
+        "Extension — benign-traffic availability under persistent attack",
+        availability,
+    ),
+    (
+        "faults",
+        "Extension — fault-injection campaign (robustness grid)",
+        faults,
+    ),
+    (
+        "attacks",
+        "Extension — adversary zoo (bit-level + controller-level registry)",
+        attacks,
+    ),
+    (
+        "ids",
+        "Extension — timing-IDS bake-off (detector × defense × scenario)",
+        ids,
+    ),
+];
+
+/// Flags that take a value (the value is not an artifact name).
+const VALUE_FLAGS: [&str; 5] = [
+    "--artifacts",
+    "--metrics-out",
+    "--journal-out",
+    "--attacks",
+    "--detectors",
+];
+
+/// What every artifact reads: the command-line flags, plus the root
+/// metrics recorder and causal journal of this invocation (each disabled,
+/// i.e. all no-ops, unless its `--*-out` flag asked for the export).
+struct Ctx {
+    full: bool,
+    shards: usize,
+    mode: SimMode,
+    recorder: Recorder,
+    journal: Journal,
+    artifacts: Option<PathBuf>,
+    attacks: String,
+    detectors: String,
+}
+
+impl Ctx {
+    /// The execution options of a grid artifact: metered by the root
+    /// recorder, journaled by the root journal, in the `--packed` mode, on
+    /// `--shards` workers.
+    fn opts(&self) -> ExecOpts {
+        ExecOpts::new()
+            .with_recorder(self.recorder.clone())
+            .with_journal(self.journal.clone())
+            .with_mode(self.mode)
+            .with_shards(self.shards)
+    }
+}
 
 fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
@@ -129,157 +241,61 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let full = args.iter().any(|a| a == "--full");
-    let mode = sim_mode(&args);
-    let artifacts: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--artifacts")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
-    let metrics_out: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--metrics-out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
-    let journal_out: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--journal-out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
-    let attack_selection: String = args
-        .iter()
-        .position(|a| a == "--attacks")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
-    let detector_selection: String = args
-        .iter()
-        .position(|a| a == "--detectors")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
-    let mut skip_next = false;
+    let value = |name: &str| {
+        args.iter()
+            .position(|a| a == name)
+            .and_then(|i| args.get(i + 1))
+    };
+    let metrics_out = value("--metrics-out").map(PathBuf::from);
+    let journal_out = value("--journal-out").map(PathBuf::from);
     let which = args
         .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--artifacts"
-                || *a == "--metrics-out"
-                || *a == "--journal-out"
-                || *a == "--attacks"
-                || *a == "--detectors"
-            {
-                skip_next = true;
-                return false;
-            }
-            true
+        .enumerate()
+        .find(|&(i, a)| {
+            !a.starts_with("--") && (i == 0 || !VALUE_FLAGS.contains(&args[i - 1].as_str()))
         })
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("all");
+        .map_or("all", |(_, a)| a.as_str());
+    if which != "all" && !ARTIFACTS.iter().any(|&(name, ..)| name == which) {
+        let known: Vec<&str> = ARTIFACTS.iter().map(|&(name, ..)| name).collect();
+        eprintln!(
+            "error: unknown artifact '{which}' (known: all, {})",
+            known.join(", ")
+        );
+        std::process::exit(2);
+    }
 
-    // One root recorder for the whole invocation: disabled (all no-ops)
-    // unless --metrics-out asked for the export.
-    let recorder = if metrics_out.is_some() {
-        Recorder::enabled()
-    } else {
-        Recorder::disabled()
+    let ctx = Ctx {
+        full: args.iter().any(|a| a == "--full"),
+        shards,
+        mode: sim_mode(&args),
+        recorder: if metrics_out.is_some() {
+            Recorder::enabled()
+        } else {
+            Recorder::disabled()
+        },
+        journal: if journal_out.is_some() {
+            Journal::enabled()
+        } else {
+            Journal::disabled()
+        },
+        artifacts: value("--artifacts").map(PathBuf::from),
+        attacks: value("--attacks").map_or("all", String::as_str).to_string(),
+        detectors: value("--detectors")
+            .map_or("all", String::as_str)
+            .to_string(),
     };
-    // Likewise one root journal, enabled only when --journal-out asked for
-    // the causal export.
-    let journal = if journal_out.is_some() {
-        Journal::enabled()
-    } else {
-        Journal::disabled()
-    };
-
-    let run = |name: &str| which == "all" || which == name;
-
-    if run("table1") {
-        section("Table I — countermeasure comparison");
-        print!("{}", table1::render_table1());
-    }
-    if run("fig1a") {
-        section("Fig. 1a — CAN 2.0A data frame layout");
-        fig1a();
-    }
-    if run("fig1b") {
-        section("Fig. 1b — error-state transitions");
-        fig1b();
-    }
-    if run("fig2") {
-        section("Fig. 2 — DoS attack taxonomy");
-        fig2();
-    }
-    if run("fig4b") {
-        section("Fig. 4b — worst-case counterattack pattern");
-        fig4b();
-    }
-    if run("detection") {
-        section("§V-B — detection latency (random FSMs)");
-        detection_latency(full, shards, &recorder);
-    }
-    if run("table2") {
-        section("Table II — empirical bus-off time (six experiments, 50 kbit/s)");
-        table2(full, shards, mode, &recorder, &journal);
-    }
-    if run("table3") {
-        section("Table III — theoretical bus-off time");
-        table3();
-    }
-    if run("fig6") {
-        section("Fig. 6 — Experiment 5 bus pattern (0x066 vs 0x067)");
-        fig6(artifacts.as_deref());
-    }
-    if run("multi_attacker") {
-        section("§V-C — more than two attackers");
-        multi_attacker(shards, mode, &recorder, &journal);
-    }
-    if run("cpu") {
-        section("§V-D — CPU utilization");
-        cpu_utilization();
-    }
-    if run("bus_load") {
-        section("§V-E — bus load: MichiCAN vs Parrot");
-        bus_load();
-    }
-    if run("on_vehicle") {
-        section("§V-F — on-vehicle ParkSense test (2017 Pacifica)");
-        on_vehicle(&journal);
-    }
-    if run("ids_latency") {
-        section("Extension — quantifying Table I's IDS row");
-        ids_latency();
-    }
-    if run("feasibility") {
-        section("Extension — analytic deadline feasibility (response-time analysis)");
-        feasibility();
-    }
-    if run("availability") {
-        section("Extension — benign-traffic availability under persistent attack");
-        availability();
-    }
-    if run("faults") {
-        section("Extension — fault-injection campaign (robustness grid)");
-        faults(full, shards, mode, &recorder, &journal);
-    }
-    if run("attacks") {
-        section("Extension — adversary zoo (bit-level + controller-level registry)");
-        attacks(full, shards, mode, &recorder, &journal, &attack_selection);
-    }
-    if run("ids") {
-        section("Extension — timing-IDS bake-off (detector × defense × scenario)");
-        ids(full, shards, mode, &recorder, &journal, &detector_selection);
+    for &(name, title, print_artifact) in ARTIFACTS {
+        if which == "all" || which == name {
+            section(title);
+            print_artifact(&ctx);
+        }
     }
 
     if let Some(path) = metrics_out {
-        write_metrics(&recorder, &path);
+        write_metrics(&ctx.recorder, &path);
     }
     if let Some(path) = journal_out {
-        write_journal(&journal, &path);
+        write_journal(&ctx.journal, &path);
     }
 }
 
@@ -435,22 +451,12 @@ fn sweep_command(raw: &[String]) -> Result<(), String> {
 
 /// The simulation mode the command line asks for: `--packed` selects the
 /// packed kernel, the default is the lockstep reference.
-fn sim_mode(args: &[String]) -> bench::runner::SimMode {
+fn sim_mode(args: &[String]) -> SimMode {
     if args.iter().any(|a| a == "--packed") {
-        bench::runner::SimMode::Packed
+        SimMode::Packed
     } else {
-        bench::runner::SimMode::Lockstep
+        SimMode::Lockstep
     }
-}
-
-/// The base execution options for a grid artifact: metered by the root
-/// recorder, journaled by the root journal, in the simulation mode
-/// `--packed` asked for.
-fn exec_opts(mode: bench::runner::SimMode, recorder: &Recorder, journal: &Journal) -> ExecOpts {
-    ExecOpts::new()
-        .with_recorder(recorder.clone())
-        .with_journal(journal.clone())
-        .with_mode(mode)
 }
 
 /// Runs the serial observability probe and writes the run's metrics: the
@@ -508,33 +514,20 @@ fn write_journal(journal: &Journal, path: &std::path::Path) {
     eprintln!("journal: wrote {} and {}", path.display(), trace.display());
 }
 
-fn faults(
-    full: bool,
-    shards: usize,
-    mode: bench::runner::SimMode,
-    recorder: &Recorder,
-    journal: &Journal,
-) {
+fn faults(ctx: &Ctx) {
     use bench::campaign::{run_campaign_with, CampaignConfig};
     let config = CampaignConfig {
-        run_ms: if full { 600.0 } else { 150.0 },
-        shards,
+        run_ms: if ctx.full { 600.0 } else { 150.0 },
+        shards: ctx.shards,
         ..CampaignConfig::default()
     };
-    let opts = exec_opts(mode, recorder, journal);
-    print!("{}", run_campaign_with(&config, &opts).render());
+    print!("{}", run_campaign_with(&config, &ctx.opts()).render());
     println!("(seeded and deterministic: rerunning reproduces this table byte for byte)");
 }
 
-fn attacks(
-    full: bool,
-    shards: usize,
-    mode: bench::runner::SimMode,
-    recorder: &Recorder,
-    journal: &Journal,
-    selection: &str,
-) {
+fn attacks(ctx: &Ctx) {
     use bench::attackzoo::{self, ZooDefense, ZOO_HORIZON_BITS};
+    let selection = ctx.attacks.as_str();
     let cells = match attackzoo::zoo_cells_for(selection) {
         Some(cells) => cells,
         None => {
@@ -545,7 +538,7 @@ fn attacks(
             std::process::exit(2);
         }
     };
-    let horizon = if full { 100_000 } else { ZOO_HORIZON_BITS };
+    let horizon = if ctx.full { 100_000 } else { ZOO_HORIZON_BITS };
     println!(
         "registry: {} variants x {} defenses = {} cells, {} bits each at {}",
         cells.len() / ZooDefense::ALL.len(),
@@ -554,11 +547,7 @@ fn attacks(
         horizon,
         TABLE2_SPEED
     );
-    let outcomes = attackzoo::run_zoo_with(
-        cells,
-        horizon,
-        &exec_opts(mode, recorder, journal).with_shards(shards),
-    );
+    let outcomes = attackzoo::run_zoo_with(cells, horizon, &ctx.opts());
     print!("{}", attackzoo::render_zoo_table(&outcomes));
     if selection == "all" {
         attackzoo::assert_zoo_coverage(&outcomes);
@@ -569,16 +558,10 @@ fn attacks(
     }
 }
 
-fn ids(
-    full: bool,
-    shards: usize,
-    mode: bench::runner::SimMode,
-    recorder: &Recorder,
-    journal: &Journal,
-    selection: &str,
-) {
+fn ids(ctx: &Ctx) {
     use bench::attackzoo::ZooDefense;
     use bench::idsbench::{self, IDS_HORIZON_BITS};
+    let selection = ctx.detectors.as_str();
     let detectors = match idsbench::detector_grid_for(selection) {
         Some(detectors) => detectors,
         None => {
@@ -590,7 +573,7 @@ fn ids(
         }
     };
     let cells = idsbench::ids_cells();
-    let horizon = if full { 100_000 } else { IDS_HORIZON_BITS };
+    let horizon = if ctx.full { 100_000 } else { IDS_HORIZON_BITS };
     println!(
         "grid: {} scenarios x {} defenses = {} cells, {} detectors each, {} bits at {}",
         cells.len() / ZooDefense::ALL.len(),
@@ -600,12 +583,7 @@ fn ids(
         horizon,
         TABLE2_SPEED
     );
-    let outcomes = idsbench::run_ids_with(
-        cells,
-        detectors,
-        horizon,
-        &exec_opts(mode, recorder, journal).with_shards(shards),
-    );
+    let outcomes = idsbench::run_ids_with(cells, detectors, horizon, &ctx.opts());
     print!("{}", idsbench::render_ids_table(&outcomes));
     idsbench::assert_ids_honesty(&outcomes);
     println!(
@@ -614,7 +592,7 @@ fn ids(
     println!("MichiCAN's in-frame reaction, where it fired, came in under one frame)");
 }
 
-fn availability() {
+fn availability(_: &Ctx) {
     use bench::availability::{run as run_avail, Defense};
     let ms = 400.0;
     let healthy = run_avail(Defense::Healthy, ms);
@@ -648,7 +626,7 @@ fn availability() {
     );
 }
 
-fn feasibility() {
+fn feasibility(_: &Ctx) {
     use restbus::schedulability::{analyze, max_tolerable_blocking};
     use restbus::{vehicle_matrix, Vehicle};
     let matrix = vehicle_matrix(Vehicle::D, 0, BusSpeed::K500);
@@ -691,7 +669,7 @@ fn feasibility() {
     println!("(paper's crude bound: 5000 bits; the exact analysis accounts for interference)");
 }
 
-fn ids_latency() {
+fn ids_latency(_: &Ctx) {
     use bench::idsbench::{flood_ids_defense, flood_michican_defense};
     let ids = flood_ids_defense(40_000);
     let michican = flood_michican_defense(40_000);
@@ -732,7 +710,7 @@ fn section(title: &str) {
     println!("================================================================");
 }
 
-fn fig1a() {
+fn fig1a(_: &Ctx) {
     let layout = FrameLayout::for_payload(8);
     println!("{:<16} {:>8} {:>8} {:>8}", "Field", "start", "end", "bits");
     for field in FrameField::ALL {
@@ -748,7 +726,7 @@ fn fig1a() {
     println!("(unstuffed bit offsets, 8-byte payload; stuffing applies SOF..CRC)");
 }
 
-fn fig1b() {
+fn fig1b(_: &Ctx) {
     let mut counters = ErrorCounters::new();
     println!("transmit-error ladder (TEC +8 per error, thresholds 128/256):");
     let mut last_state = ErrorState::ErrorActive;
@@ -768,7 +746,7 @@ fn fig1b() {
     println!("  recovery: 128 sequences of 11 recessive bits -> error-active (TEC/REC reset)");
 }
 
-fn fig2() {
+fn fig2(_: &Ctx) {
     use can_attacks::{DosKind, SuspensionAttacker};
     use can_core::app::Application;
     use can_core::BitInstant;
@@ -797,7 +775,7 @@ fn fig2() {
     }
 }
 
-fn fig4b() {
+fn fig4b(_: &Ctx) {
     println!("attacker frame (worst case: recessive ID LSB, DLC=1):");
     let frame = CanFrame::data_frame(CanId::from_raw(0x173), &[0x00]).unwrap();
     let needed = prevention::injection_bits_to_error(&frame);
@@ -822,18 +800,21 @@ fn fig4b() {
     }
 }
 
-fn detection_latency(full: bool, shards: usize, recorder: &Recorder) {
+fn detection_latency(ctx: &Ctx) {
+    let full = ctx.full;
     let fsms = if full { 160_000 } else { 4_000 };
     println!(
         "sweep: {} random FSMs (IVN sizes 150-450; use --full for 160k)",
         fsms
     );
+    // The sweep has no simulator (no journal events, no mode) and its
+    // size series below is not metered.
+    let opts = ExecOpts::new().with_shards(ctx.shards);
     let sweep = detection::run_sweep_with(
         fsms,
         0xD5_2025,
-        &ExecOpts::new()
-            .with_shards(shards)
-            .with_recorder(recorder.clone()),
+        detection::PAPER_IVN_SIZES,
+        &opts.clone().with_recorder(ctx.recorder.clone()),
     );
     println!(
         "  detection rate:          {:.1} %   (paper: 100 %)",
@@ -850,13 +831,7 @@ fn detection_latency(full: bool, shards: usize, recorder: &Recorder) {
     println!("  mean FSM states:         {:.0}", sweep.mean_nodes);
     println!("position vs IVN size (figure-style series):");
     for n in [10usize, 20, 50, 100, 200, 300, 400] {
-        let s = detection::run_sweep_with_sizes_sharded(
-            if full { 2_000 } else { 200 },
-            0xD5,
-            n,
-            n,
-            shards,
-        );
+        let s = detection::run_sweep_with(if full { 2_000 } else { 200 }, 0xD5, n..=n, &opts);
         println!(
             "  N = {n:>3}: mean position {:.2}",
             s.mean_detection_position
@@ -864,14 +839,8 @@ fn detection_latency(full: bool, shards: usize, recorder: &Recorder) {
     }
 }
 
-fn table2(
-    full: bool,
-    shards: usize,
-    mode: bench::runner::SimMode,
-    recorder: &Recorder,
-    journal: &Journal,
-) {
-    let capture_ms = if full { 10_000.0 } else { 2_000.0 };
+fn table2(ctx: &Ctx) {
+    let capture_ms = if ctx.full { 10_000.0 } else { 2_000.0 };
     println!("capture: {capture_ms} ms per experiment (paper: 2 s)");
     println!(
         "{:<5} {:<10} {:<9} {:>10} {:>12} {:>10} {:>9}",
@@ -888,8 +857,7 @@ fn table2(
         (24.9, 0.01, 25.4),
     ];
     let mut row = 0usize;
-    let opts = exec_opts(mode, recorder, journal).with_shards(shards);
-    for outcome in scenarios::run_table2_with(capture_ms, &opts) {
+    for outcome in scenarios::run_table2_with(capture_ms, &ctx.opts()) {
         let exp = &outcome.experiment;
         for (id, stats) in &outcome.per_attacker {
             match stats {
@@ -916,7 +884,7 @@ fn table2(
     }
 }
 
-fn table3() {
+fn table3(_: &Ctx) {
     println!("clean runs (no interference):");
     println!(
         "{:<8} {:<6} {:>14} {:>15} {:>16}",
@@ -950,13 +918,14 @@ fn table3() {
     );
 }
 
-fn fig6(artifacts: Option<&std::path::Path>) {
+fn fig6(ctx: &Ctx) {
     // Re-run Experiment 5 with event capture and render the timeline.
     let exp = table2_experiments()
         .into_iter()
         .find(|e| e.number == 5)
         .unwrap();
-    let (mut sim, attackers) = scenarios::build_experiment_traced(&exp);
+    let (builder, attackers) = scenarios::experiment_builder(&exp, &ExecOpts::new());
+    let mut sim = builder.trace().build();
     // Run until both attackers are bused off once.
     let mut off = std::collections::HashSet::new();
     let mut checked = 0usize;
@@ -980,7 +949,7 @@ fn fig6(artifacts: Option<&std::path::Path>) {
         timeline.render_ascii(&[(attackers[0], "0x066"), (attackers[1], "0x067")], 100)
     );
 
-    if let Some(dir) = artifacts {
+    if let Some(dir) = &ctx.artifacts {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create {}: {e}", dir.display());
         } else {
@@ -1022,12 +991,7 @@ fn fig6(artifacts: Option<&std::path::Path>) {
     );
 }
 
-fn multi_attacker(
-    shards: usize,
-    mode: bench::runner::SimMode,
-    recorder: &Recorder,
-    journal: &Journal,
-) {
+fn multi_attacker(ctx: &Ctx) {
     println!(
         "{:>3} {:>14} {:>12}   {:<30}",
         "A", "total (bits)", "total (ms)", "verdict vs 5000-bit deadline"
@@ -1040,11 +1004,7 @@ fn multi_attacker(
         (5, None),
     ];
     let counts: Vec<usize> = paper.iter().map(|&(count, _)| count).collect();
-    let scan = scenarios::run_multi_attacker_scan_with(
-        &counts,
-        60_000,
-        &exec_opts(mode, recorder, journal).with_shards(shards),
-    );
+    let scan = scenarios::run_multi_attacker_scan_with(&counts, 60_000, &ctx.opts());
     for ((count, result), (_, paper_bits)) in scan.into_iter().zip(paper) {
         match result {
             Some(bits) => {
@@ -1066,7 +1026,7 @@ fn multi_attacker(
     }
 }
 
-fn cpu_utilization() {
+fn cpu_utilization(_: &Ctx) {
     let rows = cpu::cpu_report(
         &[&ARDUINO_DUE, &NXP_S32K144],
         &[BusSpeed::K125, BusSpeed::K250, BusSpeed::K500],
@@ -1102,7 +1062,7 @@ fn cpu_utilization() {
     println!("(averages over the 8 vehicle buses; paper: Due@125k full=40%, light=30%, Due@250k=80%, S32K144@500k=44%)");
 }
 
-fn bus_load() {
+fn bus_load(_: &Ctx) {
     let michican = busload::michican_load(400.0);
     let parrot = busload::parrot_load(600.0);
     println!("{:<26} {:>12} {:>12}", "metric", "MichiCAN", "Parrot");
@@ -1139,8 +1099,10 @@ fn bus_load() {
     }
 }
 
-fn on_vehicle(journal: &Journal) {
-    let opts = ExecOpts::new().with_journal(journal.clone());
+fn on_vehicle(ctx: &Ctx) {
+    // Journaled, but unmetered and lockstep: the metrics snapshot carries
+    // the grid artifacts only.
+    let opts = ExecOpts::new().with_journal(ctx.journal.clone());
     let undefended = scenarios::run_parksense_with(false, 600.0, &opts);
     let defended = scenarios::run_parksense_with(true, 600.0, &opts);
     println!("targeted DoS on ParkSense: inject 0x25F against lowest relevant id 0x260\n");

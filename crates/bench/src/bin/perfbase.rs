@@ -23,10 +23,10 @@
 
 use std::time::Instant;
 
-use bench::campaign::{run_campaign, run_campaign_with, CampaignConfig};
-use bench::detection::run_sweep_sharded;
+use bench::campaign::{run_campaign_with, CampaignConfig};
+use bench::detection::{run_sweep_with, PAPER_IVN_SIZES};
 use bench::runner::{parse_shards, ExecOpts};
-use bench::scenarios::{restbus_matrix, run_multi_attacker_scan, run_table2};
+use bench::scenarios::{restbus_matrix, run_multi_attacker_scan_with, run_table2_with};
 use can_core::app::{PeriodicSender, SilentApplication};
 use can_core::{BusSpeed, CanFrame, CanId};
 use can_obs::{Journal, Recorder};
@@ -211,8 +211,9 @@ fn main() {
         shards,
         ..serial_config
     };
-    let (serial_secs, serial_report) = timed(|| run_campaign(&serial_config));
-    let (parallel_secs, parallel_report) = timed(|| run_campaign(&parallel_config));
+    let plain = ExecOpts::new();
+    let (serial_secs, serial_report) = timed(|| run_campaign_with(&serial_config, &plain));
+    let (parallel_secs, parallel_report) = timed(|| run_campaign_with(&parallel_config, &plain));
     assert_eq!(
         serial_report.render(),
         parallel_report.render(),
@@ -277,14 +278,15 @@ fn main() {
     );
 
     // 3. Wall time per grid artifact (at the parallel shard count).
-    let (faults_secs, _) = timed(|| run_campaign(&parallel_config));
+    let (faults_secs, _) = timed(|| run_campaign_with(&parallel_config, &plain));
+    let sharded = ExecOpts::new().with_shards(shards);
     let fsms = if quick { 400 } else { 4_000 };
-    let (detection_secs, _) = timed(|| run_sweep_sharded(fsms, 0xD5_2025, shards));
+    let (detection_secs, _) = timed(|| run_sweep_with(fsms, 0xD5_2025, PAPER_IVN_SIZES, &sharded));
     let capture_ms = if quick { 500.0 } else { 2_000.0 };
-    let (table2_secs, _) = timed(|| run_table2(capture_ms, shards));
+    let (table2_secs, _) = timed(|| run_table2_with(capture_ms, &sharded));
     let counts = [1usize, 2, 3, 4, 5];
     let horizon = if quick { 20_000 } else { 60_000 };
-    let (multi_secs, _) = timed(|| run_multi_attacker_scan(&counts, horizon, shards));
+    let (multi_secs, _) = timed(|| run_multi_attacker_scan_with(&counts, horizon, &sharded));
     eprintln!(
         "  artifacts: faults {faults_secs:.2}s, detection {detection_secs:.2}s, \
          table2 {table2_secs:.2}s, multi_attacker {multi_secs:.2}s"

@@ -377,19 +377,13 @@ impl std::fmt::Display for CellBuildError {
 
 impl std::error::Error for CellBuildError {}
 
-/// Runs one cell of the campaign.
+/// Runs one cell of the campaign under `opts`.
 ///
 /// # Panics
 ///
 /// Panics if the cell scenario cannot be constructed; supervised callers
 /// (the sweep engine) use [`try_run_cell_with`] instead and classify the
 /// error.
-pub fn run_cell(traffic: Traffic, fault: FaultSpec, seed: u64, run_ms: f64) -> CellOutcome {
-    run_cell_with(traffic, fault, seed, run_ms, &ExecOpts::default())
-}
-
-/// [`run_cell`] under explicit execution options; panics on construction
-/// errors (see [`try_run_cell_with`] for the fallible form).
 pub fn run_cell_with(
     traffic: Traffic,
     fault: FaultSpec,
@@ -437,7 +431,7 @@ pub struct Cell {
 
 /// Builds one campaign cell with `recorder` and `journal` attached to the
 /// simulator and the supervised defender. Fault windows are placed
-/// relative to `run_ms`, as in [`run_cell`].
+/// relative to `run_ms`, as in [`run_cell_with`].
 pub fn build_cell(
     traffic: Traffic,
     fault: FaultSpec,
@@ -633,19 +627,12 @@ fn cell_outcome(cell: Cell) -> CellOutcome {
 
 /// Runs the full campaign (grid = [`default_grid`] × benign/attack) on
 /// `config.shards` workers and checks the three invariants on the
-/// below-threshold cells. The report is byte-identical for every shard
-/// count: each cell's seed is fixed by its grid index, and outcomes are
-/// reduced in grid order.
-pub fn run_campaign(config: &CampaignConfig) -> CampaignReport {
-    run_campaign_with(config, &ExecOpts::default())
-}
-
-/// [`run_campaign`] under explicit execution options: each cell runs with
-/// its own recorder and the collected registries are merged into
-/// `opts.recorder` in grid order, so the merged snapshot — like the report
-/// — is byte-identical for every shard count and simulation mode. The
-/// grid's worker count comes from `config.shards` (the campaign's own
-/// parameter), not from `opts`.
+/// below-threshold cells. Each cell's seed is fixed by its grid index, and
+/// outcomes, per-cell registries and journals are reduced in grid order
+/// (see [`ExperimentPlan::run_with`]), so the report, the merged snapshot
+/// and the journal export are byte-identical for every shard count and
+/// simulation mode. The worker count comes from `config.shards` (the
+/// campaign's own parameter), not from `opts`.
 pub fn run_campaign_with(config: &CampaignConfig, opts: &ExecOpts) -> CampaignReport {
     let grid: Vec<(Traffic, FaultSpec)> = [Traffic::Benign, Traffic::Attack]
         .into_iter()
@@ -656,22 +643,12 @@ pub fn run_campaign_with(config: &CampaignConfig, opts: &ExecOpts) -> CampaignRe
         })
         .collect();
     let run_ms = config.run_ms;
-    // Only the mode crosses into the workers: recorders are per-cell (a
-    // `Recorder` is single-threaded by design) and merged in grid order.
-    let mode = opts.mode;
-    let cells = ExperimentPlan::new(grid, config.seed)
-        .with_shards(config.shards.max(1))
-        .run_observed(
-            &opts.recorder,
-            &opts.journal,
-            move |_index, seed, (traffic, fault), cell_recorder, cell_journal| {
-                let cell_opts = ExecOpts::new()
-                    .with_mode(mode)
-                    .with_recorder(cell_recorder.clone())
-                    .with_journal(cell_journal.clone());
-                run_cell_with(traffic, fault, seed, run_ms, &cell_opts)
-            },
-        );
+    let cells = ExperimentPlan::new(grid, config.seed).run_with(
+        &opts.clone().with_shards(config.shards),
+        |_index, seed, (traffic, fault), cell_opts| {
+            run_cell_with(traffic, fault, seed, run_ms, cell_opts)
+        },
+    );
 
     let mut violations = Vec::new();
     for c in cells.iter().filter(|c| c.fault.below_threshold()) {
@@ -723,16 +700,20 @@ mod tests {
         }
     }
 
+    fn run_quick() -> CampaignReport {
+        run_campaign_with(&quick(), &ExecOpts::new())
+    }
+
     #[test]
     fn report_is_byte_identical_for_the_same_seed() {
-        let a = run_campaign(&quick()).render();
-        let b = run_campaign(&quick()).render();
+        let a = run_quick().render();
+        let b = run_quick().render();
         assert_eq!(a, b);
     }
 
     #[test]
     fn invariants_hold_below_threshold() {
-        let report = run_campaign(&quick());
+        let report = run_quick();
         assert!(
             report.violations.is_empty(),
             "violations: {:#?}",
@@ -742,7 +723,7 @@ mod tests {
 
     #[test]
     fn clean_cells_behave_like_the_availability_experiment() {
-        let report = run_campaign(&quick());
+        let report = run_quick();
         let cell = |traffic, name: &str| {
             report
                 .cells

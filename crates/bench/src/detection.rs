@@ -6,6 +6,8 @@
 //! the FSM of the highest-priority-list member, and exhaustive
 //! verification of the detection range.
 
+use std::ops::RangeInclusive;
+
 use can_core::CanId;
 use can_obs::Recorder;
 use michican::detect::detection_range;
@@ -102,53 +104,39 @@ fn sweep_cell(seed: u64, n_min: usize, n_max: usize, recorder: &Recorder) -> Fsm
     tally
 }
 
+/// IVN sizes in the large-vehicle regime, where the paper's mean
+/// detection position of ≈ 9 bits is reproduced.
+pub const PAPER_IVN_SIZES: RangeInclusive<usize> = 150..=450;
+
 /// Runs the sweep over `fsm_count` random FSMs with IVN sizes drawn
-/// uniformly from `[n_min, n_max]`, fanned out on `shards` workers.
+/// uniformly from `sizes`, fanned out on `opts.shards` workers.
 ///
 /// For each random list the FSM of a random member is built; detection
 /// correctness is verified exhaustively over the 2048-identifier space and
 /// the decision position is accumulated over the malicious identifiers.
 /// Every FSM is an independent cell whose RNG is seeded from the master
 /// seed by cell index, so the summary is identical for every shard count.
+/// Per-cell registries (FSM/id tallies and the decision-position
+/// histogram) are merged into `opts.recorder` in cell index order, so the
+/// merged snapshot is byte-identical for every shard count too. (The sweep
+/// is pure FSM verification — no simulator is involved, so `opts.mode`
+/// has no effect here.)
 ///
 /// The mean detection position grows with the IVN size (the paper's "as
 /// the size of IVN 𝔼 grows, the detection bit position rises"): ≈ 4.7
 /// bits at N = 10, ≈ 7.7 at N = 100, ≈ 9 at N ≈ 300 — the regime matching
-/// the paper's reported mean of 9.
-pub fn run_sweep_with_sizes_sharded(
+/// the paper's reported mean of 9 ([`PAPER_IVN_SIZES`]).
+pub fn run_sweep_with(
     fsm_count: usize,
     seed: u64,
-    n_min: usize,
-    n_max: usize,
-    shards: usize,
-) -> DetectionSweep {
-    run_sweep_with_sizes_with(
-        fsm_count,
-        seed,
-        n_min,
-        n_max,
-        &ExecOpts::default().with_shards(shards),
-    )
-}
-
-/// [`run_sweep_with_sizes_sharded`] under explicit execution options:
-/// per-cell registries (FSM/id tallies and the decision-position
-/// histogram) are merged into `opts.recorder` in cell index order, so the
-/// merged snapshot is byte-identical for every shard count. (The sweep is
-/// pure FSM verification — no simulator is involved, so `opts.mode` has
-/// no effect here.)
-pub fn run_sweep_with_sizes_with(
-    fsm_count: usize,
-    seed: u64,
-    n_min: usize,
-    n_max: usize,
+    sizes: RangeInclusive<usize>,
     opts: &ExecOpts,
 ) -> DetectionSweep {
+    let (n_min, n_max) = sizes.into_inner();
     assert!(n_min >= 1 && n_min <= n_max && n_max <= 1024);
     let tallies = ExperimentPlan::new(vec![(); fsm_count], seed)
-        .with_shards(opts.shards.max(1))
-        .run_metered(&opts.recorder, |_index, cell_seed, (), cell_recorder| {
-            sweep_cell(cell_seed, n_min, n_max, cell_recorder)
+        .run_with(opts, |_index, cell_seed, (), cell_opts| {
+            sweep_cell(cell_seed, n_min, n_max, &cell_opts.recorder)
         });
 
     let mut total = FsmCellTally::default();
@@ -182,40 +170,17 @@ pub fn run_sweep_with_sizes_with(
     }
 }
 
-/// Serial-path wrapper of [`run_sweep_with_sizes_sharded`] (`shards == 1`).
-pub fn run_sweep_with_sizes(
-    fsm_count: usize,
-    seed: u64,
-    n_min: usize,
-    n_max: usize,
-) -> DetectionSweep {
-    run_sweep_with_sizes_sharded(fsm_count, seed, n_min, n_max, 1)
-}
-
-/// The default sweep: IVN sizes in the large-vehicle regime (N 150–450)
-/// where the paper's mean detection position of ≈ 9 bits is reproduced.
-pub fn run_sweep(fsm_count: usize, seed: u64) -> DetectionSweep {
-    run_sweep_sharded(fsm_count, seed, 1)
-}
-
-/// [`run_sweep`] on `shards` workers; the summary is identical for every
-/// shard count.
-pub fn run_sweep_sharded(fsm_count: usize, seed: u64, shards: usize) -> DetectionSweep {
-    run_sweep_with_sizes_sharded(fsm_count, seed, 150, 450, shards)
-}
-
-/// [`run_sweep`] under explicit execution options (default IVN sizes).
-pub fn run_sweep_with(fsm_count: usize, seed: u64, opts: &ExecOpts) -> DetectionSweep {
-    run_sweep_with_sizes_with(fsm_count, seed, 150, 450, opts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn paper_sweep(fsm_count: usize, seed: u64) -> DetectionSweep {
+        run_sweep_with(fsm_count, seed, PAPER_IVN_SIZES, &ExecOpts::new())
+    }
+
     #[test]
     fn sweep_is_perfect_and_early() {
-        let sweep = run_sweep(200, 7);
+        let sweep = paper_sweep(200, 7);
         assert_eq!(sweep.detection_rate, 1.0, "paper: 100 % detection");
         assert_eq!(sweep.false_positive_rate, 0.0);
         // Paper: mean detection bit position of ≈ 9 bits.
@@ -228,13 +193,13 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_per_seed() {
-        assert_eq!(run_sweep(50, 42), run_sweep(50, 42));
-        assert_ne!(run_sweep(50, 42), run_sweep(50, 43));
+        assert_eq!(paper_sweep(50, 42), paper_sweep(50, 42));
+        assert_ne!(paper_sweep(50, 42), paper_sweep(50, 43));
     }
 
     #[test]
     fn fsms_stay_compact() {
-        let sweep = run_sweep(100, 1);
+        let sweep = paper_sweep(100, 1);
         assert!(
             sweep.mean_nodes < 512.0,
             "hash-consed FSMs are small: {}",

@@ -250,16 +250,13 @@ pub struct IdsSim {
 /// benign sender, receiver — and one passive [`DetectorTap`] per
 /// selected detector variant, all observing the same bus in this single
 /// run. Pure with respect to `recorder`/`journal`.
-pub fn build_ids_cell(cell: &IdsCell, detectors: &[DetectorVariant], recorder: Recorder) -> IdsSim {
-    build_ids_cell_observed(cell, detectors, recorder, Journal::disabled())
-}
-
-/// [`build_ids_cell`] with a causal event [`Journal`] threaded through
-/// the bus, the defense (node 0), the attacker (node 1) and every
-/// detector tap ([`IDS_TAP_JOURNAL_NODE`]) — detector alerts land as
-/// `ids_alert` events at the triggering frame's completion bit,
-/// inheriting its `frame_seq`/`chain_id`, so an attack-frame →
-/// alert chain reconstructs from the export.
+///
+/// The causal event [`Journal`] is threaded through the bus, the defense
+/// (node 0), the attacker (node 1) and every detector tap
+/// ([`IDS_TAP_JOURNAL_NODE`]) — detector alerts land as `ids_alert`
+/// events at the triggering frame's completion bit, inheriting its
+/// `frame_seq`/`chain_id`, so an attack-frame → alert chain reconstructs
+/// from the export.
 pub fn build_ids_cell_observed(
     cell: &IdsCell,
     detectors: &[DetectorVariant],
@@ -465,20 +462,9 @@ pub fn run_ids_with(
     horizon_bits: u64,
     opts: &ExecOpts,
 ) -> Vec<IdsOutcome> {
-    let mode = opts.mode;
-    ExperimentPlan::new(cells, 0)
-        .with_shards(opts.shards.max(1))
-        .run_observed(
-            &opts.recorder,
-            &opts.journal,
-            move |_index, _seed, cell, cell_recorder, cell_journal| {
-                let cell_opts = ExecOpts::new()
-                    .with_mode(mode)
-                    .with_recorder(cell_recorder.clone())
-                    .with_journal(cell_journal.clone());
-                run_ids_cell(&cell, &detectors, horizon_bits, &cell_opts)
-            },
-        )
+    ExperimentPlan::new(cells, 0).run_with(opts, |_index, _seed, cell, cell_opts| {
+        run_ids_cell(&cell, &detectors, horizon_bits, cell_opts)
+    })
 }
 
 /// Renders the bake-off table in the `experiments` stdout format: one

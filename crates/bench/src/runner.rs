@@ -3,9 +3,10 @@
 //! Every paper artifact is an embarrassingly-parallel set of independent
 //! seeded simulations: the 16-cell fault campaign, the random-FSM
 //! detection sweep, the six Table II replications, the multi-attacker
-//! scan. [`ExperimentPlan`] fans those cells out across a rayon pool while
-//! keeping the *determinism contract* that makes the artifacts regression
-//! material rather than statistics:
+//! scan, the attack zoo, the IDS bake-off. Each fans its cells out through
+//! [`ExperimentPlan::run_with`] across a rayon pool while keeping the
+//! *determinism contract* that makes the artifacts regression material
+//! rather than statistics:
 //!
 //! 1. **seed by index, never by schedule** — each cell's seed is derived
 //!    from the master seed and the cell's position in the plan
@@ -36,17 +37,17 @@ pub enum SimMode {
 
 /// Cross-cutting execution options for `bench` scenario entry points.
 ///
-/// Replaces the old `run_X` / `run_X_metered` function pairs: every
-/// scenario now has a single `run_X_with(.., &ExecOpts)` entry point, and
-/// the plain `run_X` wrappers simply pass `ExecOpts::default()` (disabled
-/// recorder, serial, lockstep).
+/// Every artifact has exactly one public `run_X_with(.., &ExecOpts)`
+/// entry point; callers that want no sinks, serial and lockstep pass
+/// [`ExecOpts::new()`].
 #[derive(Debug, Clone)]
 pub struct ExecOpts {
     /// Metrics sink threaded through the scenario (per-cell recorders are
-    /// derived from it exactly as [`ExperimentPlan::run_metered`] does).
+    /// derived from it by [`ExperimentPlan::run_with`]).
     pub recorder: Recorder,
     /// Worker count for plan fan-out; `1` is the serial reference path,
-    /// `0` means one shard per core.
+    /// `0` means one shard per core (resolved by
+    /// [`ExperimentPlan::run_with`]).
     pub shards: usize,
     /// Lockstep or packed simulation.
     pub mode: SimMode,
@@ -173,11 +174,6 @@ impl<C: Send> ExperimentPlan<C> {
         self
     }
 
-    /// The seed of cell `index` under this plan's master seed.
-    pub fn cell_seed(&self, index: usize) -> u64 {
-        derive_seed(self.master_seed, index)
-    }
-
     /// Executes `run_cell(index, seed, cell)` for every cell and returns
     /// the results in cell-index order.
     ///
@@ -213,89 +209,75 @@ impl<C: Send> ExperimentPlan<C> {
         })
     }
 
-    /// Like [`ExperimentPlan::run`], but threads a metrics recorder through
-    /// the plan: every cell receives a **fresh** per-cell [`Recorder`]
-    /// (recorders are `!Send` and must not be shared across workers), and
-    /// the collected per-cell registries are merged into `recorder` *in
-    /// cell index order* after all cells complete.
+    /// Executes `run_cell(index, seed, cell, cell_opts)` for every cell on
+    /// `opts.shards` workers and returns the results in cell-index order.
+    /// This is the one fan-out every `bench` grid artifact goes through.
     ///
-    /// All snapshot-visible metric values are integers and merging is
-    /// order-stable, so the merged snapshot is byte-identical for every
-    /// shard count — `tests/metrics_determinism.rs` locks this down.
+    /// `opts.shards == 0` resolves here, once, to [`available_cores`].
+    /// Every cell receives its own `cell_opts`: `opts.mode`, serial, and a
+    /// **fresh** recorder and journal for each sink `opts` has enabled
+    /// (both are `!Send`, so workers cannot share them). After all cells
+    /// complete, the per-cell registries and [`JournalStore`]s are merged
+    /// into `opts` *in cell index order*. Snapshot-visible metric values
+    /// are integers, merging is order-stable, and the journal merge stamps
+    /// each cell's events with the next epoch of an epoch-major export —
+    /// so the merged snapshot and journal export are byte-identical for
+    /// every shard count (`tests/metrics_determinism.rs` locks this down).
     ///
-    /// Each cell additionally records its wall time under the
+    /// Each metered cell also records its wall time under the
     /// `bench_cell_wall` span (host-dependent; excluded from the JSON
-    /// snapshot) and bumps the `bench_cells_total` counter. When `recorder`
-    /// is disabled the plan runs exactly like [`ExperimentPlan::run`] with
-    /// no-op cell recorders.
-    pub fn run_metered<R, F>(self, recorder: &Recorder, run_cell: F) -> Vec<R>
+    /// snapshot) and bumps the `bench_cells_total` counter. With both sinks
+    /// disabled this is a plain [`ExperimentPlan::run`].
+    pub fn run_with<R, F>(self, opts: &ExecOpts, run_cell: F) -> Vec<R>
     where
         R: Send,
-        F: Fn(usize, u64, C, &Recorder) -> R + Sync,
+        F: Fn(usize, u64, C, &ExecOpts) -> R + Sync,
     {
-        self.run_observed(
-            recorder,
-            &Journal::disabled(),
-            |i, seed, cell, rec, _jrn| run_cell(i, seed, cell, rec),
-        )
-    }
-
-    /// Like [`ExperimentPlan::run_metered`], but additionally threads a
-    /// causal event [`Journal`] through the plan: every cell receives a
-    /// fresh per-cell journal (journals are `!Send`, like recorders), and
-    /// the collected per-cell [`JournalStore`]s are merged into `journal`
-    /// *in cell index order* after all cells complete.
-    ///
-    /// The merge stamps each cell's events with the next epoch, and the
-    /// canonical export sorts epoch-major — so the merged journal export
-    /// is byte-identical for every shard count, exactly like the metrics
-    /// snapshot. Disabled sinks cost nothing: with both the recorder and
-    /// the journal disabled this is a plain [`ExperimentPlan::run`].
-    pub fn run_observed<R, F>(self, recorder: &Recorder, journal: &Journal, run_cell: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, u64, C, &Recorder, &Journal) -> R + Sync,
-    {
-        let rec_on = recorder.is_enabled();
-        let jrn_on = journal.is_enabled();
+        let mode = opts.mode;
+        let rec_on = opts.recorder.is_enabled();
+        let jrn_on = opts.journal.is_enabled();
+        let shards = match opts.shards {
+            0 => available_cores(),
+            n => n,
+        };
+        let plan = self.with_shards(shards);
         if !rec_on && !jrn_on {
-            return self.run(|i, seed, cell| {
-                run_cell(i, seed, cell, &Recorder::disabled(), &Journal::disabled())
-            });
+            return plan
+                .run(|i, seed, cell| run_cell(i, seed, cell, &ExecOpts::new().with_mode(mode)));
         }
-        type CellOut<R> = (R, Option<Registry>, Option<JournalStore>);
-        let triples: Vec<CellOut<R>> = self.run(|i, seed, cell| {
-            let cell_recorder = if rec_on {
-                Recorder::enabled()
-            } else {
-                Recorder::disabled()
+        let outs: Vec<(R, Registry, JournalStore)> = plan.run(|i, seed, cell| {
+            let cell_opts = ExecOpts {
+                recorder: if rec_on {
+                    Recorder::enabled()
+                } else {
+                    Recorder::disabled()
+                },
+                shards: 1,
+                mode,
+                journal: if jrn_on {
+                    Journal::enabled()
+                } else {
+                    Journal::disabled()
+                },
             };
-            let cell_journal = if jrn_on {
-                Journal::enabled()
-            } else {
-                Journal::disabled()
-            };
-            let wall = cell_recorder.span("bench_cell_wall");
-            let result = run_cell(i, seed, cell, &cell_recorder, &cell_journal);
+            let wall = cell_opts.recorder.span("bench_cell_wall");
+            let result = run_cell(i, seed, cell, &cell_opts);
             drop(wall);
-            cell_recorder.inc("bench_cells_total");
+            cell_opts.recorder.inc("bench_cells_total");
             (
                 result,
-                rec_on.then(|| cell_recorder.into_registry()),
-                jrn_on.then(|| cell_journal.into_store()),
+                cell_opts.recorder.into_registry(),
+                cell_opts.journal.into_store(),
             )
         });
-        let mut results = Vec::with_capacity(triples.len());
-        for (result, registry, store) in triples {
-            if let Some(registry) = &registry {
-                recorder.merge_registry(registry);
-            }
-            if let Some(store) = &store {
-                journal.merge_store(store);
-            }
-            results.push(result);
-        }
-        results
+        // Merging into a disabled sink is a no-op.
+        outs.into_iter()
+            .map(|(result, registry, store)| {
+                opts.recorder.merge_registry(&registry);
+                opts.journal.merge_store(&store);
+                result
+            })
+            .collect()
     }
 }
 
@@ -376,37 +358,40 @@ mod tests {
     }
 
     #[test]
-    fn metered_run_merges_cell_registries_identically_for_any_shard_count() {
+    fn run_with_merges_cell_registries_identically_for_any_shard_count() {
         let cells: Vec<u64> = (0..23).collect();
-        let work = |_i: usize, seed: u64, cell: u64, rec: &Recorder| {
-            rec.add("work_total", cell + 1);
-            rec.observe("work_seed_low_bits", seed % 97);
+        let work = |_i: usize, seed: u64, cell: u64, opts: &ExecOpts| {
+            opts.recorder.add("work_total", cell + 1);
+            opts.recorder.observe("work_seed_low_bits", seed % 97);
             cell
         };
-        let serial = Recorder::enabled();
-        let serial_out = ExperimentPlan::new(cells.clone(), 11).run_metered(&serial, work);
+        let serial = ExecOpts::new().with_recorder(Recorder::enabled());
+        let serial_out = ExperimentPlan::new(cells.clone(), 11).run_with(&serial, work);
         for shards in [2usize, 4, 8] {
-            let parallel = Recorder::enabled();
-            let parallel_out = ExperimentPlan::new(cells.clone(), 11)
-                .with_shards(shards)
-                .run_metered(&parallel, work);
+            let parallel = ExecOpts::new()
+                .with_recorder(Recorder::enabled())
+                .with_shards(shards);
+            let parallel_out = ExperimentPlan::new(cells.clone(), 11).run_with(&parallel, work);
             assert_eq!(parallel_out, serial_out, "shards={shards}");
             assert_eq!(
-                parallel.snapshot_json(),
-                serial.snapshot_json(),
+                parallel.recorder.snapshot_json(),
+                serial.recorder.snapshot_json(),
                 "merged snapshot must be byte-identical, shards={shards}"
             );
         }
         assert_eq!(
-            serial.with_registry(|r| r.counter("bench_cells_total")),
+            serial
+                .recorder
+                .with_registry(|r| r.counter("bench_cells_total")),
             Some(23)
         );
     }
 
     #[test]
-    fn observed_run_merges_cell_journals_identically_for_any_shard_count() {
+    fn run_with_merges_cell_journals_identically_for_any_shard_count() {
         let cells: Vec<u64> = (0..17).collect();
-        let work = |_i: usize, _seed: u64, cell: u64, _rec: &Recorder, jrn: &Journal| {
+        let work = |_i: usize, _seed: u64, cell: u64, opts: &ExecOpts| {
+            let jrn = &opts.journal;
             jrn.begin_frame(cell * 10, cell as u32 % 3, &format!("cell={cell}"));
             jrn.end_frame(
                 cell * 10 + 5,
@@ -417,22 +402,18 @@ mod tests {
             );
             cell
         };
-        let serial = Journal::enabled();
-        let serial_out = ExperimentPlan::new(cells.clone(), 11).run_observed(
-            &Recorder::disabled(),
-            &serial,
-            work,
-        );
-        let serial_export = serial.export_jsonl();
+        let serial = ExecOpts::new().with_journal(Journal::enabled());
+        let serial_out = ExperimentPlan::new(cells.clone(), 11).run_with(&serial, work);
+        let serial_export = serial.journal.export_jsonl();
         assert!(!serial_export.is_empty());
         for shards in [2usize, 4, 8] {
-            let parallel = Journal::enabled();
-            let parallel_out = ExperimentPlan::new(cells.clone(), 11)
-                .with_shards(shards)
-                .run_observed(&Recorder::disabled(), &parallel, work);
+            let parallel = ExecOpts::new()
+                .with_journal(Journal::enabled())
+                .with_shards(shards);
+            let parallel_out = ExperimentPlan::new(cells.clone(), 11).run_with(&parallel, work);
             assert_eq!(parallel_out, serial_out, "shards={shards}");
             assert_eq!(
-                parallel.export_jsonl(),
+                parallel.journal.export_jsonl(),
                 serial_export,
                 "merged journal export must be byte-identical, shards={shards}"
             );
@@ -440,29 +421,47 @@ mod tests {
     }
 
     #[test]
-    fn observed_run_with_both_sinks_disabled_passes_disabled_instances() {
-        let cells: Vec<u64> = (0..4).collect();
-        let out = ExperimentPlan::new(cells, 0).run_observed(
-            &Recorder::disabled(),
-            &Journal::disabled(),
-            |_i, _seed, cell, rec, jrn| {
-                assert!(!rec.is_enabled() && !jrn.is_enabled());
-                cell
-            },
-        );
-        assert_eq!(out, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn metered_run_with_disabled_recorder_is_a_plain_run() {
+    fn run_with_both_sinks_disabled_is_a_plain_run() {
         let cells: Vec<u64> = (0..5).collect();
-        let rec = Recorder::disabled();
-        let out = ExperimentPlan::new(cells, 3).run_metered(&rec, |_i, _seed, cell, cell_rec| {
-            assert!(!cell_rec.is_enabled(), "cells inherit the disabled state");
+        let opts = ExecOpts::new().packed();
+        let out = ExperimentPlan::new(cells, 3).run_with(&opts, |_i, _seed, cell, cell_opts| {
+            assert!(!cell_opts.recorder.is_enabled() && !cell_opts.journal.is_enabled());
+            assert_eq!(cell_opts.mode, SimMode::Packed, "cells inherit the mode");
+            assert_eq!(cell_opts.shards, 1, "a cell runs serially");
             cell
         });
         assert_eq!(out, vec![0, 1, 2, 3, 4]);
-        assert!(rec.into_registry().is_empty());
+        assert!(opts.recorder.into_registry().is_empty());
+    }
+
+    #[test]
+    fn zero_shards_means_all_cores_and_gives_the_serial_bytes() {
+        let cells: Vec<u64> = (0..19).collect();
+        let work = |i: usize, seed: u64, cell: u64, opts: &ExecOpts| {
+            opts.recorder.add("work_total", cell + seed % 5);
+            opts.journal
+                .begin_frame(cell, cell as u32 % 2, &format!("cell={cell}"));
+            (i, seed)
+        };
+        let observed = |shards: usize| {
+            let opts = ExecOpts::new()
+                .with_recorder(Recorder::enabled())
+                .with_journal(Journal::enabled())
+                .with_shards(shards);
+            let out = ExperimentPlan::new(cells.clone(), 5).run_with(&opts, work);
+            (
+                out,
+                opts.recorder.snapshot_json(),
+                opts.journal.export_jsonl(),
+            )
+        };
+        let serial = observed(1);
+        assert_eq!(observed(0), serial, "--shards 0 must not change a byte");
+        assert_eq!(
+            ExperimentPlan::new(cells.clone(), 5).run_with(&ExecOpts::new().with_shards(0), work),
+            serial.0,
+            "disabled sinks: same results"
+        );
     }
 
     #[test]

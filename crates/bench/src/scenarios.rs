@@ -7,7 +7,6 @@ use can_core::app::SilentApplication;
 use can_core::{BusSpeed, CanId};
 use can_sim::{
     bus_off_episodes, DurationStats, ErrorRole, Event, EventKind, Node, NodeId, SimBuilder,
-    Simulator,
 };
 use can_trace::TimelineEvent;
 use michican::prelude::*;
@@ -154,28 +153,11 @@ pub fn defender_ecu_list(with_restbus: bool) -> EcuList {
     EcuList::new(ids).expect("experiment identifier sets are valid")
 }
 
-/// Constructs the simulator for one Table II experiment. Returns the
-/// simulator and the attacker node ids (in `attacker_ids` order).
-pub fn build_experiment(exp: &Experiment) -> (Simulator, Vec<NodeId>) {
-    build_experiment_with(exp, &ExecOpts::default())
-}
-
-/// [`build_experiment`] honouring the recorder of `opts`.
-pub fn build_experiment_with(exp: &Experiment, opts: &ExecOpts) -> (Simulator, Vec<NodeId>) {
-    let (builder, attackers) = experiment_builder(exp, opts);
-    (builder.build(), attackers)
-}
-
-/// [`build_experiment`] with a full signal trace attached (figure runs
-/// that render the bus waveform, e.g. Fig. 6's VCD export).
-pub fn build_experiment_traced(exp: &Experiment) -> (Simulator, Vec<NodeId>) {
-    let (builder, attackers) = experiment_builder(exp, &ExecOpts::default());
-    (builder.trace().build(), attackers)
-}
-
-/// The shared construction: a configured [`SimBuilder`] plus the attacker
-/// node ids, ready for callers to add tracing before `build()`.
-fn experiment_builder(exp: &Experiment, opts: &ExecOpts) -> (SimBuilder, Vec<NodeId>) {
+/// Configures the simulator for one Table II experiment, with the recorder
+/// and journal of `opts` attached. Returns the builder — callers may add a
+/// signal trace before `build()` (Fig. 6's VCD export) — and the attacker
+/// node ids (in `attacker_ids` order).
+pub fn experiment_builder(exp: &Experiment, opts: &ExecOpts) -> (SimBuilder, Vec<NodeId>) {
     let mut builder = SimBuilder::new(TABLE2_SPEED)
         .recorder(opts.recorder.clone())
         .journal(opts.journal.clone());
@@ -237,20 +219,16 @@ fn experiment_builder(exp: &Experiment, opts: &ExecOpts) -> (SimBuilder, Vec<Nod
 }
 
 /// Runs one Table II experiment for `capture_ms` (the paper records 2 s)
-/// and extracts bus-off statistics.
-pub fn run_experiment(exp: &Experiment, capture_ms: f64) -> ExperimentOutcome {
-    run_experiment_with(exp, capture_ms, &ExecOpts::default())
-}
-
-/// [`run_experiment`] under explicit execution options: metrics recorder
-/// (per-node TEC/REC, error frames by type, bus utilization) and
-/// lockstep/fast-forward mode.
+/// under `opts` — metrics recorder (per-node TEC/REC, error frames by
+/// type, bus utilization), journal and simulation mode — and extracts
+/// bus-off statistics.
 pub fn run_experiment_with(
     exp: &Experiment,
     capture_ms: f64,
     opts: &ExecOpts,
 ) -> ExperimentOutcome {
-    let (mut sim, attackers) = build_experiment_with(exp, opts);
+    let (builder, attackers) = experiment_builder(exp, opts);
+    let mut sim = builder.build();
     opts.run_millis(&mut sim, capture_ms);
 
     let per_attacker = if exp.number == 6 {
@@ -281,75 +259,33 @@ pub fn run_experiment_with(
 }
 
 /// Runs all six Table II experiments for `capture_ms` each, fanned out on
-/// `shards` workers.
+/// `opts.shards` workers.
 ///
 /// The experiments are seed-free (their builders are fully deterministic),
-/// so the plan's master seed is irrelevant; cells are still reduced in
-/// experiment order, making the report identical for every shard count.
-pub fn run_table2(capture_ms: f64, shards: usize) -> Vec<ExperimentOutcome> {
-    run_table2_with(capture_ms, &ExecOpts::default().with_shards(shards))
-}
-
-/// [`run_table2`] under explicit execution options. Per-experiment
-/// registries are merged into `opts.recorder` in experiment order
-/// (byte-identical for every shard count and simulation mode).
+/// so the plan's master seed is irrelevant; cells, per-experiment
+/// registries and journals are still reduced in experiment order, making
+/// the report, snapshot and journal export identical for every shard count
+/// and simulation mode.
 pub fn run_table2_with(capture_ms: f64, opts: &ExecOpts) -> Vec<ExperimentOutcome> {
-    // Only the mode crosses into the workers: recorders are per-cell (a
-    // `Recorder` is single-threaded by design) and merged in index order.
-    let mode = opts.mode;
-    ExperimentPlan::new(table2_experiments(), 0)
-        .with_shards(opts.shards.max(1))
-        .run_observed(
-            &opts.recorder,
-            &opts.journal,
-            move |_index, _seed, exp, cell_recorder, cell_journal| {
-                let cell_opts = ExecOpts::new()
-                    .with_mode(mode)
-                    .with_recorder(cell_recorder.clone())
-                    .with_journal(cell_journal.clone());
-                run_experiment_with(&exp, capture_ms, &cell_opts)
-            },
-        )
+    ExperimentPlan::new(table2_experiments(), 0).run_with(opts, |_index, _seed, exp, cell_opts| {
+        run_experiment_with(&exp, capture_ms, cell_opts)
+    })
 }
 
-/// Runs [`run_multi_attacker`] for every count in `counts` on `shards`
-/// workers, returning `(count, eradication_bits)` pairs in input order.
-pub fn run_multi_attacker_scan(
-    counts: &[usize],
-    horizon_bits: u64,
-    shards: usize,
-) -> Vec<(usize, Option<u64>)> {
-    run_multi_attacker_scan_with(
-        counts,
-        horizon_bits,
-        &ExecOpts::default().with_shards(shards),
-    )
-}
-
-/// [`run_multi_attacker_scan`] under explicit execution options;
-/// per-count registries are merged in input order.
+/// Runs [`run_multi_attacker_with`] for every count in `counts` on
+/// `opts.shards` workers, returning `(count, eradication_bits)` pairs in
+/// input order; per-count registries and journals merge in input order.
 pub fn run_multi_attacker_scan_with(
     counts: &[usize],
     horizon_bits: u64,
     opts: &ExecOpts,
 ) -> Vec<(usize, Option<u64>)> {
-    let mode = opts.mode;
-    ExperimentPlan::new(counts.to_vec(), 0)
-        .with_shards(opts.shards.max(1))
-        .run_observed(
-            &opts.recorder,
-            &opts.journal,
-            move |_index, _seed, count, cell_recorder, cell_journal| {
-                let cell_opts = ExecOpts::new()
-                    .with_mode(mode)
-                    .with_recorder(cell_recorder.clone())
-                    .with_journal(cell_journal.clone());
-                (
-                    count,
-                    run_multi_attacker_with(count, horizon_bits, &cell_opts),
-                )
-            },
+    ExperimentPlan::new(counts.to_vec(), 0).run_with(opts, |_index, _seed, count, cell_opts| {
+        (
+            count,
+            run_multi_attacker_with(count, horizon_bits, cell_opts),
         )
+    })
 }
 
 /// Multi-attacker sweep (§V-C, "Experiments with more than two
@@ -360,11 +296,6 @@ pub fn run_multi_attacker_scan_with(
 /// The event log is drained every bit instead of accumulated, so memory
 /// stays flat no matter how long the horizon is (large scans used to
 /// retain the full log just to find two timestamps).
-pub fn run_multi_attacker(count: usize, horizon_bits: u64) -> Option<u64> {
-    run_multi_attacker_with(count, horizon_bits, &ExecOpts::default())
-}
-
-/// [`run_multi_attacker`] under explicit execution options.
 pub fn run_multi_attacker_with(count: usize, horizon_bits: u64, opts: &ExecOpts) -> Option<u64> {
     let mut builder = SimBuilder::new(TABLE2_SPEED)
         .recorder(opts.recorder.clone())
@@ -446,13 +377,8 @@ pub struct ParkSenseOutcome {
     pub status_frames_received: usize,
 }
 
-/// Runs the Pacifica ParkSense scenario at 500 kbit/s for `run_ms`,
-/// with or without the MichiCAN dongle on the OBD-II port.
-pub fn run_parksense(defended: bool, run_ms: f64) -> ParkSenseOutcome {
-    run_parksense_with(defended, run_ms, &ExecOpts::default())
-}
-
-/// [`run_parksense`] under explicit execution options.
+/// Runs the Pacifica ParkSense scenario at 500 kbit/s for `run_ms` under
+/// `opts`, with or without the MichiCAN dongle on the OBD-II port.
 pub fn run_parksense_with(defended: bool, run_ms: f64, opts: &ExecOpts) -> ParkSenseOutcome {
     let speed = BusSpeed::K500;
     let matrix = pacifica_matrix(speed);

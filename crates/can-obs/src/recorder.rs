@@ -9,7 +9,7 @@
 //! Recorders are deliberately `!Send`: in the parallel experiment engine a
 //! fresh recorder is created *inside* each cell closure and its registry
 //! (which is `Send`) is returned and merged in cell-index order — see
-//! `bench::runner::ExperimentPlan::run_metered`.
+//! `bench::runner::ExperimentPlan::run_with`.
 
 use std::cell::RefCell;
 use std::rc::Rc;

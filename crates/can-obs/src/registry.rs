@@ -308,7 +308,7 @@ impl Registry {
     /// overwritten by the incoming value, spans combine. Merging per-cell
     /// registries *in cell index order* is what makes sharded runs
     /// byte-identical to serial — see
-    /// `bench::runner::ExperimentPlan::run_metered`.
+    /// `bench::runner::ExperimentPlan::run_with`.
     pub fn merge(&mut self, other: &Registry) {
         for (key, &value) in &other.counters {
             self.add(key, value);

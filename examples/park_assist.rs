@@ -7,7 +7,8 @@
 //! cargo run --release --example park_assist
 //! ```
 
-use bench::scenarios::run_parksense;
+use bench::runner::ExecOpts;
+use bench::scenarios::run_parksense_with;
 use restbus::{pacifica_matrix, ATTACK_ID, PARKSENSE_ID};
 
 fn main() {
@@ -21,7 +22,7 @@ fn main() {
     );
 
     println!("\n--- without MichiCAN ---");
-    let undefended = run_parksense(false, 600.0);
+    let undefended = run_parksense_with(false, 600.0, &ExecOpts::new());
     if undefended.became_unavailable {
         println!(
             "PARKSENSE UNAVAILABLE SERVICE REQUIRED  (after {:.0} ms; {} status frames got through)",
@@ -33,7 +34,7 @@ fn main() {
     }
 
     println!("\n--- with the MichiCAN dongle on the OBD-II port ---");
-    let defended = run_parksense(true, 600.0);
+    let defended = run_parksense_with(true, 600.0, &ExecOpts::new());
     println!(
         "park assist available: {}  (attacker bused off {} times; first episode took {:?} attempts)",
         !defended.became_unavailable,

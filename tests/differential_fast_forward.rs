@@ -7,12 +7,12 @@
 //! (The file name predates the packed kernel absorbing idle
 //! fast-forward; it is kept so the test ids stay stable.)
 
-use bench::attackzoo::{build_zoo_cell, run_zoo_with, zoo_cells, ZooCell};
+use bench::attackzoo::{build_zoo_cell_observed, run_zoo_with, zoo_cells, ZooCell};
 use bench::campaign::{run_campaign_with, CampaignConfig};
 use bench::differential::{check_equivalence, check_outcome, fingerprint};
 use bench::runner::ExecOpts;
 use bench::scenarios::{
-    build_experiment_with, run_multi_attacker_scan_with, run_parksense_with, run_table2_with,
+    experiment_builder, run_multi_attacker_scan_with, run_parksense_with, run_table2_with,
     table2_experiments,
 };
 use can_obs::{parse_export, Journal, Recorder, JK_DETECTION, JK_FRAME_ERROR, JK_INJECT_START};
@@ -30,7 +30,11 @@ fn every_table2_cell_is_bit_identical_under_acceleration() {
     // Cell-level fingerprints: clock, busy bits, event log, metrics.
     for exp in table2_experiments() {
         check_equivalence(
-            |recorder| build_experiment_with(&exp, &ExecOpts::new().with_recorder(recorder)).0,
+            |recorder| {
+                experiment_builder(&exp, &ExecOpts::new().with_recorder(recorder))
+                    .0
+                    .build()
+            },
             25_000,
         )
         .unwrap_or_else(|divergence| {
@@ -122,15 +126,17 @@ fn every_zoo_cell_is_bit_identical_under_acceleration() {
     let cells = zoo_cells();
     assert!(cells.len() >= 36, "registry shrank: {} cells", cells.len());
     for cell in cells {
-        check_equivalence(|recorder| build_zoo_cell(&cell, recorder).sim, 20_000).unwrap_or_else(
-            |divergence| {
-                panic!(
-                    "zoo cell {} vs {}: {divergence}",
-                    cell.variant.label(),
-                    cell.defense.label()
-                );
-            },
-        );
+        check_equivalence(
+            |recorder| build_zoo_cell_observed(&cell, recorder, Journal::disabled()).sim,
+            20_000,
+        )
+        .unwrap_or_else(|divergence| {
+            panic!(
+                "zoo cell {} vs {}: {divergence}",
+                cell.variant.label(),
+                cell.defense.label()
+            );
+        });
     }
 }
 
@@ -345,12 +351,14 @@ fn a_zoo_cell_reconstructs_the_attack_chain_by_chain_id() {
 
 #[test]
 fn every_ids_cell_is_bit_identical_under_acceleration_with_taps_attached() {
-    use bench::idsbench::{build_ids_cell, ids_cells};
+    use bench::idsbench::{build_ids_cell_observed, ids_cells};
     use can_ids::registry::all_variants;
     let detectors = all_variants();
     for cell in ids_cells() {
         check_equivalence(
-            |recorder| build_ids_cell(&cell, &detectors, recorder).sim,
+            |recorder| {
+                build_ids_cell_observed(&cell, &detectors, recorder, Journal::disabled()).sim
+            },
             20_000,
         )
         .unwrap_or_else(|divergence| {
@@ -421,6 +429,46 @@ fn ids_journal_is_byte_identical_across_modes_and_shards() {
         ("packed + 4 shards", ExecOpts::new().packed().with_shards(4)),
     ] {
         assert_eq!(base, run(opts), "ids journal diverged under {label}");
+    }
+}
+
+#[test]
+fn ids_journal_and_snapshot_are_byte_identical_across_modes_and_shards() {
+    // Both sinks on at once, as `experiments ids --metrics-out
+    // --journal-out` runs the bake-off: the per-cell recorder and journal
+    // are made and merged side by side, so neither export may depend on
+    // the mode or the shard count.
+    use bench::idsbench::{ids_cells, render_ids_table, run_ids_with};
+    use can_ids::registry::all_variants;
+    let run = |opts: ExecOpts| {
+        let opts = opts
+            .with_recorder(Recorder::enabled())
+            .with_journal(Journal::enabled());
+        let outcomes = run_ids_with(ids_cells(), all_variants(), 20_000, &opts);
+        (
+            render_ids_table(&outcomes),
+            opts.recorder.snapshot_json(),
+            opts.journal.export_jsonl(),
+        )
+    };
+    let (table, snapshot, journal) = run(ExecOpts::new());
+    assert!(
+        snapshot.contains("bench_cells_total"),
+        "the snapshot counts the bake-off's cells"
+    );
+    assert!(
+        journal.contains(can_obs::JK_IDS_ALERT),
+        "the journal carries detector alerts"
+    );
+    for (label, opts) in [
+        ("packed", ExecOpts::new().packed()),
+        ("2 shards", ExecOpts::new().with_shards(2)),
+        ("packed + 2 shards", ExecOpts::new().packed().with_shards(2)),
+    ] {
+        let (t, s, j) = run(opts);
+        assert_eq!(table, t, "ids table diverged under {label}");
+        assert_eq!(snapshot, s, "ids metrics snapshot diverged under {label}");
+        assert_eq!(journal, j, "ids journal diverged under {label}");
     }
 }
 

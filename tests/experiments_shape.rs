@@ -2,10 +2,17 @@
 //! `experiments` binary's runs): who wins, by what factor, and where the
 //! crossovers fall — the reproduction contract of EXPERIMENTS.md.
 
+use bench::runner::ExecOpts;
 use bench::scenarios::{
-    run_experiment, run_multi_attacker, run_parksense, table2_experiments, TABLE2_SPEED,
+    run_experiment_with, run_multi_attacker_with, run_parksense_with, table2_experiments,
+    TABLE2_SPEED,
 };
 use bench::{busload, detection};
+
+/// Serial, lockstep, no sinks: the plain reproduction run.
+fn plain() -> ExecOpts {
+    ExecOpts::new()
+}
 
 #[test]
 fn table2_clean_experiments_match_theory_envelope() {
@@ -17,7 +24,7 @@ fn table2_clean_experiments_match_theory_envelope() {
             .into_iter()
             .find(|e| e.number == number)
             .unwrap();
-        let outcome = run_experiment(&exp, 500.0);
+        let outcome = run_experiment_with(&exp, 500.0, &plain());
         let (_, stats) = &outcome.per_attacker[0];
         let stats = stats.expect("episodes must complete");
         let mean = stats.mean_millis(TABLE2_SPEED);
@@ -37,8 +44,8 @@ fn table2_restbus_increases_variance_not_floor() {
     // Experiment 3 vs 4: restbus traffic raises variance and max, while
     // the minimum stays at the clean episode length.
     let exps = table2_experiments();
-    let with = run_experiment(&exps[2], 1_000.0); // exp 3
-    let without = run_experiment(&exps[3], 1_000.0); // exp 4
+    let with = run_experiment_with(&exps[2], 1_000.0, &plain()); // exp 3
+    let without = run_experiment_with(&exps[3], 1_000.0, &plain()); // exp 4
     let s_with = with.per_attacker[0].1.expect("episodes");
     let s_without = without.per_attacker[0].1.expect("episodes");
     assert!(
@@ -61,8 +68,8 @@ fn experiment5_grows_by_half_not_double() {
     // retransmissions getting intertwined … the bus-off time does not
     // double."
     let exps = table2_experiments();
-    let two = run_experiment(&exps[4], 1_500.0); // exp 5
-    let single = run_experiment(&exps[3], 1_500.0); // exp 4 baseline
+    let two = run_experiment_with(&exps[4], 1_500.0, &plain()); // exp 5
+    let single = run_experiment_with(&exps[3], 1_500.0, &plain()); // exp 4 baseline
     let base = single.per_attacker[0].1.unwrap().mean_bits;
     let first = two.per_attacker[0].1.expect("0x066 episodes").mean_bits;
     let second = two.per_attacker[1].1.expect("0x067 episodes").mean_bits;
@@ -81,28 +88,28 @@ fn experiment5_grows_by_half_not_double() {
 fn multi_attacker_crossover_at_five() {
     // Paper: A = 4 still fits the 5000-bit deadline budget; A = 5 renders
     // the bus inoperable.
-    let four = run_multi_attacker(4, 60_000).expect("A=4 eradicated");
-    let five = run_multi_attacker(5, 60_000).expect("A=5 eradicated");
+    let four = run_multi_attacker_with(4, 60_000, &plain()).expect("A=4 eradicated");
+    let five = run_multi_attacker_with(5, 60_000, &plain()).expect("A=5 eradicated");
     assert!(four <= 5_000, "A=4 total {four} bits must fit the deadline");
     assert!(
         five > 5_000,
         "A=5 total {five} bits must exceed the deadline"
     );
     // Sub-linear growth: 4 attackers take far less than 4× one attacker.
-    let one = run_multi_attacker(1, 60_000).unwrap();
+    let one = run_multi_attacker_with(1, 60_000, &plain()).unwrap();
     assert!(four < one * 4, "intertwining keeps growth sub-linear");
 }
 
 #[test]
 fn detection_sweep_shape() {
-    let sweep = detection::run_sweep(100, 2026);
+    let sweep = detection::run_sweep_with(100, 2026, detection::PAPER_IVN_SIZES, &plain());
     assert_eq!(sweep.detection_rate, 1.0);
     assert_eq!(sweep.false_positive_rate, 0.0);
     assert!((8.0..10.0).contains(&sweep.mean_detection_position));
 
     // Monotone growth with IVN size (the paper's stated trend).
-    let small = detection::run_sweep_with_sizes(60, 1, 10, 10);
-    let large = detection::run_sweep_with_sizes(60, 1, 300, 300);
+    let small = detection::run_sweep_with(60, 1, 10..=10, &plain());
+    let large = detection::run_sweep_with(60, 1, 300..=300, &plain());
     assert!(small.mean_detection_position < large.mean_detection_position);
 }
 
@@ -124,8 +131,8 @@ fn michican_beats_parrot_on_load_and_self_damage() {
 
 #[test]
 fn parksense_outcome_flips_with_the_dongle() {
-    let undefended = run_parksense(false, 400.0);
-    let defended = run_parksense(true, 400.0);
+    let undefended = run_parksense_with(false, 400.0, &plain());
+    let defended = run_parksense_with(true, 400.0, &plain());
     assert!(
         undefended.became_unavailable,
         "attack works when undefended"

@@ -1,5 +1,5 @@
 //! Differential tests for the observability plane's determinism contract
-//! (`can-obs` + `bench::runner::ExperimentPlan::run_metered`): the merged
+//! (`can-obs` + `bench::runner::ExperimentPlan::run_with`): the merged
 //! metrics registry of a sharded run must be *byte-identical* to the
 //! serial (shards=1) reference — per-cell registries are fresh, cells are
 //! seeded by index, and registries merge in cell index order. Also locks
@@ -9,8 +9,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use bench::campaign::{run_campaign, run_campaign_with, CampaignConfig};
-use bench::detection::{run_sweep_with_sizes_sharded, run_sweep_with_sizes_with};
+use bench::campaign::{run_campaign_with, CampaignConfig};
+use bench::detection::run_sweep_with;
 use bench::obs::run_reaction_probe;
 use bench::runner::ExecOpts;
 use can_obs::{Journal, Recorder, JK_DEGRADED, JK_DETECTION, JK_INJECT_START, JK_REARMED};
@@ -54,12 +54,12 @@ fn metered_campaign_snapshot_is_byte_identical_across_shard_counts() {
 #[test]
 fn metered_sweep_snapshot_is_byte_identical_across_shard_counts() {
     let serial = Recorder::enabled();
-    let serial_sweep = run_sweep_with_sizes_with(120, 42, 50, 150, &metered(&serial));
+    let serial_sweep = run_sweep_with(120, 42, 50..=150, &metered(&serial));
     let serial_json = serial.snapshot_json();
     for shards in SHARD_COUNTS {
         let parallel = Recorder::enabled();
         let parallel_sweep =
-            run_sweep_with_sizes_with(120, 42, 50, 150, &metered(&parallel).with_shards(shards));
+            run_sweep_with(120, 42, 50..=150, &metered(&parallel).with_shards(shards));
         assert_eq!(parallel_sweep, serial_sweep, "shards={shards}");
         assert_eq!(
             parallel.snapshot_json(),
@@ -76,7 +76,7 @@ fn full_metrics_export_path_is_deterministic() {
     // merged into one root recorder.
     let snapshot = |shards: usize| {
         let recorder = Recorder::enabled();
-        run_sweep_with_sizes_with(60, 7, 50, 150, &metered(&recorder).with_shards(shards));
+        run_sweep_with(60, 7, 50..=150, &metered(&recorder).with_shards(shards));
         run_reaction_probe(&recorder, 30.0);
         recorder.snapshot_json()
     };
@@ -95,7 +95,7 @@ fn disabled_recorder_records_nothing_and_perturbs_nothing() {
 
     // …and the measured artifact is identical to the unmetered run, and to
     // a run metered with an enabled recorder.
-    let baseline = run_campaign(&quick_config(1));
+    let baseline = run_campaign_with(&quick_config(1), &ExecOpts::new());
     assert_eq!(report, baseline, "disabled metering must not perturb cells");
     let enabled = Recorder::enabled();
     let enabled_report = run_campaign_with(&quick_config(1), &metered(&enabled));
@@ -104,8 +104,8 @@ fn disabled_recorder_records_nothing_and_perturbs_nothing() {
         "enabled metering must not perturb cells"
     );
 
-    let sweep_metered = run_sweep_with_sizes_with(60, 7, 50, 150, &metered(&Recorder::disabled()));
-    let sweep_plain = run_sweep_with_sizes_sharded(60, 7, 50, 150, 1);
+    let sweep_metered = run_sweep_with(60, 7, 50..=150, &metered(&Recorder::disabled()));
+    let sweep_plain = run_sweep_with(60, 7, 50..=150, &ExecOpts::new());
     assert_eq!(sweep_metered, sweep_plain);
 }
 
