@@ -396,7 +396,7 @@ mod tests {
             jrn.end_frame(
                 cell * 10 + 5,
                 cell as u32 % 3,
-                can_obs::JK_FRAME_ACK,
+                can_obs::JournalKind::FrameAck,
                 "",
                 false,
             );

@@ -17,7 +17,7 @@
 
 use can_core::agent::BitAgent;
 use can_core::{BitDuration, BitInstant, CanId, Level};
-use can_obs::{Histogram, Journal, Recorder, DEFAULT_BUCKETS, JK_PROBE, JK_STRIKE};
+use can_obs::{Histogram, Journal, JournalKind, Recorder, DEFAULT_BUCKETS};
 
 use crate::error_flag::ERROR_FLAG_BITS;
 use can_core::watch::{FrameWatch, WatchEvent, ID_COMPLETE_CNT};
@@ -98,7 +98,7 @@ impl AdaptiveRacer {
     }
 
     /// Attaches a causal event journal; `node` is the index stamped on
-    /// events. Probe outcomes ([`JK_PROBE`]) and strikes ([`JK_STRIKE`])
+    /// events. Probe outcomes ([`JournalKind::Probe`]) and strikes ([`JournalKind::Strike`])
     /// join the causal chain of the victim frame they concern.
     pub fn set_journal(&mut self, journal: Journal, node: u32) {
         self.journal = journal;
@@ -177,7 +177,7 @@ impl BitAgent for AdaptiveRacer {
                             self.journal.event(
                                 now.bits(),
                                 self.node_label,
-                                JK_PROBE,
+                                JournalKind::Probe,
                                 &format!("kill={at}"),
                             );
                         }
@@ -190,7 +190,7 @@ impl BitAgent for AdaptiveRacer {
                             self.journal.event(
                                 now.bits(),
                                 self.node_label,
-                                JK_PROBE,
+                                JournalKind::Probe,
                                 &format!("lost={at}"),
                             );
                         }
@@ -204,8 +204,12 @@ impl BitAgent for AdaptiveRacer {
                 if self.armed && self.probing() {
                     self.probes_seen += 1;
                     if self.journal.is_enabled() {
-                        self.journal
-                            .event(now.bits(), self.node_label, JK_PROBE, "survived");
+                        self.journal.event(
+                            now.bits(),
+                            self.node_label,
+                            JournalKind::Probe,
+                            "survived",
+                        );
                     }
                 }
                 self.armed = false;
@@ -232,7 +236,7 @@ impl BitAgent for AdaptiveRacer {
                 self.journal.event(
                     now.bits(),
                     self.node_label,
-                    JK_STRIKE,
+                    JournalKind::Strike,
                     &format!("adaptive at={}", self.strike_at()),
                 );
             }

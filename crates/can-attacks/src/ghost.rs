@@ -18,7 +18,7 @@
 use can_core::agent::BitAgent;
 use can_core::bitstream::{Destuffed, Destuffer, MIN_INTERFRAME_RECESSIVE};
 use can_core::{BitDuration, BitInstant, CanId, Level};
-use can_obs::{Journal, JK_STRIKE};
+use can_obs::{Journal, JournalKind};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum GhostState {
@@ -71,7 +71,7 @@ impl GhostInjector {
     }
 
     /// Attaches a causal event journal; `node` is the index stamped on
-    /// [`JK_STRIKE`] events, which join the attacked frame's causal chain.
+    /// [`JournalKind::Strike`] events, which join the attacked frame's causal chain.
     pub fn set_journal(&mut self, journal: Journal, node: u32) {
         self.journal = journal;
         self.node_label = node;
@@ -122,8 +122,12 @@ impl BitAgent for GhostInjector {
                     self.injecting = true;
                     self.injections += 1;
                     if self.journal.is_enabled() {
-                        self.journal
-                            .event(now.bits(), self.node_label, JK_STRIKE, "ghost");
+                        self.journal.event(
+                            now.bits(),
+                            self.node_label,
+                            JournalKind::Strike,
+                            "ghost",
+                        );
                     }
                 }
                 if self.cnt >= 20 {

@@ -14,7 +14,7 @@
 
 use can_core::agent::BitAgent;
 use can_core::{BitDuration, BitInstant, CanId, Level};
-use can_obs::{Journal, JK_STRIKE};
+use can_obs::{Journal, JournalKind};
 
 use can_core::watch::{FrameWatch, WatchEvent, ID_COMPLETE_CNT};
 
@@ -89,7 +89,7 @@ impl FrameTruncator {
     }
 
     /// Attaches a causal event journal; `node` is the index stamped on
-    /// [`JK_STRIKE`] events, which join the attacked frame's causal chain.
+    /// [`JournalKind::Strike`] events, which join the attacked frame's causal chain.
     pub fn set_journal(&mut self, journal: Journal, node: u32) {
         self.journal = journal;
         self.node_label = node;
@@ -127,7 +127,7 @@ impl BitAgent for FrameTruncator {
                 self.journal.event(
                     now.bits(),
                     self.node_label,
-                    JK_STRIKE,
+                    JournalKind::Strike,
                     &format!("truncate {}", self.at.label()),
                 );
             }

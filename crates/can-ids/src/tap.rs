@@ -18,7 +18,7 @@
 //! * **can-obs metrics** — `ids_frames_observed_total` /
 //!   `ids_alerts_total` counters labeled by detector variant.
 //! * **Journal emission** — every alert lands in the causal
-//!   [`Journal`](can_obs::Journal) as a [`can_obs::JK_IDS_ALERT`] event at
+//!   [`Journal`](can_obs::Journal) as a [`can_obs::JournalKind::IdsAlert`] event at
 //!   the triggering frame's completion bit, inheriting that frame's
 //!   `frame_seq`/`chain_id` so alert chains reconstruct.
 
@@ -27,7 +27,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use can_core::{BitInstant, CanFrame};
-use can_obs::{Journal, Recorder, JK_IDS_ALERT, JK_IDS_ARMED};
+use can_obs::{Journal, JournalKind, Recorder};
 use can_sim::FrameTap;
 
 use crate::detector::{Alert, Detector, IdsPhase};
@@ -173,7 +173,7 @@ impl FrameTap for DetectorTap {
                 if state.detector.phase() == IdsPhase::Training {
                     state.detector.arm();
                     if let Some((journal, node)) = &state.journal {
-                        journal.event(now.bits(), *node, JK_IDS_ARMED, &state.label);
+                        journal.event(now.bits(), *node, JournalKind::IdsArmed, &state.label);
                     }
                 }
             }
@@ -193,7 +193,7 @@ impl FrameTap for DetectorTap {
                     alert.kind.label(),
                     alert.id.raw()
                 );
-                journal.event(now.bits(), *node, JK_IDS_ALERT, &detail);
+                journal.event(now.bits(), *node, JournalKind::IdsAlert, &detail);
             }
             state.alerts.push(alert);
         }
@@ -244,7 +244,10 @@ mod tests {
         boxed.on_frame(&frame(0x100), BitInstant::from_bits(2_300));
         assert_eq!(tap.phase(), IdsPhase::Armed, "armed at the deadline");
         let export = journal.export_jsonl();
-        assert!(export.contains(JK_IDS_ARMED), "arming journaled: {export}");
+        assert!(
+            export.contains(JournalKind::IdsArmed.name()),
+            "arming journaled: {export}"
+        );
     }
 
     #[test]
@@ -272,7 +275,10 @@ mod tests {
             })
             .unwrap();
         let export = journal.export_jsonl();
-        assert!(export.contains(JK_IDS_ALERT), "alert journaled: {export}");
+        assert!(
+            export.contains(JournalKind::IdsAlert.name()),
+            "alert journaled: {export}"
+        );
         assert!(export.contains("zscore"), "label in detail: {export}");
     }
 }

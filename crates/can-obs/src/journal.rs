@@ -30,9 +30,11 @@
 //! Like the [`Recorder`](crate::Recorder), a disabled journal is a `None`
 //! and every call is a single branch — the hot path never allocates.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::error::Error;
+use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
 use crate::json::{self, JsonValue};
@@ -47,47 +49,111 @@ pub const JOURNAL_SCHEMA: &str = "can-obs-journal/v1";
 /// in-repo scenario stays far under it.
 pub const JOURNAL_CAPACITY: usize = 262_144;
 
-// Stable event kind names. Frame lifecycle (emitted by `can-sim`):
-/// A node started transmitting (SOF won or contended).
-pub const JK_FRAME_START: &str = "frame_start";
-/// A transmitting node lost arbitration (will retry on the same chain).
-pub const JK_ARB_LOST: &str = "arb_lost";
-/// A frame completed with a valid ACK.
-pub const JK_FRAME_ACK: &str = "frame_ack";
-/// A transmitter saw an error (detail: error kind + offset into frame).
-pub const JK_FRAME_ERROR: &str = "frame_error";
-/// A receiver saw an error on the bus frame.
-pub const JK_RX_ERROR: &str = "rx_error";
-/// A node's error-confinement state changed.
-pub const JK_ERROR_STATE: &str = "error_state";
-/// A node went bus-off.
-pub const JK_BUS_OFF: &str = "bus_off";
-/// A node recovered from bus-off.
-pub const JK_RECOVERED: &str = "recovered";
-// Defense lifecycle (emitted by `michican` / `parrot`):
-/// A detection FSM confirmed a spoof.
-pub const JK_DETECTION: &str = "detection";
-/// A defender opened its injection window.
-pub const JK_INJECT_START: &str = "injection_start";
-/// A defender closed its injection window.
-pub const JK_INJECT_END: &str = "injection_end";
-/// A supervised defender degraded to pass-through.
-pub const JK_DEGRADED: &str = "degraded";
-/// A supervised defender re-armed.
-pub const JK_REARMED: &str = "rearmed";
-// Attack lifecycle (emitted by `can-attacks`):
-/// A bit-level attacker fired its strike.
-pub const JK_STRIKE: &str = "strike";
-/// An adaptive attacker finished a passive probe observation.
-pub const JK_PROBE: &str = "probe";
-// IDS lifecycle (emitted by `can-ids` detector taps):
-/// A passive detector raised an alert on a completed frame (detail:
-/// detector label + alert kind + frame identifier). Emitted at the frame's
-/// completion bit, so the event inherits the completed frame's
-/// `frame_seq`/`chain_id` and alert chains reconstruct causally.
-pub const JK_IDS_ALERT: &str = "ids_alert";
-/// A passive detector finished training and armed.
-pub const JK_IDS_ARMED: &str = "ids_armed";
+/// The kind of a journal event. Each kind exports under a stable name
+/// ([`JournalKind::name`]), and the variants are declared in the order of
+/// those names, so the derived `Ord` — which the canonical export sort
+/// uses — orders kinds exactly as their names would sort.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum JournalKind {
+    /// A transmitting node lost arbitration (will retry on the same chain).
+    ArbLost,
+    /// A node went bus-off.
+    BusOff,
+    /// A supervised defender degraded to pass-through.
+    Degraded,
+    /// A detection FSM confirmed a spoof.
+    Detection,
+    /// A node's error-confinement state changed.
+    ErrorState,
+    /// A frame completed with a valid ACK.
+    FrameAck,
+    /// A transmitter saw an error (detail: error kind + offset into frame).
+    FrameError,
+    /// A node started transmitting (SOF won or contended).
+    FrameStart,
+    /// A passive detector raised an alert on a completed frame (detail:
+    /// detector label + alert kind + frame identifier). Emitted at the
+    /// frame's completion bit, so the event inherits the completed frame's
+    /// `frame_seq`/`chain_id` and alert chains reconstruct causally.
+    IdsAlert,
+    /// A passive detector finished training and armed.
+    IdsArmed,
+    /// A defender closed its injection window.
+    InjectionEnd,
+    /// A defender opened its injection window.
+    InjectionStart,
+    /// An adaptive attacker finished a passive probe observation.
+    Probe,
+    /// A supervised defender re-armed.
+    Rearmed,
+    /// A node recovered from bus-off.
+    Recovered,
+    /// A receiver saw an error on the bus frame.
+    RxError,
+    /// A bit-level attacker fired its strike.
+    Strike,
+}
+
+impl JournalKind {
+    /// Every kind, in `Ord` (and name) order.
+    pub const ALL: [JournalKind; 17] = [
+        JournalKind::ArbLost,
+        JournalKind::BusOff,
+        JournalKind::Degraded,
+        JournalKind::Detection,
+        JournalKind::ErrorState,
+        JournalKind::FrameAck,
+        JournalKind::FrameError,
+        JournalKind::FrameStart,
+        JournalKind::IdsAlert,
+        JournalKind::IdsArmed,
+        JournalKind::InjectionEnd,
+        JournalKind::InjectionStart,
+        JournalKind::Probe,
+        JournalKind::Rearmed,
+        JournalKind::Recovered,
+        JournalKind::RxError,
+        JournalKind::Strike,
+    ];
+
+    /// The stable export name. Frame lifecycle kinds are emitted by
+    /// `can-sim`, defense kinds by `michican`/`parrot`, strikes and probes
+    /// by `can-attacks`, IDS kinds by `can-ids` detector taps.
+    pub const fn name(self) -> &'static str {
+        match self {
+            JournalKind::ArbLost => "arb_lost",
+            JournalKind::BusOff => "bus_off",
+            JournalKind::Degraded => "degraded",
+            JournalKind::Detection => "detection",
+            JournalKind::ErrorState => "error_state",
+            JournalKind::FrameAck => "frame_ack",
+            JournalKind::FrameError => "frame_error",
+            JournalKind::FrameStart => "frame_start",
+            JournalKind::IdsAlert => "ids_alert",
+            JournalKind::IdsArmed => "ids_armed",
+            JournalKind::InjectionEnd => "injection_end",
+            JournalKind::InjectionStart => "injection_start",
+            JournalKind::Probe => "probe",
+            JournalKind::Rearmed => "rearmed",
+            JournalKind::Recovered => "recovered",
+            JournalKind::RxError => "rx_error",
+            JournalKind::Strike => "strike",
+        }
+    }
+
+    /// The kind exported as `name`, if any.
+    pub fn from_name(name: &str) -> Option<JournalKind> {
+        JournalKind::ALL
+            .into_iter()
+            .find(|kind| kind.name() == name)
+    }
+}
+
+impl fmt::Display for JournalKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
 
 /// One journal event. All content is sim-time deterministic.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -96,8 +162,8 @@ pub struct JournalEvent {
     pub at_bits: u64,
     /// Index of the node the event concerns.
     pub node: u32,
-    /// Stable kind name (one of the `JK_*` constants).
-    pub kind: String,
+    /// What happened.
+    pub kind: JournalKind,
     /// Sequence number of the frame attempt this event belongs to
     /// (0 = no frame context).
     pub frame_seq: u64,
@@ -121,7 +187,7 @@ pub struct JournalStore {
     /// Retention cap; overflow counts into `dropped`.
     capacity: usize,
     /// Events dropped at capacity, by kind.
-    dropped: BTreeMap<String, u64>,
+    dropped: BTreeMap<JournalKind, u64>,
     /// Next frame sequence number (1-based; 0 means "no frame").
     next_frame_seq: u64,
     /// Current bus frame context: `(frame_seq, chain_id, start_bits)` of
@@ -174,7 +240,7 @@ impl JournalStore {
     }
 
     /// Events dropped at capacity, by kind.
-    pub fn dropped(&self) -> &BTreeMap<String, u64> {
+    pub fn dropped(&self) -> &BTreeMap<JournalKind, u64> {
         &self.dropped
     }
 
@@ -194,11 +260,11 @@ impl JournalStore {
             if self.events.len() < self.capacity {
                 self.events.push((offset + epoch, event.clone()));
             } else {
-                *self.dropped.entry(event.kind.clone()).or_insert(0) += 1;
+                *self.dropped.entry(event.kind).or_insert(0) += 1;
             }
         }
-        for (kind, n) in &other.dropped {
-            *self.dropped.entry(kind.clone()).or_insert(0) += n;
+        for (&kind, n) in &other.dropped {
+            *self.dropped.entry(kind).or_insert(0) += n;
         }
         self.next_epoch += other.next_epoch;
     }
@@ -236,7 +302,7 @@ impl Journal {
 
     /// A frame attempt started on `node`: assigns the next `frame_seq`,
     /// inherits the node's pending chain (retransmission) or opens a new
-    /// one, updates the bus context and emits [`JK_FRAME_START`].
+    /// one, updates the bus context and emits [`JournalKind::FrameStart`].
     pub fn begin_frame(&self, at_bits: u64, node: u32, detail: &str) {
         if let Some(store) = &self.0 {
             let mut s = store.borrow_mut();
@@ -248,7 +314,7 @@ impl Journal {
             s.push(JournalEvent {
                 at_bits,
                 node,
-                kind: JK_FRAME_START.to_string(),
+                kind: JournalKind::FrameStart,
                 frame_seq: seq,
                 chain_id: chain,
                 detail: detail.to_string(),
@@ -256,10 +322,10 @@ impl Journal {
         }
     }
 
-    /// A frame attempt on `node` ended: [`JK_ARB_LOST`], [`JK_FRAME_ACK`]
-    /// or [`JK_FRAME_ERROR`]. With `retry` the chain stays open and the
+    /// A frame attempt on `node` ended: [`JournalKind::ArbLost`],
+    /// [`JournalKind::FrameAck`] or [`JournalKind::FrameError`]. With `retry` the chain stays open and the
     /// node's next [`Journal::begin_frame`] inherits it.
-    pub fn end_frame(&self, at_bits: u64, node: u32, kind: &str, detail: &str, retry: bool) {
+    pub fn end_frame(&self, at_bits: u64, node: u32, kind: JournalKind, detail: &str, retry: bool) {
         if let Some(store) = &self.0 {
             let mut s = store.borrow_mut();
             let (seq, chain, _) = s.node_frame.remove(&node).unwrap_or(s.bus_ctx);
@@ -271,7 +337,7 @@ impl Journal {
             s.push(JournalEvent {
                 at_bits,
                 node,
-                kind: kind.to_string(),
+                kind,
                 frame_seq: seq,
                 chain_id: chain,
                 detail: detail.to_string(),
@@ -279,11 +345,12 @@ impl Journal {
         }
     }
 
-    /// A node-scoped event ([`JK_ERROR_STATE`], [`JK_BUS_OFF`], …): stamped
+    /// A node-scoped event ([`JournalKind::ErrorState`],
+    /// [`JournalKind::BusOff`], …): stamped
     /// with the node's in-flight frame if it has one, else its still-open
     /// retransmission chain (`frame_seq` 0 — e.g. bus-off after the frame
     /// already ended in an error), else the bus context.
-    pub fn node_event(&self, at_bits: u64, node: u32, kind: &str, detail: &str) {
+    pub fn node_event(&self, at_bits: u64, node: u32, kind: JournalKind, detail: &str) {
         if let Some(store) = &self.0 {
             let mut s = store.borrow_mut();
             let (seq, chain, _) = s
@@ -295,7 +362,7 @@ impl Journal {
             s.push(JournalEvent {
                 at_bits,
                 node,
-                kind: kind.to_string(),
+                kind,
                 frame_seq: seq,
                 chain_id: chain,
                 detail: detail.to_string(),
@@ -306,14 +373,14 @@ impl Journal {
     /// A bus-context event (defense reactions, attacker strikes, receiver
     /// errors): stamped with the current bus frame's causal ids, linking
     /// the reaction to the frame that provoked it.
-    pub fn event(&self, at_bits: u64, node: u32, kind: &str, detail: &str) {
+    pub fn event(&self, at_bits: u64, node: u32, kind: JournalKind, detail: &str) {
         if let Some(store) = &self.0 {
             let mut s = store.borrow_mut();
             let (seq, chain, _) = s.bus_ctx;
             s.push(JournalEvent {
                 at_bits,
                 node,
-                kind: kind.to_string(),
+                kind,
                 frame_seq: seq,
                 chain_id: chain,
                 detail: detail.to_string(),
@@ -400,81 +467,287 @@ impl Journal {
         );
         for (i, (kind, n)) in s.dropped.iter().enumerate() {
             let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\"{}\":{n}", json::escape(kind));
+            let _ = write!(out, "{sep}\"{kind}\":{n}");
         }
         out.push_str("}}\n");
         for event in s.canonical_events() {
-            let _ = writeln!(
-                out,
-                "{{\"at\":{},\"node\":{},\"kind\":\"{}\",\"seq\":{},\"chain\":{},\"detail\":\"{}\"}}",
-                event.at_bits,
-                event.node,
-                json::escape(&event.kind),
-                event.frame_seq,
-                event.chain_id,
-                json::escape(&event.detail)
-            );
+            push_event_line(&mut out, event);
         }
         out
     }
 }
 
-/// Parses a [`Journal::export_jsonl`] document back into its events (the
-/// header is validated, drop counts are returned alongside). Used by the
-/// chrome-trace exporter and the CI determinism checks.
-pub fn parse_export(text: &str) -> Result<(Vec<JournalEvent>, BTreeMap<String, u64>), String> {
+// The event line format. The writer and the reader below are the only
+// code that knows it; `can_trace::chrome_trace_json` reads exports through
+// `scan_export`.
+
+/// Appends one export event line, newline included:
+/// `{"at":…,"node":…,"kind":"…","seq":…,"chain":…,"detail":"…"}`.
+fn push_event_line(out: &mut String, event: &JournalEvent) {
+    out.push_str("{\"at\":");
+    json::push_u64(out, event.at_bits);
+    out.push_str(",\"node\":");
+    json::push_u64(out, event.node.into());
+    out.push_str(",\"kind\":\"");
+    out.push_str(event.kind.name());
+    out.push_str("\",\"seq\":");
+    json::push_u64(out, event.frame_seq);
+    out.push_str(",\"chain\":");
+    json::push_u64(out, event.chain_id);
+    out.push_str(",\"detail\":\"");
+    json::escape_into(out, &event.detail);
+    out.push_str("\"}\n");
+}
+
+/// Why a journal export could not be read.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JournalParseError {
+    /// The text has no header line.
+    Empty,
+    /// The header line is not JSON, or lacks a well-typed `events` count
+    /// or `dropped` map.
+    Header(String),
+    /// The header names another schema (`None`: no schema at all).
+    Schema(Option<String>),
+    /// An event line does not have the export's fixed shape. `line` is
+    /// 1-based (the header is line 1); `field` is the key being read when
+    /// the scan failed, or `end` for content after the closing brace.
+    Line {
+        /// 1-based line number.
+        line: usize,
+        /// The field being read.
+        field: &'static str,
+    },
+    /// A kind name that is not a [`JournalKind`] (in an event line, or a
+    /// `dropped` key of the header on line 1).
+    UnknownKind {
+        /// 1-based line number.
+        line: usize,
+        /// The name as written.
+        kind: String,
+    },
+    /// A node index above `u32::MAX`.
+    NodeOutOfRange {
+        /// 1-based line number.
+        line: usize,
+    },
+    /// The header's `events` count disagrees with the number of event
+    /// lines.
+    CountMismatch {
+        /// The header's count.
+        declared: u64,
+        /// Event lines present.
+        found: u64,
+    },
+}
+
+impl fmt::Display for JournalParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JournalParseError::Empty => write!(f, "empty journal export"),
+            JournalParseError::Header(detail) => write!(f, "bad journal header: {detail}"),
+            JournalParseError::Schema(found) => write!(f, "unsupported journal schema {found:?}"),
+            JournalParseError::Line { line, field } => {
+                write!(f, "journal line {line}: malformed field '{field}'")
+            }
+            JournalParseError::UnknownKind { line, kind } => {
+                write!(f, "journal line {line}: unknown event kind {kind:?}")
+            }
+            JournalParseError::NodeOutOfRange { line } => {
+                write!(f, "journal line {line}: node index out of range")
+            }
+            JournalParseError::CountMismatch { declared, found } => {
+                write!(
+                    f,
+                    "journal header declares {declared} events, found {found}"
+                )
+            }
+        }
+    }
+}
+
+impl Error for JournalParseError {}
+
+/// One event line of an export, borrowed from the export text. The detail
+/// has its escapes resolved, and borrows the text when it had none.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EventLine<'a> {
+    /// Bus time of the event, in bit times.
+    pub at_bits: u64,
+    /// Index of the node the event concerns.
+    pub node: u32,
+    /// What happened.
+    pub kind: JournalKind,
+    /// Frame attempt sequence number.
+    pub frame_seq: u64,
+    /// Causal chain id.
+    pub chain_id: u64,
+    /// Unescaped detail.
+    pub detail: Cow<'a, str>,
+}
+
+impl EventLine<'_> {
+    fn into_event(self) -> JournalEvent {
+        JournalEvent {
+            at_bits: self.at_bits,
+            node: self.node,
+            kind: self.kind,
+            frame_seq: self.frame_seq,
+            chain_id: self.chain_id,
+            detail: self.detail.into_owned(),
+        }
+    }
+}
+
+/// Reads a [`Journal::export_jsonl`] document in one pass: the header is
+/// validated with [`json::parse`], each event line by a strict scanner
+/// that accepts exactly the line shape the writer emits (keys in order, no
+/// whitespace); strings go through the JSON string reader, the inverse of
+/// [`json::escape`]. Returns the event lines, borrowed from `text`, and
+/// the drop counts.
+pub fn scan_export(
+    text: &str,
+) -> Result<(Vec<EventLine<'_>>, BTreeMap<JournalKind, u64>), JournalParseError> {
     let mut lines = text.lines();
-    let header = lines.next().ok_or("empty journal export")?;
-    let doc = json::parse(header).map_err(|e| format!("bad journal header: {e}"))?;
+    let header = lines.next().ok_or(JournalParseError::Empty)?;
+    let (declared, dropped) = parse_header(header)?;
+    // An event line is over 60 bytes, so the text bounds the count: a
+    // forged header count cannot reserve more than the text could hold.
+    let mut events = Vec::with_capacity(declared.min(text.len() as u64 / 60) as usize);
+    for (i, line) in lines.enumerate() {
+        let scanner = LineScanner {
+            line,
+            pos: 0,
+            line_no: i + 2,
+        };
+        events.push(scanner.event()?);
+    }
+    if events.len() as u64 != declared {
+        return Err(JournalParseError::CountMismatch {
+            declared,
+            found: events.len() as u64,
+        });
+    }
+    Ok((events, dropped))
+}
+
+/// Parses a [`Journal::export_jsonl`] document back into owned events
+/// (see [`scan_export`]), with the header's drop counts alongside.
+pub fn parse_export(
+    text: &str,
+) -> Result<(Vec<JournalEvent>, BTreeMap<JournalKind, u64>), JournalParseError> {
+    let (lines, dropped) = scan_export(text)?;
+    Ok((
+        lines.into_iter().map(EventLine::into_event).collect(),
+        dropped,
+    ))
+}
+
+/// The declared event count and drop counts of a header line.
+fn parse_header(header: &str) -> Result<(u64, BTreeMap<JournalKind, u64>), JournalParseError> {
+    let doc = json::parse(header).map_err(|e| JournalParseError::Header(e.to_string()))?;
     match doc.get("schema").and_then(JsonValue::as_str) {
-        Some(s) if s == JOURNAL_SCHEMA => {}
-        other => return Err(format!("unsupported journal schema {other:?}")),
+        Some(JOURNAL_SCHEMA) => {}
+        other => return Err(JournalParseError::Schema(other.map(str::to_string))),
     }
     let mut dropped = BTreeMap::new();
     if let Some(map) = doc.get("dropped").and_then(JsonValue::as_object) {
-        for (kind, n) in map {
-            dropped.insert(
-                kind.clone(),
-                n.as_u64()
-                    .ok_or_else(|| format!("dropped['{kind}'] is not a u64"))?,
-            );
+        for (name, n) in map {
+            let kind =
+                JournalKind::from_name(name).ok_or_else(|| JournalParseError::UnknownKind {
+                    line: 1,
+                    kind: name.clone(),
+                })?;
+            let n = n.as_u64().ok_or_else(|| {
+                JournalParseError::Header(format!("dropped[{name:?}] is not a u64"))
+            })?;
+            dropped.insert(kind, n);
         }
     }
     let declared = doc
         .get("events")
         .and_then(JsonValue::as_u64)
-        .ok_or("journal header missing 'events'")?;
-    let mut events = Vec::new();
-    for (i, line) in lines.enumerate() {
-        let doc = json::parse(line).map_err(|e| format!("event {i}: {e}"))?;
-        let u64_field = |name: &str| {
-            doc.get(name)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("event {i}: field '{name}' missing or not a u64"))
-        };
-        let str_field = |name: &str| {
-            doc.get(name)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("event {i}: field '{name}' missing"))
-        };
-        events.push(JournalEvent {
-            at_bits: u64_field("at")?,
-            node: u32::try_from(u64_field("node")?)
-                .map_err(|_| format!("event {i}: node out of range"))?,
-            kind: str_field("kind")?,
-            frame_seq: u64_field("seq")?,
-            chain_id: u64_field("chain")?,
-            detail: str_field("detail")?,
-        });
+        .ok_or_else(|| JournalParseError::Header("missing or non-u64 'events'".to_string()))?;
+    Ok((declared, dropped))
+}
+
+/// A cursor over one event line.
+struct LineScanner<'a> {
+    line: &'a str,
+    pos: usize,
+    line_no: usize,
+}
+
+impl<'a> LineScanner<'a> {
+    fn event(mut self) -> Result<EventLine<'a>, JournalParseError> {
+        let at_bits = self.number("{\"at\":", "at")?;
+        let node = self.number(",\"node\":", "node")?;
+        let node = u32::try_from(node)
+            .map_err(|_| JournalParseError::NodeOutOfRange { line: self.line_no })?;
+        let name = self.string(",\"kind\":", "kind")?;
+        let kind = JournalKind::from_name(&name).ok_or_else(|| JournalParseError::UnknownKind {
+            line: self.line_no,
+            kind: name.into_owned(),
+        })?;
+        let frame_seq = self.number(",\"seq\":", "seq")?;
+        let chain_id = self.number(",\"chain\":", "chain")?;
+        let detail = self.string(",\"detail\":", "detail")?;
+        if &self.line[self.pos..] != "}" {
+            return Err(self.malformed("end"));
+        }
+        Ok(EventLine {
+            at_bits,
+            node,
+            kind,
+            frame_seq,
+            chain_id,
+            detail,
+        })
     }
-    if events.len() as u64 != declared {
-        return Err(format!(
-            "journal header declares {declared} events, found {}",
-            events.len()
-        ));
+
+    fn malformed(&self, field: &'static str) -> JournalParseError {
+        JournalParseError::Line {
+            line: self.line_no,
+            field,
+        }
     }
-    Ok((events, dropped))
+
+    /// Consumes `key`, which must come next.
+    fn key(&mut self, key: &str, field: &'static str) -> Result<(), JournalParseError> {
+        if self.line.as_bytes()[self.pos..].starts_with(key.as_bytes()) {
+            self.pos += key.len();
+            Ok(())
+        } else {
+            Err(self.malformed(field))
+        }
+    }
+
+    /// Consumes `key` and the decimal `u64` after it.
+    fn number(&mut self, key: &str, field: &'static str) -> Result<u64, JournalParseError> {
+        self.key(key, field)?;
+        let digits = self.line.as_bytes()[self.pos..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        let value = self.line[self.pos..self.pos + digits]
+            .parse()
+            .map_err(|_| self.malformed(field))?;
+        self.pos += digits;
+        Ok(value)
+    }
+
+    /// Consumes `key` and the JSON string after it, escapes resolved.
+    fn string(
+        &mut self,
+        key: &str,
+        field: &'static str,
+    ) -> Result<Cow<'a, str>, JournalParseError> {
+        self.key(key, field)?;
+        let (string, end) =
+            json::string_at(self.line, self.pos).map_err(|_| self.malformed(field))?;
+        self.pos = end;
+        Ok(string)
+    }
 }
 
 #[cfg(test)]
@@ -486,8 +759,8 @@ mod tests {
         let j = Journal::disabled();
         assert!(!j.is_enabled());
         j.begin_frame(1, 0, "id=0x173");
-        j.event(2, 1, JK_DETECTION, "pos=9");
-        j.end_frame(3, 0, JK_FRAME_ACK, "", false);
+        j.event(2, 1, JournalKind::Detection, "pos=9");
+        j.end_frame(3, 0, JournalKind::FrameAck, "", false);
         assert!(j.with_store(|_| ()).is_none());
         assert!(j.into_store().is_empty());
     }
@@ -497,30 +770,31 @@ mod tests {
         let j = Journal::enabled();
         // Attempt 1: spoof starts, defender detects + injects, error.
         j.begin_frame(100, 1, "id=0x173");
-        j.event(109, 2, JK_DETECTION, "pos=9");
-        j.event(110, 2, JK_INJECT_START, "");
-        j.end_frame(115, 1, JK_FRAME_ERROR, "kind=stuff off=15", true);
+        j.event(109, 2, JournalKind::Detection, "pos=9");
+        j.event(110, 2, JournalKind::InjectionStart, "");
+        j.end_frame(115, 1, JournalKind::FrameError, "kind=stuff off=15", true);
         // Attempt 2 inherits the chain; succeeds, closing it.
         j.begin_frame(140, 1, "id=0x173");
-        j.end_frame(250, 1, JK_FRAME_ACK, "id=0x173", false);
+        j.end_frame(250, 1, JournalKind::FrameAck, "id=0x173", false);
         // A fresh frame opens a new chain.
         j.begin_frame(300, 1, "id=0x173");
 
         let store = j.into_store();
         let events = store.canonical_events();
         assert_eq!(events.len(), 7);
-        let by_kind =
-            |k: &str| -> Vec<&&JournalEvent> { events.iter().filter(|e| e.kind == k).collect() };
+        let by_kind = |k: JournalKind| -> Vec<&&JournalEvent> {
+            events.iter().filter(|e| e.kind == k).collect()
+        };
         // Both attempts and the defender reaction share chain 1.
-        assert_eq!(by_kind(JK_FRAME_START)[0].chain_id, 1);
-        assert_eq!(by_kind(JK_FRAME_START)[1].chain_id, 1);
-        assert_eq!(by_kind(JK_FRAME_START)[1].frame_seq, 2);
-        assert_eq!(by_kind(JK_DETECTION)[0].chain_id, 1);
-        assert_eq!(by_kind(JK_DETECTION)[0].frame_seq, 1);
-        assert_eq!(by_kind(JK_FRAME_ACK)[0].chain_id, 1);
+        assert_eq!(by_kind(JournalKind::FrameStart)[0].chain_id, 1);
+        assert_eq!(by_kind(JournalKind::FrameStart)[1].chain_id, 1);
+        assert_eq!(by_kind(JournalKind::FrameStart)[1].frame_seq, 2);
+        assert_eq!(by_kind(JournalKind::Detection)[0].chain_id, 1);
+        assert_eq!(by_kind(JournalKind::Detection)[0].frame_seq, 1);
+        assert_eq!(by_kind(JournalKind::FrameAck)[0].chain_id, 1);
         // The post-ACK frame starts a new chain.
-        assert_eq!(by_kind(JK_FRAME_START)[2].frame_seq, 3);
-        assert_eq!(by_kind(JK_FRAME_START)[2].chain_id, 3);
+        assert_eq!(by_kind(JournalKind::FrameStart)[2].frame_seq, 3);
+        assert_eq!(by_kind(JournalKind::FrameStart)[2].chain_id, 3);
     }
 
     #[test]
@@ -530,12 +804,12 @@ mod tests {
         // identically.
         let a = Journal::enabled();
         a.begin_frame(10, 0, "id=0x064");
-        a.event(12, 1, JK_DETECTION, "pos=3");
-        a.event(12, 2, JK_STRIKE, "bit=12");
+        a.event(12, 1, JournalKind::Detection, "pos=3");
+        a.event(12, 2, JournalKind::Strike, "bit=12");
         let b = Journal::enabled();
         b.begin_frame(10, 0, "id=0x064");
-        b.event(12, 2, JK_STRIKE, "bit=12");
-        b.event(12, 1, JK_DETECTION, "pos=3");
+        b.event(12, 2, JournalKind::Strike, "bit=12");
+        b.event(12, 1, JournalKind::Detection, "pos=3");
         assert_eq!(a.export_jsonl(), b.export_jsonl());
     }
 
@@ -544,7 +818,7 @@ mod tests {
         let cell = |base: u64| {
             let j = Journal::enabled();
             j.begin_frame(base, 0, "id=0x100");
-            j.end_frame(base + 50, 0, JK_FRAME_ACK, "", false);
+            j.end_frame(base + 50, 0, JournalKind::FrameAck, "", false);
             j.into_store()
         };
         let (c0, c1) = (cell(1_000), cell(10));
@@ -568,7 +842,7 @@ mod tests {
     fn export_round_trips_through_the_parser() {
         let j = Journal::enabled();
         j.begin_frame(5, 0, "id=0x173");
-        j.event(9, 1, JK_DETECTION, "pos=9 \"quoted\"\nnewline");
+        j.event(9, 1, JournalKind::Detection, "pos=9 \"quoted\"\nnewline");
         let (events, dropped) = parse_export(&j.export_jsonl()).unwrap();
         assert_eq!(events.len(), 2);
         assert_eq!(events[1].detail, "pos=9 \"quoted\"\nnewline");
@@ -581,13 +855,13 @@ mod tests {
     fn capacity_overflow_counts_drops_per_kind() {
         let j = Journal::with_capacity(2);
         j.begin_frame(1, 0, "");
-        j.event(2, 0, JK_DETECTION, "");
-        j.event(3, 0, JK_DETECTION, "");
-        j.event(4, 0, JK_STRIKE, "");
+        j.event(2, 0, JournalKind::Detection, "");
+        j.event(3, 0, JournalKind::Detection, "");
+        j.event(4, 0, JournalKind::Strike, "");
         let store = j.into_store();
         assert_eq!(store.len(), 2);
-        assert_eq!(store.dropped()[JK_DETECTION], 1);
-        assert_eq!(store.dropped()[JK_STRIKE], 1);
+        assert_eq!(store.dropped()[&JournalKind::Detection], 1);
+        assert_eq!(store.dropped()[&JournalKind::Strike], 1);
         let export = Journal::disabled().export_jsonl();
         assert!(export.starts_with("{\"schema\":\"can-obs-journal/v1\""));
     }

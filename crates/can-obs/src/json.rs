@@ -13,8 +13,9 @@
 //! integer, and round-tripping through `f64` would be the one way to break
 //! byte-identity.
 
+use std::borrow::Cow;
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// One parsed JSON value. Object member order is preserved (the snapshot
 /// renderers emit keys in deterministic order; the parser keeps it).
@@ -154,12 +155,24 @@ pub fn parse(text: &str) -> Result<JsonValue, ParseError> {
     Ok(value)
 }
 
+/// Reads the JSON string literal whose opening quote is byte `at` of
+/// `text`: the unescaped string, borrowed from `text` when it has no
+/// escapes, and the offset just past its closing quote.
+pub(crate) fn string_at(text: &str, at: usize) -> Result<(Cow<'_, str>, usize), ParseError> {
+    let mut parser = Parser {
+        bytes: text.as_bytes(),
+        pos: at,
+    };
+    let string = parser.string()?;
+    Ok((string, parser.pos))
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
@@ -202,7 +215,7 @@ impl Parser<'_> {
         match self.peek() {
             Some(b'{') => self.object(depth),
             Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
+            Some(b'"') => Ok(JsonValue::Str(self.string()?.into_owned())),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'n') => self.literal("null", JsonValue::Null),
@@ -225,7 +238,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = self.string()?.into_owned();
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
@@ -283,20 +296,29 @@ impl Parser<'_> {
         Ok(JsonValue::Num(token.to_string()))
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// A string literal, borrowed from the input when it has no escapes.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut out: Option<String> = None;
         let mut run_start = self.pos;
         loop {
             match self.peek() {
                 None => return Err(ParseError::new(self.pos, "unterminated string")),
                 Some(b'"') => {
-                    out.push_str(self.raw_run(run_start)?);
+                    let run = self.raw_run(run_start)?;
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match out {
+                        None => Cow::Borrowed(run),
+                        Some(mut out) => {
+                            out.push_str(run);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 Some(b'\\') => {
-                    out.push_str(self.raw_run(run_start)?);
+                    let run = self.raw_run(run_start)?;
+                    let out = out.get_or_insert_with(String::new);
+                    out.push_str(run);
                     self.pos += 1;
                     let escape = self
                         .peek()
@@ -330,7 +352,7 @@ impl Parser<'_> {
     }
 
     /// The unescaped byte run `[run_start, pos)`, validated as UTF-8.
-    fn raw_run(&self, run_start: usize) -> Result<&str, ParseError> {
+    fn raw_run(&self, run_start: usize) -> Result<&'a str, ParseError> {
         std::str::from_utf8(&self.bytes[run_start..self.pos])
             .map_err(|_| ParseError::new(run_start, "invalid UTF-8 in string"))
     }
@@ -372,20 +394,48 @@ impl Parser<'_> {
 /// exact inverse.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    escape_into(&mut out, s);
+    out
+}
+
+/// [`escape`], appending to `out` instead of allocating. Runs that need
+/// no escaping are copied whole.
+pub fn escape_into(out: &mut String, s: &str) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+}
+
+/// Appends `n` in decimal: what `write!(out, "{n}")` writes, without the
+/// formatting machinery (the journal renderers write five per event).
+pub fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
-    out
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("decimal digits are ASCII"));
 }
 
 #[cfg(test)]

@@ -43,10 +43,8 @@ pub mod recorder;
 pub mod registry;
 
 pub use journal::{
-    parse_export, Journal, JournalEvent, JournalStore, JK_ARB_LOST, JK_BUS_OFF, JK_DEGRADED,
-    JK_DETECTION, JK_ERROR_STATE, JK_FRAME_ACK, JK_FRAME_ERROR, JK_FRAME_START, JK_IDS_ALERT,
-    JK_IDS_ARMED, JK_INJECT_END, JK_INJECT_START, JK_PROBE, JK_REARMED, JK_RECOVERED, JK_RX_ERROR,
-    JK_STRIKE, JOURNAL_SCHEMA,
+    parse_export, scan_export, EventLine, Journal, JournalEvent, JournalKind, JournalParseError,
+    JournalStore, JOURNAL_SCHEMA,
 };
 pub use json::{JsonValue, ParseError};
 pub use recorder::{Recorder, SpanGuard};

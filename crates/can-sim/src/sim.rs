@@ -948,13 +948,10 @@ fn leader_and_member(nodes: &mut [Node], leader: usize, member: usize) -> (&Node
 /// (retransmissions inherit the destroyed attempt's `chain_id`); receiver
 /// errors and state changes are stamped with the provoking frame's ids.
 /// `FrameReceived` is deliberately skipped — the transmitter's
-/// [`can_obs::JK_FRAME_ACK`] already marks delivery, and one event per
-/// receiver per frame would be pure noise.
+/// [`can_obs::JournalKind::FrameAck`] already marks delivery, and one
+/// event per receiver per frame would be pure noise.
 fn journal_event(journal: &Journal, at: u64, node: u32, kind: &EventKind) {
-    use can_obs::{
-        JK_ARB_LOST, JK_BUS_OFF, JK_ERROR_STATE, JK_FRAME_ACK, JK_FRAME_ERROR, JK_RECOVERED,
-        JK_RX_ERROR,
-    };
+    use can_obs::JournalKind;
 
     use crate::event::ErrorRole;
     match kind {
@@ -965,7 +962,7 @@ fn journal_event(journal: &Journal, at: u64, node: u32, kind: &EventKind) {
             journal.end_frame(
                 at,
                 node,
-                JK_ARB_LOST,
+                JournalKind::ArbLost,
                 &format!("id=0x{:03X}", id.raw()),
                 true,
             );
@@ -974,7 +971,7 @@ fn journal_event(journal: &Journal, at: u64, node: u32, kind: &EventKind) {
             journal.end_frame(
                 at,
                 node,
-                JK_FRAME_ACK,
+                JournalKind::FrameAck,
                 &format!("id=0x{:03X}", frame.id().raw()),
                 false,
             );
@@ -989,22 +986,27 @@ fn journal_event(journal: &Journal, at: u64, node: u32, kind: &EventKind) {
                     journal.end_frame(
                         at,
                         node,
-                        JK_FRAME_ERROR,
+                        JournalKind::FrameError,
                         &format!("kind={kind} off={off}"),
                         true,
                     );
                 }
                 ErrorRole::Receiver => {
                     let off = journal.bus_frame_offset(at);
-                    journal.event(at, node, JK_RX_ERROR, &format!("kind={kind} off={off}"));
+                    journal.event(
+                        at,
+                        node,
+                        JournalKind::RxError,
+                        &format!("kind={kind} off={off}"),
+                    );
                 }
             }
         }
         EventKind::ErrorStateChanged { state } => {
-            journal.node_event(at, node, JK_ERROR_STATE, &format!("state={state}"));
+            journal.node_event(at, node, JournalKind::ErrorState, &format!("state={state}"));
         }
-        EventKind::BusOff => journal.node_event(at, node, JK_BUS_OFF, ""),
-        EventKind::Recovered => journal.node_event(at, node, JK_RECOVERED, ""),
+        EventKind::BusOff => journal.node_event(at, node, JournalKind::BusOff, ""),
+        EventKind::Recovered => journal.node_event(at, node, JournalKind::Recovered, ""),
         EventKind::FrameReceived { .. } => {}
     }
 }
@@ -1498,10 +1500,13 @@ mod tests {
         assert!(
             events
                 .iter()
-                .any(|e| e.kind == can_obs::JK_FRAME_ERROR || e.kind == can_obs::JK_RX_ERROR),
+                .any(|e| e.kind == can_obs::JournalKind::FrameError
+                    || e.kind == can_obs::JournalKind::RxError),
             "the jam destroys frames"
         );
-        assert!(events.iter().any(|e| e.kind == can_obs::JK_FRAME_ACK));
+        assert!(events
+            .iter()
+            .any(|e| e.kind == can_obs::JournalKind::FrameAck));
     }
 
     #[test]
@@ -1522,7 +1527,7 @@ mod tests {
         let (events, _) = can_obs::journal::parse_export(&sim.journal().export_jsonl()).unwrap();
         let errors: Vec<_> = events
             .iter()
-            .filter(|e| e.kind == can_obs::JK_FRAME_ERROR && e.node == 0)
+            .filter(|e| e.kind == can_obs::JournalKind::FrameError && e.node == 0)
             .collect();
         assert!(!errors.is_empty(), "the jam destroys the first attempt");
         let chain = errors[0].chain_id;
@@ -1534,14 +1539,14 @@ mod tests {
         // The eventual successful retransmission stays on the same chain.
         let ack = events
             .iter()
-            .find(|e| e.kind == can_obs::JK_FRAME_ACK && e.node == 0)
+            .find(|e| e.kind == can_obs::JournalKind::FrameAck && e.node == 0)
             .expect("the frame eventually goes through");
         assert_eq!(ack.chain_id, chain);
         assert!(ack.frame_seq > errors[0].frame_seq);
         // A later, fresh frame opens a new chain.
         let starts: Vec<_> = events
             .iter()
-            .filter(|e| e.kind == can_obs::JK_FRAME_START && e.node == 0)
+            .filter(|e| e.kind == can_obs::JournalKind::FrameStart && e.node == 0)
             .collect();
         assert!(starts.last().unwrap().chain_id > chain);
     }

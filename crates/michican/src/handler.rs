@@ -25,7 +25,7 @@
 use can_core::agent::BitAgent;
 use can_core::bitstream::{Destuffed, Destuffer, MIN_INTERFRAME_RECESSIVE};
 use can_core::{BitDuration, BitInstant, Level};
-use can_obs::{Journal, Recorder, JK_DETECTION, JK_INJECT_END, JK_INJECT_START};
+use can_obs::{Journal, JournalKind, Recorder};
 use serde::{Deserialize, Serialize};
 
 use crate::fsm::{DetectionFsm, FsmCursor, FsmStep};
@@ -338,7 +338,7 @@ impl MichiCan {
                         self.journal.event(
                             now.bits(),
                             self.node_label,
-                            JK_DETECTION,
+                            JournalKind::Detection,
                             &format!("pos={position}"),
                         );
                     }
@@ -363,8 +363,12 @@ impl MichiCan {
                         }
                     }
                     if self.journal.is_enabled() {
-                        self.journal
-                            .event(now.bits(), self.node_label, JK_INJECT_START, "");
+                        self.journal.event(
+                            now.bits(),
+                            self.node_label,
+                            JournalKind::InjectionStart,
+                            "",
+                        );
                     }
                 }
                 self.start_counterattack = false;
@@ -375,7 +379,7 @@ impl MichiCan {
             // of the frame.
             if self.injecting && self.journal.is_enabled() {
                 self.journal
-                    .event(now.bits(), self.node_label, JK_INJECT_END, "");
+                    .event(now.bits(), self.node_label, JournalKind::InjectionEnd, "");
             }
             self.leave_frame();
         }
@@ -678,7 +682,11 @@ mod tests {
         let spoof = CanFrame::data_frame(CanId::from_raw(0x173), &[0xFF; 8]).unwrap();
         feed_frame(&mut defender, &spoof).expect("must counterattack");
         let export = journal.export_jsonl();
-        for kind in [JK_DETECTION, JK_INJECT_START, JK_INJECT_END] {
+        for kind in [
+            JournalKind::Detection,
+            JournalKind::InjectionStart,
+            JournalKind::InjectionEnd,
+        ] {
             assert!(
                 export.contains(&format!("\"kind\":\"{kind}\"")),
                 "missing {kind} in:\n{export}"

@@ -43,7 +43,7 @@
 use can_core::agent::BitAgent;
 use can_core::bitstream::MIN_INTERFRAME_RECESSIVE;
 use can_core::{BitInstant, Level};
-use can_obs::{Journal, Recorder, JK_DEGRADED, JK_REARMED};
+use can_obs::{Journal, JournalKind, Recorder};
 use serde::{Deserialize, Serialize};
 
 use crate::handler::MichiCan;
@@ -310,7 +310,7 @@ impl SupervisedMichiCan {
             self.journal.event(
                 self.last_tick.unwrap_or(0),
                 self.node_label,
-                JK_DEGRADED,
+                JournalKind::Degraded,
                 why,
             );
         }
@@ -332,8 +332,12 @@ impl SupervisedMichiCan {
                 .inc(&format!("michican_rearms_total{{node=\"{node}\"}}"));
         }
         if self.journal.is_enabled() {
-            self.journal
-                .event(self.last_tick.unwrap_or(0), self.node_label, JK_REARMED, "");
+            self.journal.event(
+                self.last_tick.unwrap_or(0),
+                self.node_label,
+                JournalKind::Rearmed,
+                "",
+            );
         }
         self.state = HealthState::Armed;
         self.armed_clean_streak = 0;
@@ -990,12 +994,12 @@ mod tests {
         }
         assert_eq!(agent.state(), HealthState::Armed);
         let export = journal.export_jsonl();
-        assert!(export.contains(&format!("\"kind\":\"{JK_DEGRADED}\"")));
+        let kind = |kind: JournalKind| format!("\"kind\":\"{kind}\"");
+        assert!(export.contains(&kind(JournalKind::Degraded)));
         assert!(export.contains("counterattack-failures"));
-        assert!(export.contains(&format!("\"kind\":\"{JK_REARMED}\"")));
+        assert!(export.contains(&kind(JournalKind::Rearmed)));
         // The wrapped handler shares the journal.
-        let inject = can_obs::JK_INJECT_START;
-        assert!(export.contains(&format!("\"kind\":\"{inject}\"")));
+        assert!(export.contains(&kind(JournalKind::InjectionStart)));
     }
 
     #[test]

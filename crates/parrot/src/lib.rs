@@ -25,7 +25,7 @@
 
 use can_core::app::Application;
 use can_core::{BitInstant, CanFrame, CanId};
-use can_obs::{Journal, Recorder, JK_DETECTION, JK_INJECT_END, JK_INJECT_START};
+use can_obs::{Journal, JournalKind, Recorder};
 
 /// Running counters of a [`ParrotDefender`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -151,8 +151,12 @@ impl Application for ParrotDefender {
             return Some(self.counterattack_frame());
         }
         if self.flood_until.take().is_some() && self.journal.is_enabled() {
-            self.journal
-                .event(now.bits(), self.node_label, JK_INJECT_END, "flood");
+            self.journal.event(
+                now.bits(),
+                self.node_label,
+                JournalKind::InjectionEnd,
+                "flood",
+            );
         }
         if let Some(period) = self.own_period_bits {
             if now.bits() >= self.next_own_due {
@@ -191,10 +195,14 @@ impl Application for ParrotDefender {
             }
             if self.journal.is_enabled() {
                 self.journal
-                    .event(now.bits(), self.node_label, JK_DETECTION, "spoof");
+                    .event(now.bits(), self.node_label, JournalKind::Detection, "spoof");
                 if self.flood_until.is_none() {
-                    self.journal
-                        .event(now.bits(), self.node_label, JK_INJECT_START, "flood");
+                    self.journal.event(
+                        now.bits(),
+                        self.node_label,
+                        JournalKind::InjectionStart,
+                        "flood",
+                    );
                 }
             }
             if self.flood_until.is_none() {
@@ -290,7 +298,11 @@ mod tests {
         assert!(parrot.poll(BitInstant::from_bits(60)).is_some());
         assert!(parrot.poll(BitInstant::from_bits(200)).is_none());
         let export = journal.export_jsonl();
-        for kind in [JK_DETECTION, JK_INJECT_START, JK_INJECT_END] {
+        for kind in [
+            JournalKind::Detection,
+            JournalKind::InjectionStart,
+            JournalKind::InjectionEnd,
+        ] {
             assert!(
                 export.contains(&format!("\"kind\":\"{kind}\"")),
                 "missing {kind} in:\n{export}"

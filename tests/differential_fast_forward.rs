@@ -15,7 +15,7 @@ use bench::scenarios::{
     experiment_builder, run_multi_attacker_scan_with, run_parksense_with, run_table2_with,
     table2_experiments,
 };
-use can_obs::{parse_export, Journal, Recorder, JK_DETECTION, JK_FRAME_ERROR, JK_INJECT_START};
+use can_obs::{parse_export, Journal, JournalKind, Recorder};
 
 fn lockstep(recorder: &Recorder) -> ExecOpts {
     ExecOpts::new().with_recorder(recorder.clone())
@@ -322,19 +322,21 @@ fn a_zoo_cell_reconstructs_the_attack_chain_by_chain_id() {
     let (events, dropped) = parse_export(&journal.export_jsonl()).unwrap();
     assert!(dropped.is_empty(), "journal dropped events: {dropped:?}");
 
-    let mut chains: std::collections::BTreeMap<u64, Vec<&str>> = std::collections::BTreeMap::new();
+    let mut chains: std::collections::BTreeMap<u64, Vec<JournalKind>> =
+        std::collections::BTreeMap::new();
     for event in &events {
         if event.chain_id != 0 {
-            chains
-                .entry(event.chain_id)
-                .or_default()
-                .push(event.kind.as_str());
+            chains.entry(event.chain_id).or_default().push(event.kind);
         }
     }
     let complete = chains.values().any(|kinds| {
-        [JK_DETECTION, JK_INJECT_START, JK_FRAME_ERROR]
-            .iter()
-            .all(|k| kinds.contains(k))
+        [
+            JournalKind::Detection,
+            JournalKind::InjectionStart,
+            JournalKind::FrameError,
+        ]
+        .iter()
+        .all(|k| kinds.contains(k))
     });
     assert!(
         complete,
@@ -420,7 +422,7 @@ fn ids_journal_is_byte_identical_across_modes_and_shards() {
     };
     let base = run(ExecOpts::new());
     assert!(
-        base.contains(can_obs::JK_IDS_ALERT),
+        base.contains(can_obs::JournalKind::IdsAlert.name()),
         "ids journal must carry alert events"
     );
     for (label, opts) in [
@@ -457,7 +459,7 @@ fn ids_journal_and_snapshot_are_byte_identical_across_modes_and_shards() {
         "the snapshot counts the bake-off's cells"
     );
     assert!(
-        journal.contains(can_obs::JK_IDS_ALERT),
+        journal.contains(can_obs::JournalKind::IdsAlert.name()),
         "the journal carries detector alerts"
     );
     for (label, opts) in [

@@ -13,7 +13,7 @@ use bench::campaign::{run_campaign_with, CampaignConfig};
 use bench::detection::run_sweep_with;
 use bench::obs::run_reaction_probe;
 use bench::runner::ExecOpts;
-use can_obs::{Journal, Recorder, JK_DEGRADED, JK_DETECTION, JK_INJECT_START, JK_REARMED};
+use can_obs::{Journal, JournalKind, Recorder};
 
 fn metered(recorder: &Recorder) -> ExecOpts {
     ExecOpts::new().with_recorder(recorder.clone())
@@ -151,12 +151,17 @@ fn journal_defense_events_agree_with_the_counters() {
     assert!(snapshot.contains("\"schema\": \"can-obs/v2\""));
     assert!(!snapshot.contains("\"traces"), "no trace sink in v2");
 
-    let mut journaled: BTreeMap<(u32, &str), u64> = BTreeMap::new();
+    let mut journaled: BTreeMap<(u32, JournalKind), u64> = BTreeMap::new();
     journal
         .with_store(|store| {
             assert!(store.dropped().is_empty(), "journal must be lossless");
             for event in store.canonical_events() {
-                for kind in [JK_DETECTION, JK_INJECT_START, JK_DEGRADED, JK_REARMED] {
+                for kind in [
+                    JournalKind::Detection,
+                    JournalKind::InjectionStart,
+                    JournalKind::Degraded,
+                    JournalKind::Rearmed,
+                ] {
                     if event.kind == kind {
                         *journaled.entry((event.node, kind)).or_default() += 1;
                     }
@@ -166,13 +171,13 @@ fn journal_defense_events_agree_with_the_counters() {
         .expect("journal is enabled");
 
     let registry = recorder.into_registry();
-    let mut counted: BTreeMap<(u32, &str), u64> = BTreeMap::new();
+    let mut counted: BTreeMap<(u32, JournalKind), u64> = BTreeMap::new();
     for (key, value) in registry.counters() {
         let kind = match key.split('{').next() {
-            Some("michican_detections_total") => JK_DETECTION,
-            Some("michican_counterattacks_total") => JK_INJECT_START,
-            Some("michican_degradations_total") => JK_DEGRADED,
-            Some("michican_rearms_total") => JK_REARMED,
+            Some("michican_detections_total") => JournalKind::Detection,
+            Some("michican_counterattacks_total") => JournalKind::InjectionStart,
+            Some("michican_degradations_total") => JournalKind::Degraded,
+            Some("michican_rearms_total") => JournalKind::Rearmed,
             _ => continue,
         };
         let node = key
@@ -186,7 +191,12 @@ fn journal_defense_events_agree_with_the_counters() {
 
     let nodes: BTreeSet<u32> = counted.keys().map(|&(node, _)| node).collect();
     assert!(!nodes.is_empty(), "the grid has a MichiCAN defender");
-    for kind in [JK_DETECTION, JK_INJECT_START, JK_DEGRADED, JK_REARMED] {
+    for kind in [
+        JournalKind::Detection,
+        JournalKind::InjectionStart,
+        JournalKind::Degraded,
+        JournalKind::Rearmed,
+    ] {
         assert!(
             nodes
                 .iter()
