@@ -20,12 +20,21 @@ use can_core::{BitDuration, BitInstant, CanId, Level};
 use can_obs::{Histogram, Journal, JournalKind, Recorder, DEFAULT_BUCKETS};
 
 use crate::error_flag::ERROR_FLAG_BITS;
-use can_core::watch::{FrameWatch, WatchEvent, ID_COMPLETE_CNT};
+use can_core::bitstream::MIN_INTERFRAME_RECESSIVE;
+use can_core::watch::{FrameWatch, WatchEvent, WatchTrigger, ID_COMPLETE_CNT};
 
 /// Earliest destuffed position the racer will ever strike at: the bit
 /// right after the arbitration field (it must see the whole identifier
 /// to know the frame is worth attacking).
 pub const EARLIEST_STRIKE_CNT: u32 = ID_COMPLETE_CNT + 1;
+
+/// Cap on an unarmed racer's target position. A lost race can move the
+/// target down to [`EARLIEST_STRIKE_CNT`] only after a frame arms at
+/// `cnt == 12` and dies on the next push; with the 11-bit hunt and 12
+/// positions of the next frame, that strike is this many pushes after the
+/// hunt's end, as a strike at this position would be.
+const LOST_RACE_REACH: u32 =
+    ID_COMPLETE_CNT + 1 + MIN_INTERFRAME_RECESSIVE as u32 + EARLIEST_STRIKE_CNT - 1;
 
 /// Pre-interned metric keys (built once in [`AdaptiveRacer::set_recorder`]
 /// so the per-bit path never formats).
@@ -259,10 +268,25 @@ impl BitAgent for AdaptiveRacer {
 
     fn drive_horizon(&self, now: BitInstant) -> Option<BitInstant> {
         if self.flag_left > 0 {
-            Some(now)
-        } else {
-            Some(now + BitDuration::bits(1))
+            return Some(now);
         }
+        // A strike is decided at the push that leaves `cnt` at
+        // `strike_at − 1`. Kills of armed frames re-target later frames,
+        // as early as `EARLIEST_STRIKE_CNT`.
+        let earliest = WatchTrigger::Cnt(EARLIEST_STRIKE_CNT - 1);
+        let bits = if self.probing() {
+            // No strike in this frame; probing may end with it.
+            self.watch.pushes_until(earliest, false)
+        } else if self.armed {
+            let strike = WatchTrigger::Cnt(self.strike_at() - 1);
+            let lost_race = self.watch.pushes_until(earliest, false);
+            self.watch.pushes_until(strike, true).min(lost_race)
+        } else {
+            let strike = WatchTrigger::Cnt((self.strike_at() - 1).min(LOST_RACE_REACH));
+            let eligible = self.watch.cnt() < ID_COMPLETE_CNT;
+            self.watch.pushes_until(strike, eligible)
+        };
+        Some(now + BitDuration::bits(bits))
     }
 
     fn skip_idle(&mut self, bits: u64, _from: BitInstant) {

@@ -16,7 +16,7 @@ use can_core::agent::BitAgent;
 use can_core::{BitDuration, BitInstant, CanId, Level};
 use can_obs::{Journal, JournalKind};
 
-use can_core::watch::{FrameWatch, WatchEvent, ID_COMPLETE_CNT};
+use can_core::watch::{FrameWatch, WatchEvent, WatchTrigger, ID_COMPLETE_CNT};
 
 /// Length of an active error flag in bits (CAN 2.0 §7).
 pub const ERROR_FLAG_BITS: u32 = 6;
@@ -134,10 +134,16 @@ impl BitAgent for ErrorFlagInjector {
 
     fn drive_horizon(&self, now: BitInstant) -> Option<BitInstant> {
         if self.flag_left > 0 {
-            Some(now)
-        } else {
-            Some(now + BitDuration::bits(1))
+            return Some(now);
         }
+        // The flag is decided at the push that leaves `cnt` at
+        // `flag_at − 1`, in a frame that is armed or whose identifier is
+        // still incomplete.
+        let eligible = self.armed || self.watch.cnt() < ID_COMPLETE_CNT;
+        let bits = self
+            .watch
+            .pushes_until(WatchTrigger::Cnt(self.flag_at - 1), eligible);
+        Some(now + BitDuration::bits(bits))
     }
 
     fn skip_idle(&mut self, bits: u64, _from: BitInstant) {

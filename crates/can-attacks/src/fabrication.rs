@@ -57,6 +57,11 @@ impl Application for FabricationAttacker {
             None
         }
     }
+
+    fn next_activity(&self, now: BitInstant) -> Option<BitInstant> {
+        // Every poll before `next_due` returns `None` and changes nothing.
+        Some(BitInstant::from_bits(self.next_due.max(now.bits())))
+    }
 }
 
 #[cfg(test)]
@@ -71,6 +76,29 @@ mod tests {
         assert!(attacker.poll(BitInstant::from_bits(249)).is_none());
         assert!(attacker.poll(BitInstant::from_bits(250)).is_some());
         assert_eq!(attacker.injected(), 2);
+    }
+
+    #[test]
+    fn next_activity_is_the_next_due_poll() {
+        let id = CanId::from_raw(0x1A0);
+        let mut attacker = FabricationAttacker::new(id, &[0xFF; 8], 1_000, 4);
+        assert_eq!(
+            attacker.next_activity(BitInstant::ZERO),
+            Some(BitInstant::ZERO),
+            "the first spoof is due at once"
+        );
+        attacker.poll(BitInstant::ZERO).unwrap();
+        for t in [1, 100, 249] {
+            assert_eq!(
+                attacker.next_activity(BitInstant::from_bits(t)),
+                Some(BitInstant::from_bits(250))
+            );
+        }
+        // A late poll is due at once.
+        assert_eq!(
+            attacker.next_activity(BitInstant::from_bits(300)),
+            Some(BitInstant::from_bits(300))
+        );
     }
 
     #[test]

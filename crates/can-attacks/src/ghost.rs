@@ -20,6 +20,13 @@ use can_core::bitstream::{Destuffed, Destuffer, MIN_INTERFRAME_RECESSIVE};
 use can_core::{BitDuration, BitInstant, CanId, Level};
 use can_obs::{Journal, JournalKind};
 
+/// Destuffed position whose bit triggers the injection: the first bit
+/// after the arbitration field.
+const INJECT_CNT: u32 = 13;
+
+/// Destuffed position at which the ghost leaves the frame.
+const LEAVE_CNT: u32 = 20;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum GhostState {
     BusIdle,
@@ -118,7 +125,8 @@ impl BitAgent for GhostInjector {
                     }
                 }
                 // Inject right after arbitration when the victim matched.
-                if self.cnt == 13 && self.id_bits == 11 && self.id_acc == self.victim.raw() {
+                if self.cnt == INJECT_CNT && self.id_bits == 11 && self.id_acc == self.victim.raw()
+                {
                     self.injecting = true;
                     self.injections += 1;
                     if self.journal.is_enabled() {
@@ -130,7 +138,7 @@ impl BitAgent for GhostInjector {
                         );
                     }
                 }
-                if self.cnt >= 20 {
+                if self.cnt >= LEAVE_CNT {
                     self.leave_frame();
                 }
             }
@@ -155,14 +163,20 @@ impl BitAgent for GhostInjector {
     }
 
     fn drive_horizon(&self, now: BitInstant) -> Option<BitInstant> {
-        // An injection can only begin after the ghost has observed
-        // another bit, so one bit from now is the earliest possible drive
-        // under arbitrary bus input.
+        // The injection is decided at the bit that brings `cnt` to 13, and
+        // each bit advances `cnt` by at most one. Violations do not leave
+        // the frame; reaching `cnt == 20` does, with no recessive credit,
+        // so a later frame needs the full 11-bit hunt before its SOF.
         if self.injecting {
-            Some(now)
-        } else {
-            Some(now + BitDuration::bits(1))
+            return Some(now);
         }
+        let sof_idle = MIN_INTERFRAME_RECESSIVE as u32;
+        let bits = match self.state {
+            GhostState::BusIdle => sof_idle.saturating_sub(self.recessive_run) + INJECT_CNT,
+            GhostState::InFrame if self.cnt < INJECT_CNT => INJECT_CNT - self.cnt,
+            GhostState::InFrame => (LEAVE_CNT - self.cnt) + sof_idle + INJECT_CNT,
+        };
+        Some(now + BitDuration::bits(u64::from(bits)))
     }
 
     fn skip_idle(&mut self, bits: u64, _from: BitInstant) {

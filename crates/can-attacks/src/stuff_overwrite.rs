@@ -17,7 +17,7 @@ use can_core::agent::BitAgent;
 use can_core::{BitDuration, BitInstant, CanId, Level};
 use can_obs::{Journal, JournalKind};
 
-use can_core::watch::{FrameWatch, WatchEvent, ID_COMPLETE_CNT};
+use can_core::watch::{FrameWatch, WatchEvent, WatchTrigger, ID_COMPLETE_CNT};
 
 /// A bit-level attacker that overwrites a computed recessive stuff bit
 /// of the victim's frames with a dominant level.
@@ -129,10 +129,18 @@ impl BitAgent for StuffBitOverwrite {
 
     fn drive_horizon(&self, now: BitInstant) -> Option<BitInstant> {
         if self.injecting {
-            Some(now)
-        } else {
-            Some(now + BitDuration::bits(1))
+            return Some(now);
         }
+        // Unarmed, no strike comes before a frame's identifier completes
+        // at `cnt == 12`; armed, the next recessive stuff bit may be it.
+        let bits = if self.armed {
+            self.watch.pushes_until(WatchTrigger::RecessiveStuff, true)
+        } else {
+            let eligible = self.watch.cnt() < ID_COMPLETE_CNT;
+            self.watch
+                .pushes_until(WatchTrigger::Cnt(ID_COMPLETE_CNT), eligible)
+        };
+        Some(now + BitDuration::bits(bits))
     }
 
     fn skip_idle(&mut self, bits: u64, _from: BitInstant) {
@@ -211,9 +219,11 @@ mod tests {
     fn quiescent_on_an_idle_bus() {
         let attacker = StuffBitOverwrite::new(CanId::from_raw(0x173), 0);
         assert_eq!(attacker.next_activity(BitInstant::ZERO), None);
+        // 11 recessive bits arm the hunt; the SOF plus 11 identifier bits
+        // complete the identifier the strike needs.
         assert_eq!(
             attacker.drive_horizon(BitInstant::ZERO),
-            Some(BitInstant::ZERO + BitDuration::bits(1))
+            Some(BitInstant::ZERO + BitDuration::bits(23))
         );
     }
 

@@ -16,7 +16,7 @@ use can_core::agent::BitAgent;
 use can_core::{BitDuration, BitInstant, CanId, Level};
 use can_obs::{Journal, JournalKind};
 
-use can_core::watch::{FrameWatch, WatchEvent, ID_COMPLETE_CNT};
+use can_core::watch::{FrameWatch, WatchEvent, WatchTrigger, ID_COMPLETE_CNT};
 
 /// The fixed-form boundary at which a [`FrameTruncator`] strikes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -148,10 +148,15 @@ impl BitAgent for FrameTruncator {
 
     fn drive_horizon(&self, now: BitInstant) -> Option<BitInstant> {
         if self.injecting {
-            Some(now)
-        } else {
-            Some(now + BitDuration::bits(1))
+            return Some(now);
         }
+        // The strike is decided at the push that makes the boundary the
+        // next tail bit, in an armed frame (or one not yet identified).
+        let eligible = self.armed || self.watch.cnt() < ID_COMPLETE_CNT;
+        let bits = self
+            .watch
+            .pushes_until(WatchTrigger::TailIndex(self.at.tail_offset()), eligible);
+        Some(now + BitDuration::bits(bits))
     }
 
     fn skip_idle(&mut self, bits: u64, _from: BitInstant) {

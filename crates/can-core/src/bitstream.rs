@@ -380,6 +380,11 @@ impl Destuffer {
     pub fn expecting_stuff(&self) -> bool {
         self.expect_stuff
     }
+
+    /// The level and length of the current run of equal bits.
+    pub(crate) fn run(&self) -> (Option<Level>, usize) {
+        (self.run_level, self.run_len)
+    }
 }
 
 /// Decodes a complete *stuffed* wire bit sequence back into a frame,

@@ -15,7 +15,7 @@
 //! the CRC sequence, and a naive destuffer would mistake the ≥ 8 recessive
 //! tail bits for stuff violations.
 
-use crate::bitstream::{Destuffed, Destuffer, FrameLayout, MIN_INTERFRAME_RECESSIVE};
+use crate::bitstream::{Destuffed, Destuffer, FrameLayout, MIN_INTERFRAME_RECESSIVE, STUFF_RUN};
 use crate::id::CanId;
 use crate::level::Level;
 
@@ -42,6 +42,19 @@ pub enum WatchEvent {
     /// (error flags follow); the watch aborted back to hunting. Carries
     /// the destuffed position at which the violation was observed.
     Violation(u32),
+}
+
+/// A wire moment a bit-level agent strikes on, as
+/// [`FrameWatch::pushes_until`] measures it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WatchTrigger {
+    /// A push that leaves [`FrameWatch::cnt`] at this destuffed position
+    /// (SOF = 1), or the stuff bit right after it.
+    Cnt(u32),
+    /// A push after which [`FrameWatch::next_tail_index`] is this index.
+    TailIndex(u32),
+    /// A push after which [`FrameWatch::expecting_recessive_stuff`] holds.
+    RecessiveStuff,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,6 +160,71 @@ impl FrameWatch {
         match self.state {
             WatchState::Tail { left } => Some(TAIL_BITS - left),
             _ => None,
+        }
+    }
+
+    /// The least number of further pushes after which `trigger` could
+    /// fire, for arbitrary input: the basis of a bit-level agent's
+    /// [`crate::agent::BitAgent::drive_horizon`]. `eligible` says whether
+    /// the frame in progress can still qualify for the agent's strike;
+    /// one that cannot must end first, and the next frame counts from its
+    /// SOF. Rows (DESIGN.md §12):
+    ///
+    /// * hunting with a recessive run `r`: the `(11 − r)⁺` bits that arm a
+    ///   SOF, then the trigger's position in a fresh frame;
+    /// * in the stuffed region: a push advances `cnt` by at most one, so
+    ///   the distance to the position; otherwise a violation on the next
+    ///   push re-arms the hunt from zero (ending through the tail is
+    ///   slower);
+    /// * in the tail: its remaining bits, one more recessive bit (the tail
+    ///   credits at most 10 toward the next SOF), then the fresh frame.
+    pub fn pushes_until(&self, trigger: WatchTrigger, eligible: bool) -> u64 {
+        let sof_idle = MIN_INTERFRAME_RECESSIVE as u64;
+        let min_region = FrameLayout::for_payload(0).stuffed_region_bits() as u64;
+        let stuff_run = STUFF_RUN as u64;
+        // Pushes from the hunt's end to the trigger in a frame that has not
+        // started (its SOF is the first). The DLC is unknown there, so a
+        // tail index sits behind the shortest stuffed region, and a
+        // recessive stuff bit is due after the SOF plus four dominant bits.
+        let fresh = match trigger {
+            WatchTrigger::Cnt(c) => u64::from(c),
+            WatchTrigger::TailIndex(i) => min_region + u64::from(i),
+            WatchTrigger::RecessiveStuff => stuff_run,
+        };
+        let rehunt = 1 + sof_idle + fresh;
+        let cnt = u64::from(self.cnt);
+        match (self.state, trigger) {
+            (WatchState::BusIdle, _) => {
+                sof_idle.saturating_sub(u64::from(self.recessive_run)) + fresh
+            }
+            (WatchState::Tail { left }, WatchTrigger::TailIndex(i))
+                if eligible && TAIL_BITS - left < i =>
+            {
+                u64::from(i - (TAIL_BITS - left))
+            }
+            (WatchState::Tail { left }, _) => u64::from(left) + 1 + fresh,
+            _ if !eligible => rehunt,
+            // At `cnt == c` a pending stuff bit still lets the trigger fire.
+            (WatchState::Stuffed, WatchTrigger::Cnt(c)) if cnt <= u64::from(c) => {
+                (u64::from(c) - cnt).max(1)
+            }
+            (WatchState::Stuffed, WatchTrigger::TailIndex(i)) => {
+                let region = self
+                    .layout
+                    .map_or(min_region, |l| l.stuffed_region_bits() as u64);
+                // A long frame may be abandoned for a shorter one.
+                (region + u64::from(i) - cnt).min(rehunt)
+            }
+            (WatchState::TrailingStuff, WatchTrigger::Cnt(c)) if cnt == u64::from(c) => 1,
+            (WatchState::TrailingStuff, WatchTrigger::TailIndex(i)) => 1 + u64::from(i),
+            (_, WatchTrigger::RecessiveStuff) => match self.destuffer.run() {
+                (Some(Level::Dominant), run) if run < STUFF_RUN => stuff_run - run as u64,
+                // This stuff bit passes; a fresh dominant run follows it.
+                (Some(Level::Dominant), _) => 1 + stuff_run,
+                // A recessive run: a dominant (stuff) bit starts the run.
+                _ => stuff_run,
+            },
+            _ => rehunt,
         }
     }
 

@@ -39,6 +39,17 @@ pub struct ParrotStats {
     pub floods: u64,
 }
 
+/// Pre-interned metric keys (built once in [`ParrotDefender::set_recorder`]
+/// so the flood's per-bit poll never formats).
+#[derive(Debug, Clone)]
+struct ParrotKeys {
+    recorder: Recorder,
+    flood_frames: String,
+    reaction_latency: String,
+    spoofs_observed: String,
+    floods: String,
+}
+
 /// The Parrot defense as an ECU application.
 ///
 /// `own_id` is the identifier this ECU legitimately transmits; any
@@ -54,8 +65,8 @@ pub struct ParrotDefender {
     flood_until: Option<u64>,
     flood_window_bits: u64,
     stats: ParrotStats,
-    /// Metrics sink; disabled (no-op) by default.
-    recorder: Recorder,
+    /// Metrics sink and its keys; `None` (no-op) by default.
+    keys: Option<ParrotKeys>,
     /// Causal event journal; disabled (no-op) by default.
     journal: Journal,
     /// Node index used in metric labels.
@@ -76,7 +87,7 @@ impl ParrotDefender {
             flood_until: None,
             flood_window_bits,
             stats: ParrotStats::default(),
-            recorder: Recorder::disabled(),
+            keys: None,
             journal: Journal::disabled(),
             node_label: 0,
             detected_at: None,
@@ -86,13 +97,17 @@ impl ParrotDefender {
     /// Attaches a metrics recorder; `node` is the index used in metric
     /// labels (`parrot_*{node="<node>"}`).
     pub fn set_recorder(&mut self, recorder: Recorder, node: u32) {
-        if recorder.is_enabled() {
-            recorder.declare_histogram(
-                &format!("parrot_reaction_latency_bits{{node=\"{node}\"}}"),
-                can_obs::DEFAULT_BUCKETS,
-            );
-        }
-        self.recorder = recorder;
+        self.keys = recorder.is_enabled().then(|| {
+            let reaction_latency = format!("parrot_reaction_latency_bits{{node=\"{node}\"}}");
+            recorder.declare_histogram(&reaction_latency, can_obs::DEFAULT_BUCKETS);
+            ParrotKeys {
+                flood_frames: format!("parrot_flood_frames_total{{node=\"{node}\"}}"),
+                reaction_latency,
+                spoofs_observed: format!("parrot_spoofs_observed_total{{node=\"{node}\"}}"),
+                floods: format!("parrot_floods_total{{node=\"{node}\"}}"),
+                recorder,
+            }
+        });
         self.node_label = node;
     }
 
@@ -137,15 +152,11 @@ impl Application for ParrotDefender {
             // Keep the mailbox saturated: the controller transmits
             // back-to-back, colliding with every attacker retransmission.
             self.stats.flood_frames += 1;
-            if self.recorder.is_enabled() {
-                let node = self.node_label;
-                self.recorder
-                    .inc(&format!("parrot_flood_frames_total{{node=\"{node}\"}}"));
+            if let Some(keys) = &self.keys {
+                keys.recorder.inc(&keys.flood_frames);
                 if let Some(detected) = self.detected_at.take() {
-                    self.recorder.observe(
-                        &format!("parrot_reaction_latency_bits{{node=\"{node}\"}}"),
-                        now.bits().saturating_sub(detected),
-                    );
+                    keys.recorder
+                        .observe(&keys.reaction_latency, now.bits().saturating_sub(detected));
                 }
             }
             return Some(self.counterattack_frame());
@@ -183,13 +194,10 @@ impl Application for ParrotDefender {
         if frame.id() == self.own_id {
             // A complete foreign frame with our identifier: spoofing.
             self.stats.spoofs_observed += 1;
-            if self.recorder.is_enabled() {
-                let node = self.node_label;
-                self.recorder
-                    .inc(&format!("parrot_spoofs_observed_total{{node=\"{node}\"}}"));
+            if let Some(keys) = &self.keys {
+                keys.recorder.inc(&keys.spoofs_observed);
                 if self.flood_until.is_none() {
-                    self.recorder
-                        .inc(&format!("parrot_floods_total{{node=\"{node}\"}}"));
+                    keys.recorder.inc(&keys.floods);
                     self.detected_at = Some(now.bits());
                 }
             }

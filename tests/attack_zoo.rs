@@ -1,8 +1,10 @@
 //! End-to-end checks of the bit-level adversary zoo: error-flag injection
 //! accounting on the can-obs surface, in-simulation adaptivity of the
-//! racing attacker, and registry enumeration as the `experiments attacks`
-//! runner consumes it.
+//! racing attacker, registry enumeration as the `experiments attacks`
+//! runner consumes it, and how much of each zoo cell the packed kernel
+//! resolves word-at-a-time.
 
+use bench::attackzoo::{build_zoo_cell_observed, zoo_cells, ZooDefense, ZOO_HORIZON_BITS};
 use can_attacks::error_flag::ERROR_FLAG_BITS;
 use can_attacks::registry::{all_variants, attack_names, variants_for};
 use can_attacks::{AdaptiveRacer, ErrorFlagInjector, GhostInjector};
@@ -10,8 +12,8 @@ use can_core::agent::BitAgent;
 use can_core::app::{PeriodicSender, SilentApplication};
 use can_core::bitstream::stuff_frame;
 use can_core::{BitInstant, BusSpeed, CanFrame, CanId, Level};
-use can_obs::Recorder;
-use can_sim::{bus_off_episodes, Node, SimBuilder};
+use can_obs::{Journal, Recorder};
+use can_sim::{bus_off_episodes, FallbackCause, Node, SimBuilder};
 
 const VICTIM_ID: u16 = 0x173;
 
@@ -195,5 +197,35 @@ fn registry_enumeration_matches_the_experiments_surface() {
         bench::attackzoo::zoo_cells().len(),
         variants.len() * 3,
         "every variant appears once per defense column"
+    );
+}
+
+#[test]
+fn zoo_cells_ride_the_packed_kernel() {
+    // Bit-level attackers declare position-derived drive horizons, so the
+    // bits between a SOF and the strike resolve as packed words instead
+    // of one-bit stretches; the fabrication attacker declares its next
+    // due poll, so the kernel stops polling it every bit.
+    let mut short_cap = 0;
+    for cell in zoo_cells() {
+        let label = format!("{} vs {}", cell.variant.label(), cell.defense.label());
+        let mut zoo = build_zoo_cell_observed(&cell, Recorder::disabled(), Journal::disabled());
+        zoo.sim.run_packed(ZOO_HORIZON_BITS);
+        let telemetry = zoo.sim.kernel_telemetry();
+        short_cap += telemetry.fallback_count(FallbackCause::ShortCap);
+        if cell.variant.bit_level() {
+            assert!(telemetry.packed_bits() > 0, "{label}: no packed bits");
+        }
+        if cell.variant.attack == "fabrication" && cell.defense != ZooDefense::Parrot {
+            let app_polls = telemetry.fallback_count(FallbackCause::AppPoll);
+            assert!(
+                app_polls * 100 <= ZOO_HORIZON_BITS,
+                "{label}: {app_polls} app-poll fallbacks in {ZOO_HORIZON_BITS} bits"
+            );
+        }
+    }
+    assert!(
+        short_cap <= 15_000,
+        "{short_cap} short-cap fallbacks over the zoo grid"
     );
 }
