@@ -123,6 +123,26 @@ pub(crate) enum StretchRole {
     /// Bus-off recovery countdown: contributes recessive; consumes mixed
     /// bus levels word-at-a-time.
     BusOff,
+    /// Error signalling (flag, wait for recessive, delimiter): drives the
+    /// rest of an active flag and consumes mixed bus levels through
+    /// [`ErrSig::step`]; the stretch stops before the first bit whose
+    /// sample has a side effect ([`ErrSig::quiet_bits`]).
+    Signal {
+        /// The sub-state at the start of the stretch.
+        sig: ErrSig,
+    },
+}
+
+impl StretchRole {
+    /// The dominant mask this role drives over the stretch (LSB = the
+    /// upcoming bit); the packed wired-AND is the OR of these.
+    pub(crate) fn drive_word(&self) -> u64 {
+        match self {
+            StretchRole::Transmit { word } => *word,
+            StretchRole::Signal { sig } => sig.drive_word(),
+            _ => 0,
+        }
+    }
 }
 
 /// Bits of `bus` (at most `n`) an integrating controller with the given
@@ -148,8 +168,8 @@ pub(crate) fn integrating_word_cap(recessive_run: u8, bus: u64, n: u32) -> u32 {
 }
 
 /// Error-signalling sub-state.
-#[derive(Debug, Clone)]
-struct ErrSig {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ErrSig {
     /// Active (dominant) or passive (recessive) flag.
     active: bool,
     /// Active flag: bits left to drive.
@@ -173,6 +193,116 @@ enum ErrPhase {
     Flag,
     WaitRecessive,
     Delimiter(u8),
+}
+
+/// What one sampled bit did to an [`ErrSig`]: the side effect the caller
+/// owes, if any.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SigStep {
+    /// Sub-state advanced; nothing else happens.
+    Quiet,
+    /// Dominant bit right after a receiver's flag: REC += 8 (applied by
+    /// the caller; the sub-state already recorded it as applied).
+    SevereRec,
+    /// The last delimiter bit: the caller leaves error signalling for
+    /// intermission, suspend or bus-off. The sub-state is not advanced.
+    Leave,
+}
+
+impl ErrSig {
+    /// A fresh error flag, as a detection path raises it.
+    fn new(was_transmitter: bool, receiver_role: bool, active: bool) -> Self {
+        ErrSig {
+            active,
+            flag_remaining: ERROR_FLAG_BITS,
+            run_level: None,
+            run_len: 0,
+            phase: ErrPhase::Flag,
+            was_transmitter,
+            receiver_role,
+            severe_applied: false,
+            then_bus_off: false,
+        }
+    }
+
+    /// The one flag/delimiter transition, shared by the lockstep sample
+    /// ([`Controller::on_sample`]) and the packed cap and commit
+    /// ([`ErrSig::quiet_bits`], [`Controller::commit_signal`]).
+    pub(crate) fn step(&mut self, bus: Level) -> SigStep {
+        match self.phase {
+            ErrPhase::Flag => {
+                if self.active {
+                    // We are driving dominant; count our six flag bits.
+                    self.flag_remaining -= 1;
+                    if self.flag_remaining == 0 {
+                        self.phase = ErrPhase::WaitRecessive;
+                    }
+                } else {
+                    // Passive flag: complete after six consecutive equal
+                    // levels on the bus (our own recessive or others'
+                    // dominant flags).
+                    match self.run_level {
+                        Some(level) if level == bus => self.run_len += 1,
+                        _ => {
+                            self.run_level = Some(bus);
+                            self.run_len = 1;
+                        }
+                    }
+                    if self.run_len >= ERROR_FLAG_BITS {
+                        self.phase = ErrPhase::WaitRecessive;
+                    }
+                }
+                SigStep::Quiet
+            }
+            ErrPhase::WaitRecessive => {
+                if bus.is_recessive() {
+                    // First delimiter bit observed.
+                    self.phase = ErrPhase::Delimiter(ERROR_DELIMITER_BITS - 1);
+                    SigStep::Quiet
+                } else if self.receiver_role && !self.severe_applied {
+                    // Someone is still flagging (superposed error flags),
+                    // right after our own flag.
+                    self.severe_applied = true;
+                    SigStep::SevereRec
+                } else {
+                    SigStep::Quiet
+                }
+            }
+            ErrPhase::Delimiter(remaining) => {
+                if bus.is_dominant() {
+                    // A dominant bit inside the delimiter restarts the wait
+                    // (superposed late flags; overload handling is out of
+                    // scope).
+                    self.phase = ErrPhase::WaitRecessive;
+                    SigStep::Quiet
+                } else if remaining > 1 {
+                    self.phase = ErrPhase::Delimiter(remaining - 1);
+                    SigStep::Quiet
+                } else {
+                    SigStep::Leave
+                }
+            }
+        }
+    }
+
+    /// The dominant mask of the rest of an active flag (LSB = the upcoming
+    /// bit); zero once the flag is over or for a passive flag.
+    pub(crate) fn drive_word(&self) -> u64 {
+        if self.active && self.phase == ErrPhase::Flag {
+            (1u64 << self.flag_remaining) - 1
+        } else {
+            0
+        }
+    }
+
+    /// How many of the low `n` bits of `bus` step [`SigStep::Quiet`]: the
+    /// packed stretch stops before the severe-REC bit and before the last
+    /// delimiter bit, so counters stay frozen inside it.
+    pub(crate) fn quiet_bits(mut self, bus: u64, n: u32) -> u32 {
+        (0..n)
+            .find(|&i| self.step(packed::level_at(bus, i)) != SigStep::Quiet)
+            .unwrap_or(n)
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -342,9 +472,7 @@ impl Controller {
     pub fn tx_level(&self) -> Level {
         match &self.state {
             State::Transmitting { tx, .. } => tx.bits[tx.index],
-            State::ErrorSignaling(sig) if sig.phase == ErrPhase::Flag && sig.active => {
-                Level::Dominant
-            }
+            State::ErrorSignaling(sig) if sig.drive_word() != 0 => Level::Dominant,
             State::Receiving { .. } if self.drive_ack => Level::Dominant,
             _ => Level::Recessive,
         }
@@ -386,7 +514,7 @@ impl Controller {
             State::Transmitting { tx, parser } => {
                 self.sample_transmitting(tx, parser, bus, now, out)
             }
-            State::ErrorSignaling(sig) => self.sample_error(sig, bus, now, out),
+            State::ErrorSignaling(sig) => self.sample_error(sig, bus, out),
             State::Intermission {
                 remaining,
                 then_suspend,
@@ -469,7 +597,7 @@ impl Controller {
                     kind,
                     role: ErrorRole::Receiver,
                 });
-                State::ErrorSignaling(self.new_error_signal(false, true, false))
+                State::ErrorSignaling(ErrSig::new(false, true, false))
             }
         }
     }
@@ -501,7 +629,7 @@ impl Controller {
                             kind,
                             role: ErrorRole::Receiver,
                         });
-                        State::ErrorSignaling(self.new_error_signal(false, true, false))
+                        State::ErrorSignaling(ErrSig::new(false, true, false))
                     }
                     _ => State::Receiving { parser },
                 };
@@ -557,7 +685,7 @@ impl Controller {
             role: ErrorRole::Transmitter,
         });
         self.requeue(tx.frame);
-        let mut sig = self.new_error_signal(true, false, active_before);
+        let mut sig = ErrSig::new(true, false, active_before);
         if new_state == ErrorState::BusOff {
             sig.then_bus_off = true;
         }
@@ -580,99 +708,33 @@ impl Controller {
             role: ErrorRole::Transmitter,
         });
         self.requeue(tx.frame);
-        let mut sig = self.new_error_signal(true, false, active_before);
+        let mut sig = ErrSig::new(true, false, active_before);
         if new_state == ErrorState::BusOff {
             sig.then_bus_off = true;
         }
         State::ErrorSignaling(sig)
     }
 
-    fn new_error_signal(&self, was_transmitter: bool, receiver_role: bool, active: bool) -> ErrSig {
-        ErrSig {
-            active,
-            flag_remaining: ERROR_FLAG_BITS,
-            run_level: None,
-            run_len: 0,
-            phase: ErrPhase::Flag,
-            was_transmitter,
-            receiver_role,
-            severe_applied: false,
-            then_bus_off: false,
-        }
-    }
-
-    fn sample_error(
-        &mut self,
-        mut sig: ErrSig,
-        bus: Level,
-        now: BitInstant,
-        out: &mut StepOutput,
-    ) -> State {
-        match sig.phase {
-            ErrPhase::Flag => {
-                if sig.active {
-                    // We are driving dominant; count our six flag bits.
-                    sig.flag_remaining -= 1;
-                    if sig.flag_remaining == 0 {
-                        sig.phase = ErrPhase::WaitRecessive;
-                    }
-                } else {
-                    // Passive flag: complete after six consecutive equal
-                    // levels on the bus (our own recessive or others'
-                    // dominant flags).
-                    match sig.run_level {
-                        Some(level) if level == bus => sig.run_len += 1,
-                        _ => {
-                            sig.run_level = Some(bus);
-                            sig.run_len = 1;
-                        }
-                    }
-                    if sig.run_len >= ERROR_FLAG_BITS {
-                        sig.phase = ErrPhase::WaitRecessive;
-                    }
-                }
+    fn sample_error(&mut self, mut sig: ErrSig, bus: Level, out: &mut StepOutput) -> State {
+        match sig.step(bus) {
+            SigStep::Quiet => State::ErrorSignaling(sig),
+            SigStep::SevereRec => {
+                self.counters.on_receive_error_severe();
                 State::ErrorSignaling(sig)
             }
-            ErrPhase::WaitRecessive => {
-                if bus.is_recessive() {
-                    // First delimiter bit observed.
-                    sig.phase = ErrPhase::Delimiter(ERROR_DELIMITER_BITS - 1);
-                    State::ErrorSignaling(sig)
-                } else {
-                    // Someone is still flagging (superposed error flags).
-                    if sig.receiver_role && !sig.severe_applied {
-                        // Dominant right after our error flag: REC += 8.
-                        sig.severe_applied = true;
-                        self.counters.on_receive_error_severe();
-                    }
-                    State::ErrorSignaling(sig)
+            SigStep::Leave if sig.then_bus_off => {
+                out.events.push(EventKind::BusOff);
+                State::BusOff {
+                    recessive_run: 0,
+                    sequences: 0,
                 }
             }
-            ErrPhase::Delimiter(remaining) => {
-                if bus.is_dominant() {
-                    // A dominant bit inside the delimiter restarts the wait
-                    // (superposed late flags; overload handling is out of
-                    // scope).
-                    sig.phase = ErrPhase::WaitRecessive;
-                    return State::ErrorSignaling(sig);
-                }
-                if remaining > 1 {
-                    sig.phase = ErrPhase::Delimiter(remaining - 1);
-                    State::ErrorSignaling(sig)
-                } else if sig.then_bus_off {
-                    out.events.push(EventKind::BusOff);
-                    let _ = now;
-                    State::BusOff {
-                        recessive_run: 0,
-                        sequences: 0,
-                    }
-                } else {
-                    let then_suspend =
-                        sig.was_transmitter && self.counters.state() == ErrorState::ErrorPassive;
-                    State::Intermission {
-                        remaining: IFS_BITS as u8,
-                        then_suspend,
-                    }
+            SigStep::Leave => {
+                let then_suspend =
+                    sig.was_transmitter && self.counters.state() == ErrorState::ErrorPassive;
+                State::Intermission {
+                    remaining: IFS_BITS as u8,
+                    then_suspend,
                 }
             }
         }
@@ -877,9 +939,8 @@ impl Controller {
     /// Returns how this controller participates in a stretch starting at
     /// `now`, lowering `*cap` (in bits, already ≤ 64) to the last bit it
     /// can cover without per-bit processing, or `None` when the very next
-    /// bit needs the lockstep path: a pending ACK drive, error signalling,
-    /// idle with a queued frame, the ACK slot or final bit of its own
-    /// transmission.
+    /// bit needs the lockstep path: a pending ACK drive, idle with a
+    /// queued frame, the ACK slot or final bit of its own transmission.
     ///
     /// The plan has no side effects; the simulator may discard it and run
     /// lockstep instead at any point.
@@ -919,7 +980,7 @@ impl Controller {
                     word: packed::extract_window(&tx.words, tx.index),
                 })
             }
-            State::ErrorSignaling(_) => None,
+            State::ErrorSignaling(sig) => Some(StretchRole::Signal { sig: *sig }),
             State::Idle => {
                 if self.pending.is_empty() {
                     Some(StretchRole::Passive)
@@ -1026,6 +1087,24 @@ impl Controller {
         for i in 0..n {
             let event = parser.push(packed::level_at(bus, i));
             debug_assert_eq!(event, RxEvent::Continue);
+        }
+    }
+
+    /// Commits `n` bits of mixed bus levels to an error-signalling
+    /// controller: replays [`ErrSig::step`] over the word. The stretch was
+    /// capped by [`ErrSig::quiet_bits`], so every step is quiet and the
+    /// error counters stay frozen.
+    pub(crate) fn commit_signal(&mut self, bus: u64, n: u32) {
+        let State::ErrorSignaling(sig) = &mut self.state else {
+            unreachable!("commit_signal on a controller that is not error signalling")
+        };
+        for i in 0..n {
+            let step = sig.step(packed::level_at(bus, i));
+            debug_assert_eq!(
+                step,
+                SigStep::Quiet,
+                "stretch must stop before side effects"
+            );
         }
     }
 
@@ -1289,5 +1368,215 @@ mod tests {
         nodes[0].enqueue(frame(0x055, &[7; 7]));
         run(&mut nodes, 400);
         assert_eq!(nodes[0].counters().tec(), 31);
+    }
+
+    /// A controller that is error signalling with `sig` and the given
+    /// error counters.
+    fn signalling(sig: ErrSig, counters: ErrorCounters) -> Controller {
+        let mut c = Controller::new(ControllerConfig::default());
+        c.counters = counters;
+        c.last_reported_state = counters.state();
+        c.state = State::ErrorSignaling(sig);
+        c
+    }
+
+    fn sig_of(c: &Controller) -> ErrSig {
+        match &c.state {
+            State::ErrorSignaling(sig) => *sig,
+            other => panic!("not error signalling: {other:?}"),
+        }
+    }
+
+    /// Counters after `n` transmit errors.
+    fn tec_after(n: usize) -> ErrorCounters {
+        let mut counters = ErrorCounters::new();
+        for _ in 0..n {
+            counters.on_transmit_error();
+        }
+        counters
+    }
+
+    /// Plans a `Signal` stretch of at most `n` bits on a bus where the
+    /// other nodes drive the dominant mask `others`, commits its quiet
+    /// prefix, and samples the same bits in lockstep on a twin. Both must
+    /// agree bit for bit, with counters frozen and no events. Returns the
+    /// cap and the lockstep twin, parked on the bit the stretch stopped
+    /// before.
+    fn signal_stretch(
+        sig: ErrSig,
+        counters: ErrorCounters,
+        others: u64,
+        n: u32,
+    ) -> (u32, Controller) {
+        let mut packed_c = signalling(sig, counters);
+        let mut cap = u64::from(n);
+        let Some(StretchRole::Signal { sig: planned }) =
+            packed_c.stretch_plan(BitInstant::ZERO, &mut cap)
+        else {
+            panic!("an error-signalling controller plans a Signal stretch")
+        };
+        assert_eq!(planned, sig);
+        let bus = others | StretchRole::Signal { sig: planned }.drive_word();
+        let quiet = planned.quiet_bits(bus, n);
+        packed_c.commit_signal(bus, quiet);
+
+        let mut lockstep = signalling(sig, counters);
+        for i in 0..quiet {
+            let level = packed::level_at(bus, i);
+            assert_eq!(
+                level,
+                packed::level_at(others, i) & lockstep.tx_level(),
+                "bit {i}: the drive word matches the per-bit TX level"
+            );
+            let out = lockstep.on_sample(level, BitInstant::from_bits(u64::from(i)));
+            assert!(out.events.is_empty(), "bit {i}: {:?}", out.events);
+            assert_eq!(lockstep.counters(), counters, "bit {i}: counters frozen");
+        }
+        assert_eq!(sig_of(&lockstep), sig_of(&packed_c));
+        (quiet, lockstep)
+    }
+
+    /// Dominant mask with bits `range` set.
+    fn dominant(range: std::ops::Range<u32>) -> u64 {
+        range.fold(0, |mask, i| mask | 1 << i)
+    }
+
+    #[test]
+    fn signal_stretch_crosses_the_end_of_an_active_flag() {
+        // A transmitter's own active flag, superposed by a 3-bit-late
+        // flag from the others: bits 0..9 dominant, then an 8-bit
+        // delimiter whose last bit (17) leaves.
+        let sig = ErrSig::new(true, false, true);
+        let (cap, _) = signal_stretch(sig, tec_after(1), dominant(3..9), 64);
+        assert_eq!(cap, 16);
+        // A stretch that ends exactly with the flag stops driving.
+        let (cap, c) = signal_stretch(sig, tec_after(1), 0, 6);
+        assert_eq!(cap, 6);
+        assert_eq!(sig_of(&c).phase, ErrPhase::WaitRecessive);
+        assert_eq!(c.tx_level(), Level::Recessive);
+    }
+
+    #[test]
+    fn signal_stretch_follows_a_passive_flag_restarting_its_run() {
+        // Passive flag: three dominant bits, then the 6-run restarts on
+        // recessive and completes at bit 8; delimiter bits 9..16.
+        let sig = ErrSig::new(false, true, false);
+        let (cap, _) = signal_stretch(sig, ErrorCounters::new(), dominant(0..3), 64);
+        assert_eq!(cap, 16);
+        let (_, c) = signal_stretch(sig, ErrorCounters::new(), dominant(0..3), 8);
+        let mid = sig_of(&c);
+        assert_eq!(mid.phase, ErrPhase::Flag, "the restarted run is 5 long");
+        assert_eq!((mid.run_level, mid.run_len), (Some(Level::Recessive), 5));
+    }
+
+    #[test]
+    fn signal_stretch_stops_before_the_severe_rec_bit() {
+        // A receiver's flag superposed by a 2-bit-late one: bit 6 is the
+        // first dominant bit after its own flag.
+        let sig = ErrSig::new(false, true, true);
+        let others = dominant(2..8);
+        let (cap, mut c) = signal_stretch(sig, ErrorCounters::new(), others, 64);
+        assert_eq!(cap, 6);
+        c.on_sample(Level::Dominant, BitInstant::from_bits(6));
+        assert_eq!(c.counters().rec(), 8, "the lockstep bit applies REC += 8");
+        // The next stretch runs on to the last delimiter bit (bit 15).
+        let (cap, _) = signal_stretch(sig_of(&c), c.counters(), others >> 7, 64);
+        assert_eq!(7 + cap, 15);
+    }
+
+    #[test]
+    fn signal_stretch_restarts_the_wait_on_a_dominant_delimiter_bit() {
+        // Bit 9 (third delimiter bit) is dominant: back to waiting, a new
+        // delimiter from bit 10, leaving at bit 17.
+        let sig = ErrSig::new(true, false, true);
+        let (cap, _) = signal_stretch(sig, tec_after(1), dominant(9..10), 64);
+        assert_eq!(cap, 17);
+        let (_, c) = signal_stretch(sig, tec_after(1), dominant(9..10), 10);
+        assert_eq!(sig_of(&c).phase, ErrPhase::WaitRecessive);
+    }
+
+    #[test]
+    fn signal_stretch_stops_before_the_last_delimiter_bit() {
+        // Error-active receiver: into intermission, no suspend.
+        let (cap, mut c) =
+            signal_stretch(ErrSig::new(false, true, true), ErrorCounters::new(), 0, 64);
+        assert_eq!(cap, 13);
+        let out = c.on_sample(Level::Recessive, BitInstant::from_bits(13));
+        assert!(out.events.is_empty());
+        assert!(matches!(
+            c.state,
+            State::Intermission {
+                then_suspend: false,
+                ..
+            }
+        ));
+
+        // Error-passive transmitter (passive flag): suspend after the
+        // intermission.
+        let counters = tec_after(16);
+        assert_eq!(counters.state(), ErrorState::ErrorPassive);
+        let (cap, mut c) = signal_stretch(ErrSig::new(true, false, false), counters, 0, 64);
+        assert_eq!(cap, 13);
+        c.on_sample(Level::Recessive, BitInstant::from_bits(13));
+        assert!(matches!(
+            c.state,
+            State::Intermission {
+                then_suspend: true,
+                ..
+            }
+        ));
+
+        // A transmitter whose TEC crossed 255: bus-off at the last bit.
+        let mut sig = ErrSig::new(true, false, false);
+        sig.then_bus_off = true;
+        let (cap, mut c) = signal_stretch(sig, tec_after(32), 0, 64);
+        assert_eq!(cap, 13);
+        let out = c.on_sample(Level::Recessive, BitInstant::from_bits(13));
+        assert_eq!(out.events, vec![EventKind::BusOff]);
+        assert!(c.is_bus_off());
+    }
+
+    /// Samples `levels` (`true` = dominant) in lockstep from bit 0.
+    fn sample_levels(c: &mut Controller, levels: &[bool]) {
+        for (t, &dominant) in levels.iter().enumerate() {
+            let level = if dominant {
+                Level::Dominant
+            } else {
+                Level::Recessive
+            };
+            c.on_sample(level, BitInstant::from_bits(t as u64));
+        }
+    }
+
+    #[test]
+    fn severe_rec_rule_applies_once_to_a_dominant_first_bit_after_the_flag() {
+        // Six flag bits, then four dominant bits of superposed flags: only
+        // the first of them raises REC by 8.
+        let mut c = signalling(ErrSig::new(false, true, true), ErrorCounters::new());
+        sample_levels(&mut c, &[true; 6]);
+        assert_eq!(c.counters().rec(), 0);
+        sample_levels(&mut c, &[true]);
+        assert_eq!(c.counters().rec(), 8);
+        sample_levels(&mut c, &[true, true, true]);
+        assert_eq!(c.counters().rec(), 8, "once per flag");
+        // A transmitter's flag never applies the receiver rule.
+        let mut c = signalling(ErrSig::new(true, false, true), tec_after(1));
+        sample_levels(&mut c, &[true; 10]);
+        assert_eq!(c.counters().rec(), 0);
+    }
+
+    #[test]
+    fn severe_rec_rule_still_fires_after_a_delimiter_restart() {
+        // Documents a deviation from ISO 11898-1, which applies REC += 8
+        // only to the first bit after the flag: here that bit (6) is
+        // recessive, a dominant bit inside the delimiter (7) restarts the
+        // wait, and the next dominant bit (8) still applies the rule.
+        let mut c = signalling(ErrSig::new(false, true, true), ErrorCounters::new());
+        sample_levels(&mut c, &[true; 6]);
+        sample_levels(&mut c, &[false, true]);
+        assert_eq!(sig_of(&c).phase, ErrPhase::WaitRecessive);
+        assert_eq!(c.counters().rec(), 0);
+        sample_levels(&mut c, &[true]);
+        assert_eq!(c.counters().rec(), 8);
     }
 }

@@ -303,6 +303,7 @@ impl Node {
             StretchRole::Integrating { .. } | StretchRole::BusOff => {
                 self.controller.commit_passive_word(bus, n);
             }
+            StretchRole::Signal { .. } => self.controller.commit_signal(bus, n),
         }
     }
 

@@ -758,13 +758,12 @@ impl Simulator {
             return None;
         }
 
-        // Wired-AND over the stretch: dominant-mask OR of the transmitters.
-        let mut bus = 0u64;
-        for role in &self.packed_roles {
-            if let StretchRole::Transmit { word } = role {
-                bus |= *word;
-            }
-        }
+        // Wired-AND over the stretch: dominant-mask OR of the transmitters
+        // and active error flags.
+        let bus = self
+            .packed_roles
+            .iter()
+            .fold(0u64, |bus, role| bus | role.drive_word());
         // Post-AND shortening: each condition ends the stretch at the
         // first bit the lockstep path must process. All caps are
         // "first offset of X", so they are prefix-stable and one pass
@@ -788,6 +787,11 @@ impl Simulator {
                 }
                 StretchRole::Integrating { recessive_run } => {
                     n = integrating_word_cap(*recessive_run, bus, n);
+                }
+                StretchRole::Signal { sig } => {
+                    // Stop before the severe-REC bit and the last
+                    // delimiter bit: their samples have side effects.
+                    n = sig.quiet_bits(bus, n);
                 }
                 StretchRole::Receive | StretchRole::BusOff | StretchRole::Down => {}
             }
@@ -848,17 +852,21 @@ impl Simulator {
             .count_stretch(u64::from(n), &self.packed_roles);
 
         // Commit: every node advances `n` bits in its negotiated role.
-        // A stretch with any transmitter or receiver is busy for all `n`
-        // bits (those states cannot end inside it); so is one with a
-        // crashed node frozen mid-frame. One with none of these has an
-        // all-recessive, all-idle bus and is busy for none.
+        // A stretch with any transmitter, receiver or error signaller is
+        // busy for all `n` bits (those states cannot end inside it); so is
+        // one with a crashed node frozen mid-frame. One with none of these
+        // has an all-recessive, all-idle bus and is busy for none.
         let busy = self
             .packed_roles
             .iter()
             .zip(&self.nodes)
             .any(|(role, node)| {
-                matches!(role, StretchRole::Transmit { .. } | StretchRole::Receive)
-                    || node.is_frozen_busy(self.now)
+                matches!(
+                    role,
+                    StretchRole::Transmit { .. }
+                        | StretchRole::Receive
+                        | StretchRole::Signal { .. }
+                ) || node.is_frozen_busy(self.now)
             });
         if let Some(trace) = &mut self.trace {
             trace.push_word(bus, n);

@@ -91,13 +91,14 @@ const STRETCH_BUCKETS: &[u64] = &[1, 2, 4, 8, 16, 32, 64];
 
 /// Stable labels for the per-role bit accounting, indexed like
 /// `role_index`.
-const ROLE_LABELS: [&str; 6] = [
+const ROLE_LABELS: [&str; 7] = [
     "down",
     "transmit",
     "receive",
     "passive",
     "integrating",
     "bus_off",
+    "signal",
 ];
 
 fn role_index(role: StretchRole) -> usize {
@@ -108,6 +109,7 @@ fn role_index(role: StretchRole) -> usize {
         StretchRole::Passive => 3,
         StretchRole::Integrating { .. } => 4,
         StretchRole::BusOff => 5,
+        StretchRole::Signal { .. } => 6,
     }
 }
 
@@ -122,7 +124,7 @@ pub struct KernelTelemetry {
     packed_bits: u64,
     stretches: u64,
     stretch_len: Histogram,
-    role_bits: [u64; 6],
+    role_bits: [u64; 7],
     fallbacks: [u64; 8],
     parses_run: u64,
     parses_copied: u64,
@@ -137,7 +139,7 @@ impl Default for KernelTelemetry {
             packed_bits: 0,
             stretches: 0,
             stretch_len: Histogram::new(STRETCH_BUCKETS),
-            role_bits: [0; 6],
+            role_bits: [0; 7],
             fallbacks: [0; 8],
             parses_run: 0,
             parses_copied: 0,
@@ -179,8 +181,8 @@ impl KernelTelemetry {
 
     /// Packed bits by the role each node played, as
     /// `(label, node-bits)` pairs — the sum is `packed_bits × nodes`.
-    pub fn role_bits(&self) -> [(&'static str, u64); 6] {
-        let mut out = [("", 0); 6];
+    pub fn role_bits(&self) -> [(&'static str, u64); 7] {
+        let mut out = [("", 0); 7];
         for (i, label) in ROLE_LABELS.iter().enumerate() {
             out[i] = (label, self.role_bits[i]);
         }

@@ -200,10 +200,48 @@ pub struct SupervisedMichiCan {
     in_frame: bool,
     /// Metrics sink for watchdog events; disabled (no-op) by default.
     recorder: Recorder,
+    /// Metric keys interned once in [`SupervisedMichiCan::set_recorder`];
+    /// `Some` iff the recorder is enabled.
+    keys: Option<HealthKeys>,
     /// Causal event journal for watchdog transitions; disabled by default.
     journal: Journal,
     /// Node index used in metric labels and journal events.
     node_label: u32,
+}
+
+/// Pre-formatted watchdog metric keys, so an event never formats a label.
+#[derive(Debug, Clone)]
+struct HealthKeys {
+    /// Indexed by `DegradeReason as usize`.
+    degradations: [String; 3],
+    rearms: String,
+    budget_suppressions: String,
+    counterattack_successes: String,
+    counterattack_failures: String,
+}
+
+impl HealthKeys {
+    fn for_node(node: u32) -> Self {
+        let reasons = [
+            DegradeReason::CounterattackFailures,
+            DegradeReason::MissedTicks,
+            DegradeReason::SyncLoss,
+        ];
+        HealthKeys {
+            degradations: reasons.map(|reason| {
+                let why = degrade_reason_label(reason);
+                format!("michican_degradations_total{{node=\"{node}\",reason=\"{why}\"}}")
+            }),
+            rearms: format!("michican_rearms_total{{node=\"{node}\"}}"),
+            budget_suppressions: format!("michican_budget_suppressions_total{{node=\"{node}\"}}"),
+            counterattack_successes: format!(
+                "michican_counterattack_success_total{{node=\"{node}\"}}"
+            ),
+            counterattack_failures: format!(
+                "michican_counterattack_failure_total{{node=\"{node}\"}}"
+            ),
+        }
+    }
 }
 
 impl SupervisedMichiCan {
@@ -231,6 +269,7 @@ impl SupervisedMichiCan {
             frame_epoch: 0,
             in_frame: false,
             recorder: Recorder::disabled(),
+            keys: None,
             journal: Journal::disabled(),
             node_label: 0,
         }
@@ -240,6 +279,7 @@ impl SupervisedMichiCan {
     /// handler; `node` is the index used in metric labels.
     pub fn set_recorder(&mut self, recorder: Recorder, node: u32) {
         self.handler.set_recorder(recorder.clone(), node);
+        self.keys = recorder.is_enabled().then(|| HealthKeys::for_node(node));
         self.recorder = recorder;
         self.node_label = node;
     }
@@ -300,11 +340,8 @@ impl SupervisedMichiCan {
         self.stats.degradations += 1;
         self.stats.degrade_reasons.push(reason);
         let why = degrade_reason_label(reason);
-        if self.recorder.is_enabled() {
-            let node = self.node_label;
-            self.recorder.inc(&format!(
-                "michican_degradations_total{{node=\"{node}\",reason=\"{why}\"}}"
-            ));
+        if let Some(keys) = &self.keys {
+            self.recorder.inc(&keys.degradations[reason as usize]);
         }
         if self.journal.is_enabled() {
             self.journal.event(
@@ -326,10 +363,8 @@ impl SupervisedMichiCan {
 
     fn rearm(&mut self) {
         self.stats.rearms += 1;
-        if self.recorder.is_enabled() {
-            let node = self.node_label;
-            self.recorder
-                .inc(&format!("michican_rearms_total{{node=\"{node}\"}}"));
+        if let Some(keys) = &self.keys {
+            self.recorder.inc(&keys.rearms);
         }
         if self.journal.is_enabled() {
             self.journal.event(
@@ -443,11 +478,8 @@ impl SupervisedMichiCan {
             self.episodes_in_window += 1;
             if self.episodes_in_window >= self.config.max_episodes_per_window {
                 self.stats.budget_suppressions += 1;
-                if self.recorder.is_enabled() {
-                    let node = self.node_label;
-                    self.recorder.inc(&format!(
-                        "michican_budget_suppressions_total{{node=\"{node}\"}}"
-                    ));
+                if let Some(keys) = &self.keys {
+                    self.recorder.inc(&keys.budget_suppressions);
                 }
             }
         }
@@ -474,11 +506,8 @@ impl SupervisedMichiCan {
                 self.stats.counterattack_successes += 1;
                 self.consecutive_failures = 0;
                 self.watch_deadline = None;
-                if self.recorder.is_enabled() {
-                    let node = self.node_label;
-                    self.recorder.inc(&format!(
-                        "michican_counterattack_success_total{{node=\"{node}\"}}"
-                    ));
+                if let Some(keys) = &self.keys {
+                    self.recorder.inc(&keys.counterattack_successes);
                 }
                 return;
             }
@@ -489,11 +518,8 @@ impl SupervisedMichiCan {
             // No error-recovery gap in time: the frame survived the
             // injection.
             self.stats.counterattack_failures += 1;
-            if self.recorder.is_enabled() {
-                let node = self.node_label;
-                self.recorder.inc(&format!(
-                    "michican_counterattack_failure_total{{node=\"{node}\"}}"
-                ));
+            if let Some(keys) = &self.keys {
+                self.recorder.inc(&keys.counterattack_failures);
             }
             self.consecutive_failures += 1;
             self.watch_deadline = None;

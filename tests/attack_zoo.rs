@@ -205,14 +205,18 @@ fn zoo_cells_ride_the_packed_kernel() {
     // Bit-level attackers declare position-derived drive horizons, so the
     // bits between a SOF and the strike resolve as packed words instead
     // of one-bit stretches; the fabrication attacker declares its next
-    // due poll, so the kernel stops polling it every bit.
+    // due poll, so the kernel stops polling it every bit. Error frames
+    // (flag, wait for recessive, delimiter) ride the kernel as `Signal`
+    // stretches, so the controller refuses only at its event bits.
     let mut short_cap = 0;
+    let mut controller = 0;
     for cell in zoo_cells() {
         let label = format!("{} vs {}", cell.variant.label(), cell.defense.label());
         let mut zoo = build_zoo_cell_observed(&cell, Recorder::disabled(), Journal::disabled());
         zoo.sim.run_packed(ZOO_HORIZON_BITS);
         let telemetry = zoo.sim.kernel_telemetry();
         short_cap += telemetry.fallback_count(FallbackCause::ShortCap);
+        controller += telemetry.fallback_count(FallbackCause::Controller);
         if cell.variant.bit_level() {
             assert!(telemetry.packed_bits() > 0, "{label}: no packed bits");
         }
@@ -227,5 +231,11 @@ fn zoo_cells_ride_the_packed_kernel() {
     assert!(
         short_cap <= 15_000,
         "{short_cap} short-cap fallbacks over the zoo grid"
+    );
+    // 187,281 while every error-signalling bit ran in lockstep; 13,904
+    // with `Signal` stretches.
+    assert!(
+        controller <= 20_000,
+        "{controller} controller fallbacks over the zoo grid"
     );
 }

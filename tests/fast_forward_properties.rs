@@ -15,7 +15,7 @@ use bench::campaign::{build_cell, FaultSpec as CampaignFault, Traffic};
 use bench::differential::check_equivalence;
 use can_attacks::{DosKind, SuspensionAttacker};
 use can_core::app::{PeriodicSender, SilentApplication};
-use can_core::{BusSpeed, CanFrame, CanId};
+use can_core::{BusSpeed, CanFrame, CanId, ErrorState};
 use can_obs::{Journal, Recorder};
 use can_sim::{
     ControllerConfig, EventKind, FallbackCause, FaultModel, FaultStack, Node, SimBuilder,
@@ -100,6 +100,108 @@ proptest! {
             builder.faults(stack).build()
         };
         check_equivalence(build, 18_000).unwrap();
+    }
+}
+
+const ERROR_RUN_BITS: u64 = 12_000;
+
+/// Identifier shared by the colliding pair (below every random sender).
+const COLLIDING_ID: u16 = 0x050;
+
+/// A bus of random senders plus the error sources selected by the low
+/// four bits of `sources`: a stuck-dominant TX window `(start, len)`,
+/// BER 1e-3 channel faults, a pair of senders that share an identifier
+/// (their collisions drive both error-passive) and a saturating DoS
+/// attacker against a MichiCAN monitor.
+fn error_bus(
+    senders: &[(u16, u64, Vec<u8>)],
+    sources: u8,
+    (start, len): (u64, u64),
+    seed: u64,
+    recorder: Recorder,
+) -> Simulator {
+    let mut builder = SimBuilder::new(BusSpeed::K500).recorder(recorder);
+    for (i, (id, period, payload)) in senders.iter().enumerate() {
+        builder = builder.node(Node::new(
+            format!("ecu{i}"),
+            Box::new(PeriodicSender::new(
+                frame(*id, payload),
+                *period,
+                (i as u64) * 53,
+            )),
+        ));
+    }
+    builder = builder.node(Node::new("rx", Box::new(SilentApplication)));
+    if sources & 1 != 0 {
+        builder = builder.node(
+            Node::new("flaky", Box::new(SilentApplication))
+                .with_tx_fault(TxFault::stuck_dominant(start, start + len)),
+        );
+    }
+    if sources & 2 != 0 {
+        builder = builder.fault(FaultModel::random(1e-3, seed));
+    }
+    if sources & 4 != 0 {
+        for (name, payload) in [("owner", [0xFF; 8]), ("twin", [0x00; 8])] {
+            builder = builder.node(Node::new(
+                name,
+                Box::new(PeriodicSender::new(frame(COLLIDING_ID, &payload), 300, 0)),
+            ));
+        }
+    }
+    if sources & 8 != 0 {
+        let ids: Vec<u16> = senders.iter().map(|(id, _, _)| *id).collect();
+        let list = EcuList::from_raw(&ids);
+        builder = builder
+            .node(Node::new(
+                "attacker",
+                Box::new(
+                    SuspensionAttacker::saturating(DosKind::Traditional).with_payload(&[0xFF; 8]),
+                ),
+            ))
+            .node(
+                Node::new("michican", Box::new(SilentApplication))
+                    .with_agent(Box::new(MichiCan::new(DetectionFsm::for_monitor(&list)))),
+            );
+    }
+    builder.build()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Error-heavy buses, every case with at least one error source:
+    /// error frames ride the packed kernel as `Signal` stretches and stay
+    /// byte-identical to lockstep, through superposed flags, passive
+    /// flags, suspend transmission and bus-off.
+    #[test]
+    fn error_frames_are_bit_identical_under_acceleration(
+        senders in arb_senders(),
+        sources in 1u8..16,
+        window in (500u64..8_000, 8u64..64),
+        seed in any::<u64>(),
+    ) {
+        let build = |recorder: Recorder| error_bus(&senders, sources, window, seed, recorder);
+        check_equivalence(build, ERROR_RUN_BITS).unwrap();
+
+        let mut sim = build(Recorder::disabled());
+        sim.run_packed(ERROR_RUN_BITS);
+        let telemetry = sim.kernel_telemetry();
+        let signal = telemetry
+            .role_bits()
+            .iter()
+            .find(|(label, _)| *label == "signal")
+            .map_or(0, |(_, bits)| *bits);
+        prop_assert!(signal > 0, "no signal stretch: {}", telemetry.to_json());
+        if sources & 4 != 0 {
+            prop_assert!(
+                sim.events().iter().any(|e| matches!(
+                    e.kind,
+                    EventKind::ErrorStateChanged { state: ErrorState::ErrorPassive }
+                )),
+                "the colliding pair must turn error-passive"
+            );
+        }
     }
 }
 
