@@ -328,6 +328,10 @@ impl BitAgent for SharedDefender {
         self.0.borrow().drive_horizon(now)
     }
 
+    fn drive_until(&self, now: BitInstant) -> BitInstant {
+        self.0.borrow().drive_until(now)
+    }
+
     fn observe_stretch(&mut self, word: u64, len: u32, own_tx: bool, from: BitInstant) {
         self.0.borrow_mut().observe_stretch(word, len, own_tx, from);
     }

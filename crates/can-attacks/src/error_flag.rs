@@ -146,6 +146,12 @@ impl BitAgent for ErrorFlagInjector {
         Some(now + BitDuration::bits(bits))
     }
 
+    fn drive_until(&self, now: BitInstant) -> BitInstant {
+        // Mid-flag the pin is dominant for every remaining flag bit,
+        // whatever the bus does.
+        now + BitDuration::bits(u64::from(self.flag_left))
+    }
+
     fn skip_idle(&mut self, bits: u64, _from: BitInstant) {
         debug_assert!(self.watch.is_idle() && self.flag_left == 0);
         self.watch.skip_idle(bits);

@@ -179,6 +179,17 @@ impl BitAgent for GhostInjector {
         Some(now + BitDuration::bits(u64::from(bits)))
     }
 
+    fn drive_until(&self, now: BitInstant) -> BitInstant {
+        // While striking, the pin stays dominant up to and including the
+        // bit that brings `cnt` to 20; its own drive makes every sample
+        // dominant, so the destuffer fixes how many bits that takes.
+        if !self.injecting {
+            return now;
+        }
+        let bits = LEAVE_CNT.saturating_sub(self.cnt).max(1);
+        now + BitDuration::bits(self.destuffer.pushes_for_bits(Level::Dominant, bits))
+    }
+
     fn skip_idle(&mut self, bits: u64, _from: BitInstant) {
         debug_assert!(matches!(self.state, GhostState::BusIdle) && !self.injecting);
         self.recessive_run = self

@@ -1,7 +1,9 @@
-//! Soundness of the bit-level attackers' drive horizons: for arbitrary bus
-//! input, `tx_level()` stays `None` at every bit before the horizon the
-//! attacker declared — the promise the packed kernel resolves whole
-//! stretches on.
+//! Soundness of the bit-level attackers' drive promises, the two the
+//! packed kernel resolves whole stretches on: for arbitrary bus input,
+//! `tx_level()` stays `None` at every bit before the horizon the attacker
+//! declared, and it is `Some(Dominant)` at every bit of a declared forced
+//! run that samples dominant (`drive_until`: the error-flag injector,
+//! the adaptive racer and the ghost).
 
 use can_attacks::{
     AdaptiveRacer, ErrorFlagInjector, FrameTruncator, GhostInjector, StuffBitOverwrite, TruncateAt,
@@ -133,6 +135,34 @@ fn check_horizons(agent: &mut dyn BitAgent, levels: &[Level]) -> Result<u64, Tes
     Ok(driven)
 }
 
+/// Feeds `levels` (wired-AND with the attacker's own drive) and checks
+/// every declared forced run: inside `[now, drive_until(now))` the
+/// attacker must drive dominant. Returns the number of bits inside
+/// declared runs.
+fn check_forced_runs(agent: &mut dyn BitAgent, levels: &[Level]) -> Result<u64, TestCaseError> {
+    let mut forced_until = 0u64;
+    let mut forced = 0;
+    for (t, &input) in levels.iter().enumerate() {
+        let now = BitInstant::from_bits(t as u64);
+        let until = agent.drive_until(now);
+        prop_assert!(until >= now, "run end {until:?} before now {now:?}");
+        forced_until = forced_until.max(until.bits());
+        let tx = agent.tx_level();
+        if (t as u64) < forced_until {
+            prop_assert_eq!(
+                tx,
+                Some(Level::Dominant),
+                "released at bit {} inside a run to {}",
+                t,
+                forced_until
+            );
+            forced += 1;
+        }
+        agent.on_bit(input & tx.unwrap_or(Level::Recessive), now);
+    }
+    Ok(forced)
+}
+
 fn arb_segments() -> impl Strategy<Value = Vec<Segment>> {
     proptest::collection::vec(
         (0u8..8, 0u16..=CanId::MAX_RAW, 0usize..24, any::<u64>()),
@@ -161,6 +191,28 @@ proptest! {
         for flag_at in FLAG_AT {
             check_horizons(&mut ErrorFlagInjector::new(victim(), flag_at), &levels)?;
         }
+    }
+
+    #[test]
+    fn error_flag_drives_dominant_through_its_forced_runs(segments in arb_segments()) {
+        let levels = bus_levels(&segments);
+        for flag_at in FLAG_AT {
+            check_forced_runs(&mut ErrorFlagInjector::new(victim(), flag_at), &levels)?;
+        }
+    }
+
+    #[test]
+    fn adaptive_racer_drives_dominant_through_its_forced_runs(segments in arb_segments()) {
+        let levels = bus_levels(&segments);
+        for (lead, fallback_at) in RACER {
+            check_forced_runs(&mut AdaptiveRacer::new(victim(), 0, lead, fallback_at), &levels)?;
+        }
+    }
+
+    #[test]
+    fn ghost_drives_dominant_through_its_forced_runs(segments in arb_segments()) {
+        let levels = bus_levels(&segments);
+        check_forced_runs(&mut GhostInjector::new(victim()), &levels)?;
     }
 
     #[test]
@@ -218,6 +270,22 @@ fn the_check_is_not_vacuous_and_horizons_reach_past_one_bit() {
         let driven = check_horizons(attacker.as_mut(), &levels).unwrap();
         assert!(driven >= 19, "{name} drove only {driven} bits");
     }
+
+    // Each flag (the injector's and the racer's) is one declared forced
+    // run of six bits, and each ghost strike one run to destuffed
+    // position 20.
+    let mut injector = ErrorFlagInjector::new(victim(), 25);
+    let forced = check_forced_runs(&mut injector, &levels).unwrap();
+    assert_eq!(forced, injector.flags_injected() * 6);
+    assert!(injector.flags_injected() >= 19);
+    let mut racer = AdaptiveRacer::new(victim(), 0, 5, 20);
+    let forced = check_forced_runs(&mut racer, &levels).unwrap();
+    assert!(racer.strikes() >= 19);
+    assert_eq!(forced, racer.strikes() * 6);
+    let mut ghost = GhostInjector::new(victim());
+    let forced = check_forced_runs(&mut ghost, &levels).unwrap();
+    assert!(ghost.injections() >= 19);
+    assert!(forced >= ghost.injections() * 7, "{forced} forced bits");
 
     // From reset: 11 recessive bits arm the hunt, then the SOF is the
     // first of the trigger position's pushes.

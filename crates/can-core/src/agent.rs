@@ -28,6 +28,12 @@ use crate::time::{BitDuration, BitInstant};
 /// physical: controllers sample at ~70 % of the bit time, so a level change
 /// decided at the sample point is only observed by other nodes from the
 /// following bit onwards (§IV-C).
+///
+/// The simulator's accelerated engines read three promises, each of which
+/// defaults to none: [`BitAgent::next_activity`] (quiet while the bus
+/// stays recessive), [`BitAgent::drive_horizon`] (drives nothing, whatever
+/// the bus does) and [`BitAgent::drive_until`] (drives dominant while it
+/// samples dominant).
 pub trait BitAgent {
     /// Processes the bus level sampled in the current bit time.
     fn on_bit(&mut self, level: Level, now: BitInstant);
@@ -77,6 +83,25 @@ pub trait BitAgent {
         Some(now)
     }
 
+    /// The end of the agent's forced dominant run from `now`: returning
+    /// `t` promises that [`BitAgent::tx_level`] is `Some(Level::Dominant)`
+    /// at every bit of `[now, t)`, **provided each of those bits samples
+    /// dominant**.
+    ///
+    /// This is the other half of the packed kernel's drive negotiation
+    /// (DESIGN.md §11). The condition is what makes the run closed-form:
+    /// the agent's own dominant drive makes the wired-AND dominant, so the
+    /// input it conditions on is exactly the input it gets, as long as no
+    /// channel fault flips a bit inside the run (the simulator ends every
+    /// stretch before a fault-stack flip). The simulator ORs the run into
+    /// the stretch's wired-AND word and delivers the bits through
+    /// [`BitAgent::observe_stretch`]. An agent whose observation draws
+    /// randomness per bit, or otherwise may not see the bus level, must
+    /// keep the default `now`, which makes no promise.
+    fn drive_until(&self, now: BitInstant) -> BitInstant {
+        now
+    }
+
     /// Advances the agent over `bits` consecutive recessive bus bits
     /// starting at `from`, in closed form.
     ///
@@ -98,8 +123,11 @@ pub trait BitAgent {
     ///
     /// Must be exactly equivalent to `len` successive calls of
     /// `set_own_transmission(own_tx)` + `on_bit(level_at(word, i), t)`
-    /// for `t` in `[from, from + len)`. Only called inside a stretch that
-    /// [`BitAgent::drive_horizon`] declared drive-free. The default
+    /// for `t` in `[from, from + len)`. Only called inside a stretch in
+    /// which the agent's drive is known: declared drive-free by
+    /// [`BitAgent::drive_horizon`], declared dominant by
+    /// [`BitAgent::drive_until`], or overridden by a transmitter fault on
+    /// its node. The default
     /// replays the bits one by one; an implementation overrides it to pay
     /// one dynamic call per stretch instead of two per bit.
     fn observe_stretch(&mut self, word: u64, len: u32, own_tx: bool, from: BitInstant) {
@@ -132,6 +160,10 @@ impl<T: BitAgent + ?Sized> BitAgent for Box<T> {
 
     fn drive_horizon(&self, now: BitInstant) -> Option<BitInstant> {
         (**self).drive_horizon(now)
+    }
+
+    fn drive_until(&self, now: BitInstant) -> BitInstant {
+        (**self).drive_until(now)
     }
 
     fn skip_idle(&mut self, bits: u64, from: BitInstant) {

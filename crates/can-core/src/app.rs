@@ -15,6 +15,12 @@ use crate::time::BitInstant;
 /// collect frames to enqueue for transmission, and the `on_*` callbacks as
 /// bus events occur. Implementations should be cheap in `poll` — it runs at
 /// bit rate.
+///
+/// The simulator's accelerated engines skip polls on two promises, both
+/// of which default to none: [`Application::next_activity`] (the polls
+/// return `None`) and [`Application::repost_until`] (the polls only
+/// re-post a frame the node holds, and [`Application::settle_reposts`]
+/// catches up on what they would have counted).
 pub trait Application {
     /// Polls for a frame to enqueue for transmission, if any.
     ///
@@ -46,6 +52,29 @@ pub trait Application {
         Some(now)
     }
 
+    /// The end of the application's re-post run from `now`: returning `t`
+    /// promises that every [`Application::poll`] in `[now, t)` returns
+    /// `Some` of a frame the node already holds, and changes no state
+    /// except counters that [`Application::settle_reposts`] can bring up
+    /// to date afterwards.
+    ///
+    /// This is the re-post case of the quiescence contract above, for an
+    /// application that stays busy (its `next_activity` keeps returning
+    /// `now`), such as a defender flooding one fixed frame. The packed
+    /// kernel then skips those polls inside a stretch and settles them in
+    /// one call at commit. Every lockstep bit still polls as usual. The
+    /// default `now` makes no promise.
+    fn repost_until(&self, now: BitInstant) -> BitInstant {
+        now
+    }
+
+    /// Settles `polls` polls that the driver skipped inside a window
+    /// declared by [`Application::repost_until`]: the application applies
+    /// in one step whatever those polls would have counted. The driver
+    /// skips [`MAX_ENQUEUE_PER_BIT`] polls per bit, since each of them
+    /// would have returned `Some`. The default does nothing.
+    fn settle_reposts(&mut self, _polls: u64) {}
+
     /// A complete, valid frame (sent by another node) was received.
     fn on_frame(&mut self, _frame: &CanFrame, _now: BitInstant) {}
 
@@ -58,6 +87,11 @@ pub trait Application {
     /// This node's controller recovered from bus-off into error-active.
     fn on_recovered(&mut self, _now: BitInstant) {}
 }
+
+/// How many times the driver polls an application per bit while each
+/// poll returns `Some`; guards against runaway flooding applications
+/// stalling the simulator.
+pub const MAX_ENQUEUE_PER_BIT: usize = 8;
 
 /// An application that never transmits and ignores all traffic.
 #[derive(Debug, Clone, Copy, Default)]

@@ -381,6 +381,24 @@ impl Destuffer {
         self.expect_stuff
     }
 
+    /// How many further wire bits all at `level` it takes to destuff
+    /// `bits` more data bits. A stuff bit and the one violation (the sixth
+    /// equal bit) count nothing; after the violation a constant level
+    /// never expects another stuff bit, so this is at most `bits + 2`.
+    /// A defender or attacker that drives the bus to `level` knows its own
+    /// input, so this is how long its drive lasts.
+    pub fn pushes_for_bits(&self, level: Level, bits: u32) -> u64 {
+        let mut run = self.clone();
+        let (mut pushes, mut counted) = (0, 0);
+        while counted < bits {
+            pushes += 1;
+            if let Destuffed::Bit(_) = run.push(level) {
+                counted += 1;
+            }
+        }
+        pushes
+    }
+
     /// The level and length of the current run of equal bits.
     pub(crate) fn run(&self) -> (Option<Level>, usize) {
         (self.run_level, self.run_len)
@@ -619,6 +637,23 @@ mod tests {
         }
         assert!(destuffer.expecting_stuff());
         assert_eq!(destuffer.push(Level::Dominant), Destuffed::Violation);
+    }
+
+    #[test]
+    fn pushes_for_bits_skips_the_stuff_bit_and_the_one_violation() {
+        let mut destuffer = Destuffer::new();
+        assert_eq!(destuffer.pushes_for_bits(Level::Dominant, 0), 0);
+        // Five counted bits, the violation, then every bit counts.
+        assert_eq!(destuffer.pushes_for_bits(Level::Dominant, 5), 5);
+        assert_eq!(destuffer.pushes_for_bits(Level::Dominant, 6), 7);
+        assert_eq!(destuffer.pushes_for_bits(Level::Dominant, 20), 21);
+        // After five recessive bits a dominant one is a stuff bit, and the
+        // run it starts hits the violation four bits later.
+        for _ in 0..5 {
+            let _ = destuffer.push(Level::Recessive);
+        }
+        assert_eq!(destuffer.pushes_for_bits(Level::Dominant, 4), 5);
+        assert_eq!(destuffer.pushes_for_bits(Level::Dominant, 5), 7);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   modes a software-defined defense must degrade gracefully under.
 
 use can_core::agent::BitAgent;
-use can_core::{BitInstant, Level};
+use can_core::{packed, BitInstant, Level};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -433,6 +433,14 @@ pub enum TxFault {
         duty: f64,
         /// Deterministic RNG.
         rng: Box<StdRng>,
+        /// The next `ahead_len` per-bit levels, drawn ahead from `rng` in
+        /// the per-bit order (dominant mask, LSB = the next faulty bit
+        /// the node processes). The draws do not depend on the bus, so
+        /// the packed kernel reads this word as the node's drive.
+        ahead: u64,
+        /// Drawn bits left in `ahead`; 0 until the first faulty bit draws
+        /// them, and never 0 again inside the window.
+        ahead_len: u32,
     },
     /// The MCU crashes at `down_at` (node falls silent, controller frozen)
     /// and restarts from reset at `up_at`.
@@ -465,6 +473,8 @@ impl TxFault {
             until,
             duty,
             rng: Box::new(StdRng::seed_from_u64(seed)),
+            ahead: 0,
+            ahead_len: 0,
         }
     }
 
@@ -489,18 +499,101 @@ impl TxFault {
             TxFault::Babbling {
                 from,
                 until,
-                duty,
-                rng,
-            } => (*from..*until).contains(&now).then(|| {
-                if *duty > 0.0 && rng.random_bool(*duty) {
-                    Level::Dominant
-                } else {
-                    Level::Recessive
+                ahead_len,
+                ..
+            } => {
+                if !(*from..*until).contains(&now) {
+                    return None;
                 }
-            }),
+                if *ahead_len == 0 {
+                    self.draw_ahead(now);
+                }
+                let level = self
+                    .stretch_word(now, &mut 1)
+                    .map(|word| packed::level_at(word, 0));
+                self.commit_stretch(now, 1);
+                level
+            }
             TxFault::CrashRestart { down_at, up_at, .. } => (*down_at..*up_at)
                 .contains(&now)
                 .then_some(Level::Recessive),
+        }
+    }
+
+    /// The word an active stuck-dominant or babbling window drives from
+    /// `now` (dominant mask, LSB = `now`), lowering `*cap` to the bits it
+    /// covers: the rest of the window, and for a babbling node the levels
+    /// drawn ahead (none before the window's first bit draws them). `None`
+    /// for anything else due at `now`, such as a pending restart, which
+    /// needs the lockstep path.
+    pub(crate) fn stretch_word(&self, now: u64, cap: &mut u64) -> Option<u64> {
+        match self {
+            TxFault::StuckDominant { from, until } if (*from..*until).contains(&now) => {
+                *cap = (*cap).min(until - now);
+                Some(u64::MAX)
+            }
+            TxFault::Babbling {
+                from,
+                until,
+                ahead,
+                ahead_len,
+                ..
+            } if (*from..*until).contains(&now) => {
+                *cap = (*cap).min(until - now).min(u64::from(*ahead_len));
+                Some(*ahead)
+            }
+            _ => None,
+        }
+    }
+
+    /// Consumes the `n` bits of a packed stretch starting at `now` —
+    /// exactly `n` [`TxFault::tx_override`] calls there. The stretch lies
+    /// inside one window or outside all of them (its cap stops at every
+    /// window edge), so only a babbling node inside its window moves: it
+    /// drops `n` drawn levels and draws the next ones once they run out.
+    pub(crate) fn commit_stretch(&mut self, now: u64, n: u32) {
+        if let TxFault::Babbling {
+            from,
+            until,
+            ahead,
+            ahead_len,
+            ..
+        } = self
+        {
+            if !(*from..*until).contains(&now) {
+                return;
+            }
+            debug_assert!(n <= *ahead_len, "consumed past the drawn levels");
+            *ahead = ahead.checked_shr(n).unwrap_or(0);
+            *ahead_len -= n;
+            let next = now + u64::from(n);
+            if *ahead_len == 0 && next < *until {
+                self.draw_ahead(next);
+            }
+        }
+    }
+
+    /// Draws the levels of a babbling node for the faulty bits from `next`
+    /// on (at most one word, never past the window), consuming the RNG
+    /// exactly as that many per-bit overrides do.
+    fn draw_ahead(&mut self, next: u64) {
+        if let TxFault::Babbling {
+            until,
+            duty,
+            rng,
+            ahead,
+            ahead_len,
+            ..
+        } = self
+        {
+            let len = until.saturating_sub(next).min(u64::from(packed::WORD_BITS)) as u32;
+            *ahead = 0;
+            for i in 0..len {
+                if *duty > 0.0 && rng.random_bool(*duty) {
+                    *ahead |= 1 << i;
+                }
+            }
+            *ahead_len = len;
         }
     }
 
@@ -717,7 +810,10 @@ impl<A: BitAgent> BitAgent for FaultyAgent<A> {
 
     // `observe_stretch` keeps the per-bit default on purpose: every
     // observed bit may draw from the pin-fault RNG, so a stretch cannot be
-    // handed to the inner agent in one call.
+    // handed to the inner agent in one call. `drive_until` keeps its
+    // no-promise default for the same reason: the inner agent's forced run
+    // assumes it samples dominant, and a flipped or missed sample breaks
+    // that.
 }
 
 #[cfg(test)]
@@ -1025,6 +1121,45 @@ mod tests {
             .count();
         assert!((23_000..=27_000).contains(&dominant), "≈ 25 %: {dominant}");
         assert_eq!(fault.tx_override(100_000), None);
+    }
+
+    #[test]
+    fn babbling_levels_follow_the_per_bit_draws_however_they_are_consumed() {
+        // The drawn-ahead levels are popped one by one (lockstep) or a
+        // stretch at a time (packed); either way bit `t` of the window
+        // gets the `t`-th per-bit draw of the seeded RNG.
+        let (from, until, duty, seed) = (10, 300, 0.3, 5);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let reference: Vec<Level> = (from..until)
+            .map(|_| {
+                if rng.random_bool(duty) {
+                    Level::Dominant
+                } else {
+                    Level::Recessive
+                }
+            })
+            .collect();
+        let mut fault = TxFault::babbling(from, until, duty, seed);
+        let mut seen = Vec::new();
+        let mut t = 0;
+        while t < until + 5 {
+            let mut cap = 37;
+            match fault.stretch_word(t, &mut cap) {
+                Some(word) if cap >= 2 => {
+                    let n = cap as u32;
+                    seen.extend((0..n).map(|i| packed::level_at(word, i)));
+                    fault.commit_stretch(t, n);
+                    t += cap;
+                }
+                _ => {
+                    if let Some(level) = fault.tx_override(t) {
+                        seen.push(level);
+                    }
+                    t += 1;
+                }
+            }
+        }
+        assert_eq!(seen, reference);
     }
 
     #[test]

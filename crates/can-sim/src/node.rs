@@ -8,17 +8,28 @@
 //! exactly what two drivers on the same open-collector pin produce.
 
 use can_core::agent::BitAgent;
-use can_core::app::Application;
-use can_core::{BitInstant, Level};
+use can_core::app::{Application, MAX_ENQUEUE_PER_BIT};
+use can_core::{packed, BitInstant, Level};
 
 use crate::controller::{Controller, ControllerConfig, StepOutput, StretchRole};
 use crate::fault::TxFault;
 use crate::parser::RxParser;
 use crate::telemetry::FallbackCause;
 
-/// Maximum frames an application may enqueue per bit time; guards against
-/// runaway flooding applications stalling the simulator.
-const MAX_ENQUEUE_PER_BIT: usize = 8;
+/// One node's side of a packed stretch (DESIGN.md §11).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct NodePlan {
+    /// How the controller advances over the stretch.
+    pub(crate) role: StretchRole,
+    /// The dominant mask the node drives (LSB = the upcoming bit): the
+    /// controller role's word OR the agent's forced run, or the word of an
+    /// active transmitter fault, which overrides both. The packed
+    /// wired-AND is the OR of these.
+    pub(crate) drive: u64,
+    /// The application's polls inside the stretch are re-posts, settled
+    /// at commit ([`Application::settle_reposts`]).
+    pub(crate) reposts: bool,
+}
 
 /// A simulated ECU.
 pub struct Node {
@@ -213,21 +224,25 @@ impl Node {
     }
 
     /// The node's side of the packed kernel's stretch negotiation
-    /// (DESIGN.md §11): how it participates in a stretch starting at `now`,
-    /// or `Err(cause)` when the next bit needs lockstep processing — the
-    /// cause names the seam that refused, for the kernel's fallback
-    /// telemetry.
+    /// (DESIGN.md §11): how it participates in a stretch starting at `now`
+    /// and what it drives, or `Err(cause)` when the next bit needs
+    /// lockstep processing — the cause names the seam that refused, for
+    /// the kernel's fallback telemetry.
     ///
-    /// Lowers `*cap` to the earliest of the node's per-bit seams: an armed
-    /// TX fault window, the application's next poll, the agent's drive
-    /// horizon and the controller's own bound. Like the controller plan,
-    /// this has no side effects.
+    /// Lowers `*cap` to the earliest of the node's per-bit seams: a TX
+    /// fault window edge or the end of its known word, the application's
+    /// next poll or the end of its re-post run, the agent's drive horizon
+    /// or the end of its forced run, and the controller's own bound. Like
+    /// the controller plan, this has no side effects.
     pub(crate) fn stretch_plan(
         &self,
         now: BitInstant,
         cap: &mut u64,
-    ) -> Result<StretchRole, FallbackCause> {
+    ) -> Result<NodePlan, FallbackCause> {
         let t = now.bits();
+        // The word of an active stuck-dominant or babbling window, which
+        // overrides the controller and the agent (as in `tx_level`).
+        let mut forced = None;
         if let Some(fault) = &self.tx_fault {
             if fault.is_down(t) {
                 // Crashed MCU: frozen until the restart instant, which the
@@ -238,46 +253,75 @@ impl Node {
                     }
                     *cap = (*cap).min(h - t);
                 }
-                return Ok(StretchRole::Down);
+                return Ok(NodePlan {
+                    role: StretchRole::Down,
+                    drive: 0,
+                    reposts: false,
+                });
             }
             // The fault windows are evaluated directly rather than through
             // the `forced_tx` cache: `prepare_bit` is not called inside a
             // stretch, so the cache may be stale.
             match fault.next_activity(t) {
-                // Active override or pending restart.
-                Some(h) if h <= t => return Err(FallbackCause::NodeFault),
+                // Active override (known word) or pending restart.
+                Some(h) if h <= t => {
+                    forced = Some(fault.stretch_word(t, cap).ok_or(FallbackCause::NodeFault)?);
+                }
                 Some(h) => *cap = (*cap).min(h - t),
                 None => {}
             }
         }
+        let mut reposts = false;
         match self.app.next_activity(now) {
-            // A poll is due now.
-            Some(h) if h.bits() <= t => return Err(FallbackCause::AppPoll),
+            // A poll is due now: only a re-post run lets it be skipped.
+            Some(h) if h.bits() <= t => {
+                let until = self.app.repost_until(now).bits();
+                if until <= t {
+                    return Err(FallbackCause::AppPoll);
+                }
+                *cap = (*cap).min(until - t);
+                reposts = true;
+            }
             Some(h) => *cap = (*cap).min(h.bits() - t),
             None => {}
         }
-        if let Some(agent) = &self.agent {
+        let mut agent_word = 0;
+        if let (None, Some(agent)) = (forced, &self.agent) {
             match agent.drive_horizon(now) {
-                // May drive this bit.
-                Some(h) if h.bits() <= t => return Err(FallbackCause::AgentDrive),
+                // May drive this bit: only a forced dominant run is known.
+                Some(h) if h.bits() <= t => {
+                    let until = agent.drive_until(now).bits();
+                    if until <= t {
+                        return Err(FallbackCause::AgentDrive);
+                    }
+                    *cap = (*cap).min(until - t);
+                    agent_word =
+                        packed::low_mask((until - t).min(u64::from(packed::WORD_BITS)) as u32);
+                }
                 Some(h) => *cap = (*cap).min(h.bits() - t),
                 None => {}
             }
         }
-        self.controller
+        let role = self
+            .controller
             .stretch_plan(now, cap)
-            .ok_or(FallbackCause::Controller)
+            .ok_or(FallbackCause::Controller)?;
+        Ok(NodePlan {
+            role,
+            drive: forced.unwrap_or(role.drive_word() | agent_word),
+            reposts,
+        })
     }
 
     /// Commits one packed stretch of `n` bits of resolved bus word `bus`
-    /// to this node's controller, in its negotiated `role`.
+    /// to this node's controller, in its negotiated role.
     ///
     /// `rx_scratch` is the node's dry-run parser from planning; `rx_swap`
     /// says it covered exactly this stretch, so it can be installed in
     /// O(1) instead of replaying the bits. A node whose frame parser
     /// equals another's commits with [`Controller::commit_parser_copy`]
     /// instead. The attached agent observes the stretch separately,
-    /// through [`Node::observe_stretch`].
+    /// through [`Node::finish_stretch`].
     pub(crate) fn commit_stretch(
         &mut self,
         role: StretchRole,
@@ -307,15 +351,25 @@ impl Node {
         }
     }
 
-    /// Lets the attached agent observe one committed packed stretch with
-    /// a single [`BitAgent::observe_stretch`] call — its promise was only
-    /// to not *drive* inside the stretch, not to skip observations.
-    pub(crate) fn observe_stretch(&mut self, role: StretchRole, bus: u64, n: u32, now: BitInstant) {
-        if role == StretchRole::Down {
+    /// Lets the node's other seams catch up on one committed packed
+    /// stretch starting at `now`, in lockstep's order: an active TX fault
+    /// consumes its drawn levels, the skipped re-post polls settle in one
+    /// [`Application::settle_reposts`] call, and the agent observes the
+    /// bits in one [`BitAgent::observe_stretch`] call — its promise was
+    /// only about what it *drives*, not to skip observations.
+    pub(crate) fn finish_stretch(&mut self, plan: NodePlan, bus: u64, n: u32, now: BitInstant) {
+        if let Some(fault) = &mut self.tx_fault {
+            fault.commit_stretch(now.bits(), n);
+        }
+        if plan.role == StretchRole::Down {
             return;
         }
+        if plan.reposts {
+            self.app
+                .settle_reposts(u64::from(n) * MAX_ENQUEUE_PER_BIT as u64);
+        }
         if let Some(agent) = &mut self.agent {
-            let own = matches!(role, StretchRole::Transmit { .. });
+            let own = matches!(plan.role, StretchRole::Transmit { .. });
             agent.observe_stretch(bus, n, own, now);
         }
     }

@@ -16,7 +16,7 @@ use can_obs::{Journal, Recorder};
 use crate::controller::{integrating_word_cap, StepOutput, StretchRole};
 use crate::event::{Event, EventKind, NodeId};
 use crate::fault::{FaultModel, FaultStack};
-use crate::node::Node;
+use crate::node::{Node, NodePlan};
 use crate::parser::RxParser;
 use crate::tap::FrameTap;
 use crate::telemetry::{FallbackCause, KernelTelemetry};
@@ -211,8 +211,8 @@ pub struct Simulator {
     pend_bits: u64,
     /// Busy-bit counter deltas accumulated since the last flush.
     pend_busy_bits: u64,
-    /// Arena for the packed kernel: per-stretch node roles (reused).
-    packed_roles: Vec<StretchRole>,
+    /// Arena for the packed kernel: per-stretch node plans (reused).
+    packed_plans: Vec<NodePlan>,
     /// Arena: per-node scratch parsers for receiver dry-runs (reused).
     rx_scratch: Vec<RxParser>,
     /// Arena: per-node (requested, consumed) bits of the latest dry-run.
@@ -249,7 +249,7 @@ impl Simulator {
             metric_keys: Vec::new(),
             pend_bits: 0,
             pend_busy_bits: 0,
-            packed_roles: Vec::new(),
+            packed_plans: Vec::new(),
             rx_scratch: Vec::new(),
             rx_dry: Vec::new(),
             rx_share: Vec::new(),
@@ -742,10 +742,10 @@ impl Simulator {
             Some(t) => cap = cap.min(t - now_bits),
             None => {}
         }
-        self.packed_roles.clear();
+        self.packed_plans.clear();
         for node in &self.nodes {
             match node.stretch_plan(self.now, &mut cap) {
-                Ok(role) => self.packed_roles.push(role),
+                Ok(plan) => self.packed_plans.push(plan),
                 Err(cause) => {
                     self.telemetry.count_fallback(cause);
                     return None;
@@ -758,19 +758,20 @@ impl Simulator {
             return None;
         }
 
-        // Wired-AND over the stretch: dominant-mask OR of the transmitters
-        // and active error flags.
+        // Wired-AND over the stretch: dominant-mask OR of every node's
+        // drive word (transmitters, active error flags, forced agent runs
+        // and TX-fault windows).
         let bus = self
-            .packed_roles
+            .packed_plans
             .iter()
-            .fold(0u64, |bus, role| bus | role.drive_word());
+            .fold(0u64, |bus, plan| bus | plan.drive);
         // Post-AND shortening: each condition ends the stretch at the
         // first bit the lockstep path must process. All caps are
         // "first offset of X", so they are prefix-stable and one pass
         // suffices even as `n` shrinks.
         let mut n = cap as u32;
-        for role in &self.packed_roles {
-            match role {
+        for plan in &self.packed_plans {
+            match &plan.role {
                 StretchRole::Transmit { word } => {
                     // First disagreement between sent and resolved levels:
                     // arbitration loss, dominant overwrite or bit error.
@@ -796,6 +797,29 @@ impl Simulator {
                 StretchRole::Receive | StretchRole::BusOff | StretchRole::Down => {}
             }
         }
+        // A stretch with any transmitter, receiver or error signaller is
+        // busy for all its bits (those states cannot end inside it); so is
+        // one with a crashed node frozen mid-frame. One with none of these
+        // is busy exactly at its dominant bits, which only a forced drive
+        // (agent run or TX-fault word) can put there: it stops before the
+        // first one, so it is idle for all its bits.
+        let busy = self
+            .packed_plans
+            .iter()
+            .zip(&self.nodes)
+            .any(|(plan, node)| {
+                matches!(
+                    plan.role,
+                    StretchRole::Transmit { .. }
+                        | StretchRole::Receive
+                        | StretchRole::Signal { .. }
+                ) || node.is_frozen_busy(self.now)
+            });
+        if !busy {
+            if let Some(d) = packed::first_dominant(bus, n) {
+                n = d;
+            }
+        }
         if n == 0 {
             self.telemetry.count_fallback(FallbackCause::PostAndShorten);
             return None;
@@ -812,9 +836,9 @@ impl Simulator {
             self.rx_share.resize(self.nodes.len(), None);
         }
         self.rx_leaders.clear();
-        for (i, role) in self.packed_roles.iter().enumerate() {
+        for (i, plan) in self.packed_plans.iter().enumerate() {
             self.rx_share[i] = None;
-            if *role != StretchRole::Receive {
+            if plan.role != StretchRole::Receive {
                 continue;
             }
             if let Some(leader) = parse_leader(&self.nodes, &self.rx_leaders, i) {
@@ -839,8 +863,8 @@ impl Simulator {
         // A transmitter's monitor parser sees the same `n` bits (the bus
         // matched its word); in a leader's state it copies instead of
         // replaying them.
-        for (i, role) in self.packed_roles.iter().enumerate() {
-            if !matches!(role, StretchRole::Transmit { .. }) {
+        for (i, plan) in self.packed_plans.iter().enumerate() {
+            if !matches!(plan.role, StretchRole::Transmit { .. }) {
                 continue;
             }
             if let Some(leader) = parse_leader(&self.nodes, &self.rx_leaders, i) {
@@ -849,25 +873,9 @@ impl Simulator {
             }
         }
         self.telemetry
-            .count_stretch(u64::from(n), &self.packed_roles);
+            .count_stretch(u64::from(n), self.packed_plans.iter().map(|plan| plan.role));
 
         // Commit: every node advances `n` bits in its negotiated role.
-        // A stretch with any transmitter, receiver or error signaller is
-        // busy for all `n` bits (those states cannot end inside it); so is
-        // one with a crashed node frozen mid-frame. One with none of these
-        // has an all-recessive, all-idle bus and is busy for none.
-        let busy = self
-            .packed_roles
-            .iter()
-            .zip(&self.nodes)
-            .any(|(role, node)| {
-                matches!(
-                    role,
-                    StretchRole::Transmit { .. }
-                        | StretchRole::Receive
-                        | StretchRole::Signal { .. }
-                ) || node.is_frozen_busy(self.now)
-            });
         if let Some(trace) = &mut self.trace {
             trace.push_word(bus, n);
         }
@@ -884,7 +892,7 @@ impl Simulator {
             // exactly the final stretch, event-free.
             let rx_swap = consumed == req && req == n;
             node.commit_stretch(
-                self.packed_roles[i],
+                self.packed_plans[i].role,
                 bus,
                 n,
                 &mut self.rx_scratch[i],
@@ -901,10 +909,10 @@ impl Simulator {
                 member.controller_mut().commit_parser_copy(post, n);
             }
         }
-        // Agents observe in node order, as in lockstep, so journal order
-        // does not depend on the engine.
+        // TX faults, applications and agents catch up in node order, as
+        // in lockstep, so journal order does not depend on the engine.
         for (i, node) in self.nodes.iter_mut().enumerate() {
-            node.observe_stretch(self.packed_roles[i], bus, n, self.now);
+            node.finish_stretch(self.packed_plans[i], bus, n, self.now);
         }
         self.account_uniform_bits(u64::from(n), busy, obs);
         Some(u64::from(n))
@@ -1084,6 +1092,7 @@ impl std::fmt::Debug for Simulator {
 mod tests {
     use super::*;
     use crate::event::EventKind;
+    use crate::fault::TxFault;
     use can_core::app::{PeriodicSender, SilentApplication};
     use can_core::{CanFrame, CanId};
 
@@ -1603,21 +1612,26 @@ mod tests {
     #[test]
     fn kernel_telemetry_attributes_fault_fallbacks() {
         // A channel-fault layer with activity inside the run forces
-        // FaultStack fallbacks; a node-level TX fault forces NodeFault.
-        let mut sim = Simulator::new(BusSpeed::K500);
-        sim.push_fault_layer(FaultModel::scripted(vec![1_000, 1_005]));
-        sim.add_node(Node::new(
-            "s",
-            Box::new(PeriodicSender::new(frame(0x0C4, &[1]), 600, 0)),
-        ));
-        sim.add_node(
-            Node::new("flaky", Box::new(SilentApplication))
-                .with_tx_fault(crate::fault::TxFault::stuck_dominant(2_000, 2_050)),
-        );
-        sim.run_packed(4_000);
+        // FaultStack fallbacks; a crash restart edge forces NodeFault,
+        // while a stuck-dominant window rides the kernel as a known word.
+        let build = |fault: TxFault| {
+            let mut sim = Simulator::new(BusSpeed::K500);
+            sim.push_fault_layer(FaultModel::scripted(vec![1_000, 1_005]));
+            sim.add_node(Node::new(
+                "s",
+                Box::new(PeriodicSender::new(frame(0x0C4, &[1]), 600, 0)),
+            ));
+            sim.add_node(Node::new("flaky", Box::new(SilentApplication)).with_tx_fault(fault));
+            sim.run_packed(4_000);
+            sim
+        };
+        let sim = build(TxFault::crash_restart(2_000, 2_050));
         let t = sim.kernel_telemetry();
         assert!(t.fallback_count(FallbackCause::FaultStack) > 0);
         assert!(t.fallback_count(FallbackCause::NodeFault) > 0);
+        let sim = build(TxFault::stuck_dominant(2_000, 2_050));
+        let t = sim.kernel_telemetry();
+        assert_eq!(t.fallback_count(FallbackCause::NodeFault), 0);
     }
 
     #[test]

@@ -237,12 +237,12 @@ impl KernelTelemetry {
         self.fallbacks[cause.index()] += 1;
     }
 
-    pub(crate) fn count_stretch(&mut self, n: u64, roles: &[StretchRole]) {
+    pub(crate) fn count_stretch(&mut self, n: u64, roles: impl IntoIterator<Item = StretchRole>) {
         self.packed_bits += n;
         self.stretches += 1;
         self.stretch_len.observe(n);
         for role in roles {
-            self.role_bits[role_index(*role)] += n;
+            self.role_bits[role_index(role)] += n;
         }
     }
 
@@ -299,7 +299,7 @@ mod tests {
         t.count_lockstep_bit();
         t.count_lockstep_bit();
         t.count_skip(100);
-        t.count_stretch(48, &[StretchRole::Receive, StretchRole::Passive]);
+        t.count_stretch(48, [StretchRole::Receive, StretchRole::Passive]);
         t.count_fallback(FallbackCause::AppPoll);
         t.count_fallback(FallbackCause::AppPoll);
         t.count_fallback(FallbackCause::ReceiverDryRun);
@@ -321,7 +321,7 @@ mod tests {
     #[test]
     fn json_rendering_is_well_formed() {
         let mut t = KernelTelemetry::default();
-        t.count_stretch(7, &[StretchRole::Transmit { word: 0 }]);
+        t.count_stretch(7, [StretchRole::Transmit { word: 0 }]);
         t.count_fallback(FallbackCause::ShortCap);
         let json = t.to_json();
         let doc = can_obs::json::parse(&json).expect("telemetry JSON parses");

@@ -457,6 +457,25 @@ impl BitAgent for MichiCan {
         Some(now + BitDuration::bits(bits))
     }
 
+    fn drive_until(&self, now: BitInstant) -> BitInstant {
+        // While injecting, the pin stays dominant up to and including the
+        // sample whose destuffed count `cnt` reaches `counterattack_end`
+        // (the count already passed `counterattack_start`, so the next
+        // counted sample past the end releases). Its own drive makes every
+        // sample dominant, so the destuffer fixes how many samples that
+        // takes (Algorithm 1 skips the one violation, as it does a stuff
+        // bit).
+        if !self.injecting {
+            return now;
+        }
+        let bits = self
+            .config
+            .counterattack_end
+            .saturating_sub(self.cnt)
+            .max(1);
+        now + BitDuration::bits(self.destuffer.pushes_for_bits(Level::Dominant, bits))
+    }
+
     fn skip_idle(&mut self, bits: u64, _from: BitInstant) {
         debug_assert!(matches!(self.state, HandlerState::BusIdle) && !self.injecting);
         self.cnt_sof = self

@@ -580,6 +580,40 @@ impl BitAgent for SupervisedMichiCan {
         self.handler.drive_horizon(now)
     }
 
+    fn drive_until(&self, now: BitInstant) -> BitInstant {
+        // The handler's forced run holds only while the watchdog leaves
+        // prevention on. Inside the run the ticks are contiguous and every
+        // sample is dominant, so the watchdog can only withdraw prevention
+        // at a missed tick or a SOF edge on the first bit (closing a frame
+        // may re-arm under an exhausted budget), at a sync loss, at the
+        // deadline of an eradication watch still open, or at an
+        // episode-window rollover. The run stops before the first bit
+        // where one of them could fire.
+        let t = now.bits();
+        let mut until = self.handler.drive_until(now).bits();
+        let gap = self.last_tick.is_some_and(|last| t > last + 1);
+        if until <= t || gap || self.idle_run >= MIN_INTERFRAME_RECESSIVE as u32 {
+            return now;
+        }
+        if let Some(deadline) = self.watch_deadline {
+            until = until.min(deadline);
+        }
+        let rollover = self
+            .episode_window_start
+            .saturating_add(self.config.episode_window_bits);
+        until = until.min(rollover);
+        if self.in_frame {
+            let mut sync = self.sync.clone();
+            if let Some(lost) = (t..until).find(|_| {
+                sync.advance_bit();
+                !sync.is_sample_valid()
+            }) {
+                until = lost;
+            }
+        }
+        BitInstant::from_bits(until.max(t))
+    }
+
     fn skip_idle(&mut self, bits: u64, from: BitInstant) {
         if bits == 0 {
             return;

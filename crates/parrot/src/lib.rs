@@ -58,12 +58,19 @@ struct ParrotKeys {
 #[derive(Debug, Clone)]
 pub struct ParrotDefender {
     own_id: CanId,
+    /// The flood's counterattack frame, built once.
+    counter_frame: CanFrame,
+    /// This ECU's legitimate frame, built once.
+    own_frame: CanFrame,
     /// Legitimate periodic transmission of this ECU, if any.
     own_period_bits: Option<u64>,
     next_own_due: u64,
     /// Remaining flood window in bit times (refreshed per detection).
     flood_until: Option<u64>,
     flood_window_bits: u64,
+    /// The current flood has handed its frame to the controller, so its
+    /// further polls only re-post it.
+    flood_posted: bool,
     stats: ParrotStats,
     /// Metrics sink and its keys; `None` (no-op) by default.
     keys: Option<ParrotKeys>,
@@ -82,10 +89,16 @@ impl ParrotDefender {
     pub fn new(own_id: CanId, flood_window_bits: u64) -> Self {
         ParrotDefender {
             own_id,
+            // All-dominant payload: maximally aggressive in the data field.
+            counter_frame: CanFrame::data_frame(own_id, &[0u8; 8])
+                .expect("valid counterattack frame"),
+            // Legitimate payload distinct from the counterattack.
+            own_frame: CanFrame::data_frame(own_id, &[0xA5; 8]).expect("valid frame"),
             own_period_bits: None,
             next_own_due: 0,
             flood_until: None,
             flood_window_bits,
+            flood_posted: false,
             stats: ParrotStats::default(),
             keys: None,
             journal: Journal::disabled(),
@@ -139,11 +152,6 @@ impl ParrotDefender {
     pub fn is_flooding(&self, now: BitInstant) -> bool {
         self.flood_until.is_some_and(|until| now.bits() < until)
     }
-
-    fn counterattack_frame(&self) -> CanFrame {
-        // All-dominant payload: maximally aggressive in the data field.
-        CanFrame::data_frame(self.own_id, &[0u8; 8]).expect("valid counterattack frame")
-    }
 }
 
 impl Application for ParrotDefender {
@@ -159,7 +167,8 @@ impl Application for ParrotDefender {
                         .observe(&keys.reaction_latency, now.bits().saturating_sub(detected));
                 }
             }
-            return Some(self.counterattack_frame());
+            self.flood_posted = true;
+            return Some(self.counter_frame);
         }
         if self.flood_until.take().is_some() && self.journal.is_enabled() {
             self.journal.event(
@@ -172,8 +181,7 @@ impl Application for ParrotDefender {
         if let Some(period) = self.own_period_bits {
             if now.bits() >= self.next_own_due {
                 self.next_own_due = now.bits() + period;
-                // Legitimate payload distinct from the counterattack.
-                return Some(CanFrame::data_frame(self.own_id, &[0xA5; 8]).expect("valid frame"));
+                return Some(self.own_frame);
             }
         }
         None
@@ -188,6 +196,25 @@ impl Application for ParrotDefender {
         }
         self.own_period_bits
             .map(|_| BitInstant::from_bits(self.next_own_due.max(now.bits())))
+    }
+
+    fn repost_until(&self, now: BitInstant) -> BitInstant {
+        // Once the flood's frame is in the controller, every poll before
+        // the window closes re-posts it and counts one flood frame. The
+        // first poll of a flood (which posts the frame and may observe the
+        // reaction latency) and the poll that closes the window (journal
+        // event) stay per-bit.
+        match self.flood_until {
+            Some(until) if self.flood_posted => BitInstant::from_bits(until.max(now.bits())),
+            _ => now,
+        }
+    }
+
+    fn settle_reposts(&mut self, polls: u64) {
+        self.stats.flood_frames += polls;
+        if let Some(keys) = &self.keys {
+            keys.recorder.add(&keys.flood_frames, polls);
+        }
     }
 
     fn on_frame(&mut self, frame: &CanFrame, now: BitInstant) {
@@ -215,6 +242,7 @@ impl Application for ParrotDefender {
             }
             if self.flood_until.is_none() {
                 self.stats.floods += 1;
+                self.flood_posted = false;
             }
             self.flood_until = Some(now.bits() + self.flood_window_bits);
         }
@@ -316,6 +344,48 @@ mod tests {
                 "missing {kind} in:\n{export}"
             );
         }
+    }
+
+    #[test]
+    fn flood_reposts_settle_exactly_like_the_polls_they_skip() {
+        use can_core::app::MAX_ENQUEUE_PER_BIT;
+        let at = BitInstant::from_bits;
+        let build = || {
+            let mut parrot = ParrotDefender::new(CanId::from_raw(0x173), 1_000);
+            let recorder = Recorder::enabled();
+            parrot.set_recorder(recorder.clone(), 2);
+            parrot.on_frame(&spoof(), at(100));
+            (parrot, recorder)
+        };
+        let (mut polled, polled_metrics) = build();
+        let (mut settled, settled_metrics) = build();
+        let poll_bit = |parrot: &mut ParrotDefender, bit: u64| {
+            for _ in 0..MAX_ENQUEUE_PER_BIT {
+                assert!(parrot.poll(at(bit)).is_some());
+            }
+        };
+        // The flood's first poll posts the frame and observes the
+        // reaction latency: no re-post run yet.
+        assert_eq!(settled.repost_until(at(101)), at(101));
+        poll_bit(&mut polled, 101);
+        poll_bit(&mut settled, 101);
+        // From then on every poll before the window closes is a re-post.
+        assert_eq!(settled.repost_until(at(102)), at(1_100));
+        for bit in 102..1_100 {
+            poll_bit(&mut polled, bit);
+        }
+        settled.settle_reposts(998 * MAX_ENQUEUE_PER_BIT as u64);
+        assert_eq!(polled.stats(), settled.stats());
+        assert_eq!(
+            polled_metrics.snapshot_json(),
+            settled_metrics.snapshot_json()
+        );
+        // The poll that closes the window stays per-bit, and the next
+        // flood starts without a re-post run.
+        assert_eq!(settled.repost_until(at(1_100)), at(1_100));
+        assert!(settled.poll(at(1_100)).is_none());
+        settled.on_frame(&spoof(), at(2_000));
+        assert_eq!(settled.repost_until(at(2_001)), at(2_001));
     }
 
     #[test]

@@ -22,6 +22,7 @@ use can_sim::{
     Simulator, TxFault,
 };
 use michican::prelude::*;
+use parrot::ParrotDefender;
 use proptest::prelude::*;
 
 fn frame(id: u16, data: &[u8]) -> CanFrame {
@@ -108,19 +109,54 @@ const ERROR_RUN_BITS: u64 = 12_000;
 /// Identifier shared by the colliding pair (below every random sender).
 const COLLIDING_ID: u16 = 0x050;
 
-/// A bus of random senders plus the error sources selected by the low
-/// four bits of `sources`: a stuck-dominant TX window `(start, len)`,
-/// BER 1e-3 channel faults, a pair of senders that share an identifier
-/// (their collisions drive both error-passive) and a saturating DoS
-/// attacker against a MichiCAN monitor.
+/// Identifier a Parrot defender owns and a spoofer sends (below every
+/// random sender, above the colliding pair).
+const PARROT_ID: u16 = 0x060;
+
+/// Babbling duties of the TX-fault shapes `1..=3` ([`ErrorSources::tx_kind`]).
+const BABBLE_DUTY: [f64; 3] = [0.0, 0.3, 1.0];
+
+/// The error sources of one [`error_bus`].
+#[derive(Debug, Clone, Copy)]
+struct ErrorSources {
+    /// Low four bits: a TX fault window `(start, len)`, BER 1e-3 channel
+    /// faults, a pair of senders that share an identifier (their
+    /// collisions drive both error-passive) and a saturating DoS attacker
+    /// against a MichiCAN monitor.
+    mask: u8,
+    /// The TX fault's shape: stuck dominant (0), or babbling at the
+    /// duties of [`BABBLE_DUTY`] (1..=3).
+    tx_kind: u8,
+    /// Put the TX fault on the MichiCAN monitor's node, when there is
+    /// one, instead of on a dedicated node.
+    fault_on_michican: bool,
+    /// A Parrot defender flooding against a spoofer of its identifier:
+    /// none (0), a flood that outlasts the run (1), or that flood with a
+    /// crash window `(start, len)` on the Parrot node (2).
+    parrot: u8,
+}
+
+impl ErrorSources {
+    /// Whether the bus certainly sees protocol errors (a duty-0 babble
+    /// drives nothing, and a 0.3 one may stay recessive).
+    fn certain_errors(self) -> bool {
+        self.mask & !1 != 0 || matches!(self.tx_kind, 0 | 3) || self.parrot != 0
+    }
+}
+
+/// A bus of random senders plus the error sources of `sources`.
 fn error_bus(
     senders: &[(u16, u64, Vec<u8>)],
-    sources: u8,
+    sources: ErrorSources,
     (start, len): (u64, u64),
     seed: u64,
     recorder: Recorder,
 ) -> Simulator {
-    let mut builder = SimBuilder::new(BusSpeed::K500).recorder(recorder);
+    let tx_fault = || match sources.tx_kind {
+        0 => TxFault::stuck_dominant(start, start + len),
+        kind => TxFault::babbling(start, start + len, BABBLE_DUTY[kind as usize - 1], seed),
+    };
+    let mut builder = SimBuilder::new(BusSpeed::K500).recorder(recorder.clone());
     for (i, (id, period, payload)) in senders.iter().enumerate() {
         builder = builder.node(Node::new(
             format!("ecu{i}"),
@@ -132,16 +168,15 @@ fn error_bus(
         ));
     }
     builder = builder.node(Node::new("rx", Box::new(SilentApplication)));
-    if sources & 1 != 0 {
-        builder = builder.node(
-            Node::new("flaky", Box::new(SilentApplication))
-                .with_tx_fault(TxFault::stuck_dominant(start, start + len)),
-        );
+    let fault_on_michican = sources.fault_on_michican && sources.mask & 8 != 0;
+    if sources.mask & 1 != 0 && !fault_on_michican {
+        builder =
+            builder.node(Node::new("flaky", Box::new(SilentApplication)).with_tx_fault(tx_fault()));
     }
-    if sources & 2 != 0 {
+    if sources.mask & 2 != 0 {
         builder = builder.fault(FaultModel::random(1e-3, seed));
     }
-    if sources & 4 != 0 {
+    if sources.mask & 4 != 0 {
         for (name, payload) in [("owner", [0xFF; 8]), ("twin", [0x00; 8])] {
             builder = builder.node(Node::new(
                 name,
@@ -149,9 +184,14 @@ fn error_bus(
             ));
         }
     }
-    if sources & 8 != 0 {
+    if sources.mask & 8 != 0 {
         let ids: Vec<u16> = senders.iter().map(|(id, _, _)| *id).collect();
         let list = EcuList::from_raw(&ids);
+        let mut michican = Node::new("michican", Box::new(SilentApplication))
+            .with_agent(Box::new(MichiCan::new(DetectionFsm::for_monitor(&list))));
+        if sources.mask & 1 != 0 && fault_on_michican {
+            michican = michican.with_tx_fault(tx_fault());
+        }
         builder = builder
             .node(Node::new(
                 "attacker",
@@ -159,12 +199,58 @@ fn error_bus(
                     SuspensionAttacker::saturating(DosKind::Traditional).with_payload(&[0xFF; 8]),
                 ),
             ))
-            .node(
-                Node::new("michican", Box::new(SilentApplication))
-                    .with_agent(Box::new(MichiCan::new(DetectionFsm::for_monitor(&list)))),
-            );
+            .node(michican);
+    }
+    if sources.parrot != 0 {
+        let mut parrot =
+            ParrotDefender::new(CanId::from_raw(PARROT_ID), ERROR_RUN_BITS).with_own_traffic(1_000);
+        parrot.set_recorder(recorder, builder.node_id() as u32);
+        let mut node = Node::new("parrot", Box::new(parrot));
+        if sources.parrot == 2 {
+            node = node.with_tx_fault(TxFault::crash_restart(start, start + len));
+        }
+        builder = builder.node(node).node(Node::new(
+            "spoofer",
+            Box::new(PeriodicSender::new(frame(PARROT_ID, &[0xFF; 8]), 800, 100)),
+        ));
     }
     builder.build()
+}
+
+/// Runs `sources` under both engines and checks that error frames ride
+/// the packed kernel as `Signal` stretches.
+fn check_error_bus(
+    senders: &[(u16, u64, Vec<u8>)],
+    sources: ErrorSources,
+    window: (u64, u64),
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let build = |recorder: Recorder| error_bus(senders, sources, window, seed, recorder);
+    check_equivalence(build, ERROR_RUN_BITS).map_err(TestCaseError)?;
+
+    let mut sim = build(Recorder::disabled());
+    sim.run_packed(ERROR_RUN_BITS);
+    let telemetry = sim.kernel_telemetry();
+    let signal = telemetry
+        .role_bits()
+        .iter()
+        .find(|(label, _)| *label == "signal")
+        .map_or(0, |(_, bits)| *bits);
+    if sources.certain_errors() {
+        prop_assert!(signal > 0, "no signal stretch: {}", telemetry.to_json());
+    }
+    if sources.mask & 4 != 0 {
+        prop_assert!(
+            sim.events().iter().any(|e| matches!(
+                e.kind,
+                EventKind::ErrorStateChanged {
+                    state: ErrorState::ErrorPassive
+                }
+            )),
+            "the colliding pair must turn error-passive"
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -173,35 +259,109 @@ proptest! {
     /// Error-heavy buses, every case with at least one error source:
     /// error frames ride the packed kernel as `Signal` stretches and stay
     /// byte-identical to lockstep, through superposed flags, passive
-    /// flags, suspend transmission and bus-off.
+    /// flags, suspend transmission and bus-off; stuck-dominant and
+    /// babbling windows (on their own node or on an injecting MichiCAN
+    /// node) ride it as known drive words, and a Parrot flood's re-posts
+    /// settle in closed form, also when the run or a crash cuts it.
     #[test]
     fn error_frames_are_bit_identical_under_acceleration(
         senders in arb_senders(),
-        sources in 1u8..16,
-        window in (500u64..8_000, 8u64..64),
+        mask in 1u8..16,
+        tx_kind in 0u8..4,
+        fault_on_michican in any::<bool>(),
+        parrot in 0u8..3,
+        window in (500u64..8_000, 8u64..200),
         seed in any::<u64>(),
     ) {
-        let build = |recorder: Recorder| error_bus(&senders, sources, window, seed, recorder);
-        check_equivalence(build, ERROR_RUN_BITS).unwrap();
+        let sources = ErrorSources { mask, tx_kind, fault_on_michican, parrot };
+        check_error_bus(&senders, sources, window, seed)?;
+    }
+}
 
-        let mut sim = build(Recorder::disabled());
-        sim.run_packed(ERROR_RUN_BITS);
-        let telemetry = sim.kernel_telemetry();
-        let signal = telemetry
-            .role_bits()
-            .iter()
-            .find(|(label, _)| *label == "signal")
-            .map_or(0, |(_, bits)| *bits);
-        prop_assert!(signal > 0, "no signal stretch: {}", telemetry.to_json());
-        if sources & 4 != 0 {
-            prop_assert!(
-                sim.events().iter().any(|e| matches!(
-                    e.kind,
-                    EventKind::ErrorStateChanged { state: ErrorState::ErrorPassive }
-                )),
-                "the colliding pair must turn error-passive"
-            );
+#[test]
+fn every_forced_drive_shape_is_bit_identical_under_acceleration() {
+    // One deterministic case per forced-drive shape the proptest above
+    // draws at random: each babbling duty and the stuck window, on a
+    // dedicated node and on the injecting MichiCAN node, and both Parrot
+    // floods (cut by the run's horizon, and by a crash mid-flood).
+    let senders = vec![
+        (0x0A0, 1_100, vec![0x12, 0x34]),
+        (0x1B0, 2_300, vec![0xFF; 8]),
+        (0x2C0, 3_700, vec![]),
+    ];
+    let mut cases = Vec::new();
+    for tx_kind in 0..4 {
+        for fault_on_michican in [false, true] {
+            cases.push(ErrorSources {
+                mask: 1 | 8,
+                tx_kind,
+                fault_on_michican,
+                parrot: 0,
+            });
         }
+    }
+    for parrot in [1, 2] {
+        cases.push(ErrorSources {
+            mask: 2,
+            tx_kind: 0,
+            fault_on_michican: false,
+            parrot,
+        });
+    }
+    for sources in cases {
+        check_error_bus(&senders, sources, (2_000, 150), 7)
+            .unwrap_or_else(|e| panic!("{sources:?}: {e}"));
+    }
+
+    // The Parrot flood is still running when the run ends: its last bit
+    // still counts flood frames, so the settled count is exact up to it.
+    let sources = ErrorSources {
+        mask: 2,
+        tx_kind: 0,
+        fault_on_michican: false,
+        parrot: 1,
+    };
+    let recorder = Recorder::enabled();
+    let mut sim = error_bus(&senders, sources, (2_000, 150), 7, recorder.clone());
+    let flood_frames = || {
+        recorder
+            .with_registry(|registry| {
+                registry
+                    .counters()
+                    .filter(|(key, _)| key.starts_with("parrot_flood_frames_total"))
+                    .map(|(_, frames)| frames)
+                    .sum::<u64>()
+            })
+            .unwrap()
+    };
+    sim.run_packed(ERROR_RUN_BITS - 1);
+    let before = flood_frames();
+    sim.run_packed(1);
+    assert!(flood_frames() > before, "the flood ended before the run");
+}
+
+#[test]
+fn forced_dominant_bits_on_an_idle_bus_count_busy() {
+    // A transceiver stuck dominant, or babbling, from power-on: every
+    // controller is still integrating, so no node is busy and the forced
+    // dominant bits alone make the bus busy, bit by bit.
+    for babble in [false, true] {
+        let build = |recorder: Recorder| {
+            let fault = if babble {
+                TxFault::babbling(0, 300, 0.5, 3)
+            } else {
+                TxFault::stuck_dominant(0, 300)
+            };
+            SimBuilder::new(BusSpeed::K500)
+                .recorder(recorder)
+                .node(Node::new("flaky", Box::new(SilentApplication)).with_tx_fault(fault))
+                .node(Node::new("rx", Box::new(SilentApplication)))
+                .build()
+        };
+        check_equivalence(build, 1_000).unwrap();
+        let mut sim = build(Recorder::disabled());
+        sim.run_packed(1_000);
+        assert!(sim.busy_bits() > 0, "babble={babble}: no busy bit");
     }
 }
 
