@@ -1,76 +1,79 @@
-//! Performance baseline: measures simulator throughput and the parallel
-//! experiment engine's speedup, and writes the results as JSON.
+//! Performance baseline: measures simulator throughput for the CI speed
+//! gates and writes the results as JSON.
 //!
 //! ```text
-//! perfbase [--quick] [--shards <n> | -j <n>] [--out <path>]
+//! perfbase [--quick] [--out <path>]
 //! ```
 //!
 //! * `--quick` shrinks every workload (CI smoke configuration);
-//! * `--shards` sets the parallel worker count (default: all cores);
 //! * `--out` sets the JSON path (default `BENCH_sim.json`).
 //!
-//! The JSON records single-thread vs parallel bits/sec on the
-//! fault-campaign grid (with the speedup), raw simulator bits/sec with
-//! event logging on and off, the metrics layer's hot-path cost with the
-//! recorder disabled vs enabled (the disabled path must be within noise
-//! of no recorder at all), lockstep vs packed-kernel throughput at
-//! 10/30/60/90 % busload (the 10 % row must clear a 3× speedup, the 30 %
-//! row 5×), cells/sec for the campaign grid, and wall time per grid
-//! artifact. Numbers depend on the host; the *outputs* of
-//! every measured workload stay byte-identical across shard counts (see
-//! `bench::runner` — this binary asserts it for the campaign report *and*
-//! for the merged metrics snapshot of the metered campaign).
+//! The JSON records raw simulator bits/sec on a Veh. D restbus bus, the
+//! same bus with a recorder or journal attached, disabled and enabled (CI
+//! requires the disabled recorder to keep ≥ 0.8× the plain rate), lockstep
+//! vs packed-kernel throughput at 10/30/60/90 % busload (the 10 % row
+//! must clear a 3× speedup, the 30 % row 5×), and the kernel
+//! self-telemetry of one 30 %-load bus under both engines. Every rate is
+//! the median of [`REPEATS`] runs on a fresh simulator. Rates depend on
+//! the host; end-to-end timings of the experiment grids are perfbench's
+//! (`BENCHMARK.json`).
 
 use std::time::Instant;
 
-use bench::campaign::{run_campaign_with, CampaignConfig};
-use bench::detection::{run_sweep_with, PAPER_IVN_SIZES};
-use bench::runner::{parse_shards, ExecOpts};
-use bench::scenarios::{restbus_matrix, run_multi_attacker_scan_with, run_table2_with};
+use bench::scenarios::restbus_matrix;
 use can_core::app::{PeriodicSender, SilentApplication};
 use can_core::{BusSpeed, CanFrame, CanId};
 use can_obs::{Journal, Recorder};
 use can_sim::{Node, SimBuilder, Simulator};
 use restbus::ReplayApp;
 
-/// One timed run: returns (elapsed seconds, result).
-fn timed<R>(work: impl FnOnce() -> R) -> (f64, R) {
-    let start = Instant::now();
-    let result = work();
-    (start.elapsed().as_secs_f64(), result)
-}
+/// Runs behind every rate: each is the median of this many.
+const REPEATS: usize = 5;
 
-/// Raw simulator throughput: Veh. D restbus replay plus a receiver,
-/// stepped for `bits` bit times. Returns bits/sec.
-fn sim_bits_per_sec(bits: u64, event_logging: bool) -> f64 {
-    sim_bits_per_sec_with(bits, event_logging, None, None)
-}
-
-/// [`sim_bits_per_sec`] with an explicit recorder and/or journal attached
-/// (when `Some`); used to quantify each observability layer's hot-path
-/// cost in both states.
-fn sim_bits_per_sec_with(
+/// Median bits/sec of [`REPEATS`] runs, each on a fresh simulator from
+/// `build` (untimed) advanced `bits` bit times by `run` (timed). Returns
+/// the rate and the last run's simulator.
+fn median_bits_per_sec(
     bits: u64,
-    event_logging: bool,
-    recorder: Option<Recorder>,
-    journal: Option<Journal>,
-) -> f64 {
-    let mut builder = SimBuilder::new(BusSpeed::K50).event_logging(event_logging);
+    build: impl Fn() -> Simulator,
+    run: fn(&mut Simulator, u64),
+) -> (f64, Simulator) {
+    let mut rates = Vec::with_capacity(REPEATS);
+    let mut last = None;
+    for _ in 0..REPEATS {
+        let mut sim = build();
+        let start = Instant::now();
+        run(&mut sim, bits);
+        rates.push(bits as f64 / start.elapsed().as_secs_f64());
+        last = Some(sim);
+    }
+    rates.sort_by(f64::total_cmp);
+    (rates[REPEATS / 2], last.expect("REPEATS > 0"))
+}
+
+/// Veh. D restbus replay plus a receiver, with a recorder and/or journal
+/// attached when `Some`; used to quantify each observability layer's
+/// hot-path cost in both states.
+fn restbus_bus(recorder: Option<Recorder>, journal: Option<Journal>) -> Simulator {
+    let mut builder = SimBuilder::new(BusSpeed::K50);
     if let Some(recorder) = recorder {
         builder = builder.recorder(recorder);
     }
     if let Some(journal) = journal {
         builder = builder.journal(journal);
     }
-    let mut sim = builder
+    builder
         .node(Node::new(
             "restbus",
             Box::new(ReplayApp::for_matrix(&restbus_matrix())),
         ))
         .node(Node::new("rx", Box::new(SilentApplication)))
-        .build();
-    let (secs, _) = timed(|| sim.run(bits));
-    bits as f64 / secs
+        .build()
+}
+
+/// Median lockstep bits/sec of the [`restbus_bus`] that `build` makes.
+fn restbus_bits_per_sec(bits: u64, build: impl Fn() -> Simulator) -> f64 {
+    median_bits_per_sec(bits, build, Simulator::run).0
 }
 
 /// A periodic 8-byte sender plus a receiver at 50 kbit/s, with the
@@ -111,20 +114,18 @@ struct PackedSample {
     observed_load: f64,
     lockstep_bits_per_sec: f64,
     packed_bits_per_sec: f64,
-    speedup: f64,
 }
 
-/// Measures lockstep vs packed-kernel wall clock on [`periodic_bus`]. At
+/// Measures lockstep vs packed-kernel throughput on [`periodic_bus`]. At
 /// low load the idle-gap skips carry the speedup; as load rises the frame
 /// bodies, resolved word-at-a-time instead of bit-by-bit, take over. Both
-/// runs are verified to land on the same clock and the same busy-bit
+/// engines are verified to land on the same clock and the same busy-bit
 /// count (the differential tests prove the full byte-identity contract;
 /// this is the cheap guard).
 fn packed_sample(bits: u64, target_load: f64) -> PackedSample {
-    let mut lockstep = periodic_bus(target_load);
-    let (lock_secs, _) = timed(|| lockstep.run(bits));
-    let mut packed = periodic_bus(target_load);
-    let (packed_secs, _) = timed(|| packed.run_packed(bits));
+    let build = || periodic_bus(target_load);
+    let (lockstep_bits_per_sec, lockstep) = median_bits_per_sec(bits, build, Simulator::run);
+    let (packed_bits_per_sec, packed) = median_bits_per_sec(bits, build, Simulator::run_packed);
     assert_eq!(lockstep.now(), packed.now(), "packed clock mismatch");
     assert_eq!(
         lockstep.busy_bits(),
@@ -134,9 +135,8 @@ fn packed_sample(bits: u64, target_load: f64) -> PackedSample {
     PackedSample {
         target_load,
         observed_load: packed.observed_bus_load(),
-        lockstep_bits_per_sec: bits as f64 / lock_secs,
-        packed_bits_per_sec: bits as f64 / packed_secs,
-        speedup: lock_secs / packed_secs,
+        lockstep_bits_per_sec,
+        packed_bits_per_sec,
     }
 }
 
@@ -148,43 +148,36 @@ fn json_f(value: f64) -> String {
     }
 }
 
+fn usage() -> ! {
+    eprintln!("usage: perfbase [--quick] [--out <path>]");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (mut shards, args) = match parse_shards(&args) {
-        Ok(parsed) => parsed,
-        Err(message) => {
-            eprintln!("error: {message}");
-            std::process::exit(2);
+    let mut quick = false;
+    let mut out_path = "BENCH_sim.json".to_string();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--out" => out_path = rest.next().cloned().unwrap_or_else(|| usage()),
+            _ => usage(),
         }
-    };
-    let threads = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    if shards == 1 {
-        // Default to all cores: the point of the baseline is the speedup.
-        shards = threads;
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_sim.json".to_string());
 
-    eprintln!("perfbase: {threads} core(s) available, measuring with {shards} shard(s)");
-
-    // 1. Raw per-bit hot path, logging on vs off.
+    // 1. Raw per-bit hot path.
     let sim_bits: u64 = if quick { 200_000 } else { 1_000_000 };
-    let bps_on = sim_bits_per_sec(sim_bits, true);
-    let bps_off = sim_bits_per_sec(sim_bits, false);
-    eprintln!("  sim: {bps_on:.0} bits/s (events on), {bps_off:.0} bits/s (events off)");
+    let bps = restbus_bits_per_sec(sim_bits, || restbus_bus(None, None));
+    eprintln!("  sim: {bps:.0} bits/s");
 
     // 1b. Metrics-layer cost on the same hot path: an attached-but-
     // disabled recorder must be free (one untaken branch per site); the
     // enabled cost is reported for context.
-    let bps_obs_disabled = sim_bits_per_sec_with(sim_bits, false, Some(Recorder::disabled()), None);
-    let bps_obs_enabled = sim_bits_per_sec_with(sim_bits, false, Some(Recorder::enabled()), None);
+    let bps_obs_disabled =
+        restbus_bits_per_sec(sim_bits, || restbus_bus(Some(Recorder::disabled()), None));
+    let bps_obs_enabled =
+        restbus_bits_per_sec(sim_bits, || restbus_bus(Some(Recorder::enabled()), None));
     eprintln!(
         "  obs: {bps_obs_disabled:.0} bits/s (recorder disabled), \
          {bps_obs_enabled:.0} bits/s (recorder enabled)"
@@ -193,60 +186,16 @@ fn main() {
     // 1c. Causal-journal cost on the same hot path, same contract as the
     // recorder: an attached-but-disabled journal must sit within the
     // obs-overhead noise budget of the no-journal baseline.
-    let bps_jrn_disabled = sim_bits_per_sec_with(sim_bits, false, None, Some(Journal::disabled()));
-    let bps_jrn_enabled = sim_bits_per_sec_with(sim_bits, false, None, Some(Journal::enabled()));
+    let bps_jrn_disabled =
+        restbus_bits_per_sec(sim_bits, || restbus_bus(None, Some(Journal::disabled())));
+    let bps_jrn_enabled =
+        restbus_bits_per_sec(sim_bits, || restbus_bus(None, Some(Journal::enabled())));
     eprintln!(
         "  journal: {bps_jrn_disabled:.0} bits/s (disabled), \
          {bps_jrn_enabled:.0} bits/s (enabled)"
     );
 
-    // 2. Campaign grid, serial vs parallel. 16 cells at 500 kbit/s.
-    let run_ms = if quick { 60.0 } else { 150.0 };
-    let serial_config = CampaignConfig {
-        run_ms,
-        shards: 1,
-        ..CampaignConfig::default()
-    };
-    let parallel_config = CampaignConfig {
-        shards,
-        ..serial_config
-    };
-    let plain = ExecOpts::new();
-    let (serial_secs, serial_report) = timed(|| run_campaign_with(&serial_config, &plain));
-    let (parallel_secs, parallel_report) = timed(|| run_campaign_with(&parallel_config, &plain));
-    assert_eq!(
-        serial_report.render(),
-        parallel_report.render(),
-        "determinism contract: parallel campaign must be byte-identical to serial"
-    );
-
-    // The metered campaign inherits the contract: merged per-cell metric
-    // registries must yield the same snapshot for every shard count.
-    let serial_recorder = Recorder::enabled();
-    run_campaign_with(
-        &serial_config,
-        &ExecOpts::new().with_recorder(serial_recorder.clone()),
-    );
-    let parallel_recorder = Recorder::enabled();
-    run_campaign_with(
-        &parallel_config,
-        &ExecOpts::new().with_recorder(parallel_recorder.clone()),
-    );
-    assert_eq!(
-        serial_recorder.snapshot_json(),
-        parallel_recorder.snapshot_json(),
-        "determinism contract: merged metrics snapshot must be byte-identical to serial"
-    );
-    eprintln!("  obs: metered campaign snapshot byte-identical across shard counts");
-    let cells = serial_report.cells.len();
-    let grid_bits = cells as f64 * BusSpeed::K500.bits_in_millis(run_ms) as f64;
-    let speedup = serial_secs / parallel_secs;
-    eprintln!(
-        "  campaign: {cells} cells, serial {serial_secs:.2}s, parallel {parallel_secs:.2}s \
-         ({speedup:.2}x with {shards} shards)"
-    );
-
-    // 2b. Packed bus kernel: lockstep vs idle-gap skips plus
+    // 2. Packed bus kernel: lockstep vs idle-gap skips plus
     // word-at-a-time wired-AND, from a mostly idle bus (where the skips
     // carry the speedup) to a busy one (where the packed frame bodies
     // must carry it by themselves).
@@ -255,6 +204,7 @@ fn main() {
         .iter()
         .map(|&load| packed_sample(packed_bits, load))
         .collect();
+    let speedup = |s: &PackedSample| s.packed_bits_per_sec / s.lockstep_bits_per_sec;
     for s in &packed_samples {
         eprintln!(
             "  packed: target {:.0}% (observed {:.1}%): lockstep {:.0} bits/s, \
@@ -263,36 +213,21 @@ fn main() {
             s.observed_load * 100.0,
             s.lockstep_bits_per_sec,
             s.packed_bits_per_sec,
-            s.speedup
+            speedup(s)
         );
     }
     assert!(
-        packed_samples[0].speedup >= 3.0,
+        speedup(&packed_samples[0]) >= 3.0,
         "the packed kernel must clear 3x at 10% busload, measured {:.2}x",
-        packed_samples[0].speedup
+        speedup(&packed_samples[0])
     );
     assert!(
-        packed_samples[1].speedup >= 5.0,
+        speedup(&packed_samples[1]) >= 5.0,
         "the packed kernel must clear 5x at 30% busload, measured {:.2}x",
-        packed_samples[1].speedup
+        speedup(&packed_samples[1])
     );
 
-    // 3. Wall time per grid artifact (at the parallel shard count).
-    let (faults_secs, _) = timed(|| run_campaign_with(&parallel_config, &plain));
-    let sharded = ExecOpts::new().with_shards(shards);
-    let fsms = if quick { 400 } else { 4_000 };
-    let (detection_secs, _) = timed(|| run_sweep_with(fsms, 0xD5_2025, PAPER_IVN_SIZES, &sharded));
-    let capture_ms = if quick { 500.0 } else { 2_000.0 };
-    let (table2_secs, _) = timed(|| run_table2_with(capture_ms, &sharded));
-    let counts = [1usize, 2, 3, 4, 5];
-    let horizon = if quick { 20_000 } else { 60_000 };
-    let (multi_secs, _) = timed(|| run_multi_attacker_scan_with(&counts, horizon, &sharded));
-    eprintln!(
-        "  artifacts: faults {faults_secs:.2}s, detection {detection_secs:.2}s, \
-         table2 {table2_secs:.2}s, multi_attacker {multi_secs:.2}s"
-    );
-
-    // 4. Kernel self-telemetry of one 30 %-load bus under both
+    // 3. Kernel self-telemetry of one 30 %-load bus under both
     // engines (pure integer counters — host-independent).
     let telemetry_bits: u64 = if quick { 200_000 } else { 1_000_000 };
     let kernel_telemetry = kernel_telemetry_section(telemetry_bits, 0.30);
@@ -312,7 +247,7 @@ fn main() {
                 observed = json_f(s.observed_load),
                 lock = json_f(s.lockstep_bits_per_sec),
                 packed = json_f(s.packed_bits_per_sec),
-                speedup = json_f(s.speedup),
+                speedup = json_f(speedup(s)),
             )
         })
         .collect::<Vec<_>>()
@@ -320,21 +255,18 @@ fn main() {
 
     let json = format!(
         r#"{{
-  "schema": "michican-perfbase/v1",
+  "schema": "michican-perfbase/v2",
   "quick": {quick},
-  "threads_available": {threads},
-  "shards": {shards},
+  "repeats": {REPEATS},
   "sim": {{
     "bits_simulated": {sim_bits},
-    "bits_per_sec_events_on": {bps_on},
-    "bits_per_sec_events_off": {bps_off}
+    "bits_per_sec": {bps}
   }},
   "obs": {{
     "bits_per_sec_recorder_disabled": {bps_obs_disabled},
     "bits_per_sec_recorder_enabled": {bps_obs_enabled},
     "bits_per_sec_journal_disabled": {bps_jrn_disabled},
-    "bits_per_sec_journal_enabled": {bps_jrn_enabled},
-    "metered_snapshot_deterministic": true
+    "bits_per_sec_journal_enabled": {bps_jrn_enabled}
   }},
   "kernel_telemetry": {kernel_telemetry},
   "packed": {{
@@ -342,46 +274,14 @@ fn main() {
     "loads": [
 {packed_rows}
     ]
-  }},
-  "campaign_grid": {{
-    "cells": {cells},
-    "shards": {shards},
-    "run_ms_per_cell": {run_ms},
-    "bits_total": {grid_bits},
-    "serial_wall_secs": {serial_secs},
-    "parallel_wall_secs": {parallel_secs},
-    "serial_bits_per_sec": {serial_bps},
-    "parallel_bits_per_sec": {parallel_bps},
-    "serial_cells_per_sec": {serial_cps},
-    "parallel_cells_per_sec": {parallel_cps},
-    "speedup": {speedup}
-  }},
-  "artifact_wall_secs": {{
-    "faults": {faults_secs},
-    "detection": {detection_secs},
-    "table2": {table2_secs},
-    "multi_attacker": {multi_secs}
   }}
 }}
 "#,
-        bps_on = json_f(bps_on),
-        bps_off = json_f(bps_off),
+        bps = json_f(bps),
         bps_obs_disabled = json_f(bps_obs_disabled),
         bps_obs_enabled = json_f(bps_obs_enabled),
         bps_jrn_disabled = json_f(bps_jrn_disabled),
         bps_jrn_enabled = json_f(bps_jrn_enabled),
-        grid_bits = json_f(grid_bits),
-        serial_secs = json_f(serial_secs),
-        parallel_secs = json_f(parallel_secs),
-        serial_bps = json_f(grid_bits / serial_secs),
-        parallel_bps = json_f(grid_bits / parallel_secs),
-        serial_cps = json_f(cells as f64 / serial_secs),
-        parallel_cps = json_f(cells as f64 / parallel_secs),
-        speedup = json_f(speedup),
-        faults_secs = json_f(faults_secs),
-        detection_secs = json_f(detection_secs),
-        table2_secs = json_f(table2_secs),
-        multi_secs = json_f(multi_secs),
     );
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("cannot write {out_path}: {e}");

@@ -2,7 +2,7 @@
 //!
 //! Shared scenario builders and analysis used by the `experiments` binary
 //! (which regenerates every table and figure of the paper) and by the
-//! Criterion benches.
+//! `perfbase` binary (the simulator throughput rows that CI gates).
 //!
 //! * [`scenarios`] — the six Table II experiments, the multi-attacker
 //!   sweep and the on-vehicle ParkSense test;

@@ -7,8 +7,8 @@
 //! the arbitration field, and know where the frame ends. [`FrameWatch`]
 //! packages that state machine once so downstream crates (`can-attacks`'
 //! bit-level adversary zoo, `can-ids` wire observers) only implement their
-//! *policy* on top of it. It originated in `can-attacks` and is re-exported
-//! from there for compatibility.
+//! *policy* on top of it. This module is its only home; `can-attacks`
+//! imports it from here.
 //!
 //! Unlike a minimal SOF hunter, the watch tracks the frame through its
 //! unstuffed tail (CRC delimiter, ACK, EOF): destuffing formally ends after

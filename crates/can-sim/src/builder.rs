@@ -91,12 +91,6 @@ impl SimBuilder {
         self
     }
 
-    /// Turns protocol-event logging on or off (on by default).
-    pub fn event_logging(mut self, enabled: bool) -> Self {
-        self.sim.install_event_logging(enabled);
-        self
-    }
-
     /// Adds a node. Ids are assigned in call order starting at 0.
     pub fn node(mut self, node: Node) -> Self {
         self.sim.add_node(node);
@@ -173,9 +167,8 @@ mod tests {
     }
 
     #[test]
-    fn trace_ring_and_event_logging_via_builder() {
+    fn trace_ring_via_builder() {
         let mut sim = SimBuilder::new(BusSpeed::K500)
-            .event_logging(false)
             .fault(FaultModel::None)
             .faults(FaultStack::new())
             .trace_ring(4)
@@ -183,6 +176,5 @@ mod tests {
             .build();
         sim.run(10);
         assert_eq!(sim.trace().unwrap().len(), 4, "ring keeps the last bits");
-        assert!(sim.events().is_empty(), "event logging stays off");
     }
 }

@@ -180,7 +180,6 @@ pub struct Simulator {
     nodes: Vec<Node>,
     now: BitInstant,
     events: Vec<Event>,
-    log_events: bool,
     trace: Option<SignalTrace>,
     busy_bits: u64,
     faults: FaultStack,
@@ -236,7 +235,6 @@ impl Simulator {
             nodes: Vec::new(),
             now: BitInstant::ZERO,
             events: Vec::new(),
-            log_events: true,
             trace: None,
             busy_bits: 0,
             faults: FaultStack::new(),
@@ -282,10 +280,6 @@ impl Simulator {
 
     pub(crate) fn install_trace(&mut self, trace: SignalTrace) {
         self.trace = Some(trace);
-    }
-
-    pub(crate) fn install_event_logging(&mut self, enabled: bool) {
-        self.log_events = enabled;
     }
 
     pub(crate) fn install_tap(&mut self, tap: Box<dyn FrameTap>) {
@@ -513,10 +507,8 @@ impl Simulator {
                     journal_event(&self.journal, self.now.bits(), id as u32, kind);
                 }
             }
-            if self.log_events {
-                for kind in self.scratch.events.drain(..) {
-                    self.events.push(Event::new(self.now, id, kind));
-                }
+            for kind in self.scratch.events.drain(..) {
+                self.events.push(Event::new(self.now, id, kind));
             }
         }
         if let Some(frame) = tap_frame {

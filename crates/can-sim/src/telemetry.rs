@@ -8,11 +8,12 @@
 //! [`SimMode`](crate::measure::SimMode), so it lives here, outside the
 //! registry and outside every differential fingerprint. It is always on:
 //! the accounting is a handful of integer adds per quantum (one per bit on
-//! the lockstep path), which `bench::perfbase` keeps inside its noise
-//! budget.
+//! the lockstep path), so every throughput the `perfbase` binary (crate
+//! `bench`) gates already includes it.
 //!
 //! [`KernelTelemetry`] feeds the `kernel_telemetry` section of
-//! `BENCH_sim.json` (see `bench::perfbase`) via [`KernelTelemetry::to_json`].
+//! `BENCH_sim.json`, which `perfbase` writes, via
+//! [`KernelTelemetry::to_json`].
 
 use std::fmt::Write as _;
 

@@ -137,6 +137,12 @@ pub fn parse_log(source: &str) -> Result<Vec<LogEntry>, ParseError> {
             if data_hex.len() % 2 != 0 || data_hex.len() > 16 {
                 return Err(err("data must be 0–8 hex byte pairs"));
             }
+            // Checked on bytes so a multi-byte character is an error, not a
+            // slice across a char boundary; `from_str_radix` would also
+            // accept a leading '+'.
+            if !data_hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                return Err(err("invalid data byte"));
+            }
             let mut data = Vec::with_capacity(data_hex.len() / 2);
             for i in (0..data_hex.len()).step_by(2) {
                 data.push(
@@ -219,6 +225,11 @@ mod tests {
         // real instant (downstream statistics sort by it).
         assert!(parse_log("(nan) can0 1#00").is_err());
         assert!(parse_log("(inf) can0 1#00").is_err());
+        // Four bytes, so the length check passes and the slice at byte 2
+        // would split 'é'.
+        let e = parse_log("(0.0) vcan0 123#0é0").unwrap_err();
+        assert_eq!(e.message, "invalid data byte");
+        assert!(parse_log("(0.0) can0 173#+F").is_err(), "sign is not hex");
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //!   rendering (the Fig. 6 logic-analyzer view);
 //! * [`stats`] — per-identifier rate and inter-arrival statistics;
 //! * [`vcd`] — Value Change Dump export for GTKWave/PulseView inspection;
-//! * [`replay`] — candump log replay onto a simulated bus (the software
-//!   form of the paper's PCAN restbus replay);
 //! * [`chrometrace`] — Chrome-trace (Perfetto) export of `can-obs`
 //!   causal event journals.
 
@@ -18,14 +16,12 @@
 
 pub mod candump;
 pub mod chrometrace;
-pub mod replay;
 pub mod stats;
 pub mod timeline;
 pub mod vcd;
 
 pub use candump::{parse_log, write_log, LogEntry};
 pub use chrometrace::chrome_trace_json;
-pub use replay::LogReplayApp;
 pub use stats::{IdStats, TrafficStats};
 pub use timeline::{Activity, Span, Timeline, TimelineEvent};
 pub use vcd::{write_vcd, VcdSignal};

@@ -47,9 +47,10 @@ pub struct MichiCanConfig {
     /// `CAN_TX`.
     pub prevention_enabled: bool,
     /// Destuffed position at which the counterattack starts (default: the
-    /// RTR bit, 13). Exposed for the injection-width ablation bench.
+    /// RTR bit, 13).
     pub counterattack_start: u32,
     /// Destuffed position at which the counterattack ends (default 20).
+    /// `tests/busoff_ladder.rs` pins the injection-width ablation over it.
     pub counterattack_end: u32,
 }
 

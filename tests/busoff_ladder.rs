@@ -12,10 +12,10 @@ fn frame(id: u16, data: &[u8]) -> CanFrame {
     CanFrame::data_frame(CanId::from_raw(id), data).unwrap()
 }
 
-/// Builds a simulator with one attacker and one MichiCAN defender ECU.
-/// The defender's own identifier list is `[0x173]`; everything below it
-/// that is not legitimate is a DoS attack.
-fn attack_setup(attacker_frame: CanFrame) -> (Simulator, usize, usize) {
+/// Builds a simulator with one attacker and one MichiCAN defender ECU
+/// configured by `config`. The defender's own identifier list is
+/// `[0x173]`; everything below it that is not legitimate is a DoS attack.
+fn attack_setup(attacker_frame: CanFrame, config: MichiCanConfig) -> (Simulator, usize, usize) {
     let list = EcuList::from_raw(&[0x173]);
     let builder = SimBuilder::new(BusSpeed::K50);
     let attacker = builder.node_id();
@@ -26,8 +26,9 @@ fn attack_setup(attacker_frame: CanFrame) -> (Simulator, usize, usize) {
     let defender = builder.node_id();
     let sim = builder
         .node(
-            Node::new("defender", Box::new(SilentApplication))
-                .with_agent(Box::new(MichiCan::new(DetectionFsm::for_ecu(&list, 0)))),
+            Node::new("defender", Box::new(SilentApplication)).with_agent(Box::new(
+                MichiCan::with_config(DetectionFsm::for_ecu(&list, 0), config),
+            )),
         )
         .build();
     (sim, attacker, defender)
@@ -35,7 +36,7 @@ fn attack_setup(attacker_frame: CanFrame) -> (Simulator, usize, usize) {
 
 #[test]
 fn dos_attacker_is_bused_off_in_32_attempts() {
-    let (mut sim, attacker, _) = attack_setup(frame(0x064, &[0; 8]));
+    let (mut sim, attacker, _) = attack_setup(frame(0x064, &[0; 8]), MichiCanConfig::default());
     let hit = sim.run_until(10_000, |e| matches!(e.kind, EventKind::BusOff));
     assert!(hit.is_some(), "attacker must reach bus-off");
 
@@ -61,7 +62,7 @@ fn dos_attacker_is_bused_off_in_32_attempts() {
 #[test]
 fn spoofing_attacker_is_bused_off() {
     // The attacker spoofs the defender's own identifier 0x173.
-    let (mut sim, attacker, _) = attack_setup(frame(0x173, &[0xFF; 8]));
+    let (mut sim, attacker, _) = attack_setup(frame(0x173, &[0xFF; 8]), MichiCanConfig::default());
     let hit = sim.run_until(10_000, |e| matches!(e.kind, EventKind::BusOff));
     assert!(hit.is_some(), "spoofing attacker must reach bus-off");
     let episodes = bus_off_episodes(sim.events(), attacker);
@@ -70,7 +71,7 @@ fn spoofing_attacker_is_bused_off() {
 
 #[test]
 fn attacker_walks_the_error_state_ladder() {
-    let (mut sim, attacker, _) = attack_setup(frame(0x050, &[0x11; 8]));
+    let (mut sim, attacker, _) = attack_setup(frame(0x050, &[0x11; 8]), MichiCanConfig::default());
     sim.run_until(10_000, |e| matches!(e.kind, EventKind::BusOff));
 
     // Collect the attacker's error-state transitions in order.
@@ -93,7 +94,7 @@ fn attacker_walks_the_error_state_ladder() {
 #[test]
 fn defender_counters_are_untouched() {
     // "the legitimate node's TEC remains unaffected by the counterattack"
-    let (mut sim, _, defender) = attack_setup(frame(0x064, &[0; 8]));
+    let (mut sim, _, defender) = attack_setup(frame(0x064, &[0; 8]), MichiCanConfig::default());
     sim.run_until(10_000, |e| matches!(e.kind, EventKind::BusOff));
     assert_eq!(
         sim.node(defender).controller().counters().tec(),
@@ -108,7 +109,7 @@ fn defender_counters_are_untouched() {
 
 #[test]
 fn no_complete_attack_frame_ever_reaches_an_application() {
-    let (mut sim, _, _) = attack_setup(frame(0x001, &[0xAA; 8]));
+    let (mut sim, _, _) = attack_setup(frame(0x001, &[0xAA; 8]), MichiCanConfig::default());
     sim.run_until(10_000, |e| matches!(e.kind, EventKind::BusOff));
     assert!(
         !sim.events()
@@ -126,7 +127,7 @@ fn no_complete_attack_frame_ever_reaches_an_application() {
 fn attacker_recovers_and_is_bused_off_again() {
     // Persistent attacker: after 128 × 11 recessive bits it recovers and
     // the defense repeats (paper §V-E: short periodic bus-load spikes).
-    let (mut sim, attacker, _) = attack_setup(frame(0x064, &[0; 8]));
+    let (mut sim, attacker, _) = attack_setup(frame(0x064, &[0; 8]), MichiCanConfig::default());
     sim.run(40_000); // 0.8 s at 50 kbit/s
     let episodes = bus_off_episodes(sim.events(), attacker);
     assert!(
@@ -147,7 +148,7 @@ fn attacker_recovers_and_is_bused_off_again() {
 
 #[test]
 fn michican_stats_reflect_the_episode() {
-    let (mut sim, _, defender) = attack_setup(frame(0x064, &[0; 8]));
+    let (mut sim, _, defender) = attack_setup(frame(0x064, &[0; 8]), MichiCanConfig::default());
     sim.run_until(10_000, |e| matches!(e.kind, EventKind::BusOff));
     // Downcast-free access: the agent trait has no stats, so go through
     // the concrete node API is not possible here; instead verify via event
@@ -173,7 +174,7 @@ fn michican_stats_reflect_the_episode() {
 #[test]
 fn theory_and_simulation_agree_on_scale() {
     let theory = prevention::single_attacker_total(prevention::WORST_CASE_FLAG_START);
-    let (mut sim, attacker, _) = attack_setup(frame(0x064, &[0; 8]));
+    let (mut sim, attacker, _) = attack_setup(frame(0x064, &[0; 8]), MichiCanConfig::default());
     sim.run_until(10_000, |e| matches!(e.kind, EventKind::BusOff));
     let measured = bus_off_episodes(sim.events(), attacker)[0]
         .duration()
@@ -183,4 +184,31 @@ fn theory_and_simulation_agree_on_scale() {
         (0.9..=1.1).contains(&ratio),
         "simulated/theoretical = {ratio:.3} (measured {measured}, theory {theory})"
     );
+}
+
+#[test]
+fn injection_width_ablation_pins_each_release_position() {
+    // Algorithm 1 drives CAN_TX dominant up to destuffed position 20
+    // (`counterattack_end`). Against this worst-case shape (recessive
+    // identifier LSB, DLC 1) a release at 17 or earlier never buses the
+    // attacker off; from 18 on it does, and each later release position
+    // costs the episode 16 more bits.
+    let attack = frame(0x065, &[0x00]);
+    let episode_bits = |counterattack_end| {
+        let config = MichiCanConfig {
+            counterattack_end,
+            ..MichiCanConfig::default()
+        };
+        let (mut sim, attacker, _) = attack_setup(attack, config);
+        sim.run_until(8_000, |e| matches!(e.kind, EventKind::BusOff))?;
+        bus_off_episodes(sim.events(), attacker)
+            .first()
+            .map(|ep| ep.duration().as_bits())
+    };
+    for end in 14..=17 {
+        assert_eq!(episode_bits(end), None, "release at {end}: no bus-off");
+    }
+    for (end, bits) in [(18, 1_293), (19, 1_309), (20, 1_325), (22, 1_357)] {
+        assert_eq!(episode_bits(end), Some(bits), "release at {end}");
+    }
 }

@@ -16,6 +16,10 @@ fn arb_payload() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(any::<u8>(), 0..=8)
 }
 
+/// Text spliced into candump logs by `candump_damage_is_a_typed_error`:
+/// 2-, 3- and 4-byte characters plus the format's own separators.
+const INSERTS: [&str; 8] = ["é", "€", "😀", "0", "#", " ", "\n", "R"];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -179,6 +183,62 @@ proptest! {
         let text = write_log(&log);
         let parsed = parse_log(&text).unwrap();
         prop_assert_eq!(parsed, log);
+    }
+
+    /// Damaged candump logs — truncated at any byte, flipped bytes,
+    /// inserted characters (multi-byte ones included) — parse, or fail
+    /// with a `ParseError` naming one of their lines; never panic.
+    #[test]
+    fn candump_damage_is_a_typed_error(
+        entries in proptest::collection::vec(
+            (0u16..=CanId::MAX_RAW, arb_payload(), any::<bool>()),
+            1..12,
+        ),
+        cuts in proptest::collection::vec(any::<u64>(), 1..6),
+        flips in proptest::collection::vec((any::<u64>(), 1u8..=255), 1..6),
+        inserts in proptest::collection::vec((any::<u64>(), 0usize..INSERTS.len()), 1..6),
+    ) {
+        use can_trace::{parse_log, write_log, LogEntry};
+        let log: Vec<LogEntry> = entries
+            .into_iter()
+            .enumerate()
+            .map(|(i, (raw, payload, remote))| {
+                let id = CanId::from_raw(raw);
+                let frame = if remote {
+                    CanFrame::remote_frame(id, payload.len() as u8).unwrap()
+                } else {
+                    CanFrame::data_frame(id, &payload).unwrap()
+                };
+                LogEntry { timestamp_s: i as f64 * 0.01, interface: "vcan0".to_string(), frame }
+            })
+            .collect();
+        let text = write_log(&log);
+        let bytes = text.as_bytes();
+        let mut damaged = Vec::new();
+        for cut in cuts {
+            let cut = (cut % (bytes.len() as u64 + 1)) as usize;
+            damaged.push(String::from_utf8_lossy(&bytes[..cut]).into_owned());
+        }
+        for (at, mask) in flips {
+            let mut flipped = bytes.to_vec();
+            flipped[(at % bytes.len() as u64) as usize] ^= mask;
+            damaged.push(String::from_utf8_lossy(&flipped).into_owned());
+        }
+        for (at, which) in inserts {
+            // The written log is ASCII, so every byte index is a char
+            // boundary.
+            let mut inserted = text.clone();
+            inserted.insert_str((at % (text.len() as u64 + 1)) as usize, INSERTS[which]);
+            damaged.push(inserted);
+        }
+        for source in &damaged {
+            if let Err(e) = parse_log(source) {
+                prop_assert!(
+                    (1..=source.lines().count()).contains(&e.line),
+                    "{e} in {source:?}"
+                );
+            }
+        }
     }
 
     /// Mini-DBC emit/parse round-trips arbitrary matrices.
