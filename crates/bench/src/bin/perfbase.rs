@@ -13,18 +13,22 @@
 //! requires the disabled recorder to keep ≥ 0.8× the plain rate), lockstep
 //! vs packed-kernel throughput at 10/30/60/90 % busload (the 10 % row
 //! must clear a 3× speedup, the 30 % row 5×), and the kernel
-//! self-telemetry of one 30 %-load bus under both engines. Every rate is
-//! the median of [`REPEATS`] runs on a fresh simulator. Rates depend on
-//! the host; end-to-end timings of the experiment grids are perfbench's
-//! (`BENCHMARK.json`).
+//! self-telemetry of one 30 %-load bus under both engines, and the frame
+//! codec's unit costs: the receive parser fed one bit per call and one
+//! 64-bit word per call (CI requires the word path to be ≥ 3× cheaper per
+//! bit), and `stuff_frame`. Every rate is the median of [`REPEATS`] runs.
+//! Rates depend on the host; end-to-end timings of the experiment grids
+//! are perfbench's (`BENCHMARK.json`).
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use bench::scenarios::restbus_matrix;
 use can_core::app::{PeriodicSender, SilentApplication};
-use can_core::{BusSpeed, CanFrame, CanId};
+use can_core::bitstream::{encode_frame, stuff_frame, PackedWire};
+use can_core::{packed, BusSpeed, CanFrame, CanId};
 use can_obs::{Journal, Recorder};
-use can_sim::{Node, SimBuilder, Simulator};
+use can_sim::{Node, RxEvent, RxParser, SimBuilder, Simulator};
 use restbus::ReplayApp;
 
 /// Runs behind every rate: each is the median of this many.
@@ -140,6 +144,92 @@ fn packed_sample(bits: u64, target_load: f64) -> PackedSample {
     }
 }
 
+/// Frames the codec rows run over.
+const CODEC_FRAMES: usize = 256;
+
+/// [`CODEC_FRAMES`] frames with identifiers, DLCs, payloads and remote
+/// flags drawn from a fixed xorshift sequence.
+fn codec_frames() -> Vec<CanFrame> {
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    (0..CODEC_FRAMES)
+        .map(|_| {
+            let draw = next();
+            let id = CanId::from_raw((draw & 0x7FF) as u16);
+            let dlc = ((draw >> 11) % 9) as usize;
+            if (draw >> 16) % 16 == 0 {
+                CanFrame::remote_frame(id, dlc as u8).expect("valid frame")
+            } else {
+                CanFrame::data_frame(id, &next().to_le_bytes()[..dlc]).expect("valid frame")
+            }
+        })
+        .collect()
+}
+
+/// Time per unit of `run`, which does `units` units of work per pass, over
+/// `passes` passes.
+fn ns_per_unit(passes: usize, units: usize, run: &mut dyn FnMut()) -> f64 {
+    let start = Instant::now();
+    for _ in 0..passes {
+        run();
+    }
+    start.elapsed().as_nanos() as f64 / (passes * units) as f64
+}
+
+/// The frame codec's unit costs: `[rx_push_ns_per_bit,
+/// rx_push_word_ns_per_bit, stuff_frame_ns]`. Both receive rows parse the
+/// same stuffed frames SOF through EOF: one level per `RxParser::push`
+/// call, or one 64-bit window per `RxParser::push_word` call. The three
+/// rows take their [`REPEATS`] samples in turn, so a slow phase of the
+/// host lands on all of them alike, and each reports its median.
+fn codec_section(passes: usize) -> [f64; 3] {
+    let frames = codec_frames();
+    let wires: Vec<PackedWire> = frames.iter().map(encode_frame).collect();
+    let levels: Vec<_> = wires.iter().map(|wire| wire.unpack().bits).collect();
+    let bits: usize = wires.iter().map(|wire| wire.len).sum();
+    let mut push = || {
+        for wire in &levels {
+            let mut parser = RxParser::new();
+            for &level in wire {
+                black_box(parser.push(level));
+            }
+        }
+    };
+    let mut push_word = || {
+        for wire in &wires {
+            let mut parser = RxParser::new();
+            let mut at = 0;
+            while at < wire.len {
+                let n = (wire.len - at).min(64) as u32;
+                let window = packed::extract_window(&wire.words, at);
+                let (consumed, event) = parser.push_word(black_box(window), n);
+                at += consumed as usize + usize::from(event != RxEvent::Continue);
+            }
+            black_box(parser);
+        }
+    };
+    let mut stuff = || {
+        for frame in &frames {
+            black_box(stuff_frame(black_box(frame)));
+        }
+    };
+    let mut samples = [const { Vec::new() }; 3];
+    for _ in 0..REPEATS {
+        samples[0].push(ns_per_unit(passes, bits, &mut push));
+        samples[1].push(ns_per_unit(passes, bits, &mut push_word));
+        samples[2].push(ns_per_unit(passes, frames.len(), &mut stuff));
+    }
+    samples.map(|mut row| {
+        row.sort_by(f64::total_cmp);
+        row[REPEATS / 2]
+    })
+}
+
 fn json_f(value: f64) -> String {
     if value.is_finite() {
         format!("{value:.3}")
@@ -232,6 +322,14 @@ fn main() {
     let telemetry_bits: u64 = if quick { 200_000 } else { 1_000_000 };
     let kernel_telemetry = kernel_telemetry_section(telemetry_bits, 0.30);
 
+    // 4. The frame codec's unit costs.
+    let [rx_push, rx_push_word, stuff_ns] = codec_section(if quick { 20 } else { 100 });
+    eprintln!(
+        "  codec: push {rx_push:.2} ns/bit, push_word {rx_push_word:.2} ns/bit ({:.1}x), \
+         stuff_frame {stuff_ns:.0} ns",
+        rx_push / rx_push_word
+    );
+
     let packed_rows: String = packed_samples
         .iter()
         .map(|s| {
@@ -274,6 +372,12 @@ fn main() {
     "loads": [
 {packed_rows}
     ]
+  }},
+  "codec": {{
+    "frames": {CODEC_FRAMES},
+    "rx_push_ns_per_bit": {rx_push},
+    "rx_push_word_ns_per_bit": {rx_push_word},
+    "stuff_frame_ns": {stuff_ns}
   }}
 }}
 "#,
@@ -282,6 +386,9 @@ fn main() {
         bps_obs_enabled = json_f(bps_obs_enabled),
         bps_jrn_disabled = json_f(bps_jrn_disabled),
         bps_jrn_enabled = json_f(bps_jrn_enabled),
+        rx_push = json_f(rx_push),
+        rx_push_word = json_f(rx_push_word),
+        stuff_ns = json_f(stuff_ns),
     );
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("cannot write {out_path}: {e}");

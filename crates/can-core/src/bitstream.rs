@@ -20,6 +20,7 @@ use crate::errors::DecodeError;
 use crate::frame::CanFrame;
 use crate::id::CanId;
 use crate::level::Level;
+use crate::packed;
 
 /// Run length after which a stuff bit is inserted.
 pub const STUFF_RUN: usize = 5;
@@ -234,7 +235,7 @@ impl WireFrame {
 }
 
 /// Serializes a frame to the wire, applying bit stuffing to the region from
-/// SOF through the CRC sequence.
+/// SOF through the CRC sequence: [`encode_frame`] unpacked to levels.
 ///
 /// ```
 /// use can_core::bitstream::stuff_frame;
@@ -246,28 +247,146 @@ impl WireFrame {
 /// assert!(wire.stuff_count() >= 2);
 /// ```
 pub fn stuff_frame(frame: &CanFrame) -> WireFrame {
-    let raw = unstuffed_bits(frame);
-    let layout = FrameLayout::of(frame);
-    let stuffed_end = layout.stuffed_region_bits();
+    encode_frame(frame).unpack()
+}
 
-    let mut stuffer = Stuffer::new();
-    let mut bits = Vec::with_capacity(raw.len() + raw.len() / STUFF_RUN);
-    let mut stuff_positions = Vec::new();
+/// Words in a [`PackedWire`]: the longest 2.0A frame is 108 unstuffed bits
+/// plus at most 24 stuff bits.
+pub const WIRE_WORDS: usize = 3;
 
-    for &bit in &raw[..stuffed_end] {
-        bits.push(bit);
-        if let Some(stuff) = stuffer.push(bit) {
-            stuff_positions.push(bits.len());
-            bits.push(stuff);
+/// A frame's stuffed wire as packed dominant-mask words
+/// ([`crate::packed`]: LSB-first, bit set = dominant), with no heap.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PackedWire {
+    /// The wire bits, SOF through EOF; bits at and past `len` are zero.
+    pub words: [u64; WIRE_WORDS],
+    /// Bit `i` is set iff wire bit `i` is a stuff bit.
+    pub stuff_mask: [u64; WIRE_WORDS],
+    /// Wire length in bits.
+    pub len: usize,
+    /// Length of the stuffed region (SOF through CRC, after stuffing).
+    pub stuffed_region_len: usize,
+}
+
+impl PackedWire {
+    /// The level of wire bit `i` (< `len`).
+    #[inline]
+    pub fn level(&self, i: usize) -> Level {
+        packed::level_at(self.words[i / 64], (i % 64) as u32)
+    }
+
+    /// Whether wire bit `i` is a stuff bit.
+    #[inline]
+    pub fn is_stuff_bit(&self, i: usize) -> bool {
+        (self.stuff_mask[i / 64] >> (i % 64)) & 1 == 1
+    }
+
+    /// The same wire as levels and stuff-bit indices.
+    pub fn unpack(&self) -> WireFrame {
+        WireFrame {
+            bits: (0..self.len).map(|i| self.level(i)).collect(),
+            stuff_positions: (0..self.len).filter(|&i| self.is_stuff_bit(i)).collect(),
+            stuffed_region_len: self.stuffed_region_len,
         }
     }
-    let stuffed_region_len = bits.len();
-    bits.extend_from_slice(&raw[stuffed_end..]);
 
-    WireFrame {
-        bits,
-        stuff_positions,
-        stuffed_region_len,
+    /// Appends the low `n` bits of `word` (`n` ≤ 64).
+    fn append(&mut self, word: u64, n: u32) {
+        let bits = word & packed::low_mask(n);
+        let (w, off) = (self.len / 64, (self.len % 64) as u32);
+        self.words[w] |= bits << off;
+        if off + n > 64 {
+            self.words[w + 1] |= bits >> (64 - off);
+        }
+        self.len += n as usize;
+    }
+}
+
+/// The word-level stuffing encoder: serializes a frame straight into
+/// packed words. The stuffed region's logical bits are assembled in one
+/// `u128`, its CRC runs eight bits per table lookup, and the stuffer takes
+/// the plain span up to each run of five in one step
+/// ([`Stuffer::push_word`]).
+pub fn encode_frame(frame: &CanFrame) -> PackedWire {
+    let layout = FrameLayout::of(frame);
+    // SOF (0), identifier, RTR, IDE (0), r0 (0), DLC, data: logical bits,
+    // the first on the wire most significant.
+    let mut value = u128::from(frame.id().raw());
+    value = (value << 1) | u128::from(frame.is_remote());
+    value = (value << 6) | u128::from(frame.dlc());
+    for &byte in frame.data() {
+        value = (value << 8) | u128::from(byte);
+    }
+    let header = layout.span(FrameField::Crc).start as u32;
+    let mut crc = Crc15::new();
+    let high = header.saturating_sub(64);
+    crc.push_msb((value >> 64) as u64, high);
+    crc.push_msb(value as u64, header - high);
+    value = (value << 15) | u128::from(crc.value());
+    let region = layout.stuffed_region_bits() as u32;
+    // Wire order (first bit lowest), dominant = 1.
+    let raw = (!value & ((1u128 << region) - 1)).reverse_bits() >> (128 - region);
+
+    let mut wire = PackedWire {
+        words: [0; WIRE_WORDS],
+        stuff_mask: [0; WIRE_WORDS],
+        len: 0,
+        stuffed_region_len: 0,
+    };
+    let mut stuffer = Stuffer::new();
+    let mut at = 0;
+    while at < region {
+        let chunk = (raw >> at) as u64;
+        let (took, stuff) = stuffer.push_word(chunk, (region - at).min(64));
+        wire.append(chunk, took);
+        at += took;
+        if let Some(level) = stuff {
+            wire.stuff_mask[wire.len / 64] |= 1 << (wire.len % 64);
+            wire.append(u64::from(level.is_dominant()), 1);
+        }
+    }
+    wire.stuffed_region_len = wire.len;
+    // CRC delimiter, ACK slot (sent recessive), ACK delimiter, EOF: the
+    // words are already recessive there.
+    wire.len += layout.total_bits() - layout.stuffed_region_bits();
+    wire
+}
+
+/// Offset of the first of the low `len` bits of `word` (a dominant mask)
+/// that completes a run of [`STUFF_RUN`] equal levels, given the run
+/// `(level, run_len)` carried in (`run_len` < [`STUFF_RUN`]).
+///
+/// The carried run becomes four history bits below the word; a run of
+/// five ends at bit `p` of a mask `x` iff bit `p` of
+/// `x & x<<1 & x<<2 & x<<3 & x<<4` is set, on the dominant mask and on its
+/// complement.
+fn first_run_end(word: u64, len: u32, level: Option<Level>, run_len: usize) -> Option<u32> {
+    const HISTORY: usize = STUFF_RUN - 1;
+    debug_assert!(run_len < STUFF_RUN);
+    let carried = ((1u128 << run_len) - 1) << (HISTORY - run_len);
+    let (dom_history, rec_history) = match level {
+        Some(Level::Dominant) => (carried, 0),
+        Some(Level::Recessive) => (0, carried),
+        None => (0, 0),
+    };
+    let live = packed::low_mask(len);
+    let dom = (u128::from(word & live) << HISTORY) | dom_history;
+    let rec = (u128::from(!word & live) << HISTORY) | rec_history;
+    let fives = |x: u128| x & (x << 1) & (x << 2) & (x << 3) & (x << 4);
+    let ends = (fives(dom) | fives(rec)) >> HISTORY;
+    (ends != 0).then(|| ends.trailing_zeros())
+}
+
+/// The run of equal levels after the first `k` (1..=64) bits of `word`,
+/// given the run `(level, run_len)` carried in.
+fn run_after(word: u64, k: u32, level: Option<Level>, run_len: usize) -> (Option<Level>, usize) {
+    let last = packed::level_at(word, k - 1);
+    let same = if last.is_dominant() { word } else { !word };
+    let tail = (same << (64 - k)).leading_ones() as usize;
+    if tail == k as usize && level == Some(last) {
+        (Some(last), run_len + tail)
+    } else {
+        (Some(last), tail)
     }
 }
 
@@ -276,7 +395,7 @@ pub fn stuff_frame(frame: &CanFrame) -> WireFrame {
 /// Feed each payload bit with [`Stuffer::push`]; when it returns
 /// `Some(level)`, the transmitter must insert that stuff bit before the next
 /// payload bit.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Stuffer {
     run_level: Option<Level>,
     run_len: usize,
@@ -308,6 +427,28 @@ impl Stuffer {
         }
     }
 
+    /// Feeds up to `len` payload bits of `word` (a dominant mask) at once:
+    /// returns how many it took, stopping after the first bit that needs
+    /// a stuff bit, and that stuff bit. Equal to as many
+    /// [`Stuffer::push`] calls.
+    pub fn push_word(&mut self, word: u64, len: u32) -> (u32, Option<Level>) {
+        match first_run_end(word, len, self.run_level, self.run_len) {
+            Some(end) => {
+                let stuff = packed::level_at(word, end).opposite();
+                self.run_level = Some(stuff);
+                self.run_len = 1;
+                (end + 1, Some(stuff))
+            }
+            None => {
+                if len > 0 {
+                    (self.run_level, self.run_len) =
+                        run_after(word, len, self.run_level, self.run_len);
+                }
+                (len, None)
+            }
+        }
+    }
+
     /// Resets the run history (e.g. at a new SOF).
     pub fn reset(&mut self) {
         *self = Self::default();
@@ -329,7 +470,7 @@ pub enum Destuffed {
 ///
 /// Mirrors the behaviour of a receiving CAN controller over the stuffed
 /// region of a frame, and of MichiCAN's Algorithm 1 lines 6–15.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Destuffer {
     run_level: Option<Level>,
     run_len: usize,
@@ -371,6 +512,50 @@ impl Destuffer {
         Destuffed::Bit(bit)
     }
 
+    /// Destuffs up to `len` wire bits of `word` (a dominant mask) at once,
+    /// keeping at most `max` (≤ 64) data bits: finds each run of five with
+    /// shifted-AND masks and drops the stuff bit after it. Returns the
+    /// wire bits consumed and the data bits kept, as logical values (`1` =
+    /// recessive) with the first most significant, and their count.
+    ///
+    /// Stops before a stuff violation, which [`Destuffer::push`] reports,
+    /// and once `max` data bits are kept and no stuff bit is expected.
+    /// Equal to as many [`Destuffer::push`] calls, none a violation.
+    pub fn push_word(&mut self, word: u64, len: u32, max: u32) -> (u32, u64, u32) {
+        debug_assert!(max <= packed::WORD_BITS);
+        let (mut at, mut data, mut kept) = (0, 0u64, 0);
+        while at < len {
+            if self.expect_stuff {
+                let bit = packed::level_at(word, at);
+                if Some(bit) == self.run_level {
+                    break; // the sixth equal bit: a violation
+                }
+                (self.run_level, self.run_len, self.expect_stuff) = (Some(bit), 1, false);
+                at += 1;
+                continue;
+            }
+            if kept == max || self.run_len >= STUFF_RUN {
+                break; // full, or past a violation
+            }
+            let rest = word >> at;
+            let span = (len - at).min(max - kept);
+            let took =
+                first_run_end(rest, span, self.run_level, self.run_len).map_or(span, |end| end + 1);
+            (self.run_level, self.run_len) = run_after(rest, took, self.run_level, self.run_len);
+            self.expect_stuff = self.run_len == STUFF_RUN;
+            // Logical values, the first bit most significant.
+            let bits = (!rest << (64 - took)).reverse_bits();
+            data = if took == 64 {
+                bits
+            } else {
+                (data << took) | bits
+            };
+            kept += took;
+            at += took;
+        }
+        (at, data, kept)
+    }
+
     /// Resets the run history (e.g. at a new SOF).
     pub fn reset(&mut self) {
         *self = Self::default();
@@ -388,7 +573,7 @@ impl Destuffer {
     /// A defender or attacker that drives the bus to `level` knows its own
     /// input, so this is how long its drive lasts.
     pub fn pushes_for_bits(&self, level: Level, bits: u32) -> u64 {
-        let mut run = self.clone();
+        let mut run = *self;
         let (mut pushes, mut counted) = (0, 0);
         while counted < bits {
             pushes += 1;
@@ -626,6 +811,89 @@ mod tests {
                 }
             }
             assert_eq!(recovered, payload);
+        }
+    }
+
+    /// Words biased towards long runs, from a fixed xorshift sequence.
+    fn run_heavy_words(count: usize) -> Vec<u64> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        (0..count)
+            .map(|_| {
+                let (a, b) = (next(), next());
+                // Toggles at one bit in eight: runs of eight on average.
+                let toggles = a & b & next();
+                (0..64)
+                    .fold((0u64, false), |(word, level), i| {
+                        let level = level ^ ((toggles >> i) & 1 == 1);
+                        (word | (u64::from(level) << i), level)
+                    })
+                    .0
+            })
+            .collect()
+    }
+
+    #[test]
+    fn word_destuffing_equals_per_bit_destuffing() {
+        for (k, word) in run_heavy_words(2000).into_iter().enumerate() {
+            let len = 1 + (k as u32 * 7) % 64;
+            let max = (k as u32 * 13) % 65;
+            let mut by_word = Destuffer::new();
+            for _ in 0..k % 5 {
+                let _ = by_word.push(Level::from_bit(k % 3 == 0));
+            }
+            let mut by_bit = by_word;
+            let (consumed, data, kept) = by_word.push_word(word, len, max);
+            let (mut bits, mut count) = (0u64, 0);
+            for i in 0..consumed {
+                match by_bit.push(packed::level_at(word, i)) {
+                    Destuffed::Bit(level) => {
+                        bits = (bits << 1) | u64::from(level.to_bit());
+                        count += 1;
+                    }
+                    Destuffed::StuffBit => {}
+                    Destuffed::Violation => panic!("word {word:#x}: consumed a violation"),
+                }
+            }
+            assert_eq!(
+                (data, kept),
+                (bits, count),
+                "word {word:#x} len {len} max {max}"
+            );
+            assert_eq!(by_word, by_bit, "word {word:#x} len {len} max {max}");
+            // It stops only at the end, at `max` kept bits or before a
+            // violation.
+            if consumed < len && kept < max {
+                let next = packed::level_at(word, consumed);
+                assert_eq!(by_bit.push(next), Destuffed::Violation);
+            }
+        }
+    }
+
+    #[test]
+    fn word_stuffing_equals_per_bit_stuffing() {
+        for (k, word) in run_heavy_words(2000).into_iter().enumerate() {
+            let len = 1 + (k as u32 * 7) % 64;
+            let mut by_word = Stuffer::new();
+            let mut by_bit = Stuffer::new();
+            let (took, stuff) = by_word.push_word(word, len);
+            let mut expected = (len, None);
+            for i in 0..len {
+                if let Some(level) = by_bit.push(packed::level_at(word, i)) {
+                    expected = (i + 1, Some(level));
+                    break;
+                }
+            }
+            assert_eq!((took, stuff), expected, "word {word:#x} len {len}");
+            assert_eq!(
+                (by_word.run_level, by_word.run_len),
+                (by_bit.run_level, by_bit.run_len)
+            );
         }
     }
 

@@ -18,6 +18,27 @@ pub const WIDTH: usize = 15;
 /// Mask selecting the 15 CRC bits.
 pub const MASK: u16 = 0x7FFF;
 
+/// The register after feeding each byte value (eight bits, most
+/// significant first) into a cleared register: the lookup table of
+/// [`Crc15::push_msb`].
+pub const TABLE: [u16; 256] = build_table();
+
+const fn build_table() -> [u16; 256] {
+    let mut table = [0u16; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut crc = Crc15::new();
+        let mut bit = 8;
+        while bit > 0 {
+            bit -= 1;
+            crc.push(Level::from_bit((byte >> bit) & 1 == 1));
+        }
+        table[byte] = crc.value();
+        byte += 1;
+    }
+    table
+}
+
 /// A streaming CRC-15 calculator.
 ///
 /// Bits are fed in wire order; [`Crc15::value`] yields the current CRC
@@ -46,13 +67,38 @@ impl Crc15 {
 
     /// Feeds one bit (wire order).
     #[inline]
-    pub fn push(&mut self, bit: Level) {
-        let nxtbit = bit.to_bit() as u16;
-        let crc_nxt = nxtbit ^ ((self.register >> 14) & 1);
-        self.register = (self.register << 1) & MASK;
-        if crc_nxt == 1 {
-            self.register ^= POLYNOMIAL;
+    pub const fn push(&mut self, bit: Level) {
+        // The register holds 15 bits, so `register >> 14` is its top bit;
+        // the polynomial is applied through a mask, without a branch.
+        let crc_nxt = bit.to_bit() as u16 ^ (self.register >> 14);
+        self.register = ((self.register << 1) & MASK) ^ (POLYNOMIAL & crc_nxt.wrapping_neg());
+    }
+
+    /// Feeds the low `n` bits of `value` (`n` ≤ 64), most significant
+    /// first, as logical bit values (`1` = recessive): eight bits per
+    /// [`TABLE`] lookup, and the last `n % 8` in one more. Equal to `n`
+    /// calls of [`Crc15::push`] in that order.
+    #[inline]
+    pub fn push_msb(&mut self, value: u64, n: u32) {
+        debug_assert!(n <= 64);
+        let mut left = n;
+        while left >= 8 {
+            left -= 8;
+            self.push_chunk((value >> left) as u16, 8);
         }
+        if left > 0 {
+            self.push_chunk(value as u16, left);
+        }
+    }
+
+    /// Feeds the low `k` (1..=8) bits of `bits`, most significant first.
+    /// Leading zero bits leave a cleared register cleared, so the table
+    /// entry of a `k`-bit index is that chunk's update.
+    #[inline]
+    fn push_chunk(&mut self, bits: u16, k: u32) {
+        let mask = (1u16 << k) - 1;
+        let index = ((self.register >> (WIDTH as u32 - k)) ^ bits) & mask;
+        self.register = ((self.register << k) & MASK) ^ TABLE[usize::from(index)];
     }
 
     /// Feeds a slice of bits (wire order).
@@ -118,6 +164,23 @@ mod tests {
             streaming.push(b);
         }
         assert_eq!(streaming.value(), checksum(&data));
+    }
+
+    #[test]
+    fn table_update_equals_bit_by_bit() {
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        for n in 0..=64u32 {
+            seed = seed.rotate_left(17).wrapping_mul(0x2545_F491_4F6C_DD1D) ^ u64::from(n);
+            let mut bitwise = Crc15 {
+                register: (seed >> 40) as u16 & MASK,
+            };
+            let mut table = bitwise;
+            for i in (0..n).rev() {
+                bitwise.push(Level::from_bit((seed >> i) & 1 == 1));
+            }
+            table.push_msb(seed, n);
+            assert_eq!(table, bitwise, "{n} bits of {seed:#x}");
+        }
     }
 
     #[test]

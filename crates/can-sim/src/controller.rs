@@ -14,7 +14,7 @@
 //! at bit `t + 1` — the same one-bit reaction latency a real controller has
 //! when it samples at ~70 % of the bit time.
 
-use can_core::bitstream::{stuff_frame, IFS_BITS};
+use can_core::bitstream::{encode_frame, PackedWire, IFS_BITS};
 use can_core::errors::CanErrorKind;
 use can_core::{counters, packed, BitInstant, CanFrame, ErrorCounters, ErrorState, Level};
 
@@ -51,40 +51,42 @@ impl Default for ControllerConfig {
     }
 }
 
-/// An in-flight transmission.
+/// An in-flight transmission: the stuffed wire as packed words, built
+/// once per attempt by the word-level encoder
+/// ([`can_core::bitstream::encode_frame`]), with no heap.
 #[derive(Debug, Clone)]
 struct TxJob {
     frame: CanFrame,
-    bits: Vec<Level>,
-    /// Wire indices (into `bits`) that are stuff bits, sorted.
-    stuff_positions: Vec<usize>,
+    /// The wire bits, their stuff-bit mask and length.
+    wire: PackedWire,
     /// Wire index of the ACK slot.
     ack_index: usize,
     /// Number of bits already driven and sampled.
     index: usize,
-    /// `bits` packed as dominant-mask words for the packed kernel.
-    words: Vec<u64>,
 }
 
 impl TxJob {
     fn new(frame: CanFrame) -> Self {
-        let wire = stuff_frame(&frame);
+        let wire = encode_frame(&frame);
         // ACK slot is the second-to-10th bit from the end:
         // ... CRC delim | ACK slot | ACK delim | EOF(7)
-        let ack_index = wire.bits.len() - 9;
-        let words = packed::pack_words(&wire.bits);
+        let ack_index = wire.len - 9;
         TxJob {
             frame,
-            bits: wire.bits,
-            stuff_positions: wire.stuff_positions,
+            wire,
             ack_index,
             index: 0,
-            words,
         }
     }
 
-    fn is_stuff_bit(&self, index: usize) -> bool {
-        self.stuff_positions.binary_search(&index).is_ok()
+    /// The level driven at the current wire index.
+    fn level(&self) -> Level {
+        self.wire.level(self.index)
+    }
+
+    /// The next up-to-64 wire bits as one dominant-mask word.
+    fn window(&self) -> u64 {
+        packed::extract_window(&self.wire.words, self.index)
     }
 }
 
@@ -471,7 +473,7 @@ impl Controller {
     /// The level this controller drives during the upcoming bit time.
     pub fn tx_level(&self) -> Level {
         match &self.state {
-            State::Transmitting { tx, .. } => tx.bits[tx.index],
+            State::Transmitting { tx, .. } => tx.level(),
             State::ErrorSignaling(sig) if sig.drive_word() != 0 => Level::Dominant,
             State::Receiving { .. } if self.drive_ack => Level::Dominant,
             _ => Level::Recessive,
@@ -610,7 +612,7 @@ impl Controller {
         now: BitInstant,
         out: &mut StepOutput,
     ) -> State {
-        let sent = tx.bits[tx.index];
+        let sent = tx.level();
         let in_arbitration = parser.in_arbitration();
         let rx_event = parser.push(bus);
         let mismatch = sent != bus;
@@ -640,7 +642,7 @@ impl Controller {
                 return State::Transmitting { tx, parser };
             }
             // Bit or stuff error in our own transmission.
-            let kind = if tx.is_stuff_bit(tx.index) {
+            let kind = if tx.wire.is_stuff_bit(tx.index) {
                 CanErrorKind::Stuff
             } else {
                 CanErrorKind::Bit
@@ -655,7 +657,7 @@ impl Controller {
         }
 
         tx.index += 1;
-        if tx.index == tx.bits.len() {
+        if tx.index == tx.wire.len {
             self.counters.on_transmit_success();
             out.events
                 .push(EventKind::TransmissionSucceeded { frame: tx.frame });
@@ -968,7 +970,7 @@ impl Controller {
             State::Transmitting { tx, .. } => {
                 // Stop before the ACK slot (a receiver answers there) and
                 // before the final bit (transmit-success event).
-                let mut tx_cap = tx.bits.len() - 1 - tx.index;
+                let mut tx_cap = tx.wire.len - 1 - tx.index;
                 if tx.index <= tx.ack_index {
                     tx_cap = tx_cap.min(tx.ack_index - tx.index);
                 }
@@ -976,9 +978,7 @@ impl Controller {
                     return None;
                 }
                 *cap = (*cap).min(tx_cap as u64);
-                Some(StretchRole::Transmit {
-                    word: packed::extract_window(&tx.words, tx.index),
-                })
+                Some(StretchRole::Transmit { word: tx.window() })
             }
             State::ErrorSignaling(sig) => Some(StretchRole::Signal { sig: *sig }),
             State::Idle => {
@@ -1003,18 +1003,22 @@ impl Controller {
     /// Commits `n` event-free bits of the controller's own transmission.
     ///
     /// The resolved bus matched the sent word over the whole window, so
-    /// the lockstep path would discard every parser event (the receive
-    /// parser of a transmitter only matters on a mismatch) and advance the
-    /// wire index — which is exactly what this does.
+    /// the monitor parser sees the sent bits. The lockstep path would
+    /// discard every parser event (the receive parser of a transmitter
+    /// only matters on a mismatch), and the only one a matching stretch
+    /// can meet is the `AckSlotNext` at its CRC delimiter, its last bit
+    /// at most: one [`RxParser::push_word`] consumes the window.
     pub(crate) fn commit_transmit(&mut self, n: u32) {
         let State::Transmitting { tx, parser } = &mut self.state else {
             unreachable!("commit_transmit on a non-transmitting controller")
         };
-        for i in 0..n as usize {
-            let _ = parser.push(tx.bits[tx.index + i]);
-        }
+        let (consumed, event) = parser.push_word(tx.window(), n);
+        debug_assert!(
+            consumed == n || (consumed + 1 == n && event == RxEvent::AckSlotNext),
+            "a transmitter's stretch ends at its CRC delimiter"
+        );
         tx.index += n as usize;
-        debug_assert!(tx.index < tx.bits.len());
+        debug_assert!(tx.index < tx.wire.len);
     }
 
     /// The parser a stretch commit advances: the receive parser while
@@ -1028,66 +1032,50 @@ impl Controller {
     }
 
     /// Commits `n` event-free bits by installing `post`, the parser state
-    /// another node in the same pre-stretch parser state reached over the
-    /// same bits (a copy, reusing this parser's buffer). A transmitter
+    /// this parser reaches over those bits: its own dry run's, or that of
+    /// another node in the same pre-stretch parser state. A transmitter
     /// also advances its wire index, as [`Controller::commit_transmit`]
     /// would.
-    pub(crate) fn commit_parser_copy(&mut self, post: &RxParser, n: u32) {
+    pub(crate) fn commit_parser(&mut self, post: &RxParser, n: u32) {
         match &mut self.state {
-            State::Receiving { parser } => post.copy_into(parser),
+            State::Receiving { parser } => *parser = *post,
             State::Transmitting { tx, parser } => {
-                post.copy_into(parser);
+                *parser = *post;
                 tx.index += n as usize;
-                debug_assert!(tx.index < tx.bits.len());
+                debug_assert!(tx.index < tx.wire.len);
             }
-            _ => unreachable!("commit_parser_copy on a controller without a frame parser"),
+            _ => unreachable!("commit_parser on a controller without a frame parser"),
         }
     }
 
-    /// Dry-runs the receive parser over the low `n` bits of `bus` on the
-    /// reusable `scratch` parser: returns how many leading bits produce
-    /// `RxEvent::Continue`. The bit that would produce any other event
-    /// (ACK-slot announcement, frame completion, fault) is left to the
-    /// lockstep path.
+    /// Dry-runs a copy of the receive parser over the low `n` bits of
+    /// `bus` into `scratch`, with one [`RxParser::push_word`]: returns how
+    /// many leading bits produce `RxEvent::Continue`. The bit that would
+    /// produce any other event (ACK-slot announcement, frame completion,
+    /// fault) is left to the lockstep path.
     ///
     /// When the return value equals `n`, `scratch` holds the post-stretch
-    /// parser state and [`Controller::commit_receive_swap`] can install it
-    /// in O(1); otherwise `scratch` has consumed the event bit and must be
+    /// parser state and [`Controller::commit_parser`] can install it;
+    /// otherwise `scratch` has consumed the event bit and must be
     /// discarded.
     pub(crate) fn receive_stretch_cap(&self, bus: u64, n: u32, scratch: &mut RxParser) -> u32 {
         let State::Receiving { parser } = &self.state else {
             unreachable!("receive_stretch_cap on a non-receiving controller")
         };
-        parser.copy_into(scratch);
-        for i in 0..n {
-            if scratch.push(packed::level_at(bus, i)) != RxEvent::Continue {
-                return i;
-            }
-        }
-        n
+        *scratch = *parser;
+        scratch.push_word(bus, n).0
     }
 
-    /// Installs a dry-run parser state produced by
-    /// [`Controller::receive_stretch_cap`] (which must have covered exactly
-    /// the committed stretch length, event-free).
-    pub(crate) fn commit_receive_swap(&mut self, scratch: &mut RxParser) {
-        let State::Receiving { parser } = &mut self.state else {
-            unreachable!("commit_receive_swap on a non-receiving controller")
-        };
-        std::mem::swap(parser, scratch);
-    }
-
-    /// Commits `n` event-free received bits by replaying them into the
-    /// live parser (used when the stretch was shortened after this node's
-    /// dry run, so the scratch parser overshot).
+    /// Commits `n` event-free received bits by feeding them to the live
+    /// parser in one [`RxParser::push_word`] (used when the stretch was
+    /// shortened after this node's dry run, so the scratch parser
+    /// overshot).
     pub(crate) fn commit_receive_push(&mut self, bus: u64, n: u32) {
         let State::Receiving { parser } = &mut self.state else {
             unreachable!("commit_receive_push on a non-receiving controller")
         };
-        for i in 0..n {
-            let event = parser.push(packed::level_at(bus, i));
-            debug_assert_eq!(event, RxEvent::Continue);
-        }
+        let (consumed, _) = parser.push_word(bus, n);
+        debug_assert_eq!(consumed, n);
     }
 
     /// Commits `n` bits of mixed bus levels to an error-signalling

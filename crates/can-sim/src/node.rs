@@ -316,10 +316,10 @@ impl Node {
     /// Commits one packed stretch of `n` bits of resolved bus word `bus`
     /// to this node's controller, in its negotiated role.
     ///
-    /// `rx_scratch` is the node's dry-run parser from planning; `rx_swap`
-    /// says it covered exactly this stretch, so it can be installed in
-    /// O(1) instead of replaying the bits. A node whose frame parser
-    /// equals another's commits with [`Controller::commit_parser_copy`]
+    /// `rx_scratch` is the node's dry-run parser from planning;
+    /// `install_dry_run` says it covered exactly this stretch, so it is
+    /// copied in instead of feeding the bits again. A node whose frame parser
+    /// equals another's commits with [`Controller::commit_parser`]
     /// instead. The attached agent observes the stretch separately,
     /// through [`Node::finish_stretch`].
     pub(crate) fn commit_stretch(
@@ -327,15 +327,15 @@ impl Node {
         role: StretchRole,
         bus: u64,
         n: u32,
-        rx_scratch: &mut RxParser,
-        rx_swap: bool,
+        rx_scratch: &RxParser,
+        install_dry_run: bool,
     ) {
         match role {
             StretchRole::Down => {}
             StretchRole::Transmit { .. } => self.controller.commit_transmit(n),
             StretchRole::Receive => {
-                if rx_swap {
-                    self.controller.commit_receive_swap(rx_scratch);
+                if install_dry_run {
+                    self.controller.commit_parser(rx_scratch, n);
                 } else {
                     self.controller.commit_receive_push(bus, n);
                 }

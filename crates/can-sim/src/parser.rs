@@ -7,10 +7,10 @@
 //! node losing arbitration can continue as a receiver without missing a
 //! bit.
 
-use can_core::bitstream::{Destuffed, Destuffer, FrameField, FrameLayout};
+use can_core::bitstream::{Destuffed, Destuffer};
 use can_core::crc::Crc15;
 use can_core::errors::CanErrorKind;
-use can_core::{CanFrame, CanId, Level};
+use can_core::{packed, CanFrame, CanId, Level};
 
 /// Result of feeding one bus bit to the parser.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,26 +41,31 @@ enum Phase {
     Finished,
 }
 
+/// Unstuffed index of the last DLC bit: the layout is known once it is in.
+const DLC_LAST: usize = 18;
+
 /// A streaming CAN 2.0A frame parser fed with bus levels, starting at the
 /// SOF bit.
+///
+/// The parser is `Copy` and holds no heap: the destuffed bits (at most
+/// 98, SOF through the CRC sequence) live in one `u128`, newest bit
+/// lowest, and the identifier, DLC, layout and received CRC are read off
+/// it. [`RxParser::push`] takes one level; [`RxParser::push_word`] takes a
+/// packed word and moves plain spans in bulk.
 ///
 /// Equality is equality of the whole parse state: two equal parsers fed
 /// the same levels report the same events and stay equal, which is what
 /// lets the packed kernel parse a stretch once for every node in the same
 /// state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RxParser {
     destuffer: Destuffer,
-    unstuffed: Vec<Level>,
+    /// Destuffed logical bits (`1` = recessive), the latest lowest.
+    unstuffed: u128,
+    unstuffed_len: u8,
     phase: Phase,
-    layout: Option<FrameLayout>,
     crc: Crc15,
-    crc_received: u16,
-    crc_bits_seen: u8,
     crc_ok: bool,
-    rtr: bool,
-    dlc_raw: u8,
-    id: Option<CanId>,
 }
 
 impl RxParser {
@@ -68,27 +73,23 @@ impl RxParser {
     pub fn new() -> Self {
         RxParser {
             destuffer: Destuffer::new(),
-            unstuffed: Vec::with_capacity(128),
+            unstuffed: 0,
+            unstuffed_len: 0,
             phase: Phase::Stuffed,
-            layout: None,
             crc: Crc15::new(),
-            crc_received: 0,
-            crc_bits_seen: 0,
             crc_ok: false,
-            rtr: false,
-            dlc_raw: 0,
-            id: None,
         }
     }
 
     /// The identifier, once the full 11 ID bits have been parsed.
     pub fn id(&self) -> Option<CanId> {
-        self.id
+        (self.unstuffed_len() >= 12)
+            .then(|| CanId::new(self.field(1, 11) as u16).expect("11 bits always fit"))
     }
 
     /// Number of unstuffed bits consumed so far.
     pub fn unstuffed_len(&self) -> usize {
-        self.unstuffed.len()
+        usize::from(self.unstuffed_len)
     }
 
     /// Whether the parser reached a terminal state (done or faulted).
@@ -99,27 +100,102 @@ impl RxParser {
     /// Whether the parser is currently inside the arbitration field
     /// (SOF + identifier + RTR, unstuffed bits 0..=12).
     pub fn in_arbitration(&self) -> bool {
-        self.unstuffed.len() <= 12 && matches!(self.phase, Phase::Stuffed)
+        self.unstuffed_len() <= 12 && matches!(self.phase, Phase::Stuffed)
     }
 
-    /// Copies `self` into `dst`, reusing `dst`'s buffer allocation.
+    /// The `width` unstuffed bits starting at index `start` (all parsed),
+    /// first bit most significant.
+    fn field(&self, start: usize, width: usize) -> u64 {
+        let shift = self.unstuffed_len() - start - width;
+        ((self.unstuffed >> shift) as u64) & packed::low_mask(width as u32)
+    }
+
+    fn rtr(&self) -> bool {
+        self.field(12, 1) == 1
+    }
+
+    fn dlc_raw(&self) -> u8 {
+        self.field(15, 4) as u8
+    }
+
+    /// Unstuffed index of the first CRC bit, known once the DLC is in.
+    fn crc_start(&self) -> usize {
+        debug_assert!(self.unstuffed_len() > DLC_LAST);
+        let data_bytes = if self.rtr() { 0 } else { self.dlc_raw().min(8) };
+        DLC_LAST + 1 + 8 * usize::from(data_bytes)
+    }
+
+    /// Feeds the low `n` (≤ 64) levels of the packed word `word`
+    /// ([`can_core::packed`]: bit set = dominant, first bit lowest).
     ///
-    /// The packed kernel dry-runs a receiver's parser over each candidate
-    /// stretch on a per-node scratch parser; the derived `Clone` would
-    /// allocate a fresh `unstuffed` vector every stretch.
-    pub(crate) fn copy_into(&self, dst: &mut RxParser) {
-        dst.destuffer = self.destuffer.clone();
-        dst.unstuffed.clear();
-        dst.unstuffed.extend_from_slice(&self.unstuffed);
-        dst.phase = self.phase;
-        dst.layout = self.layout;
-        dst.crc = self.crc;
-        dst.crc_received = self.crc_received;
-        dst.crc_bits_seen = self.crc_bits_seen;
-        dst.crc_ok = self.crc_ok;
-        dst.rtr = self.rtr;
-        dst.dlc_raw = self.dlc_raw;
-        dst.id = self.id;
+    /// Returns how many leading bits gave [`RxEvent::Continue`] and, when
+    /// that is fewer than `n`, the event of the next bit, which is
+    /// consumed. Equal to pushing the bits one at a time and stopping at
+    /// the first other event. Plain spans move in bulk, destuffed a word
+    /// at a time ([`Destuffer::push_word`]): identifier and RTR, r0 and
+    /// DLC, data, the CRC sequence but its last bit, and recessive EOF
+    /// bits. Every bit that checks or decides something (SOF, IDE, the
+    /// last CRC bit and the stuff bit after it, a stuff violation, the
+    /// delimiters and the ACK slot, a dominant or last EOF bit) goes
+    /// through [`RxParser::push`], so the field state machine exists once.
+    pub fn push_word(&mut self, word: u64, n: u32) -> (u32, RxEvent) {
+        debug_assert!(n <= packed::WORD_BITS);
+        let mut at = 0;
+        while at < n {
+            let took = self.take_bulk(word >> at, n - at);
+            if took > 0 {
+                at += took;
+                continue;
+            }
+            match self.push(packed::level_at(word, at)) {
+                RxEvent::Continue => at += 1,
+                event => return (at, event),
+            }
+        }
+        (n, RxEvent::Continue)
+    }
+
+    /// Consumes the plain bits at the start of `word` (at most `n`) that
+    /// [`RxParser::push_word`] takes in bulk; returns how many, zero when
+    /// the next bit needs [`RxParser::push`].
+    fn take_bulk(&mut self, word: u64, n: u32) -> u32 {
+        match self.phase {
+            Phase::Stuffed => {}
+            Phase::Eof(seen) if seen < 6 => {
+                // Recessive EOF bits before the last one: each is a
+                // `Continue`.
+                let span = n.min(6 - u32::from(seen));
+                let took = packed::first_dominant(word, span).unwrap_or(span);
+                self.phase = Phase::Eof(seen + took as u8);
+                return took;
+            }
+            _ => return 0,
+        }
+        let index = self.unstuffed_len();
+        // The bulk span ends before the next checked bit, and does not
+        // cross from the CRC-covered bits into the CRC sequence.
+        let (end, covered) = match index {
+            0 | 13 => return 0,
+            1..=12 => (13, true),
+            14..=DLC_LAST => (DLC_LAST + 1, true),
+            _ => {
+                let crc_start = self.crc_start();
+                if index < crc_start {
+                    (crc_start, true)
+                } else {
+                    (crc_start + 14, false)
+                }
+            }
+        };
+        let (took, bits, kept) = self.destuffer.push_word(word, n, (end - index) as u32);
+        if kept > 0 {
+            if covered {
+                self.crc.push_msb(bits, kept);
+            }
+            self.unstuffed = (self.unstuffed << kept) | u128::from(bits);
+            self.unstuffed_len += kept as u8;
+        }
+        took
     }
 
     /// Feeds one bus level; must not be called after a terminal event.
@@ -197,97 +273,48 @@ impl RxParser {
             Destuffed::StuffBit => return RxEvent::Continue,
             Destuffed::Bit(b) => b,
         };
-        let index = self.unstuffed.len();
-        self.unstuffed.push(destuffed);
+        let index = self.unstuffed_len();
+        self.unstuffed = (self.unstuffed << 1) | u128::from(destuffed.to_bit());
+        self.unstuffed_len += 1;
 
-        // Interpret fields as their last bit arrives.
-        match index {
-            0 => {
-                // SOF must be dominant; joining on a recessive bit is a
-                // caller bug, but flag it as a form error defensively.
-                if destuffed.is_recessive() {
-                    return self.fault(CanErrorKind::Form);
-                }
-                self.crc.push(destuffed);
-            }
-            1..=11 => {
-                self.crc.push(destuffed);
-                if index == 11 {
-                    let raw = self.unstuffed[1..12]
-                        .iter()
-                        .fold(0u16, |acc, l| (acc << 1) | l.to_bit() as u16);
-                    self.id = Some(CanId::new(raw).expect("11 bits always fit"));
-                }
-            }
-            12 => {
-                self.rtr = destuffed.to_bit();
-                self.crc.push(destuffed);
-            }
-            13 => {
-                // IDE: recessive means an extended frame, unsupported here;
-                // a compliant 2.0A-only receiver treats it as a form error.
-                if destuffed.is_recessive() {
-                    return self.fault(CanErrorKind::Form);
-                }
-                self.crc.push(destuffed);
-            }
-            14 => {
-                self.crc.push(destuffed);
-            }
-            15..=18 => {
-                self.crc.push(destuffed);
-                if index == 18 {
-                    self.dlc_raw = self.unstuffed[15..19]
-                        .iter()
-                        .fold(0u8, |acc, l| (acc << 1) | l.to_bit() as u8);
-                    let data_bytes = if self.rtr {
-                        0
-                    } else {
-                        self.dlc_raw.min(8) as usize
-                    };
-                    self.layout = Some(FrameLayout::for_payload(data_bytes));
-                }
-            }
-            _ => {
-                let layout = self.layout.expect("layout known after DLC");
-                let crc_span = layout.span(FrameField::Crc);
-                if index < crc_span.start {
-                    // Data field.
-                    self.crc.push(destuffed);
-                } else {
-                    // CRC sequence.
-                    self.crc_received = (self.crc_received << 1) | destuffed.to_bit() as u16;
-                    self.crc_bits_seen += 1;
-                    if self.crc_bits_seen == 15 {
-                        self.crc_ok = self.crc.value() == self.crc_received;
-                        self.phase = if self.destuffer.expecting_stuff() {
-                            Phase::FinalStuff
-                        } else {
-                            Phase::CrcDelim
-                        };
-                    }
-                }
-            }
+        // SOF must be dominant (joining on a recessive bit is a caller
+        // bug, flagged as a form error defensively); IDE recessive means
+        // an extended frame, which a 2.0A-only receiver treats as a form
+        // error.
+        if (index == 0 || index == 13) && destuffed.is_recessive() {
+            return self.fault(CanErrorKind::Form);
+        }
+        if index <= DLC_LAST {
+            self.crc.push(destuffed);
+            return RxEvent::Continue;
+        }
+        let crc_start = self.crc_start();
+        if index < crc_start {
+            self.crc.push(destuffed);
+        } else if index == crc_start + 14 {
+            let received = self.field(crc_start, 15) as u16;
+            self.crc_ok = self.crc.value() == received;
+            self.phase = if self.destuffer.expecting_stuff() {
+                Phase::FinalStuff
+            } else {
+                Phase::CrcDelim
+            };
         }
         RxEvent::Continue
     }
 
     fn assemble(&self) -> CanFrame {
-        let id = self.id.expect("id parsed before completion");
-        if self.rtr {
-            CanFrame::remote_frame(id, self.dlc_raw.min(8)).expect("validated DLC")
+        let id = self.id().expect("id parsed before completion");
+        if self.rtr() {
+            CanFrame::remote_frame(id, self.dlc_raw().min(8)).expect("validated DLC")
         } else {
-            let layout = self.layout.expect("layout known");
-            let data_span = layout.span(FrameField::Data);
-            let mut data = [0u8; 8];
-            let mut len = 0usize;
-            for (i, chunk) in self.unstuffed[data_span].chunks(8).enumerate() {
-                data[i] = chunk
-                    .iter()
-                    .fold(0u8, |acc, l| (acc << 1) | l.to_bit() as u8);
-                len = i + 1;
+            let len = (self.crc_start() - DLC_LAST - 1) / 8;
+            let data = self.field(DLC_LAST + 1, 8 * len);
+            let mut bytes = [0u8; 8];
+            for (i, byte) in bytes[..len].iter_mut().enumerate() {
+                *byte = (data >> (8 * (len - 1 - i))) as u8;
             }
-            CanFrame::data_frame(id, &data[..len]).expect("validated payload")
+            CanFrame::data_frame(id, &bytes[..len]).expect("validated payload")
         }
     }
 }
@@ -301,7 +328,7 @@ impl Default for RxParser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use can_core::bitstream::stuff_frame;
+    use can_core::bitstream::{stuff_frame, FrameField, FrameLayout};
 
     fn feed(parser: &mut RxParser, bits: &[Level]) -> Vec<RxEvent> {
         bits.iter().map(|&b| parser.push(b)).collect()

@@ -882,13 +882,13 @@ impl Simulator {
             let (req, consumed) = self.rx_dry[i];
             // The dry run can be installed as-is only if it covered
             // exactly the final stretch, event-free.
-            let rx_swap = consumed == req && req == n;
+            let install_dry_run = consumed == req && req == n;
             node.commit_stretch(
                 self.packed_plans[i].role,
                 bus,
                 n,
-                &mut self.rx_scratch[i],
-                rx_swap,
+                &self.rx_scratch[i],
+                install_dry_run,
             );
         }
         for (i, share) in self.rx_share.iter().enumerate() {
@@ -898,7 +898,7 @@ impl Simulator {
                     .controller()
                     .stretch_parser()
                     .expect("a group leader is receiving");
-                member.controller_mut().commit_parser_copy(post, n);
+                member.controller_mut().commit_parser(post, n);
             }
         }
         // TX faults, applications and agents catch up in node order, as

@@ -123,6 +123,11 @@ pub fn parse_log(source: &str) -> Result<Vec<LogEntry>, ParseError> {
         let (id_hex, data_hex) = payload
             .split_once('#')
             .ok_or_else(|| err("missing '#' separator"))?;
+        // 1–3 hex digits, checked first: `from_str_radix` alone would
+        // accept a leading '+'.
+        if !(1..=3).contains(&id_hex.len()) || !id_hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return Err(err("invalid identifier"));
+        }
         let raw = u16::from_str_radix(id_hex, 16).map_err(|_| err("invalid identifier"))?;
         let id = CanId::new(raw).map_err(|_| err("identifier exceeds 11 bits"))?;
 
@@ -230,6 +235,16 @@ mod tests {
         let e = parse_log("(0.0) vcan0 123#0é0").unwrap_err();
         assert_eq!(e.message, "invalid data byte");
         assert!(parse_log("(0.0) can0 173#+F").is_err(), "sign is not hex");
+    }
+
+    #[test]
+    fn a_signed_identifier_is_rejected() {
+        let e = parse_log("(0.0) can0 +73#00").unwrap_err();
+        assert_eq!((e.line, e.message.as_str()), (1, "invalid identifier"));
+        assert_eq!(
+            parse_log("(0.0) can0 #00").unwrap_err().message,
+            "invalid identifier"
+        );
     }
 
     #[test]

@@ -17,8 +17,9 @@ fn arb_payload() -> impl Strategy<Value = Vec<u8>> {
 }
 
 /// Text spliced into candump logs by `candump_damage_is_a_typed_error`:
-/// 2-, 3- and 4-byte characters plus the format's own separators.
-const INSERTS: [&str; 8] = ["é", "€", "😀", "0", "#", " ", "\n", "R"];
+/// 2-, 3- and 4-byte characters, the format's own separators and a sign,
+/// which `from_str_radix` would take as part of a number.
+const INSERTS: [&str; 9] = ["é", "€", "😀", "0", "#", " ", "\n", "R", "+"];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
