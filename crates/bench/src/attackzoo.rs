@@ -144,6 +144,39 @@ pub struct ZooSim {
     pub rx_node: NodeId,
 }
 
+/// Adds the victim ECU as the next node (node 0 in the zoo and the IDS
+/// bake-off): the periodic [`ZOO_VICTIM_ID`] sender and, when defended,
+/// the defense. MichiCAN rides the sender's node as its agent, and Parrot
+/// replaces the sender as the node's application (it sends the victim's
+/// own traffic). The defense reports to `probe` and `journal` as node 0.
+pub fn mount_victim(
+    builder: SimBuilder,
+    defense: ZooDefense,
+    probe: &Recorder,
+    journal: &Journal,
+) -> SimBuilder {
+    let victim = CanId::from_raw(ZOO_VICTIM_ID);
+    let frame = CanFrame::data_frame(victim, &ZOO_VICTIM_PAYLOAD).expect("valid victim frame");
+    let sender = || Box::new(PeriodicSender::new(frame, ZOO_VICTIM_PERIOD_BITS, 0));
+    match defense {
+        ZooDefense::Undefended => builder.node(Node::new("victim-0x173", sender())),
+        ZooDefense::MichiCan => {
+            let list = EcuList::from_raw(&[ZOO_VICTIM_ID]);
+            let mut handler = MichiCan::new(DetectionFsm::for_ecu(&list, 0));
+            handler.set_recorder(probe.clone(), 0);
+            handler.set_journal(journal.clone(), 0);
+            builder.node(Node::new("victim-0x173", sender()).with_agent(Box::new(handler)))
+        }
+        ZooDefense::Parrot => {
+            let mut parrot =
+                ParrotDefender::new(victim, 5_000).with_own_traffic(ZOO_VICTIM_PERIOD_BITS);
+            parrot.set_recorder(probe.clone(), 0);
+            parrot.set_journal(journal.clone(), 0);
+            builder.node(Node::new("victim-0x173", Box::new(parrot)))
+        }
+    }
+}
+
 /// Assembles one zoo cell (victim + attacker + receiver) around the given
 /// simulation recorder and causal event [`Journal`]. Pure with respect to
 /// both sinks: the same cell always builds the same bus, so differential
@@ -168,33 +201,7 @@ pub fn build_zoo_cell_observed(cell: &ZooCell, recorder: Recorder, journal: Jour
 
     // Node 0: the victim ECU (and, when defended, the defense).
     let victim_node = builder.node_id();
-    let frame = CanFrame::data_frame(victim, &ZOO_VICTIM_PAYLOAD).expect("valid victim frame");
-    builder = match cell.defense {
-        ZooDefense::Undefended => builder.node(Node::new(
-            "victim-0x173",
-            Box::new(PeriodicSender::new(frame, ZOO_VICTIM_PERIOD_BITS, 0)),
-        )),
-        ZooDefense::MichiCan => {
-            let list = EcuList::from_raw(&[ZOO_VICTIM_ID]);
-            let mut handler = MichiCan::new(DetectionFsm::for_ecu(&list, 0));
-            handler.set_recorder(probe.clone(), 0);
-            handler.set_journal(journal.clone(), 0);
-            builder.node(
-                Node::new(
-                    "victim-0x173",
-                    Box::new(PeriodicSender::new(frame, ZOO_VICTIM_PERIOD_BITS, 0)),
-                )
-                .with_agent(Box::new(handler)),
-            )
-        }
-        ZooDefense::Parrot => {
-            let mut parrot =
-                ParrotDefender::new(victim, 5_000).with_own_traffic(ZOO_VICTIM_PERIOD_BITS);
-            parrot.set_recorder(probe.clone(), 0);
-            parrot.set_journal(journal.clone(), 0);
-            builder.node(Node::new("victim-0x173", Box::new(parrot)))
-        }
-    };
+    builder = mount_victim(builder, cell.defense, &probe, &journal);
 
     // Node 1: the attacker.
     let attacker_node = builder.node_id();

@@ -32,7 +32,8 @@
 //! count and simulation mode.
 //!
 //! One ordered artifact table drives both a single name and `all` (the
-//! default); an unknown name exits 2 and lists the known names.
+//! default); an unknown name exits 2 and lists the known names, and so
+//! does an unknown flag here or in `sweep` (listing the known flags).
 //!
 //! `--full` runs the paper-scale parameterizations (e.g. 160,000 random
 //! FSMs); the default is a faster configuration with identical shape.
@@ -196,6 +197,55 @@ const VALUE_FLAGS: [&str; 5] = [
     "--detectors",
 ];
 
+/// Flags that take no value.
+const SWITCHES: [&str; 2] = ["--full", "--packed"];
+
+/// The `sweep` subcommand's flags that take a value.
+const SWEEP_VALUE_FLAGS: [&str; 19] = [
+    "--dir",
+    "--resume",
+    "--workload",
+    "--replicas",
+    "--run-ms",
+    "--cells",
+    "--cell-work",
+    "--seed",
+    "--chunk",
+    "--max-attempts",
+    "--timeout-ms",
+    "--backoff-ms",
+    "--max-rss-mb",
+    "--progress-out",
+    "--heartbeat-secs",
+    "--chaos-panic",
+    "--chaos-hang",
+    "--chaos-hang-ms",
+    "--stop-after-chunks",
+];
+
+/// Exits 2, listing the known flags, if `args` holds a flag that is none
+/// of `switches`, `value_flags` (whose values it skips) or the shard
+/// flags. An ignored typo would run something else: `--pakced` would run
+/// lockstep.
+fn reject_unknown_flags(args: &[String], switches: &[&str], value_flags: &[&str]) {
+    const SHARD_FLAGS: [&str; 2] = ["--shards", "-j"];
+    let mut iter = args.iter().map(String::as_str);
+    while let Some(arg) = iter.next() {
+        if value_flags.contains(&arg) || SHARD_FLAGS.contains(&arg) {
+            iter.next();
+        } else if arg.starts_with('-') && !switches.contains(&arg) {
+            let known: Vec<&str> = switches
+                .iter()
+                .chain(value_flags)
+                .chain(&SHARD_FLAGS)
+                .copied()
+                .collect();
+            eprintln!("error: unknown flag '{arg}' (known: {})", known.join(", "));
+            std::process::exit(2);
+        }
+    }
+}
+
 /// What every artifact reads: the command-line flags, plus the root
 /// metrics recorder and causal journal of this invocation (each disabled,
 /// i.e. all no-ops, unless its `--*-out` flag asked for the export).
@@ -226,6 +276,7 @@ impl Ctx {
 fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("sweep") {
+        reject_unknown_flags(&args[1..], &["--packed"], &SWEEP_VALUE_FLAGS);
         match sweep_command(&args[1..]) {
             Ok(()) => return,
             Err(message) => {
@@ -234,6 +285,7 @@ fn main() {
             }
         }
     }
+    reject_unknown_flags(&args, &SWITCHES, &VALUE_FLAGS);
     let (shards, args) = match parse_shards(&args) {
         Ok(parsed) => parsed,
         Err(message) => {

@@ -37,20 +37,23 @@ use can_ids::{DetectorTap, FrequencyIds, IntervalIds};
 use can_obs::{Journal, Recorder};
 use can_sim::{bus_off_episodes, ErrorRole, EventKind, Node, NodeId, SimBuilder, Simulator};
 use michican::prelude::*;
-use parrot::ParrotDefender;
 
-use crate::attackzoo::ZooDefense;
+use crate::attackzoo::{
+    mount_victim, ZooDefense, ZOO_HORIZON_BITS, ZOO_VICTIM_ID, ZOO_VICTIM_PAYLOAD,
+    ZOO_VICTIM_PERIOD_BITS,
+};
 use crate::runner::{ExecOpts, ExperimentPlan};
 use crate::scenarios::TABLE2_SPEED;
 
-/// The victim ECU's identifier (the paper's defender id).
-pub const IDS_VICTIM_ID: u16 = 0x173;
+/// The victim ECU's identifier: the zoo's, since both mount the victim
+/// through [`mount_victim`].
+pub const IDS_VICTIM_ID: u16 = ZOO_VICTIM_ID;
 
-/// Bits between victim transmissions.
-pub const IDS_VICTIM_PERIOD_BITS: u64 = 600;
+/// Bits between victim transmissions (the zoo's).
+pub const IDS_VICTIM_PERIOD_BITS: u64 = ZOO_VICTIM_PERIOD_BITS;
 
-/// The victim's payload (all-dominant, maximizing stuff bits).
-pub const IDS_VICTIM_PAYLOAD: [u8; 8] = [0x00; 8];
+/// The victim's payload (the zoo's all-dominant one).
+pub const IDS_VICTIM_PAYLOAD: [u8; 8] = ZOO_VICTIM_PAYLOAD;
 
 /// A second benign sender: keeps the identifier distribution non-trivial
 /// so the entropy baseline is meaningful.
@@ -59,8 +62,8 @@ pub const IDS_BENIGN_ID: u16 = 0x300;
 /// Bits between benign-sender transmissions.
 pub const IDS_BENIGN_PERIOD_BITS: u64 = 800;
 
-/// Run horizon per cell, in bus bits.
-pub const IDS_HORIZON_BITS: u64 = 40_000;
+/// Run horizon per cell, in bus bits (the zoo's).
+pub const IDS_HORIZON_BITS: u64 = ZOO_HORIZON_BITS;
 
 /// Sim time at which every trainable detector is armed (training ends).
 pub const IDS_ARM_AT_BITS: u64 = 12_000;
@@ -272,33 +275,7 @@ pub fn build_ids_cell_observed(
 
     // Node 0: the victim ECU (and, when defended, the defense).
     let victim_node = builder.node_id();
-    let frame = CanFrame::data_frame(victim, &IDS_VICTIM_PAYLOAD).expect("valid victim frame");
-    builder = match cell.defense {
-        ZooDefense::Undefended => builder.node(Node::new(
-            "victim-0x173",
-            Box::new(PeriodicSender::new(frame, IDS_VICTIM_PERIOD_BITS, 0)),
-        )),
-        ZooDefense::MichiCan => {
-            let list = EcuList::from_raw(&[IDS_VICTIM_ID]);
-            let mut handler = MichiCan::new(DetectionFsm::for_ecu(&list, 0));
-            handler.set_recorder(probe.clone(), 0);
-            handler.set_journal(journal.clone(), 0);
-            builder.node(
-                Node::new(
-                    "victim-0x173",
-                    Box::new(PeriodicSender::new(frame, IDS_VICTIM_PERIOD_BITS, 0)),
-                )
-                .with_agent(Box::new(handler)),
-            )
-        }
-        ZooDefense::Parrot => {
-            let mut parrot =
-                ParrotDefender::new(victim, 5_000).with_own_traffic(IDS_VICTIM_PERIOD_BITS);
-            parrot.set_recorder(probe.clone(), 0);
-            parrot.set_journal(journal.clone(), 0);
-            builder.node(Node::new("victim-0x173", Box::new(parrot)))
-        }
-    };
+    builder = mount_victim(builder, cell.defense, &probe, &journal);
 
     // Node 1: the attacker, gated behind the start deadline — or a
     // silent placeholder on clean cells.
@@ -585,7 +562,7 @@ fn delivered_attack_frames(sim: &Simulator, observer: NodeId, until: Option<u64>
 }
 
 /// Runs the flooding attack against the classic frame-level IDS pair
-/// (frequency + interval, the `typical_500k` configuration), attached as
+/// (frequency + interval, the typical 500 kbit/s configuration), attached as
 /// passive taps — one simulation, no rebuild.
 pub fn flood_ids_defense(run_bits: u64) -> DefenseLatency {
     let builder = SimBuilder::new(FLOOD_SPEED);

@@ -891,6 +891,34 @@ fn parse_chunk(doc: &JsonValue) -> Result<ChunkRecord, String> {
     })
 }
 
+/// Rejects a chunk record that cannot belong to the sweep `header`
+/// describes (whose `chunk_cells` and `max_attempts` are at least 1): an
+/// index past the grid, a cell count other than the chunk's, more
+/// quarantined cells than it holds, or more retries than its attempt
+/// budget allows. Sums over checked records stay within the grid.
+fn check_chunk(record: &ChunkRecord, header: &JournalHeader) -> Result<(), String> {
+    let first = record
+        .chunk
+        .checked_mul(header.chunk_cells)
+        .filter(|&first| first < header.total_cells)
+        .ok_or("index past the grid")?;
+    let cells = (header.total_cells - first).min(header.chunk_cells);
+    if record.cells != cells {
+        return Err(format!("{} cells, expected {cells}", record.cells));
+    }
+    if record.poisoned.len() as u64 > cells {
+        return Err(format!(
+            "{} quarantined of {cells} cells",
+            record.poisoned.len()
+        ));
+    }
+    let max_retries = cells.saturating_mul(u64::from(header.max_attempts - 1));
+    if record.retries > max_retries {
+        return Err(format!("{} retries, at most {max_retries}", record.retries));
+    }
+    Ok(())
+}
+
 /// A parsed journal: the header, every completed chunk record keyed by
 /// chunk index, and the byte length of the valid prefix (everything after
 /// it is a torn tail that a resuming writer must truncate away before
@@ -1221,6 +1249,9 @@ pub fn run_sweep(
                 })?;
         }
         for record in existing.chunks.values() {
+            check_chunk(record, &header).map_err(|detail| {
+                SweepError::Journal(format!("chunk {}: {detail}", record.chunk))
+            })?;
             resumed.chunks += 1;
             resumed.cells += record.cells;
             resumed.quarantined += record.poisoned.len() as u64;

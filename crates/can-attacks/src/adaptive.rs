@@ -20,8 +20,9 @@ use can_core::{BitDuration, BitInstant, CanId, Level};
 use can_obs::{Histogram, Journal, JournalKind, Recorder, DEFAULT_BUCKETS};
 
 use crate::error_flag::ERROR_FLAG_BITS;
+use crate::victim::VictimWatch;
 use can_core::bitstream::MIN_INTERFRAME_RECESSIVE;
-use can_core::watch::{FrameWatch, WatchEvent, WatchTrigger, ID_COMPLETE_CNT};
+use can_core::watch::{WatchEvent, WatchTrigger, ID_COMPLETE_CNT};
 
 /// Earliest destuffed position the racer will ever strike at: the bit
 /// right after the arbitration field (it must see the whole identifier
@@ -50,7 +51,6 @@ struct RacerKeys {
 /// the wire and times its injection to beat the counterattack window.
 #[derive(Debug, Clone)]
 pub struct AdaptiveRacer {
-    victim: CanId,
     /// Victim frames to observe passively before striking.
     probe_frames: u32,
     /// Bits to strike ahead of the earliest observed kill position.
@@ -58,8 +58,7 @@ pub struct AdaptiveRacer {
     /// Strike position used when probing observed no kills (an undefended
     /// victim: any mid-frame position works).
     fallback_at: u32,
-    watch: FrameWatch,
-    armed: bool,
+    front: VictimWatch,
     probes_seen: u32,
     /// Destuffed positions at which observed victim frames died.
     observed: Histogram,
@@ -69,10 +68,6 @@ pub struct AdaptiveRacer {
     /// while in strike mode — races lost to the defender.
     losses: u64,
     keys: Option<RacerKeys>,
-    /// Causal event journal; disabled (no-op) by default.
-    journal: Journal,
-    /// Node index stamped on journal events.
-    node_label: u32,
 }
 
 impl AdaptiveRacer {
@@ -89,20 +84,16 @@ impl AdaptiveRacer {
             "fallback_at must lie after the arbitration field (destuffed position > 12)"
         );
         AdaptiveRacer {
-            victim,
             probe_frames,
             lead,
             fallback_at,
-            watch: FrameWatch::new(),
-            armed: false,
+            front: VictimWatch::new(victim),
             probes_seen: 0,
             observed: Histogram::new(DEFAULT_BUCKETS),
             flag_left: 0,
             strikes: 0,
             losses: 0,
             keys: None,
-            journal: Journal::disabled(),
-            node_label: 0,
         }
     }
 
@@ -110,8 +101,7 @@ impl AdaptiveRacer {
     /// events. Probe outcomes ([`JournalKind::Probe`]) and strikes ([`JournalKind::Strike`])
     /// join the causal chain of the victim frame they concern.
     pub fn set_journal(&mut self, journal: Journal, node: u32) {
-        self.journal = journal;
-        self.node_label = node;
+        self.front.set_journal(journal, node);
     }
 
     /// Mirrors the racer's measurements into `recorder` under keys labeled
@@ -168,89 +158,55 @@ impl AdaptiveRacer {
 
 impl BitAgent for AdaptiveRacer {
     fn on_bit(&mut self, level: Level, now: BitInstant) {
+        let (event, was_armed) = self.front.push(level);
         if self.flag_left > 0 {
             self.flag_left -= 1;
-            let _ = self.watch.push(level);
             return;
         }
-        match self.watch.push(level) {
-            WatchEvent::Sof => self.armed = false,
-            WatchEvent::Violation(at) => {
-                if self.armed {
-                    // A victim frame died without us: the defender's
-                    // counterattack (or another error) landed at `at`.
-                    self.record_kill(at);
-                    if self.probing() {
-                        self.probes_seen += 1;
-                        if self.journal.is_enabled() {
-                            self.journal.event(
-                                now.bits(),
-                                self.node_label,
-                                JournalKind::Probe,
-                                &format!("kill={at}"),
-                            );
-                        }
-                    } else {
-                        self.losses += 1;
-                        if let Some(keys) = &self.keys {
-                            keys.recorder.inc(&keys.losses);
-                        }
-                        if self.journal.is_enabled() {
-                            self.journal.event(
-                                now.bits(),
-                                self.node_label,
-                                JournalKind::Probe,
-                                &format!("lost={at}"),
-                            );
-                        }
-                    }
-                }
-                self.armed = false;
-            }
-            WatchEvent::FrameEnd => {
-                // A victim frame survived untouched; probing learns from
-                // that too (no kill observed ⇒ nothing to race).
-                if self.armed && self.probing() {
+        match event {
+            // A victim frame died without us: the defender's
+            // counterattack (or another error) landed at `at`.
+            WatchEvent::Violation(at) if was_armed => {
+                self.record_kill(at);
+                if self.probing() {
                     self.probes_seen += 1;
-                    if self.journal.is_enabled() {
-                        self.journal.event(
-                            now.bits(),
-                            self.node_label,
-                            JournalKind::Probe,
-                            "survived",
-                        );
+                    self.front
+                        .event(now, JournalKind::Probe, format_args!("kill={at}"));
+                } else {
+                    self.losses += 1;
+                    if let Some(keys) = &self.keys {
+                        keys.recorder.inc(&keys.losses);
                     }
+                    self.front
+                        .event(now, JournalKind::Probe, format_args!("lost={at}"));
                 }
-                self.armed = false;
+            }
+            // A victim frame survived untouched; probing learns from
+            // that too (no kill observed ⇒ nothing to race).
+            WatchEvent::FrameEnd if was_armed && self.probing() => {
+                self.probes_seen += 1;
+                self.front
+                    .event(now, JournalKind::Probe, format_args!("survived"));
             }
             _ => {}
         }
-        if !self.armed
-            && self.watch.cnt() >= ID_COMPLETE_CNT
-            && self.watch.id() == Some(self.victim)
-        {
-            self.armed = true;
-        }
-        if self.armed
+        let watch = self.front.watch();
+        if self.front.armed()
             && !self.probing()
-            && self.watch.cnt() + 1 == self.strike_at()
-            && !self.watch.expecting_stuff()
+            && watch.cnt() + 1 == self.strike_at()
+            && !watch.expecting_stuff()
         {
             self.flag_left = ERROR_FLAG_BITS;
             self.strikes += 1;
             if let Some(keys) = &self.keys {
                 keys.recorder.inc(&keys.strikes);
             }
-            if self.journal.is_enabled() {
-                self.journal.event(
-                    now.bits(),
-                    self.node_label,
-                    JournalKind::Strike,
-                    &format!("adaptive at={}", self.strike_at()),
-                );
-            }
-            self.armed = false;
-            self.watch.abort();
+            self.front.event(
+                now,
+                JournalKind::Strike,
+                format_args!("adaptive at={}", self.strike_at()),
+            );
+            self.front.abort();
         }
     }
 
@@ -259,11 +215,7 @@ impl BitAgent for AdaptiveRacer {
     }
 
     fn next_activity(&self, now: BitInstant) -> Option<BitInstant> {
-        if self.watch.is_idle() && self.flag_left == 0 {
-            None
-        } else {
-            Some(now)
-        }
+        self.front.next_activity(now, self.flag_left > 0)
     }
 
     fn drive_horizon(&self, now: BitInstant) -> Option<BitInstant> {
@@ -273,18 +225,19 @@ impl BitAgent for AdaptiveRacer {
         // A strike is decided at the push that leaves `cnt` at
         // `strike_at − 1`. Kills of armed frames re-target later frames,
         // as early as `EARLIEST_STRIKE_CNT`.
-        let earliest = WatchTrigger::Cnt(EARLIEST_STRIKE_CNT - 1);
+        let lost_race = self
+            .front
+            .watch()
+            .pushes_until(WatchTrigger::Cnt(EARLIEST_STRIKE_CNT - 1), false);
         let bits = if self.probing() {
             // No strike in this frame; probing may end with it.
-            self.watch.pushes_until(earliest, false)
-        } else if self.armed {
+            lost_race
+        } else if self.front.armed() {
             let strike = WatchTrigger::Cnt(self.strike_at() - 1);
-            let lost_race = self.watch.pushes_until(earliest, false);
-            self.watch.pushes_until(strike, true).min(lost_race)
+            self.front.pushes_until(strike).min(lost_race)
         } else {
             let strike = WatchTrigger::Cnt((self.strike_at() - 1).min(LOST_RACE_REACH));
-            let eligible = self.watch.cnt() < ID_COMPLETE_CNT;
-            self.watch.pushes_until(strike, eligible)
+            self.front.pushes_until(strike)
         };
         Some(now + BitDuration::bits(bits))
     }
@@ -296,8 +249,7 @@ impl BitAgent for AdaptiveRacer {
     }
 
     fn skip_idle(&mut self, bits: u64, _from: BitInstant) {
-        debug_assert!(self.watch.is_idle() && self.flag_left == 0);
-        self.watch.skip_idle(bits);
+        self.front.skip_idle(bits, self.flag_left > 0);
     }
 }
 
@@ -305,6 +257,7 @@ impl BitAgent for AdaptiveRacer {
 mod tests {
     use super::*;
     use can_core::bitstream::stuff_frame;
+    use can_core::watch::FrameWatch;
     use can_core::CanFrame;
 
     /// Feeds a frame, killing it at destuffed position `kill_at` (the

@@ -13,10 +13,11 @@
 //! destuffed frame position, driving *exactly* six dominant bits.
 
 use can_core::agent::BitAgent;
+use can_core::watch::{WatchTrigger, ID_COMPLETE_CNT};
 use can_core::{BitDuration, BitInstant, CanId, Level};
 use can_obs::{Journal, JournalKind};
 
-use can_core::watch::{FrameWatch, WatchEvent, WatchTrigger, ID_COMPLETE_CNT};
+use crate::victim::VictimWatch;
 
 /// Length of an active error flag in bits (CAN 2.0 §7).
 pub const ERROR_FLAG_BITS: u32 = 6;
@@ -25,18 +26,12 @@ pub const ERROR_FLAG_BITS: u32 = 6;
 /// mid-frame whenever the trigger identifier is on the bus.
 #[derive(Debug, Clone)]
 pub struct ErrorFlagInjector {
-    trigger: CanId,
     /// Destuffed frame position (SOF = 1) of the first flag bit.
     flag_at: u32,
-    watch: FrameWatch,
-    armed: bool,
+    front: VictimWatch,
     /// Remaining dominant bits of the flag currently being driven.
     flag_left: u32,
     flags: u64,
-    /// Causal event journal; disabled (no-op) by default.
-    journal: Journal,
-    /// Node index stamped on journal events.
-    node_label: u32,
 }
 
 impl ErrorFlagInjector {
@@ -54,14 +49,10 @@ impl ErrorFlagInjector {
             "flag_at must lie after the arbitration field (destuffed position > 12)"
         );
         ErrorFlagInjector {
-            trigger,
             flag_at,
-            watch: FrameWatch::new(),
-            armed: false,
+            front: VictimWatch::new(trigger),
             flag_left: 0,
             flags: 0,
-            journal: Journal::disabled(),
-            node_label: 0,
         }
     }
 
@@ -73,50 +64,34 @@ impl ErrorFlagInjector {
     /// Attaches a causal event journal; `node` is the index stamped on
     /// [`JournalKind::Strike`] events, which join the attacked frame's causal chain.
     pub fn set_journal(&mut self, journal: Journal, node: u32) {
-        self.journal = journal;
-        self.node_label = node;
+        self.front.set_journal(journal, node);
     }
 }
 
 impl BitAgent for ErrorFlagInjector {
     fn on_bit(&mut self, level: Level, now: BitInstant) {
+        // Mid-flag the frame is already dead; the watch (aborted at the
+        // trigger) sees our dominant bits as bus noise that resets its
+        // hunt, exactly like the real error flag would.
+        let _ = self.front.push(level);
         if self.flag_left > 0 {
-            // Mid-flag: the frame is already dead; the watch (aborted at
-            // the trigger) just sees our dominant bits as bus noise that
-            // resets its hunt, exactly like the real error flag would.
             self.flag_left -= 1;
-            let _ = self.watch.push(level);
             return;
-        }
-        match self.watch.push(level) {
-            WatchEvent::Sof | WatchEvent::Violation(_) | WatchEvent::FrameEnd => {
-                self.armed = false;
-            }
-            _ => {}
-        }
-        if !self.armed
-            && self.watch.cnt() >= ID_COMPLETE_CNT
-            && self.watch.id() == Some(self.trigger)
-        {
-            self.armed = true;
         }
         // Fire when the *next* destuffed position is the target. If the
         // next wire bit is a stuff bit the count holds, so waiting for
         // `expecting_stuff` to clear lands the first flag bit exactly on
         // destuffed position `flag_at`.
-        if self.armed && self.watch.cnt() + 1 == self.flag_at && !self.watch.expecting_stuff() {
+        let watch = self.front.watch();
+        if self.front.armed() && watch.cnt() + 1 == self.flag_at && !watch.expecting_stuff() {
             self.flag_left = ERROR_FLAG_BITS;
             self.flags += 1;
-            self.armed = false;
-            self.watch.abort();
-            if self.journal.is_enabled() {
-                self.journal.event(
-                    now.bits(),
-                    self.node_label,
-                    JournalKind::Strike,
-                    &format!("error-flag at={}", self.flag_at),
-                );
-            }
+            self.front.abort();
+            self.front.event(
+                now,
+                JournalKind::Strike,
+                format_args!("error-flag at={}", self.flag_at),
+            );
         }
     }
 
@@ -125,25 +100,14 @@ impl BitAgent for ErrorFlagInjector {
     }
 
     fn next_activity(&self, now: BitInstant) -> Option<BitInstant> {
-        if self.watch.is_idle() && self.flag_left == 0 {
-            None
-        } else {
-            Some(now)
-        }
+        self.front.next_activity(now, self.flag_left > 0)
     }
 
     fn drive_horizon(&self, now: BitInstant) -> Option<BitInstant> {
-        if self.flag_left > 0 {
-            return Some(now);
-        }
         // The flag is decided at the push that leaves `cnt` at
-        // `flag_at − 1`, in a frame that is armed or whose identifier is
-        // still incomplete.
-        let eligible = self.armed || self.watch.cnt() < ID_COMPLETE_CNT;
-        let bits = self
-            .watch
-            .pushes_until(WatchTrigger::Cnt(self.flag_at - 1), eligible);
-        Some(now + BitDuration::bits(bits))
+        // `flag_at − 1`.
+        let trigger = WatchTrigger::Cnt(self.flag_at - 1);
+        self.front.drive_horizon(now, self.flag_left > 0, trigger)
     }
 
     fn drive_until(&self, now: BitInstant) -> BitInstant {
@@ -153,8 +117,7 @@ impl BitAgent for ErrorFlagInjector {
     }
 
     fn skip_idle(&mut self, bits: u64, _from: BitInstant) {
-        debug_assert!(self.watch.is_idle() && self.flag_left == 0);
-        self.watch.skip_idle(bits);
+        self.front.skip_idle(bits, self.flag_left > 0);
     }
 }
 
@@ -162,6 +125,7 @@ impl BitAgent for ErrorFlagInjector {
 mod tests {
     use super::*;
     use can_core::bitstream::stuff_frame;
+    use can_core::watch::FrameWatch;
     use can_core::CanFrame;
 
     fn feed_frame(attacker: &mut ErrorFlagInjector, frame: &CanFrame) -> Vec<usize> {

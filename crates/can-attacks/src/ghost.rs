@@ -16,35 +16,26 @@
 //! from compromisable software (paper §III, Fig. 3).
 
 use can_core::agent::BitAgent;
-use can_core::bitstream::{Destuffed, Destuffer, MIN_INTERFRAME_RECESSIVE};
+use can_core::watch::{PositionTracker, Tracked, ID_COMPLETE_CNT};
 use can_core::{BitDuration, BitInstant, CanId, Level};
 use can_obs::{Journal, JournalKind};
 
 /// Destuffed position whose bit triggers the injection: the first bit
 /// after the arbitration field.
-const INJECT_CNT: u32 = 13;
+const INJECT_CNT: u32 = ID_COMPLETE_CNT + 1;
 
 /// Destuffed position at which the ghost leaves the frame.
 const LEAVE_CNT: u32 = 20;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GhostState {
-    BusIdle,
-    InFrame,
-}
-
-/// A bit-level bus-off attacker targeting one victim identifier.
+/// A bit-level bus-off attacker targeting one victim identifier, on
+/// MichiCAN's own wire front end ([`PositionTracker`]) with a different
+/// verdict: an identifier match instead of the detection FSM.
 #[derive(Debug, Clone)]
 pub struct GhostInjector {
     victim: CanId,
-    state: GhostState,
-    recessive_run: u32,
-    destuffer: Destuffer,
-    /// Destuffed frame position, SOF = 1.
-    cnt: u32,
-    /// Identifier bits accumulated so far.
-    id_acc: u16,
-    id_bits: u8,
+    tracker: PositionTracker,
+    /// The identifier bits seen so far (positions 2–12), newest lowest.
+    id: u16,
     injecting: bool,
     /// Injections performed (each destroys one victim transmission).
     injections: u64,
@@ -59,12 +50,8 @@ impl GhostInjector {
     pub fn new(victim: CanId) -> Self {
         GhostInjector {
             victim,
-            state: GhostState::BusIdle,
-            recessive_run: 0,
-            destuffer: Destuffer::new(),
-            cnt: 0,
-            id_acc: 0,
-            id_bits: 0,
+            tracker: PositionTracker::new(),
+            id: 0,
             injecting: false,
             injections: 0,
             journal: Journal::disabled(),
@@ -83,118 +70,61 @@ impl GhostInjector {
         self.journal = journal;
         self.node_label = node;
     }
-
-    fn enter_frame(&mut self) {
-        self.state = GhostState::InFrame;
-        self.recessive_run = 0;
-        self.destuffer.reset();
-        let _ = self.destuffer.push(Level::Dominant);
-        self.cnt = 1;
-        self.id_acc = 0;
-        self.id_bits = 0;
-    }
-
-    fn leave_frame(&mut self) {
-        self.state = GhostState::BusIdle;
-        self.recessive_run = 0;
-        self.injecting = false;
-    }
 }
 
 impl BitAgent for GhostInjector {
     fn on_bit(&mut self, level: Level, now: BitInstant) {
-        match self.state {
-            GhostState::BusIdle => {
-                if level.is_recessive() {
-                    self.recessive_run = self.recessive_run.saturating_add(1);
-                } else if self.recessive_run >= MIN_INTERFRAME_RECESSIVE as u32 {
-                    self.enter_frame();
-                } else {
-                    self.recessive_run = 0;
-                }
+        let Tracked::Bit(bit) = self.tracker.push(level) else {
+            return;
+        };
+        let cnt = self.tracker.cnt();
+        if cnt <= ID_COMPLETE_CNT {
+            self.id = ((self.id << 1) | u16::from(bit.to_bit())) & CanId::MAX_RAW;
+        }
+        // Inject right after arbitration when the victim matched.
+        if cnt == INJECT_CNT && self.id == self.victim.raw() {
+            self.injecting = true;
+            self.injections += 1;
+            if self.journal.is_enabled() {
+                self.journal
+                    .event(now.bits(), self.node_label, JournalKind::Strike, "ghost");
             }
-            GhostState::InFrame => {
-                match self.destuffer.push(level) {
-                    Destuffed::StuffBit | Destuffed::Violation => return,
-                    Destuffed::Bit(bit) => {
-                        self.cnt += 1;
-                        if (2..=12).contains(&self.cnt) {
-                            self.id_acc = (self.id_acc << 1) | bit.to_bit() as u16;
-                            self.id_bits += 1;
-                        }
-                    }
-                }
-                // Inject right after arbitration when the victim matched.
-                if self.cnt == INJECT_CNT && self.id_bits == 11 && self.id_acc == self.victim.raw()
-                {
-                    self.injecting = true;
-                    self.injections += 1;
-                    if self.journal.is_enabled() {
-                        self.journal.event(
-                            now.bits(),
-                            self.node_label,
-                            JournalKind::Strike,
-                            "ghost",
-                        );
-                    }
-                }
-                if self.cnt >= LEAVE_CNT {
-                    self.leave_frame();
-                }
-            }
+        }
+        if cnt >= LEAVE_CNT {
+            self.tracker.leave();
+            self.injecting = false;
         }
     }
 
     fn tx_level(&self) -> Option<Level> {
-        if self.injecting {
-            Some(Level::Dominant)
-        } else {
-            None
-        }
+        self.injecting.then_some(Level::Dominant)
     }
 
     fn next_activity(&self, now: BitInstant) -> Option<BitInstant> {
-        // Hunting on an idle bus only counts recessive bits (closed form
-        // in `skip_idle`); mid-frame every bit matters.
-        match self.state {
-            GhostState::BusIdle if !self.injecting => None,
-            _ => Some(now),
-        }
+        // A strike only runs inside a frame.
+        self.tracker.next_activity(now)
     }
 
     fn drive_horizon(&self, now: BitInstant) -> Option<BitInstant> {
-        // The injection is decided at the bit that brings `cnt` to 13, and
-        // each bit advances `cnt` by at most one. Violations do not leave
-        // the frame; reaching `cnt == 20` does, with no recessive credit,
-        // so a later frame needs the full 11-bit hunt before its SOF.
         if self.injecting {
             return Some(now);
         }
-        let sof_idle = MIN_INTERFRAME_RECESSIVE as u32;
-        let bits = match self.state {
-            GhostState::BusIdle => sof_idle.saturating_sub(self.recessive_run) + INJECT_CNT,
-            GhostState::InFrame if self.cnt < INJECT_CNT => INJECT_CNT - self.cnt,
-            GhostState::InFrame => (LEAVE_CNT - self.cnt) + sof_idle + INJECT_CNT,
-        };
-        Some(now + BitDuration::bits(u64::from(bits)))
+        let bits = self.tracker.pushes_until(INJECT_CNT, LEAVE_CNT);
+        Some(now + BitDuration::bits(bits))
     }
 
     fn drive_until(&self, now: BitInstant) -> BitInstant {
         // While striking, the pin stays dominant up to and including the
-        // bit that brings `cnt` to 20; its own drive makes every sample
-        // dominant, so the destuffer fixes how many bits that takes.
+        // bit that brings `cnt` to 20.
         if !self.injecting {
             return now;
         }
-        let bits = LEAVE_CNT.saturating_sub(self.cnt).max(1);
-        now + BitDuration::bits(self.destuffer.pushes_for_bits(Level::Dominant, bits))
+        now + BitDuration::bits(self.tracker.dominant_pushes_to(LEAVE_CNT))
     }
 
     fn skip_idle(&mut self, bits: u64, _from: BitInstant) {
-        debug_assert!(matches!(self.state, GhostState::BusIdle) && !self.injecting);
-        self.recessive_run = self
-            .recessive_run
-            .saturating_add(u32::try_from(bits).unwrap_or(u32::MAX));
+        debug_assert!(!self.injecting);
+        self.tracker.skip_idle(bits);
     }
 }
 

@@ -18,8 +18,8 @@
 //! [`can_core::agent::BitAgent`]s — they drive raw bus levels without a
 //! CAN controller and therefore bypass error confinement entirely:
 //!
-//! * [`ghost`] — a CANnon-style bus-off attacker (§VI-A) overwriting one
-//!   identifier bit of a victim frame.
+//! * [`ghost`] — a CANnon-style bus-off attacker (§VI-A) driving the bus
+//!   dominant from the bit after a victim frame's arbitration field.
 //! * [`stuff_overwrite`] — flips a computed recessive stuff bit dominant
 //!   to desynchronize every receiver on the bus.
 //! * [`error_flag`] — drives a six-dominant-bit error flag mid-frame on a
@@ -34,8 +34,9 @@
 //! scenario constructors with per-attack parameter grids, so campaigns
 //! (`experiments attacks --attacks all`) can sweep the whole threat space
 //! without naming each attacker in code. [`can_core::watch`] holds the
-//! shared wire observer (SOF hunting, destuffing, field tracking) the
-//! bit-level attackers build on.
+//! two wire front ends the bit-level attackers build on: the ghost shares
+//! MichiCAN's Algorithm-1 position tracker, and the other four share one
+//! victim-armed [`can_core::watch::FrameWatch`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,6 +51,7 @@ pub mod stuff_overwrite;
 pub mod suspension;
 pub mod toggling;
 pub mod truncator;
+mod victim;
 
 pub use adaptive::AdaptiveRacer;
 pub use error_flag::ErrorFlagInjector;

@@ -14,28 +14,24 @@
 //! bits cannot be overwritten on a wired-AND bus.)
 
 use can_core::agent::BitAgent;
-use can_core::{BitDuration, BitInstant, CanId, Level};
+use can_core::watch::{WatchEvent, WatchTrigger, ID_COMPLETE_CNT};
+use can_core::{BitInstant, CanId, Level};
 use can_obs::{Journal, JournalKind};
 
-use can_core::watch::{FrameWatch, WatchEvent, WatchTrigger, ID_COMPLETE_CNT};
+use crate::victim::VictimWatch;
 
 /// A bit-level attacker that overwrites a computed recessive stuff bit
 /// of the victim's frames with a dominant level.
 #[derive(Debug, Clone)]
 pub struct StuffBitOverwrite {
-    victim: CanId,
     /// Overwritable (recessive) stuff bits to let pass per frame before
     /// striking; `0` hits the first one after arbitration.
     skip: u32,
-    watch: FrameWatch,
-    armed: bool,
+    front: VictimWatch,
+    /// Overwritable stuff bits let pass in the armed frame so far.
     skipped: u32,
     injecting: bool,
     strikes: u64,
-    /// Causal event journal; disabled (no-op) by default.
-    journal: Journal,
-    /// Node index stamped on journal events.
-    node_label: u32,
 }
 
 impl StuffBitOverwrite {
@@ -43,15 +39,11 @@ impl StuffBitOverwrite {
     /// bit (counting from the end of arbitration) of every `victim` frame.
     pub fn new(victim: CanId, skip: u32) -> Self {
         StuffBitOverwrite {
-            victim,
             skip,
-            watch: FrameWatch::new(),
-            armed: false,
+            front: VictimWatch::new(victim),
             skipped: 0,
             injecting: false,
             strikes: 0,
-            journal: Journal::disabled(),
-            node_label: 0,
         }
     }
 
@@ -63,13 +55,7 @@ impl StuffBitOverwrite {
     /// Attaches a causal event journal; `node` is the index stamped on
     /// [`JournalKind::Strike`] events, which join the attacked frame's causal chain.
     pub fn set_journal(&mut self, journal: Journal, node: u32) {
-        self.journal = journal;
-        self.node_label = node;
-    }
-
-    fn disarm(&mut self) {
-        self.armed = false;
-        self.skipped = 0;
+        self.front.set_journal(journal, node);
     }
 }
 
@@ -77,38 +63,26 @@ impl BitAgent for StuffBitOverwrite {
     fn on_bit(&mut self, level: Level, now: BitInstant) {
         let struck = self.injecting;
         self.injecting = false;
-        match self.watch.push(level) {
-            WatchEvent::Sof => self.disarm(),
-            WatchEvent::Violation(_) => {
-                // Our own dominant drive lands here as a six-bit run; a
-                // violation from any other cause also kills the frame.
-                if struck {
-                    self.strikes += 1;
-                }
-                self.disarm();
-            }
-            WatchEvent::FrameEnd => self.disarm(),
-            _ => {}
+        let (event, _) = self.front.push(level);
+        // Our own dominant drive lands as a six-bit run; a violation from
+        // any other cause also kills the frame.
+        if struck && matches!(event, WatchEvent::Violation(_)) {
+            self.strikes += 1;
         }
-        if !self.armed
-            && self.watch.cnt() >= ID_COMPLETE_CNT
-            && self.watch.id() == Some(self.victim)
-        {
-            self.armed = true;
+        if !self.front.armed() {
+            self.skipped = 0;
+            return;
         }
         // The next wire bit is an undriven recessive stuff bit: the only
         // moment the attack works. Decide now; the drive lands next bit.
-        if self.armed && self.watch.expecting_recessive_stuff() {
+        if self.front.watch().expecting_recessive_stuff() {
             if self.skipped >= self.skip {
                 self.injecting = true;
-                if self.journal.is_enabled() {
-                    self.journal.event(
-                        now.bits(),
-                        self.node_label,
-                        JournalKind::Strike,
-                        &format!("stuff-overwrite skip={}", self.skip),
-                    );
-                }
+                self.front.event(
+                    now,
+                    JournalKind::Strike,
+                    format_args!("stuff-overwrite skip={}", self.skip),
+                );
             } else {
                 self.skipped += 1;
             }
@@ -120,32 +94,22 @@ impl BitAgent for StuffBitOverwrite {
     }
 
     fn next_activity(&self, now: BitInstant) -> Option<BitInstant> {
-        if self.watch.is_idle() && !self.injecting {
-            None
-        } else {
-            Some(now)
-        }
+        self.front.next_activity(now, self.injecting)
     }
 
     fn drive_horizon(&self, now: BitInstant) -> Option<BitInstant> {
-        if self.injecting {
-            return Some(now);
-        }
         // Unarmed, no strike comes before a frame's identifier completes
         // at `cnt == 12`; armed, the next recessive stuff bit may be it.
-        let bits = if self.armed {
-            self.watch.pushes_until(WatchTrigger::RecessiveStuff, true)
+        let trigger = if self.front.armed() {
+            WatchTrigger::RecessiveStuff
         } else {
-            let eligible = self.watch.cnt() < ID_COMPLETE_CNT;
-            self.watch
-                .pushes_until(WatchTrigger::Cnt(ID_COMPLETE_CNT), eligible)
+            WatchTrigger::Cnt(ID_COMPLETE_CNT)
         };
-        Some(now + BitDuration::bits(bits))
+        self.front.drive_horizon(now, self.injecting, trigger)
     }
 
     fn skip_idle(&mut self, bits: u64, _from: BitInstant) {
-        debug_assert!(self.watch.is_idle() && !self.injecting);
-        self.watch.skip_idle(bits);
+        self.front.skip_idle(bits, self.injecting);
     }
 }
 
@@ -153,7 +117,7 @@ impl BitAgent for StuffBitOverwrite {
 mod tests {
     use super::*;
     use can_core::bitstream::stuff_frame;
-    use can_core::CanFrame;
+    use can_core::{BitDuration, CanFrame};
 
     /// Feeds idle bits then a frame, modelling the wired-AND: while the
     /// attacker drives dominant, the bus reads dominant. Returns the wire

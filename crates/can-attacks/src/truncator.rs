@@ -8,15 +8,17 @@
 //! fully transmitted, yet no receiver accepts it.
 //!
 //! [`FrameTruncator`] waits for the victim identifier, tracks the frame
-//! through the stuffed region with [`FrameWatch`], and forces the
+//! through the stuffed region with a [`can_core::watch::FrameWatch`], and
+//! forces the
 //! recessive-to-dominant conflict at the configured [`TruncateAt`]
 //! boundary.
 
 use can_core::agent::BitAgent;
-use can_core::{BitDuration, BitInstant, CanId, Level};
+use can_core::watch::WatchTrigger;
+use can_core::{BitInstant, CanId, Level};
 use can_obs::{Journal, JournalKind};
 
-use can_core::watch::{FrameWatch, WatchEvent, WatchTrigger, ID_COMPLETE_CNT};
+use crate::victim::VictimWatch;
 
 /// The fixed-form boundary at which a [`FrameTruncator`] strikes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,30 +58,20 @@ impl TruncateAt {
 /// dominant bit at a fixed-form field boundary.
 #[derive(Debug, Clone)]
 pub struct FrameTruncator {
-    victim: CanId,
     at: TruncateAt,
-    watch: FrameWatch,
-    armed: bool,
+    front: VictimWatch,
     injecting: bool,
     truncations: u64,
-    /// Causal event journal; disabled (no-op) by default.
-    journal: Journal,
-    /// Node index stamped on journal events.
-    node_label: u32,
 }
 
 impl FrameTruncator {
     /// Creates a truncator striking every `victim` frame at `at`.
     pub fn new(victim: CanId, at: TruncateAt) -> Self {
         FrameTruncator {
-            victim,
             at,
-            watch: FrameWatch::new(),
-            armed: false,
+            front: VictimWatch::new(victim),
             injecting: false,
             truncations: 0,
-            journal: Journal::disabled(),
-            node_label: 0,
         }
     }
 
@@ -91,8 +83,7 @@ impl FrameTruncator {
     /// Attaches a causal event journal; `node` is the index stamped on
     /// [`JournalKind::Strike`] events, which join the attacked frame's causal chain.
     pub fn set_journal(&mut self, journal: Journal, node: u32) {
-        self.journal = journal;
-        self.node_label = node;
+        self.front.set_journal(journal, node);
     }
 }
 
@@ -103,34 +94,18 @@ impl BitAgent for FrameTruncator {
             // frame is dead and error flags follow. Hunt for the next one.
             self.injecting = false;
             self.truncations += 1;
-            self.armed = false;
-            self.watch.abort();
-            let _ = self.watch.push(level);
-            return;
+            self.front.abort();
         }
-        match self.watch.push(level) {
-            WatchEvent::Sof | WatchEvent::Violation(_) | WatchEvent::FrameEnd => {
-                self.armed = false;
-            }
-            _ => {}
-        }
-        if !self.armed
-            && self.watch.cnt() >= ID_COMPLETE_CNT
-            && self.watch.id() == Some(self.victim)
-        {
-            self.armed = true;
-        }
+        let _ = self.front.push(level);
         // The next wire bit is the chosen tail boundary: drive it dominant.
-        if self.armed && self.watch.next_tail_index() == Some(self.at.tail_offset()) {
+        if self.front.armed() && self.front.watch().next_tail_index() == Some(self.at.tail_offset())
+        {
             self.injecting = true;
-            if self.journal.is_enabled() {
-                self.journal.event(
-                    now.bits(),
-                    self.node_label,
-                    JournalKind::Strike,
-                    &format!("truncate {}", self.at.label()),
-                );
-            }
+            self.front.event(
+                now,
+                JournalKind::Strike,
+                format_args!("truncate {}", self.at.label()),
+            );
         }
     }
 
@@ -139,29 +114,18 @@ impl BitAgent for FrameTruncator {
     }
 
     fn next_activity(&self, now: BitInstant) -> Option<BitInstant> {
-        if self.watch.is_idle() && !self.injecting {
-            None
-        } else {
-            Some(now)
-        }
+        self.front.next_activity(now, self.injecting)
     }
 
     fn drive_horizon(&self, now: BitInstant) -> Option<BitInstant> {
-        if self.injecting {
-            return Some(now);
-        }
         // The strike is decided at the push that makes the boundary the
-        // next tail bit, in an armed frame (or one not yet identified).
-        let eligible = self.armed || self.watch.cnt() < ID_COMPLETE_CNT;
-        let bits = self
-            .watch
-            .pushes_until(WatchTrigger::TailIndex(self.at.tail_offset()), eligible);
-        Some(now + BitDuration::bits(bits))
+        // next tail bit.
+        let trigger = WatchTrigger::TailIndex(self.at.tail_offset());
+        self.front.drive_horizon(now, self.injecting, trigger)
     }
 
     fn skip_idle(&mut self, bits: u64, _from: BitInstant) {
-        debug_assert!(self.watch.is_idle() && !self.injecting);
-        self.watch.skip_idle(bits);
+        self.front.skip_idle(bits, self.injecting);
     }
 }
 

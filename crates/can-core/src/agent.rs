@@ -175,44 +175,9 @@ impl<T: BitAgent + ?Sized> BitAgent for Box<T> {
     }
 }
 
-/// A no-op agent: observes nothing, drives nothing.
-///
-/// Useful as the default agent of simulator nodes without a defense.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PassiveAgent;
-
-impl BitAgent for PassiveAgent {
-    fn on_bit(&mut self, _level: Level, _now: BitInstant) {}
-
-    fn tx_level(&self) -> Option<Level> {
-        None
-    }
-
-    fn next_activity(&self, _now: BitInstant) -> Option<BitInstant> {
-        None
-    }
-
-    fn drive_horizon(&self, _now: BitInstant) -> Option<BitInstant> {
-        None
-    }
-
-    fn skip_idle(&mut self, _bits: u64, _from: BitInstant) {}
-
-    fn observe_stretch(&mut self, _word: u64, _len: u32, _own_tx: bool, _from: BitInstant) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn passive_agent_never_drives() {
-        let mut agent = PassiveAgent;
-        agent.on_bit(Level::Dominant, BitInstant::ZERO);
-        assert_eq!(agent.tx_level(), None);
-        agent.set_own_transmission(true);
-        assert_eq!(agent.tx_level(), None);
-    }
 
     /// Logs every call, to check the default `observe_stretch` replay.
     #[derive(Default)]
@@ -254,7 +219,7 @@ mod tests {
 
     #[test]
     fn bit_agent_is_object_safe() {
-        let mut agents: Vec<Box<dyn BitAgent>> = vec![Box::new(PassiveAgent)];
+        let mut agents: Vec<Box<dyn BitAgent>> = vec![Box::new(Log::default())];
         for agent in &mut agents {
             agent.on_bit(Level::Recessive, BitInstant::ZERO);
             assert!(agent.tx_level().is_none());

@@ -28,8 +28,6 @@
 //!   [`ErrorState`]) exactly as exploited by bus-off attacks and MichiCAN's
 //!   counterattack.
 //! * [`errors`] — the five CAN error types and crate error values.
-//! * [`pin`] — GPIO-shaped pin abstractions standing in for pin multiplexing
-//!   on integrated CAN controllers.
 //! * [`packed`] — word-packed bus levels (64 wire bits per `u64`): the
 //!   dominant-mask representation and wired-AND/mismatch primitives behind
 //!   the packed simulation kernel.
@@ -37,9 +35,11 @@
 //!   access as granted by pin-multiplexed integrated controllers.
 //! * [`app`] — the [`Application`](app::Application) trait: the frame-level
 //!   interface classic CAN controllers expose to ECU software.
-//! * [`watch`] — [`FrameWatch`](watch::FrameWatch), the shared wire observer
-//!   (SOF hunting, destuffing, field tracking) bit-level attackers and
-//!   passive IDS taps build on.
+//! * [`watch`] — the shared wire front ends of bit-level agents:
+//!   [`PositionTracker`](watch::PositionTracker), Algorithm 1's SOF hunt
+//!   and destuffed position count (MichiCAN, the ghost attacker), and
+//!   [`FrameWatch`](watch::FrameWatch), which also tracks fields and the
+//!   frame tail (the CANflict-style attackers).
 //!
 //! ## Example
 //!
@@ -70,7 +70,6 @@ pub mod frame;
 pub mod id;
 pub mod level;
 pub mod packed;
-pub mod pin;
 pub mod time;
 pub mod watch;
 

@@ -1,27 +1,170 @@
-//! Shared wire observer for bit-level bus participants.
+//! Shared wire observers for bit-level bus participants.
 //!
-//! Every peripheral-conflict participant (CANflict-style attackers, passive
-//! bit-level IDS taps) needs the same front end a defending
-//! [`crate::agent::BitAgent`] needs: hunt for a SOF after ≥ 11 recessive
-//! bits, destuff the stuffed region, count destuffed positions, accumulate
-//! the arbitration field, and know where the frame ends. [`FrameWatch`]
-//! packages that state machine once so downstream crates (`can-attacks`'
-//! bit-level adversary zoo, `can-ids` wire observers) only implement their
-//! *policy* on top of it. This module is its only home; `can-attacks`
-//! imports it from here.
+//! Every bit-level agent needs the same front end: hunt for a SOF after
+//! ≥ 11 recessive bits, destuff the stuffed region and count destuffed
+//! positions. This module packages it twice, at two depths, so downstream
+//! crates only implement their *policy* on top:
 //!
-//! Unlike a minimal SOF hunter, the watch tracks the frame through its
-//! unstuffed tail (CRC delimiter, ACK, EOF): destuffing formally ends after
-//! the CRC sequence, and a naive destuffer would mistake the ≥ 8 recessive
-//! tail bits for stuff violations.
+//! * [`PositionTracker`] is Algorithm 1's front end (paper §IV-C/D), for
+//!   MichiCAN and the CANnon-style ghost.
+//! * [`FrameWatch`] also accumulates the arbitration field and tracks the
+//!   frame through its unstuffed tail (CRC delimiter, ACK, EOF), which the
+//!   CANflict-style zoo attackers in `can-attacks` strike on. Destuffing
+//!   formally ends after the CRC sequence, and a naive destuffer would
+//!   mistake the ≥ 8 recessive tail bits for stuff violations.
+//!
+//! Both carry the closed forms the packed kernel asks for: the quiet test
+//! and `skip_idle` of an idle hunt, and a drive-horizon bound under
+//! arbitrary input.
 
 use crate::bitstream::{Destuffed, Destuffer, FrameLayout, MIN_INTERFRAME_RECESSIVE, STUFF_RUN};
 use crate::id::CanId;
 use crate::level::Level;
+use crate::time::BitInstant;
 
 /// Destuffed position (1-based, SOF = 1) of the last identifier bit: the
 /// arbitration winner is known once [`FrameWatch::cnt`] reaches this.
 pub const ID_COMPLETE_CNT: u32 = 12;
+
+/// One hunting step, shared by both observers (Algorithm 1's `cnt_sof`):
+/// whether `level` opens a frame, a dominant bit after at least 11
+/// recessive ones. Any other dominant bit (a frame joined late) resets
+/// the run; the caller resets it on a SOF.
+fn hunt(recessive_run: &mut u32, level: Level) -> bool {
+    if level.is_recessive() {
+        *recessive_run = recessive_run.saturating_add(1);
+        false
+    } else if *recessive_run >= MIN_INTERFRAME_RECESSIVE as u32 {
+        true
+    } else {
+        *recessive_run = 0;
+        false
+    }
+}
+
+/// A hunt's recessive run after `bits` more recessive bits: the closed
+/// form of as many [`hunt`] steps.
+fn credit_idle(recessive_run: u32, bits: u64) -> u32 {
+    recessive_run.saturating_add(u32::try_from(bits).unwrap_or(u32::MAX))
+}
+
+/// What one pushed wire bit amounted to for a [`PositionTracker`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tracked {
+    /// Hunting for a SOF.
+    Idle,
+    /// This dominant bit opened a frame (`cnt` is now 1).
+    Sof,
+    /// A destuffed bit advanced `cnt`.
+    Bit(Level),
+    /// A stuff bit or a stuff violation: `cnt` holds. Algorithm 1 keeps
+    /// counting through a violation, since the six equal levels are its
+    /// own injection or an error flag.
+    Held,
+}
+
+/// Algorithm 1's wire front end (paper §IV-C/D), shared by MichiCAN and
+/// the CANnon-style ghost: hunt a SOF after ≥ 11 recessive bits, then
+/// destuff and count destuffed positions (SOF = 1) until the owner
+/// [leaves](PositionTracker::leave) the frame, which both owners do at
+/// position 20. Bit stuffing guarantees no false SOF in the rest of a
+/// frame, so it needs nothing more.
+#[derive(Debug, Clone, Default)]
+pub struct PositionTracker {
+    in_frame: bool,
+    /// Recessive run while hunting (`cnt_sof`).
+    recessive_run: u32,
+    /// Destuffed frame position, SOF = 1 (`cnt`); 0 while hunting.
+    cnt: u32,
+    destuffer: Destuffer,
+}
+
+impl PositionTracker {
+    /// A tracker with no history, hunting for a SOF.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Destuffed position within the current frame (SOF = 1); 0 when
+    /// hunting.
+    pub fn cnt(&self) -> u32 {
+        self.cnt
+    }
+
+    /// Feeds one sampled wire bit.
+    pub fn push(&mut self, level: Level) -> Tracked {
+        if !self.in_frame {
+            if !hunt(&mut self.recessive_run, level) {
+                return Tracked::Idle;
+            }
+            self.in_frame = true;
+            self.recessive_run = 0;
+            self.cnt = 1;
+            self.destuffer.reset();
+            // The destuffer must know about the SOF for run counting.
+            let _ = self.destuffer.push(Level::Dominant);
+            return Tracked::Sof;
+        }
+        match self.destuffer.push(level) {
+            Destuffed::Bit(bit) => {
+                self.cnt += 1;
+                Tracked::Bit(bit)
+            }
+            Destuffed::StuffBit | Destuffed::Violation => Tracked::Held,
+        }
+    }
+
+    /// Leaves the frame and hunts again with no recessive credit. Bit
+    /// stuffing guarantees no false SOF within the rest of the frame.
+    pub fn leave(&mut self) {
+        self.in_frame = false;
+        self.recessive_run = 0;
+        self.cnt = 0;
+    }
+
+    /// The quiet test behind [`crate::agent::BitAgent::next_activity`]:
+    /// hunting on an idle bus only counts recessive bits, which
+    /// [`PositionTracker::skip_idle`] does in closed form, so `None`;
+    /// inside a frame every bit matters.
+    pub fn next_activity(&self, now: BitInstant) -> Option<BitInstant> {
+        self.in_frame.then_some(now)
+    }
+
+    /// Closed-form equivalent of pushing `bits` recessive bits while
+    /// hunting.
+    pub fn skip_idle(&mut self, bits: u64) {
+        debug_assert!(!self.in_frame, "skip_idle inside a frame");
+        self.recessive_run = credit_idle(self.recessive_run, bits);
+    }
+
+    /// The least number of further pushes after which `cnt` could reach
+    /// `start`, for arbitrary input, when the owner leaves each frame at
+    /// position `end`: the basis of a drive horizon. Each push advances
+    /// `cnt` by at most one, and a SOF needs 11 recessive bits first.
+    /// Once past `start`, the frame must be left (at least one more
+    /// counted push), a full SOF hunted, and the count climbed again.
+    pub fn pushes_until(&self, start: u32, end: u32) -> u64 {
+        let (start, cnt) = (u64::from(start), u64::from(self.cnt));
+        let sof_idle = MIN_INTERFRAME_RECESSIVE as u64;
+        if !self.in_frame {
+            sof_idle.saturating_sub(u64::from(self.recessive_run)) + start
+        } else if cnt < start {
+            start - cnt
+        } else {
+            u64::from(end).saturating_sub(cnt).max(1) + sof_idle + start
+        }
+    }
+
+    /// How many pushes, each sampling dominant, bring `cnt` to `end` (at
+    /// least one): the length of a forced dominant run that lasts until
+    /// the owner leaves the frame there. The owner's own drive makes every
+    /// sample dominant, so the destuffer fixes the count; the one
+    /// violation counts nothing, as a stuff bit does not.
+    pub fn dominant_pushes_to(&self, end: u32) -> u64 {
+        let bits = end.saturating_sub(self.cnt).max(1);
+        self.destuffer.pushes_for_bits(Level::Dominant, bits)
+    }
+}
 
 /// What one pushed wire bit amounted to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -243,9 +386,7 @@ impl FrameWatch {
     /// this on [`FrameWatch::is_idle`] via their `next_activity` seam.
     pub fn skip_idle(&mut self, bits: u64) {
         debug_assert!(self.is_idle(), "skip_idle outside a quiescent window");
-        self.recessive_run = self
-            .recessive_run
-            .saturating_add(u32::try_from(bits).unwrap_or(u32::MAX));
+        self.recessive_run = credit_idle(self.recessive_run, bits);
         self.last_level = Some(Level::Recessive);
     }
 
@@ -273,14 +414,10 @@ impl FrameWatch {
     fn push_inner(&mut self, level: Level) -> WatchEvent {
         match self.state {
             WatchState::BusIdle => {
-                if level.is_recessive() {
-                    self.recessive_run = self.recessive_run.saturating_add(1);
-                    WatchEvent::Idle
-                } else if self.recessive_run >= MIN_INTERFRAME_RECESSIVE as u32 {
+                if hunt(&mut self.recessive_run, level) {
                     self.enter_frame();
                     WatchEvent::Sof
                 } else {
-                    self.recessive_run = 0;
                     WatchEvent::Idle
                 }
             }
@@ -498,5 +635,55 @@ mod tests {
             assert_eq!(skipped.push(bit), replayed.push(bit));
         }
         assert_eq!(skipped.id(), replayed.id());
+    }
+
+    #[test]
+    fn tracker_counts_destuffed_positions_until_it_leaves() {
+        // 0x000 forces recessive stuff bits inside SOF + identifier.
+        let frame = CanFrame::data_frame(CanId::from_raw(0), &[0; 8]).unwrap();
+        let wire = stuff_frame(&frame);
+        let mut tracker = PositionTracker::new();
+        for _ in 0..5 {
+            assert_eq!(tracker.push(Level::Recessive), Tracked::Idle);
+        }
+        // Too little idle: a dominant bit is not a SOF.
+        assert_eq!(tracker.push(Level::Dominant), Tracked::Idle);
+        tracker.skip_idle(11);
+        assert_eq!(tracker.next_activity(BitInstant::ZERO), None);
+        let mut held = 0;
+        for &bit in &wire.bits {
+            match tracker.push(bit) {
+                Tracked::Held => held += 1,
+                Tracked::Idle => unreachable!("the SOF opened a frame"),
+                _ => {}
+            }
+            if tracker.cnt() == 20 {
+                break;
+            }
+        }
+        assert!(tracker.next_activity(BitInstant::ZERO).is_some());
+        assert!(held > 0, "stuff bits hold the count");
+        tracker.leave();
+        assert_eq!(tracker.next_activity(BitInstant::ZERO), None);
+        // Leaving gives no recessive credit: a full hunt precedes the SOF.
+        assert_eq!(tracker.pushes_until(13, 20), 11 + 13);
+    }
+
+    #[test]
+    fn tracker_bounds_match_a_dominant_drive() {
+        let mut tracker = PositionTracker::new();
+        tracker.skip_idle(11);
+        assert_eq!(tracker.push(Level::Dominant), Tracked::Sof);
+        assert_eq!(tracker.pushes_until(13, 20), 12);
+        // Drive dominant from position 1: count the pushes to position 20.
+        let predicted = tracker.dominant_pushes_to(20);
+        let mut pushes = 0;
+        while tracker.cnt() < 20 {
+            tracker.push(Level::Dominant);
+            pushes += 1;
+        }
+        assert_eq!(pushes, predicted);
+        // Past the arming position: leave, hunt, count up again.
+        assert_eq!(tracker.pushes_until(13, 20), 1 + 11 + 13);
     }
 }

@@ -5,10 +5,9 @@
 //! with their sim-time completion instant, and emits typed [`Alert`]s.
 //! The trait is the common currency of the bake-off: the
 //! [`registry`](crate::registry) enumerates named parameter grids over
-//! it, [`DetectorTap`](crate::tap::DetectorTap) attaches any number of
-//! detectors to one simulated bus as passive taps, and
-//! [`IdsMonitor`](crate::monitor::IdsMonitor) composes detectors into a
-//! node application.
+//! it, and [`DetectorTap`](crate::tap::DetectorTap) attaches any number
+//! of detectors to one simulated bus as passive taps, the one way a
+//! detector joins a bus.
 //!
 //! Because detectors only ever see whole frames, their detection latency
 //! is lower-bounded by one complete frame — the structural fact behind

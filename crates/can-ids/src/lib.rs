@@ -36,7 +36,6 @@ pub mod detector;
 pub mod entropy;
 pub mod frequency;
 pub mod interval;
-pub mod monitor;
 pub mod registry;
 pub mod tap;
 pub mod zscore;
@@ -46,7 +45,6 @@ pub use detector::{Alert, AlertKind, Detector, IdsPhase};
 pub use entropy::EntropyIds;
 pub use frequency::FrequencyIds;
 pub use interval::IntervalIds;
-pub use monitor::{IdsMonitor, IdsMonitorBuilder};
 pub use registry::{all_variants, detector_names, variants_for, DetectorParams, DetectorVariant};
 pub use tap::DetectorTap;
 pub use zscore::ZScoreIds;
@@ -59,7 +57,6 @@ pub mod prelude {
     pub use crate::entropy::EntropyIds;
     pub use crate::frequency::FrequencyIds;
     pub use crate::interval::IntervalIds;
-    pub use crate::monitor::{IdsMonitor, IdsMonitorBuilder};
     pub use crate::registry::{
         all_variants, detector_names, variants_for, DetectorParams, DetectorVariant,
     };

@@ -21,9 +21,12 @@
 //! index ambiguities; this implementation follows the *described* behaviour
 //! of §IV-D ("MichiCAN needs to remove [stuff bits] before appending them
 //! to a frame array") using the same destuffing rule as a CAN controller.
+//! Steps 2, 3 and 6 are the wire front end
+//! [`can_core::watch::PositionTracker`], which the CANnon-style ghost
+//! attacker shares; this module is the policy on top of it.
 
 use can_core::agent::BitAgent;
-use can_core::bitstream::{Destuffed, Destuffer, MIN_INTERFRAME_RECESSIVE};
+use can_core::watch::{PositionTracker, Tracked};
 use can_core::{BitDuration, BitInstant, Level};
 use can_obs::{Journal, JournalKind, Recorder};
 use serde::{Deserialize, Serialize};
@@ -98,14 +101,6 @@ impl MichiCanStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum HandlerState {
-    /// Hunting for a SOF: counting recessive bits.
-    BusIdle,
-    /// Inside a frame, tracking destuffed positions.
-    InFrame,
-}
-
 /// The MichiCAN defense: detection FSM + synchronized bit-level
 /// counterattack, implementing [`BitAgent`].
 ///
@@ -128,12 +123,8 @@ enum HandlerState {
 pub struct MichiCan {
     fsm: DetectionFsm,
     config: MichiCanConfig,
-    state: HandlerState,
-    /// Recessive run length while hunting for a SOF (`cnt_sof`).
-    cnt_sof: u32,
-    /// Destuffed frame position, SOF = 1 (`cnt`).
-    cnt: u32,
-    destuffer: Destuffer,
+    /// SOF hunt and destuffed frame position (`cnt_sof`, `cnt`).
+    tracker: PositionTracker,
     cursor: FsmCursor,
     /// Algorithm 1's malicious flag.
     start_counterattack: bool,
@@ -197,10 +188,7 @@ impl MichiCan {
         MichiCan {
             fsm,
             config,
-            state: HandlerState::BusIdle,
-            cnt_sof: 0,
-            cnt: 0,
-            destuffer: Destuffer::new(),
+            tracker: PositionTracker::new(),
             cursor,
             start_counterattack: false,
             injecting: false,
@@ -276,12 +264,6 @@ impl MichiCan {
     }
 
     fn enter_frame(&mut self) {
-        self.state = HandlerState::InFrame;
-        self.cnt = 1; // the SOF itself
-        self.cnt_sof = 0;
-        self.destuffer.reset();
-        // The destuffer must know about the SOF for run counting.
-        let _ = self.destuffer.push(Level::Dominant);
         self.cursor = self.fsm.start();
         self.start_counterattack = false;
         self.stats.frames_monitored += 1;
@@ -291,27 +273,16 @@ impl MichiCan {
     }
 
     fn leave_frame(&mut self) {
-        self.state = HandlerState::BusIdle;
-        self.cnt_sof = 0;
-        self.cnt = 0;
+        self.tracker.leave();
         self.injecting = false;
     }
 
+    /// One destuffed frame bit, at the tracker's position `cnt`.
     fn handle_frame_bit(&mut self, level: Level, now: BitInstant) {
-        match self.destuffer.push(level) {
-            Destuffed::StuffBit => return,
-            Destuffed::Violation => {
-                // Six equal levels: either our own injection or an error
-                // flag. Algorithm 1 keeps counting without advancing `cnt`.
-                return;
-            }
-            Destuffed::Bit(_) => {}
-        }
-        self.cnt += 1;
-
+        let cnt = self.tracker.cnt();
         // Identifier bits occupy destuffed positions 2..=12. The FSM stops
         // running as soon as it decides (Algorithm 1 line 11).
-        if (2..=12).contains(&self.cnt) && self.cursor.decision().is_none() {
+        if (2..=12).contains(&cnt) && self.cursor.decision().is_none() {
             let step = self.fsm.step(&mut self.cursor, level);
             if let Some(keys) = &self.keys {
                 self.recorder.inc(&keys.fsm_steps);
@@ -347,7 +318,7 @@ impl MichiCan {
             }
         }
 
-        if self.cnt == self.config.counterattack_start {
+        if cnt == self.config.counterattack_start {
             if self.start_counterattack && !self.own_transmission {
                 if self.config.prevention_enabled {
                     // Enable CAN_TX multiplexing and pull the bus low
@@ -374,7 +345,7 @@ impl MichiCan {
                 }
                 self.start_counterattack = false;
             }
-        } else if self.cnt >= self.config.counterattack_end {
+        } else if cnt >= self.config.counterattack_end {
             // Disable multiplexing and finish frame processing (lines
             // 16–19). Bit stuffing guarantees no false SOF within the rest
             // of the frame.
@@ -389,20 +360,10 @@ impl MichiCan {
 
 impl BitAgent for MichiCan {
     fn on_bit(&mut self, level: Level, now: BitInstant) {
-        match self.state {
-            HandlerState::BusIdle => {
-                if level.is_recessive() {
-                    self.cnt_sof = self.cnt_sof.saturating_add(1);
-                } else if self.cnt_sof >= MIN_INTERFRAME_RECESSIVE as u32 {
-                    // Falling edge after ≥ 11 recessive bits: a SOF.
-                    self.enter_frame();
-                } else {
-                    // Dominant without sufficient idle: mid-frame bits of a
-                    // frame we joined late (e.g. after boot); stay out.
-                    self.cnt_sof = 0;
-                }
-            }
-            HandlerState::InFrame => self.handle_frame_bit(level, now),
+        match self.tracker.push(level) {
+            Tracked::Sof => self.enter_frame(),
+            Tracked::Bit(bit) => self.handle_frame_bit(bit, now),
+            Tracked::Idle | Tracked::Held => {}
         }
     }
 
@@ -419,69 +380,45 @@ impl BitAgent for MichiCan {
     }
 
     fn next_activity(&self, now: BitInstant) -> Option<BitInstant> {
-        // Hunting for a SOF on an idle bus, the handler only counts
-        // recessive bits — a closed-form update handled by `skip_idle`.
-        // Mid-frame (or while injecting a counterattack) every bit matters.
-        match self.state {
-            HandlerState::BusIdle if !self.injecting => None,
-            _ => Some(now),
-        }
+        // An injection only runs inside a frame, so the tracker's quiet
+        // test covers it.
+        self.tracker.next_activity(now)
     }
 
     fn drive_horizon(&self, now: BitInstant) -> Option<BitInstant> {
         // While injecting, the counterattack drives dominant immediately.
         // Otherwise injection arms only inside `on_bit`, at the bit whose
         // destuffed position reaches `counterattack_start`, and drives from
-        // the bit after. Each `on_bit` advances `cnt` by at most one (stuff
-        // bits and violations do not advance it), and a SOF needs
-        // `cnt_sof >= 11` first, so under arbitrary bus input the earliest
-        // arming bit is a fixed distance away. The bound deliberately
-        // ignores the FSM verdict, `own_transmission` and
-        // `prevention_enabled`: a supervisor may flip prevention inside a
-        // stretch.
+        // the bit after. The bound deliberately ignores the FSM verdict,
+        // `own_transmission` and `prevention_enabled`: a supervisor may
+        // flip prevention inside a stretch.
         if self.injecting {
             return Some(now);
         }
-        let start = u64::from(self.config.counterattack_start);
-        let cnt = u64::from(self.cnt);
-        let sof_idle = MIN_INTERFRAME_RECESSIVE as u64;
-        let bits = match self.state {
-            HandlerState::InFrame if cnt < start => start - cnt,
-            // Too late for this frame: finish it (leaving needs at least
-            // one more counted bit), hunt a full SOF, then count up again.
-            HandlerState::InFrame => {
-                let to_end = u64::from(self.config.counterattack_end).saturating_sub(cnt);
-                to_end.max(1) + sof_idle + start
-            }
-            HandlerState::BusIdle => sof_idle.saturating_sub(u64::from(self.cnt_sof)) + start,
-        };
+        let bits = self.tracker.pushes_until(
+            self.config.counterattack_start,
+            self.config.counterattack_end,
+        );
         Some(now + BitDuration::bits(bits))
     }
 
     fn drive_until(&self, now: BitInstant) -> BitInstant {
         // While injecting, the pin stays dominant up to and including the
-        // sample whose destuffed count `cnt` reaches `counterattack_end`
-        // (the count already passed `counterattack_start`, so the next
-        // counted sample past the end releases). Its own drive makes every
-        // sample dominant, so the destuffer fixes how many samples that
-        // takes (Algorithm 1 skips the one violation, as it does a stuff
-        // bit).
+        // sample whose destuffed count reaches `counterattack_end` (the
+        // count already passed `counterattack_start`, so the next counted
+        // sample past the end releases).
         if !self.injecting {
             return now;
         }
-        let bits = self
-            .config
-            .counterattack_end
-            .saturating_sub(self.cnt)
-            .max(1);
-        now + BitDuration::bits(self.destuffer.pushes_for_bits(Level::Dominant, bits))
+        now + BitDuration::bits(
+            self.tracker
+                .dominant_pushes_to(self.config.counterattack_end),
+        )
     }
 
     fn skip_idle(&mut self, bits: u64, _from: BitInstant) {
-        debug_assert!(matches!(self.state, HandlerState::BusIdle) && !self.injecting);
-        self.cnt_sof = self
-            .cnt_sof
-            .saturating_add(u32::try_from(bits).unwrap_or(u32::MAX));
+        debug_assert!(!self.injecting);
+        self.tracker.skip_idle(bits);
         self.own_transmission = false;
     }
 }

@@ -1,12 +1,12 @@
 //! Everything-together soak: restbus traffic, a remote-frame
-//! request/response pair, an IDS monitor, a MichiCAN defender, channel
+//! request/response pair, a frame-level IDS, a MichiCAN defender, channel
 //! noise AND a persistent DoS attacker on one bus — global invariants
 //! must hold simultaneously.
 
 use can_attacks::{DosKind, SuspensionAttacker};
 use can_core::app::{PeriodicSender, RemoteResponder, SilentApplication};
 use can_core::{BusSpeed, CanFrame, CanId, ErrorState};
-use can_ids::IdsMonitor;
+use can_ids::{DetectorTap, FrequencyIds, IntervalIds};
 use can_sim::{bus_off_episodes, EventKind, FaultModel, Node, SimBuilder};
 use michican::prelude::*;
 use restbus::{pacifica_matrix, ReplayApp};
@@ -48,8 +48,14 @@ fn the_whole_stack_coexists() {
         )),
     ));
 
-    // An IDS monitor (observes, never transmits).
-    builder = builder.node(Node::new("ids", Box::new(IdsMonitor::typical_500k())));
+    // A frame-level IDS: a silent node plus the typical 500 kbit/s
+    // detector pair as passive taps (observe, never transmit).
+    builder = builder.node(Node::new("ids", Box::new(SilentApplication)));
+    let frequency = DetectorTap::new("frequency", Box::new(FrequencyIds::new(5_000, 10)));
+    let interval = DetectorTap::new("interval", Box::new(IntervalIds::new(8, 0.5)));
+    builder = builder
+        .tap(frequency.as_frame_tap())
+        .tap(interval.as_frame_tap());
 
     // The MichiCAN dongle, aware of the whole matrix + the service id.
     // It owns no identifier of its own, so it watches the DoS range only:
@@ -162,4 +168,21 @@ fn the_whole_stack_coexists() {
         benign_delivered > 150,
         "benign frames at the defender: {benign_delivered}"
     );
+
+    // 5. The taps saw every completed frame and never the attacker's:
+    //    MichiCAN destroys each attempt inside its identifier, before a
+    //    frame-level detector could observe it.
+    for tap in [&frequency, &interval] {
+        assert_eq!(
+            tap.frames_observed() as usize,
+            benign_delivered,
+            "{} observed every frame the defender received",
+            tap.label()
+        );
+        assert!(
+            tap.alerts().iter().all(|a| a.id.raw() != 0x0CF),
+            "{} alerted on a frame that never completed",
+            tap.label()
+        );
+    }
 }
