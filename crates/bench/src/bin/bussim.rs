@@ -25,7 +25,7 @@ use std::process::ExitCode;
 use can_attacks::{DosKind, SuspensionAttacker, TogglingAttacker};
 use can_core::app::{PeriodicSender, SilentApplication};
 use can_core::{BusSpeed, CanFrame, CanId};
-use can_ids::{DetectorTap, FrequencyIds, IntervalIds};
+use can_ids::{variants_for, DetectorTap};
 use can_sim::{bus_off_episodes, EventKind, FaultModel, Node, SimBuilder};
 use can_trace::{write_log, LogEntry, Timeline};
 use michican::prelude::*;
@@ -187,20 +187,16 @@ fn run() -> Result<(), String> {
             Box::new(ParrotDefender::new(own, speed.bits_in_millis(100.0))),
         ));
     }
-    // The IDS: a silent node plus the typical 500 kbit/s detector pair as
-    // passive taps (10 ms frequency window, 10-frame threshold; interval
-    // training over 8 samples with ±50 % tolerance).
+    // The IDS: a silent node plus the registry's typical 500 kbit/s
+    // detector pair as passive taps (10 ms frequency window, 10-frame
+    // threshold; interval training over 8 samples with ±50 % tolerance).
     let mut taps = Vec::new();
     if scenario.ids {
         builder = builder.node(Node::new("ids", Box::new(SilentApplication)));
-        taps.push(DetectorTap::new(
-            "frequency",
-            Box::new(FrequencyIds::new(5_000, 10)),
-        ));
-        taps.push(DetectorTap::new(
-            "interval",
-            Box::new(IntervalIds::new(8, 0.5)),
-        ));
+        for family in ["frequency", "interval"] {
+            let variant = variants_for(family).expect("registry family")[0];
+            taps.push(DetectorTap::new(variant.detector, variant.instantiate()));
+        }
         for tap in &taps {
             builder = builder.tap(tap.as_frame_tap());
         }

@@ -300,19 +300,24 @@ fn main() {
     };
     let metrics_out = value("--metrics-out").map(PathBuf::from);
     let journal_out = value("--journal-out").map(PathBuf::from);
-    let which = args
+    let mut positionals = args
         .iter()
         .enumerate()
-        .find(|&(i, a)| {
+        .filter(|&(i, a)| {
             !a.starts_with("--") && (i == 0 || !VALUE_FLAGS.contains(&args[i - 1].as_str()))
         })
-        .map_or("all", |(_, a)| a.as_str());
+        .map(|(_, a)| a.as_str());
+    let which = positionals.next().unwrap_or("all");
     if which != "all" && !ARTIFACTS.iter().any(|&(name, ..)| name == which) {
         let known: Vec<&str> = ARTIFACTS.iter().map(|&(name, ..)| name).collect();
         eprintln!(
             "error: unknown artifact '{which}' (known: all, {})",
             known.join(", ")
         );
+        std::process::exit(2);
+    }
+    if let Some(extra) = positionals.next() {
+        eprintln!("error: unexpected argument '{extra}' (name one artifact, or none for all)");
         std::process::exit(2);
     }
 

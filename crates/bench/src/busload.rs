@@ -8,7 +8,7 @@
 use can_attacks::{DosKind, SuspensionAttacker};
 use can_core::app::{PeriodicSender, SilentApplication};
 use can_core::{BusSpeed, CanFrame, CanId, ErrorState};
-use can_sim::{bus_off_episodes, Node, SimBuilder, Simulator};
+use can_sim::{bus_off_episodes, Node, NodeId, SimBuilder, Simulator};
 use michican::prelude::*;
 use parrot::ParrotDefender;
 
@@ -33,27 +33,65 @@ pub struct DefenseLoad {
 const SPEED: BusSpeed = BusSpeed::K50;
 const DEFENDER_ID: u16 = 0x173;
 
-fn benign_background(builder: SimBuilder) -> SimBuilder {
-    // A light benign stream so the baseline load is realistic but leaves
-    // room to observe the defense spike.
-    let f = CanFrame::data_frame(CanId::from_raw(0x300), &[0x11; 8]).unwrap();
-    builder.node(Node::new(
-        "benign-0x300",
-        Box::new(PeriodicSender::new(f, SPEED.bits_in_millis(50.0), 60)),
-    ))
+/// Builds the measured bus: the spoofing attacker, a light benign stream
+/// (so the baseline load is realistic but leaves room to observe the
+/// defense spike), then the nodes `defense` adds, the first of which is
+/// the defender. Returns the simulator with the attacker's and the
+/// defender's node ids.
+fn build(defense: &dyn Fn(SimBuilder) -> SimBuilder) -> (Simulator, NodeId, NodeId) {
+    let builder = SimBuilder::new(SPEED);
+    let attacker = builder.node_id();
+    let benign = CanFrame::data_frame(CanId::from_raw(0x300), &[0x11; 8])
+        .expect("an 8-byte data frame is valid");
+    let builder = builder
+        .node(Node::new(
+            "attacker",
+            Box::new(
+                SuspensionAttacker::new(
+                    DosKind::Targeted {
+                        id: CanId::from_raw(DEFENDER_ID),
+                    },
+                    SPEED.bits_in_millis(40.0),
+                )
+                .with_payload(&[0xFF; 8]),
+            ),
+        ))
+        .node(Node::new(
+            "benign-0x300",
+            Box::new(PeriodicSender::new(benign, SPEED.bits_in_millis(50.0), 60)),
+        ));
+    let defender = builder.node_id();
+    (defense(builder).build(), attacker, defender)
 }
 
-/// Steps `sim` while sampling busy bits; returns (overall, windowed) load
-/// where the window is `[start, end)` in bits.
-fn run_with_window(sim: &mut Simulator, total_bits: u64, window: (u64, u64)) -> (f64, f64) {
-    sim.run(window.0);
-    let busy_at_start = sim.busy_bits();
-    sim.run(window.1 - window.0);
-    let busy_in_window = sim.busy_bits() - busy_at_start;
-    sim.run(total_bits.saturating_sub(window.1));
-    let overall = sim.observed_bus_load();
-    let span = (window.1 - window.0).max(1);
-    (overall, busy_in_window as f64 / span as f64)
+/// Measures one defense in two passes over identical buses: the first
+/// runs `run_ms` and finds the defense window (first attack bit → first
+/// attacker bus-off, or the whole run if never bused off); the second
+/// samples the busy bits inside that window.
+fn measure(run_ms: f64, defense: &dyn Fn(SimBuilder) -> SimBuilder) -> DefenseLoad {
+    let total_bits = SPEED.bits_in_millis(run_ms);
+    let (mut sim, attacker, defender) = build(defense);
+    sim.run(total_bits);
+    let episodes = bus_off_episodes(sim.events(), attacker);
+    let (start, end) = episodes
+        .first()
+        .map(|e| (e.started.bits(), e.finished.bits()))
+        .unwrap_or((0, total_bits));
+
+    let (mut sim2, _, _) = build(defense);
+    sim2.run(start);
+    let busy_at_start = sim2.busy_bits();
+    sim2.run(end - start);
+    let busy_in_window = sim2.busy_bits() - busy_at_start;
+
+    DefenseLoad {
+        overall: sim.observed_bus_load(),
+        during_defense: busy_in_window as f64 / (end - start).max(1) as f64,
+        attacker_bused_off: !episodes.is_empty(),
+        busoff_bits: episodes.first().map(|e| e.duration().as_bits()),
+        defender_tec: sim.node(defender).controller().counters().tec(),
+        defender_state: sim.node(defender).controller().error_state(),
+    }
 }
 
 /// Runs the MichiCAN defense against a spoofing attacker and measures the
@@ -61,84 +99,23 @@ fn run_with_window(sim: &mut Simulator, total_bits: u64, window: (u64, u64)) -> 
 pub fn michican_load(run_ms: f64) -> DefenseLoad {
     let list = EcuList::from_raw(&[DEFENDER_ID, 0x300]);
     let index = list.index_of(CanId::from_raw(DEFENDER_ID)).unwrap();
-    let build = |list: &EcuList| {
-        let builder = SimBuilder::new(SPEED);
-        let attacker = builder.node_id();
-        let builder = builder.node(Node::new(
-            "attacker",
-            Box::new(
-                SuspensionAttacker::new(
-                    DosKind::Targeted {
-                        id: CanId::from_raw(DEFENDER_ID),
-                    },
-                    SPEED.bits_in_millis(40.0),
-                )
-                .with_payload(&[0xFF; 8]),
-            ),
-        ));
-        let builder = benign_background(builder);
-        // The defender owns 0x173 but is quiescent during the capture (an
-        // actively transmitting owner would collide in lockstep with the
-        // same-identifier spoofer — see tests/id_collision.rs).
-        let defender = builder.node_id();
-        let sim = builder
-            .node(
-                Node::new("michican", Box::new(SilentApplication))
-                    .with_agent(Box::new(MichiCan::new(DetectionFsm::for_ecu(list, index)))),
-            )
-            .build();
-        (sim, attacker, defender)
-    };
-
-    // First pass to find the defense window.
-    let total_bits = SPEED.bits_in_millis(run_ms);
-    let (mut sim, attacker, defender) = build(&list);
-    sim.run(total_bits);
-    let episodes = bus_off_episodes(sim.events(), attacker);
-    let window = episodes
-        .first()
-        .map(|e| (e.started.bits(), e.finished.bits()))
-        .unwrap_or((0, total_bits));
-    let defender_tec = sim.node(defender).controller().counters().tec();
-    let defender_state = sim.node(defender).controller().error_state();
-    let overall = sim.observed_bus_load();
-
-    // Second pass, identical construction, sampling the window.
-    let (mut sim2, _, _) = build(&list);
-    let (_, during) = run_with_window(&mut sim2, total_bits, window);
-
-    DefenseLoad {
-        overall,
-        during_defense: during,
-        attacker_bused_off: !episodes.is_empty(),
-        busoff_bits: episodes.first().map(|e| e.duration().as_bits()),
-        defender_tec,
-        defender_state,
-    }
+    // The defender owns 0x173 but is quiescent during the capture (an
+    // actively transmitting owner would collide in lockstep with the
+    // same-identifier spoofer — see tests/id_collision.rs).
+    measure(run_ms, &|builder| {
+        builder.node(
+            Node::new("michican", Box::new(SilentApplication))
+                .with_agent(Box::new(MichiCan::new(DetectionFsm::for_ecu(&list, index)))),
+        )
+    })
 }
 
 /// Runs the Parrot defense against the same spoofing attacker.
 pub fn parrot_load(run_ms: f64) -> DefenseLoad {
-    let build = || {
-        let builder = SimBuilder::new(SPEED);
-        let attacker = builder.node_id();
-        let builder = builder.node(Node::new(
-            "attacker",
-            Box::new(
-                SuspensionAttacker::new(
-                    DosKind::Targeted {
-                        id: CanId::from_raw(DEFENDER_ID),
-                    },
-                    SPEED.bits_in_millis(40.0),
-                )
-                .with_payload(&[0xFF; 8]),
-            ),
-        ));
-        let builder = benign_background(builder);
-        let defender = builder.node_id();
-        // A silent receiver so frames are acknowledged even while both
-        // contenders transmit.
-        let sim = builder
+    // A silent receiver so frames are acknowledged even while both
+    // contenders transmit.
+    measure(run_ms, &|builder| {
+        builder
             .node(Node::new(
                 "parrot",
                 Box::new(
@@ -147,33 +124,7 @@ pub fn parrot_load(run_ms: f64) -> DefenseLoad {
                 ),
             ))
             .node(Node::new("rx", Box::new(SilentApplication)))
-            .build();
-        (sim, attacker, defender)
-    };
-
-    let total_bits = SPEED.bits_in_millis(run_ms);
-    let (mut sim, attacker, defender) = build();
-    sim.run(total_bits);
-    let episodes = bus_off_episodes(sim.events(), attacker);
-    let window = episodes
-        .first()
-        .map(|e| (e.started.bits(), e.finished.bits()))
-        .unwrap_or((0, total_bits));
-    let overall = sim.observed_bus_load();
-    let defender_tec = sim.node(defender).controller().counters().tec();
-    let defender_state = sim.node(defender).controller().error_state();
-
-    let (mut sim2, _, _) = build();
-    let (_, during) = run_with_window(&mut sim2, total_bits, window);
-
-    DefenseLoad {
-        overall,
-        during_defense: during,
-        attacker_bused_off: !episodes.is_empty(),
-        busoff_bits: episodes.first().map(|e| e.duration().as_bits()),
-        defender_tec,
-        defender_state,
-    }
+    })
 }
 
 /// Parrot's theoretical flood load: a 125-bit frame every 128 bits

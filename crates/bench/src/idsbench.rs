@@ -32,8 +32,10 @@ use can_attacks::registry::{variants_for, AttackAgent, AttackVariant};
 use can_attacks::{DosKind, SuspensionAttacker};
 use can_core::app::{Application, PeriodicSender, SilentApplication};
 use can_core::{BitInstant, CanFrame, CanId};
-use can_ids::registry::{all_variants as all_detectors, DetectorVariant};
-use can_ids::{DetectorTap, FrequencyIds, IntervalIds};
+use can_ids::registry::{
+    all_variants as all_detectors, variants_for as detector_variants_for, DetectorVariant,
+};
+use can_ids::DetectorTap;
 use can_obs::{Journal, Recorder};
 use can_sim::{bus_off_episodes, ErrorRole, EventKind, Node, NodeId, SimBuilder, Simulator};
 use michican::prelude::*;
@@ -139,7 +141,7 @@ pub fn detector_grid_for(detectors: &str) -> Option<Vec<DetectorVariant>> {
     if detectors == "all" {
         return Some(all_detectors());
     }
-    can_ids::registry::variants_for(detectors)
+    detector_variants_for(detectors)
 }
 
 /// An application gated silent until a fixed sim time: before
@@ -561,9 +563,9 @@ fn delivered_attack_frames(sim: &Simulator, observer: NodeId, until: Option<u64>
         .count() as u64
 }
 
-/// Runs the flooding attack against the classic frame-level IDS pair
-/// (frequency + interval, the typical 500 kbit/s configuration), attached as
-/// passive taps — one simulation, no rebuild.
+/// Runs the flooding attack against the classic frame-level IDS pair (the
+/// registry's `frequency` and `interval` variants, the typical 500 kbit/s
+/// configuration), attached as passive taps — one simulation, no rebuild.
 pub fn flood_ids_defense(run_bits: u64) -> DefenseLatency {
     let builder = SimBuilder::new(FLOOD_SPEED);
     let attacker = builder.node_id();
@@ -571,8 +573,10 @@ pub fn flood_ids_defense(run_bits: u64) -> DefenseLatency {
     let rx = builder.node_id();
     let builder = builder.node(Node::new("rx", Box::new(SilentApplication)));
 
-    let frequency = DetectorTap::new("frequency", Box::new(FrequencyIds::new(5_000, 10)));
-    let interval = DetectorTap::new("interval", Box::new(IntervalIds::new(8, 0.5)));
+    let [frequency, interval] = ["frequency", "interval"].map(|family| {
+        let variant = detector_variants_for(family).expect("registry family")[0];
+        DetectorTap::new(variant.detector, variant.instantiate())
+    });
     let mut sim = builder
         .tap(frequency.as_frame_tap())
         .tap(interval.as_frame_tap())

@@ -20,36 +20,20 @@
 //! the first or second anomalous frame. Either way the decision waits
 //! for *complete frames* — the Table I latency floor.
 
-use std::collections::HashMap;
-
 use can_core::{BitInstant, CanFrame, CanId};
 
+use crate::baseline::InterArrival;
 use crate::detector::{Alert, AlertKind, Detector, IdsPhase};
-
-/// Fraction of the learned mean used as the σ floor, so perfectly
-/// periodic training traffic (σ ≈ 0) keeps a usable residual scale.
-const SIGMA_FLOOR_FRACTION: f64 = 0.05;
 
 /// CUSUM slack per sample, in σ units.
 const SLACK_SIGMA: f64 = 0.5;
 
-#[derive(Debug, Clone, Default)]
-struct CusumModel {
-    last_seen: Option<u64>,
-    samples: Vec<u64>,
-    mean: f64,
-    sigma: f64,
-    s_pos: f64,
-    s_neg: f64,
-}
-
 /// A per-identifier two-sided CUSUM detector on inter-arrival times.
 #[derive(Debug, Clone)]
 pub struct CusumIds {
-    phase: IdsPhase,
-    training_samples: usize,
+    /// Each identifier's `(S⁺, S⁻)`.
+    baseline: InterArrival<(f64, f64)>,
     threshold_sigma: f64,
-    models: HashMap<CanId, CusumModel>,
 }
 
 impl CusumIds {
@@ -61,93 +45,38 @@ impl CusumIds {
     ///
     /// Panics if `training_samples < 2` or the threshold is not positive.
     pub fn new(training_samples: usize, threshold_sigma: f64) -> Self {
-        assert!(
-            training_samples >= 2,
-            "need at least two training intervals"
-        );
+        let baseline = InterArrival::new(training_samples);
         assert!(threshold_sigma > 0.0, "threshold must be positive");
         CusumIds {
-            phase: IdsPhase::Training,
-            training_samples,
+            baseline,
             threshold_sigma,
-            models: HashMap::new(),
         }
-    }
-
-    /// Current phase.
-    pub fn phase(&self) -> IdsPhase {
-        self.phase
-    }
-
-    /// Ends training: freezes each identifier's mean/σ baseline.
-    pub fn arm(&mut self) {
-        if self.phase == IdsPhase::Armed {
-            return;
-        }
-        for model in self.models.values_mut() {
-            if model.samples.is_empty() {
-                continue;
-            }
-            let n = model.samples.len() as f64;
-            let mean = model.samples.iter().sum::<u64>() as f64 / n;
-            let var = model
-                .samples
-                .iter()
-                .map(|&x| {
-                    let d = x as f64 - mean;
-                    d * d
-                })
-                .sum::<f64>()
-                / n;
-            model.mean = mean;
-            model.sigma = var.sqrt().max(mean * SIGMA_FLOOR_FRACTION).max(1.0);
-        }
-        self.phase = IdsPhase::Armed;
     }
 
     /// Records a frame of `id` at `now`; returns `true` when either
     /// cumulative sum crossed the decision threshold.
     pub fn observe(&mut self, id: CanId, now: BitInstant) -> bool {
-        let training_samples = self.training_samples;
-        let model = self.models.entry(id).or_default();
-        let interval = model.last_seen.map(|last| now.bits().saturating_sub(last));
-        model.last_seen = Some(now.bits());
-
-        match self.phase {
-            IdsPhase::Training => {
-                if let Some(interval) = interval {
-                    model.samples.push(interval);
-                }
-                if self
-                    .models
-                    .values()
-                    .all(|m| m.samples.len() >= training_samples)
-                {
-                    self.arm();
-                }
-                false
-            }
-            IdsPhase::Armed => {
-                let model = self.models.get_mut(&id).expect("model inserted above");
-                // An identifier never seen in training has no baseline:
-                // its very appearance is the anomaly.
-                if model.samples.len() < training_samples || model.sigma <= 0.0 {
-                    return true;
-                }
-                let Some(interval) = interval else {
-                    return false;
-                };
-                let z = (interval as f64 - model.mean) / model.sigma;
-                model.s_pos = (model.s_pos + z - SLACK_SIGMA).max(0.0);
-                model.s_neg = (model.s_neg - z - SLACK_SIGMA).max(0.0);
-                if model.s_pos > self.threshold_sigma || model.s_neg > self.threshold_sigma {
-                    model.s_pos = 0.0;
-                    model.s_neg = 0.0;
-                    true
-                } else {
-                    false
-                }
-            }
+        let Some(seen) = self.baseline.observe(id, now) else {
+            return false;
+        };
+        // An identifier without a full training baseline: its very
+        // appearance is the anomaly.
+        if !seen.trained {
+            return true;
+        }
+        let Some(interval) = seen.interval else {
+            return false;
+        };
+        let (s_pos, s_neg) = seen.state;
+        let z = (interval as f64 - seen.mean) / seen.sigma;
+        *s_pos = (*s_pos + z - SLACK_SIGMA).max(0.0);
+        *s_neg = (*s_neg - z - SLACK_SIGMA).max(0.0);
+        if *s_pos > self.threshold_sigma || *s_neg > self.threshold_sigma {
+            *s_pos = 0.0;
+            *s_neg = 0.0;
+            true
+        } else {
+            false
         }
     }
 }
@@ -162,11 +91,11 @@ impl Detector for CusumIds {
     }
 
     fn phase(&self) -> IdsPhase {
-        CusumIds::phase(self)
+        self.baseline.phase()
     }
 
     fn arm(&mut self) {
-        CusumIds::arm(self);
+        self.baseline.arm();
     }
 }
 

@@ -84,17 +84,6 @@ pub trait Detector {
     /// Ends training and freezes the learned baseline. Idempotent; a
     /// no-op for detectors without a training phase.
     fn arm(&mut self);
-
-    /// The earliest future instant at which the detector needs to run
-    /// even without a frame completing, or `None` for purely
-    /// frame-driven detectors (the default). Mirrors
-    /// [`can_core::app::Application::next_activity`] so taps compose
-    /// with the fast-forward and packed kernels: a returned instant
-    /// bounds closed-form skips.
-    fn next_activity(&self, now: BitInstant) -> Option<BitInstant> {
-        let _ = now;
-        None
-    }
 }
 
 #[cfg(test)]

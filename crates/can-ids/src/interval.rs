@@ -6,30 +6,16 @@
 //! attacker transmitting at a higher frequency than the victim compresses
 //! the inter-arrival times).
 
-use std::collections::HashMap;
-
 use can_core::{BitInstant, CanFrame, CanId};
 
-use crate::detector::{Alert, AlertKind, Detector};
-
-pub use crate::detector::IdsPhase;
-
-#[derive(Debug, Clone)]
-struct IdModel {
-    last_seen: Option<u64>,
-    /// Learned intervals during training.
-    samples: Vec<u64>,
-    mean: f64,
-    tolerance: f64,
-}
+use crate::baseline::InterArrival;
+use crate::detector::{Alert, AlertKind, Detector, IdsPhase};
 
 /// An inter-arrival anomaly detector.
 #[derive(Debug, Clone)]
 pub struct IntervalIds {
-    phase: IdsPhase,
-    training_samples: usize,
+    baseline: InterArrival<()>,
     tolerance_fraction: f64,
-    models: HashMap<CanId, IdModel>,
 }
 
 impl IntervalIds {
@@ -41,71 +27,27 @@ impl IntervalIds {
     ///
     /// Panics if `training_samples < 2` or the tolerance is not positive.
     pub fn new(training_samples: usize, tolerance_fraction: f64) -> Self {
-        assert!(
-            training_samples >= 2,
-            "need at least two training intervals"
-        );
+        let baseline = InterArrival::new(training_samples);
         assert!(tolerance_fraction > 0.0, "tolerance must be positive");
         IntervalIds {
-            phase: IdsPhase::Training,
-            training_samples,
+            baseline,
             tolerance_fraction,
-            models: HashMap::new(),
         }
-    }
-
-    /// Current phase.
-    pub fn phase(&self) -> IdsPhase {
-        self.phase
-    }
-
-    /// Forces the transition to the armed phase (e.g. training time over).
-    pub fn arm(&mut self) {
-        for model in self.models.values_mut() {
-            if !model.samples.is_empty() {
-                model.mean = model.samples.iter().sum::<u64>() as f64 / model.samples.len() as f64;
-                model.tolerance = model.mean * self.tolerance_fraction;
-            }
-        }
-        self.phase = IdsPhase::Armed;
     }
 
     /// Records a frame; returns `true` for an anomalous inter-arrival
-    /// time (armed phase only).
+    /// time (armed phase only). An identifier armed early with only some
+    /// training intervals is judged against their partial mean.
     pub fn observe(&mut self, id: CanId, now: BitInstant) -> bool {
-        let training_samples = self.training_samples;
-        let model = self.models.entry(id).or_insert(IdModel {
-            last_seen: None,
-            samples: Vec::new(),
-            mean: 0.0,
-            tolerance: 0.0,
-        });
-        let interval = model.last_seen.map(|last| now.bits().saturating_sub(last));
-        model.last_seen = Some(now.bits());
-
-        match self.phase {
-            IdsPhase::Training => {
-                if let Some(interval) = interval {
-                    model.samples.push(interval);
-                }
-                // Auto-arm when every tracked identifier has enough data.
-                if self
-                    .models
-                    .values()
-                    .all(|m| m.samples.len() >= training_samples)
-                {
-                    self.arm();
-                }
-                false
+        let Some(seen) = self.baseline.observe(id, now) else {
+            return false;
+        };
+        match seen.interval {
+            Some(interval) if seen.mean > 0.0 => {
+                (interval as f64 - seen.mean).abs() > seen.mean * self.tolerance_fraction
             }
-            IdsPhase::Armed => match interval {
-                Some(interval) if self.models[&id].mean > 0.0 => {
-                    let model = &self.models[&id];
-                    (interval as f64 - model.mean).abs() > model.tolerance
-                }
-                // Unknown identifier appearing after training: anomalous.
-                _ => self.models[&id].samples.len() < training_samples,
-            },
+            // Unknown identifier appearing after training: anomalous.
+            _ => !seen.trained,
         }
     }
 }
@@ -120,11 +62,11 @@ impl Detector for IntervalIds {
     }
 
     fn phase(&self) -> IdsPhase {
-        IntervalIds::phase(self)
+        self.baseline.phase()
     }
 
     fn arm(&mut self) {
-        IntervalIds::arm(self);
+        self.baseline.arm();
     }
 }
 

@@ -17,7 +17,8 @@
 //!
 //! All five implement the uniform [`Detector`] trait ([`detector`]):
 //! observe completed frames with sim-time timestamps, emit typed
-//! [`Alert`]s, optionally report a quiescence horizon. The [`registry`]
+//! [`Alert`]s. The interval, CUSUM and z-score detectors are three
+//! decision rules on one learned inter-arrival baseline. The [`registry`]
 //! enumerates stable detector names with parameter grids (mirroring
 //! `can_attacks::registry`), and [`tap`] attaches any number of
 //! detectors to one simulated bus as passive [`DetectorTap`] observers —
@@ -31,6 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod baseline;
 pub mod cusum;
 pub mod detector;
 pub mod entropy;

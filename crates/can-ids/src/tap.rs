@@ -198,10 +198,6 @@ impl FrameTap for DetectorTap {
             state.alerts.push(alert);
         }
     }
-
-    fn next_activity(&self, now: BitInstant) -> Option<BitInstant> {
-        self.state.borrow().detector.next_activity(now)
-    }
 }
 
 #[cfg(test)]

@@ -8,32 +8,16 @@
 //! fast on gross anomalies and blind to slow drifts, the classic
 //! trade-off the bake-off table makes visible.
 
-use std::collections::HashMap;
-
 use can_core::{BitInstant, CanFrame, CanId};
 
+use crate::baseline::InterArrival;
 use crate::detector::{Alert, AlertKind, Detector, IdsPhase};
-
-/// Fraction of the learned mean used as the σ floor (perfectly periodic
-/// training traffic would otherwise make every armed interval infinite
-/// σ-distance away).
-const SIGMA_FLOOR_FRACTION: f64 = 0.05;
-
-#[derive(Debug, Clone, Default)]
-struct ZModel {
-    last_seen: Option<u64>,
-    samples: Vec<u64>,
-    mean: f64,
-    sigma: f64,
-}
 
 /// A per-identifier inter-arrival z-score detector.
 #[derive(Debug, Clone)]
 pub struct ZScoreIds {
-    phase: IdsPhase,
-    training_samples: usize,
+    baseline: InterArrival<()>,
     z_threshold: f64,
-    models: HashMap<CanId, ZModel>,
 }
 
 impl ZScoreIds {
@@ -44,87 +28,28 @@ impl ZScoreIds {
     ///
     /// Panics if `training_samples < 2` or the threshold is not positive.
     pub fn new(training_samples: usize, z_threshold: f64) -> Self {
-        assert!(
-            training_samples >= 2,
-            "need at least two training intervals"
-        );
+        let baseline = InterArrival::new(training_samples);
         assert!(z_threshold > 0.0, "z threshold must be positive");
         ZScoreIds {
-            phase: IdsPhase::Training,
-            training_samples,
+            baseline,
             z_threshold,
-            models: HashMap::new(),
         }
-    }
-
-    /// Current phase.
-    pub fn phase(&self) -> IdsPhase {
-        self.phase
-    }
-
-    /// Ends training: freezes each identifier's mean/σ baseline.
-    pub fn arm(&mut self) {
-        if self.phase == IdsPhase::Armed {
-            return;
-        }
-        for model in self.models.values_mut() {
-            if model.samples.is_empty() {
-                continue;
-            }
-            let n = model.samples.len() as f64;
-            let mean = model.samples.iter().sum::<u64>() as f64 / n;
-            let var = model
-                .samples
-                .iter()
-                .map(|&x| {
-                    let d = x as f64 - mean;
-                    d * d
-                })
-                .sum::<f64>()
-                / n;
-            model.mean = mean;
-            model.sigma = var.sqrt().max(mean * SIGMA_FLOOR_FRACTION).max(1.0);
-        }
-        self.phase = IdsPhase::Armed;
     }
 
     /// Records a frame of `id` at `now`; returns `true` for an interval
     /// beyond the z-score band (armed phase only).
     pub fn observe(&mut self, id: CanId, now: BitInstant) -> bool {
-        let training_samples = self.training_samples;
-        let model = self.models.entry(id).or_default();
-        let interval = model.last_seen.map(|last| now.bits().saturating_sub(last));
-        model.last_seen = Some(now.bits());
-
-        match self.phase {
-            IdsPhase::Training => {
-                if let Some(interval) = interval {
-                    model.samples.push(interval);
-                }
-                if self
-                    .models
-                    .values()
-                    .all(|m| m.samples.len() >= training_samples)
-                {
-                    self.arm();
-                }
-                false
-            }
-            IdsPhase::Armed => {
-                let model = &self.models[&id];
-                if model.samples.len() < training_samples || model.sigma <= 0.0 {
-                    // No baseline for this identifier: its appearance
-                    // after training is itself anomalous.
-                    return true;
-                }
-                match interval {
-                    Some(interval) => {
-                        (interval as f64 - model.mean).abs() > self.z_threshold * model.sigma
-                    }
-                    None => false,
-                }
-            }
+        let Some(seen) = self.baseline.observe(id, now) else {
+            return false;
+        };
+        // No full training baseline for this identifier: its appearance
+        // after training is itself anomalous.
+        if !seen.trained {
+            return true;
         }
+        seen.interval.is_some_and(|interval| {
+            (interval as f64 - seen.mean).abs() > self.z_threshold * seen.sigma
+        })
     }
 }
 
@@ -138,11 +63,11 @@ impl Detector for ZScoreIds {
     }
 
     fn phase(&self) -> IdsPhase {
-        ZScoreIds::phase(self)
+        self.baseline.phase()
     }
 
     fn arm(&mut self) {
-        ZScoreIds::arm(self);
+        self.baseline.arm();
     }
 }
 

@@ -3,7 +3,7 @@
 //! floods.
 
 use can_core::{BitInstant, CanId};
-use can_ids::{FrequencyIds, IntervalIds};
+use can_ids::{Detector, FrequencyIds, IntervalIds};
 use proptest::prelude::*;
 
 proptest! {

@@ -6,7 +6,7 @@
 use can_attacks::{DosKind, SuspensionAttacker};
 use can_core::app::{PeriodicSender, RemoteResponder, SilentApplication};
 use can_core::{BusSpeed, CanFrame, CanId, ErrorState};
-use can_ids::{DetectorTap, FrequencyIds, IntervalIds};
+use can_ids::{variants_for, DetectorTap};
 use can_sim::{bus_off_episodes, EventKind, FaultModel, Node, SimBuilder};
 use michican::prelude::*;
 use restbus::{pacifica_matrix, ReplayApp};
@@ -48,11 +48,13 @@ fn the_whole_stack_coexists() {
         )),
     ));
 
-    // A frame-level IDS: a silent node plus the typical 500 kbit/s
-    // detector pair as passive taps (observe, never transmit).
+    // A frame-level IDS: a silent node plus the registry's typical
+    // 500 kbit/s detector pair as passive taps (observe, never transmit).
     builder = builder.node(Node::new("ids", Box::new(SilentApplication)));
-    let frequency = DetectorTap::new("frequency", Box::new(FrequencyIds::new(5_000, 10)));
-    let interval = DetectorTap::new("interval", Box::new(IntervalIds::new(8, 0.5)));
+    let [frequency, interval] = ["frequency", "interval"].map(|family| {
+        let variant = variants_for(family).expect("registry family")[0];
+        DetectorTap::new(variant.detector, variant.instantiate())
+    });
     builder = builder
         .tap(frequency.as_frame_tap())
         .tap(interval.as_frame_tap());
