@@ -1100,12 +1100,9 @@ fn cpu_utilization(_: &Ctx) {
         (NXP_S32K144.name, BusSpeed::K500, Scenario::Full),
         (NXP_S32K144.name, BusSpeed::K500, Scenario::Light),
     ] {
-        let sel: Vec<&cpu::CpuRow> = rows
-            .iter()
-            .filter(|r| r.mcu == mcu_name && r.speed == speed && r.scenario == scenario)
-            .collect();
-        let mean =
-            |f: fn(&cpu::CpuRow) -> f64| sel.iter().map(|r| f(r)).sum::<f64>() / sel.len() as f64;
+        let mean = |load| {
+            cpu::mean_load(&rows, mcu_name, speed, scenario, load).expect("report covers the row")
+        };
         println!(
             "{:<30} {:<12} {:<7} {:>8.1}% {:>8.1}% {:>8.1}%",
             mcu_name,
@@ -1117,6 +1114,14 @@ fn cpu_utilization(_: &Ctx) {
         );
     }
     println!("(averages over the 8 vehicle buses; paper: Due@125k full=40%, light=30%, Due@250k=80%, S32K144@500k=44%)");
+    for (profile, paper) in [(&ARDUINO_DUE, "125 kbit/s"), (&NXP_S32K144, "500 kbit/s")] {
+        let ceiling = cpu::max_speed(profile).map_or("none".to_string(), |s| s.to_string());
+        println!(
+            "{:<30} max speed {ceiling} (handler <= {:.0}% of a bit on every bus's ECU_N; paper: {paper})",
+            profile.name,
+            mcu::HANDLER_HEADROOM * 100.0
+        );
+    }
 }
 
 fn bus_load(_: &Ctx) {

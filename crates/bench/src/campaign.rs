@@ -110,7 +110,7 @@ impl FaultSpec {
     /// Whether the invariants apply to this cell: the fault regime is at
     /// or below the documented sporadic threshold (or does not corrupt
     /// bus levels at all).
-    pub fn below_threshold(&self) -> bool {
+    fn below_threshold(&self) -> bool {
         match self {
             FaultSpec::Clean | FaultSpec::CrashRestartTx => true,
             FaultSpec::BitErrors { ber } => *ber <= SPORADIC_BER_THRESHOLD,

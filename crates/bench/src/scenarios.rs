@@ -145,7 +145,7 @@ pub fn restbus_matrix() -> restbus::CommMatrix {
 
 /// Builds the defender's ECU list for an experiment: the restbus
 /// identifiers (when replayed) plus the defender's own 0x173.
-pub fn defender_ecu_list(with_restbus: bool) -> EcuList {
+fn defender_ecu_list(with_restbus: bool) -> EcuList {
     let mut ids = vec![CanId::from_raw(DEFENDER_ID)];
     if with_restbus {
         ids.extend(restbus_matrix().ids());

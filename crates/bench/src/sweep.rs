@@ -1182,7 +1182,7 @@ pub fn resume_params(dir: &Path) -> Result<ResumeParams, SweepError> {
 /// The process's current resident set size in MiB, if the platform
 /// exposes it (`/proc/self/status`). `None` disables the RSS guard
 /// gracefully on platforms without procfs.
-pub fn current_rss_mb() -> Option<u64> {
+fn current_rss_mb() -> Option<u64> {
     let status = fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
     let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;

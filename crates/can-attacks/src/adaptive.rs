@@ -64,9 +64,6 @@ pub struct AdaptiveRacer {
     observed: Histogram,
     flag_left: u32,
     strikes: u64,
-    /// Victim frames that died before the racer's planned strike position
-    /// while in strike mode — races lost to the defender.
-    losses: u64,
     keys: Option<RacerKeys>,
 }
 
@@ -92,7 +89,6 @@ impl AdaptiveRacer {
             observed: Histogram::new(DEFAULT_BUCKETS),
             flag_left: 0,
             strikes: 0,
-            losses: 0,
             keys: None,
         }
     }
@@ -127,7 +123,7 @@ impl AdaptiveRacer {
     ///
     /// `earliest observed kill − lead`, clamped to just past arbitration;
     /// the fallback when no kill was observed.
-    pub fn strike_at(&self) -> u32 {
+    fn strike_at(&self) -> u32 {
         match self.observed.min() {
             Some(min) => {
                 let min = u32::try_from(min).unwrap_or(u32::MAX);
@@ -140,12 +136,6 @@ impl AdaptiveRacer {
     /// Error flags driven so far.
     pub fn strikes(&self) -> u64 {
         self.strikes
-    }
-
-    /// Races lost to the defender (victim frames that died before the
-    /// racer's planned position while it was in strike mode).
-    pub fn races_lost(&self) -> u64 {
-        self.losses
     }
 
     fn record_kill(&mut self, at: u32) {
@@ -173,7 +163,8 @@ impl BitAgent for AdaptiveRacer {
                     self.front
                         .event(now, JournalKind::Probe, format_args!("kill={at}"));
                 } else {
-                    self.losses += 1;
+                    // A victim frame died before the planned position in
+                    // strike mode: a race lost to the defender.
                     if let Some(keys) = &self.keys {
                         keys.recorder.inc(&keys.losses);
                     }
@@ -326,7 +317,6 @@ mod tests {
         // Third frame: the racer strikes before the defender's trigger.
         assert_eq!(feed_contested(&mut racer, &frame, Some(20)), Some(true));
         assert_eq!(racer.strikes(), 1);
-        assert_eq!(racer.races_lost(), 0);
     }
 
     #[test]
@@ -346,11 +336,14 @@ mod tests {
         let victim = CanId::from_raw(0x173);
         let frame = CanFrame::data_frame(victim, &[0; 8]).unwrap();
         let mut racer = AdaptiveRacer::new(victim, 1, 0, 25);
+        let recorder = Recorder::enabled();
+        racer.set_recorder(&recorder, 0);
         assert_eq!(feed_contested(&mut racer, &frame, Some(30)), Some(false));
         let after_probe = racer.strike_at();
         // A much faster defender beats the racer's planned position.
         assert_eq!(feed_contested(&mut racer, &frame, Some(14)), Some(false));
-        assert_eq!(racer.races_lost(), 1);
+        let lost = "adaptive_racer_races_lost_total{node=\"0\"}";
+        assert_eq!(recorder.into_registry().counter(lost), 1);
         // The loss also tightens the next strike.
         assert!(racer.strike_at() < after_probe);
     }

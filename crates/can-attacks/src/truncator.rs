@@ -61,7 +61,6 @@ pub struct FrameTruncator {
     at: TruncateAt,
     front: VictimWatch,
     injecting: bool,
-    truncations: u64,
 }
 
 impl FrameTruncator {
@@ -71,13 +70,7 @@ impl FrameTruncator {
             at,
             front: VictimWatch::new(victim),
             injecting: false,
-            truncations: 0,
         }
-    }
-
-    /// Frames truncated so far.
-    pub fn truncations(&self) -> u64 {
-        self.truncations
     }
 
     /// Attaches a causal event journal; `node` is the index stamped on
@@ -93,7 +86,6 @@ impl BitAgent for FrameTruncator {
             // The dominant bit just landed on the fixed-form field; the
             // frame is dead and error flags follow. Hunt for the next one.
             self.injecting = false;
-            self.truncations += 1;
             self.front.abort();
         }
         let _ = self.front.push(level);
@@ -170,7 +162,6 @@ mod tests {
         let frame = CanFrame::data_frame(CanId::from_raw(0x315), &[7; 4]).unwrap();
         let driven = feed_frame(&mut attacker, &frame);
         assert_eq!(driven, vec![wire_index_of(&frame, FrameField::CrcDelim)]);
-        assert_eq!(attacker.truncations(), 1);
     }
 
     #[test]
@@ -194,7 +185,6 @@ mod tests {
         let mut attacker = FrameTruncator::new(CanId::from_raw(0x315), TruncateAt::CrcDelim);
         let frame = CanFrame::data_frame(CanId::from_raw(0x316), &[7; 4]).unwrap();
         assert!(feed_frame(&mut attacker, &frame).is_empty());
-        assert_eq!(attacker.truncations(), 0);
     }
 
     #[test]

@@ -117,7 +117,6 @@ pub struct PeriodicSender {
     frame: CanFrame,
     period_bits: u64,
     next_due: u64,
-    sent: u64,
 }
 
 impl PeriodicSender {
@@ -133,7 +132,6 @@ impl PeriodicSender {
             frame,
             period_bits,
             next_due: offset_bits,
-            sent: 0,
         }
     }
 
@@ -141,18 +139,12 @@ impl PeriodicSender {
     pub fn frame(&self) -> &CanFrame {
         &self.frame
     }
-
-    /// Number of frames enqueued so far.
-    pub fn enqueued(&self) -> u64 {
-        self.sent
-    }
 }
 
 impl Application for PeriodicSender {
     fn poll(&mut self, now: BitInstant) -> Option<CanFrame> {
         if now.bits() >= self.next_due {
             self.next_due += self.period_bits;
-            self.sent += 1;
             Some(self.frame)
         } else {
             None
@@ -172,7 +164,6 @@ pub struct RemoteResponder {
     payload: [u8; 8],
     dlc: usize,
     pending: u32,
-    answered: u64,
 }
 
 impl RemoteResponder {
@@ -190,13 +181,7 @@ impl RemoteResponder {
             payload: data,
             dlc: payload.len(),
             pending: 0,
-            answered: 0,
         }
-    }
-
-    /// Requests answered so far.
-    pub fn answered(&self) -> u64 {
-        self.answered
     }
 }
 
@@ -204,7 +189,6 @@ impl Application for RemoteResponder {
     fn poll(&mut self, _now: BitInstant) -> Option<CanFrame> {
         if self.pending > 0 {
             self.pending -= 1;
-            self.answered += 1;
             Some(
                 CanFrame::data_frame(self.id, &self.payload[..self.dlc])
                     .expect("validated payload"),
@@ -256,7 +240,6 @@ mod tests {
         assert!(app.poll(BitInstant::from_bits(11)).is_none());
         assert!(app.poll(BitInstant::from_bits(109)).is_none());
         assert!(app.poll(BitInstant::from_bits(110)).is_some());
-        assert_eq!(app.enqueued(), 2);
     }
 
     #[test]
@@ -286,7 +269,6 @@ mod tests {
         let answer = responder.poll(BitInstant::from_bits(1)).unwrap();
         assert_eq!(answer.id().raw(), 0x321);
         assert_eq!(answer.data(), &[0xCA, 0xFE]);
-        assert_eq!(responder.answered(), 1);
         assert!(responder.poll(BitInstant::from_bits(2)).is_none());
     }
 

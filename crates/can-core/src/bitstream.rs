@@ -144,14 +144,6 @@ impl FrameLayout {
         }
     }
 
-    /// Which field the unstuffed bit at `index` belongs to, if any.
-    pub fn field_at(&self, index: usize) -> Option<FrameField> {
-        FrameField::ALL
-            .iter()
-            .copied()
-            .find(|&f| self.span(f).contains(&index))
-    }
-
     /// Total unstuffed frame length in bits (SOF through EOF).
     pub fn total_bits(&self) -> usize {
         self.span(FrameField::Eof).end
@@ -226,11 +218,6 @@ impl WireFrame {
     /// Number of stuff bits inserted.
     pub fn stuff_count(&self) -> usize {
         self.stuff_positions.len()
-    }
-
-    /// Wire length including the 3-bit intermission that must follow.
-    pub fn bits_on_bus_with_ifs(&self) -> usize {
-        self.bits.len() + IFS_BITS
     }
 }
 
@@ -737,25 +724,20 @@ mod tests {
     }
 
     #[test]
-    fn field_at_boundaries() {
+    fn field_boundaries() {
         let layout = FrameLayout::for_payload(8);
-        assert_eq!(layout.field_at(0), Some(FrameField::Sof));
-        assert_eq!(layout.field_at(1), Some(FrameField::Id));
-        assert_eq!(layout.field_at(11), Some(FrameField::Id));
-        assert_eq!(layout.field_at(12), Some(FrameField::Rtr));
-        assert_eq!(layout.field_at(19), Some(FrameField::Data));
-        assert_eq!(
-            layout.field_at(layout.total_bits() - 1),
-            Some(FrameField::Eof)
-        );
-        assert_eq!(layout.field_at(layout.total_bits()), None);
+        assert_eq!(layout.span(FrameField::Sof), 0..1);
+        assert_eq!(layout.span(FrameField::Id), 1..12);
+        assert_eq!(layout.span(FrameField::Rtr), 12..13);
+        assert!(layout.span(FrameField::Data).contains(&19));
+        assert_eq!(layout.span(FrameField::Eof).end, layout.total_bits());
     }
 
     #[test]
     fn zero_payload_data_field_is_empty() {
         let layout = FrameLayout::for_payload(0);
         assert!(layout.span(FrameField::Data).is_empty());
-        assert_eq!(layout.field_at(19), Some(FrameField::Crc));
+        assert_eq!(layout.span(FrameField::Crc).start, 19);
     }
 
     #[test]
@@ -1040,7 +1022,7 @@ mod tests {
         // bits; with typical stuffing + 3-bit IFS this lands near 115–125.
         let frame = CanFrame::data_frame(id(0x3A5), &[0xA5; 8]).unwrap();
         let wire = stuff_frame(&frame);
-        let with_ifs = wire.bits_on_bus_with_ifs();
+        let with_ifs = wire.bits.len() + IFS_BITS;
         assert!(
             (108 + 3..=133).contains(&with_ifs),
             "8-byte frame on the bus was {with_ifs} bits"

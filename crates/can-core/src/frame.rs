@@ -101,20 +101,6 @@ impl CanFrame {
             &self.data[..self.dlc as usize]
         }
     }
-
-    /// Nominal (unstuffed) wire length of this frame in bits, excluding the
-    /// 3-bit intermission: SOF + 11 ID + RTR + IDE + r0 + 4 DLC + 8·DLC data
-    /// + 15 CRC + CRC delimiter + ACK slot + ACK delimiter + 7 EOF.
-    ///
-    /// ```
-    /// use can_core::{CanFrame, CanId};
-    /// let f = CanFrame::data_frame(CanId::from_raw(0x100), &[0; 8]).unwrap();
-    /// assert_eq!(f.nominal_bit_len(), 44 + 64);
-    /// ```
-    pub fn nominal_bit_len(&self) -> usize {
-        let data_bits = if self.rtr { 0 } else { self.dlc as usize * 8 };
-        1 + 11 + 1 + 1 + 1 + 4 + data_bits + 15 + 1 + 1 + 1 + 7
-    }
 }
 
 impl fmt::Display for CanFrame {
@@ -209,15 +195,16 @@ mod tests {
     }
 
     #[test]
-    fn nominal_bit_len_matches_paper_shapes() {
+    fn unstuffed_length_matches_paper_shapes() {
         // 8-byte frame: 44 overhead + 64 data = 108 unstuffed bits; with
         // stuff bits the paper's "average CAN frame consists of 125 bits".
+        let bits = |f: &CanFrame| crate::bitstream::FrameLayout::of(f).total_bits();
         let f8 = CanFrame::data_frame(id(0x7FF), &[0xFF; 8]).unwrap();
-        assert_eq!(f8.nominal_bit_len(), 108);
+        assert_eq!(bits(&f8), 108);
         let f0 = CanFrame::data_frame(id(0), &[]).unwrap();
-        assert_eq!(f0.nominal_bit_len(), 44);
+        assert_eq!(bits(&f0), 44);
         let rtr = CanFrame::remote_frame(id(0), 8).unwrap();
-        assert_eq!(rtr.nominal_bit_len(), 44);
+        assert_eq!(bits(&rtr), 44);
     }
 
     #[test]

@@ -21,9 +21,6 @@
 //! * [`crc`] — the CRC-15 used by CAN 2.0A.
 //! * [`bitstream`] — frame serialization to the wire: field layout, bit
 //!   stuffing and destuffing.
-//! * [`bit_timing`] — time-quantum segment configuration (prescaler,
-//!   PROP/PHASE segments, sample point), the driver-level arithmetic the
-//!   software synchronization of `michican` replicates.
 //! * [`counters`] — TEC/REC fault confinement ([`ErrorCounters`],
 //!   [`ErrorState`]) exactly as exploited by bus-off attacks and MichiCAN's
 //!   counterattack.
@@ -61,7 +58,6 @@
 
 pub mod agent;
 pub mod app;
-pub mod bit_timing;
 pub mod bitstream;
 pub mod counters;
 pub mod crc;

@@ -53,12 +53,6 @@ impl BitInstant {
                 .expect("`earlier` must not be later than `self`"),
         )
     }
-
-    /// Converts this instant to microseconds on a bus of the given speed.
-    #[inline]
-    pub fn as_micros(self, speed: BusSpeed) -> f64 {
-        self.0 as f64 * speed.bit_time_us()
-    }
 }
 
 impl Add<BitDuration> for BitInstant {
@@ -116,12 +110,6 @@ impl BitDuration {
     #[inline]
     pub fn as_millis(self, speed: BusSpeed) -> f64 {
         self.0 as f64 * speed.bit_time_us() / 1000.0
-    }
-
-    /// Converts this duration to microseconds on a bus of the given speed.
-    #[inline]
-    pub fn as_micros(self, speed: BusSpeed) -> f64 {
-        self.0 as f64 * speed.bit_time_us()
     }
 }
 
@@ -277,7 +265,7 @@ mod tests {
     fn paper_average_frame_blocking_time() {
         // Paper §IV-A: a 125-bit average frame at 500 kbit/s blocks for 250 µs.
         let d = BitDuration::bits(125);
-        assert!((d.as_micros(BusSpeed::K500) - 250.0).abs() < 1e-9);
+        assert!((d.as_millis(BusSpeed::K500) - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -80,7 +80,7 @@ impl EntropyIds {
     }
 
     /// Entropy of the current window, once it is full.
-    pub fn window_entropy(&self) -> Option<f64> {
+    fn window_entropy(&self) -> Option<f64> {
         (self.recent.len() == self.window).then(|| {
             let n = self.recent.len() as f64;
             -self
@@ -111,7 +111,7 @@ impl EntropyIds {
 
     /// Records a frame; returns `true` when the armed window entropy
     /// left the learned band.
-    pub fn observe_id(&mut self, raw_id: u16) -> bool {
+    fn observe_id(&mut self, raw_id: u16) -> bool {
         self.push(raw_id);
         let Some(entropy) = self.window_entropy() else {
             return false;

@@ -49,11 +49,6 @@ impl FrequencyIds {
         entry.push_back(now.bits());
         entry.len() > self.threshold
     }
-
-    /// Frames currently tracked within the window for `id`.
-    pub fn window_count(&self, id: CanId) -> usize {
-        self.history.get(&id).map_or(0, VecDeque::len)
-    }
 }
 
 impl Detector for FrequencyIds {
@@ -116,10 +111,10 @@ mod tests {
         for k in 0..3u64 {
             ids.observe(id(0x50), BitInstant::from_bits(k * 100));
         }
-        assert_eq!(ids.window_count(id(0x50)), 3);
+        assert_eq!(ids.history[&id(0x50)].len(), 3);
         // Far in the future: the old burst has left the window.
         assert!(!ids.observe(id(0x50), BitInstant::from_bits(10_000)));
-        assert_eq!(ids.window_count(id(0x50)), 1);
+        assert_eq!(ids.history[&id(0x50)].len(), 1);
     }
 
     #[test]

@@ -102,11 +102,6 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    /// Whether this is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, JsonValue::Null)
-    }
 }
 
 /// A parse failure, with the byte offset it was detected at.
@@ -462,7 +457,7 @@ mod tests {
         assert_eq!(doc.get("a").unwrap().as_i64(), Some(-3));
         let array = doc.get("b").unwrap().as_array().unwrap();
         assert_eq!(array.len(), 3);
-        assert!(array[2].get("c").unwrap().is_null());
+        assert_eq!(array[2].get("c"), Some(&JsonValue::Null));
     }
 
     #[test]

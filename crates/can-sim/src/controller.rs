@@ -419,11 +419,6 @@ impl Controller {
         matches!(self.state, State::Transmitting { .. })
     }
 
-    /// Whether the controller is in bus-off.
-    pub fn is_bus_off(&self) -> bool {
-        matches!(self.state, State::BusOff { .. })
-    }
-
     /// Whether the controller considers the bus occupied by a frame or
     /// error condition (used for bus-load accounting).
     pub fn is_busy(&self) -> bool {
@@ -1226,7 +1221,7 @@ mod tests {
                 ..
             }
         )));
-        assert!(!nodes[0].is_bus_off());
+        assert!(!matches!(nodes[0].state, State::BusOff { .. }));
         assert_eq!(nodes[0].error_state(), ErrorState::ErrorPassive);
     }
 
@@ -1521,7 +1516,7 @@ mod tests {
         assert_eq!(cap, 13);
         let out = c.on_sample(Level::Recessive, BitInstant::from_bits(13));
         assert_eq!(out.events, vec![EventKind::BusOff]);
-        assert!(c.is_bus_off());
+        assert!(matches!(c.state, State::BusOff { .. }));
     }
 
     /// Samples `levels` (`true` = dominant) in lockstep from bit 0.

@@ -76,7 +76,7 @@ impl BurstParams {
     }
 
     /// The long-run fraction of bits spent in the bad state.
-    pub fn bad_state_fraction(&self) -> f64 {
+    fn bad_state_fraction(&self) -> f64 {
         let total = self.p_good_to_bad + self.p_bad_to_good;
         if total == 0.0 {
             0.0
@@ -685,11 +685,6 @@ impl PinFaultConfig {
         assert_probability(self.missed_bit_prob, "missed_bit_prob");
         assert_probability(self.sof_delay_prob, "sof_delay_prob");
     }
-
-    /// Whether the pin is fault-free.
-    pub fn is_healthy(&self) -> bool {
-        self.sample_flip_prob == 0.0 && self.missed_bit_prob == 0.0 && self.sof_delay_prob == 0.0
-    }
 }
 
 /// Wraps a [`BitAgent`] behind a faulty `CAN_RX` pin.
@@ -732,11 +727,6 @@ impl<A: BitAgent> FaultyAgent<A> {
     /// The wrapped agent.
     pub fn inner(&self) -> &A {
         &self.inner
-    }
-
-    /// Mutable access to the wrapped agent.
-    pub fn inner_mut(&mut self) -> &mut A {
-        &mut self.inner
     }
 
     /// Unwraps the inner agent.

@@ -132,11 +132,6 @@ impl DurationStats {
     }
 }
 
-/// Counts events matching a predicate.
-pub fn count_events<F: Fn(&Event) -> bool>(events: &[Event], predicate: F) -> usize {
-    events.iter().filter(|e| predicate(e)).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,14 +207,5 @@ mod tests {
     #[test]
     fn stats_of_empty_set_is_none() {
         assert!(DurationStats::from_durations(std::iter::empty()).is_none());
-    }
-
-    #[test]
-    fn count_events_filters() {
-        let events = vec![started(0, 0), bus_off(10, 0), bus_off(20, 1)];
-        assert_eq!(
-            count_events(&events, |e| matches!(e.kind, EventKind::BusOff)),
-            2
-        );
     }
 }

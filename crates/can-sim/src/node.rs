@@ -86,12 +86,6 @@ impl Node {
         self
     }
 
-    /// Installs or clears the transmitter-side fault at runtime.
-    pub fn set_tx_fault(&mut self, fault: Option<TxFault>) {
-        self.tx_fault = fault;
-        self.forced_tx = None;
-    }
-
     /// The node's display name.
     pub fn name(&self) -> &str {
         &self.name
@@ -110,11 +104,6 @@ impl Node {
     /// Immutable access to the application.
     pub fn app(&self) -> &dyn Application {
         self.app.as_ref()
-    }
-
-    /// Mutable access to the application.
-    pub fn app_mut(&mut self) -> &mut dyn Application {
-        self.app.as_mut()
     }
 
     /// Immutable access to the attached agent, if any.

@@ -92,11 +92,6 @@ impl RxParser {
         usize::from(self.unstuffed_len)
     }
 
-    /// Whether the parser reached a terminal state (done or faulted).
-    pub fn is_finished(&self) -> bool {
-        self.phase == Phase::Finished
-    }
-
     /// Whether the parser is currently inside the arbitration field
     /// (SOF + identifier + RTR, unstuffed bits 0..=12).
     pub fn in_arbitration(&self) -> bool {
@@ -345,7 +340,7 @@ mod tests {
         let mut parser = RxParser::new();
         let events = feed(&mut parser, &wire.bits);
         assert_eq!(*events.last().unwrap(), RxEvent::Done(f));
-        assert!(parser.is_finished());
+        assert!(parser.phase == Phase::Finished);
         assert_eq!(
             events
                 .iter()

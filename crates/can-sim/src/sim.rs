@@ -79,7 +79,7 @@ impl SignalTrace {
     /// Appends `count` copies of `level` in closed form — byte-identical
     /// to `count` single pushes, but O(min(count, capacity)) for a ring.
     /// The packed kernel uses this to backfill skipped idle gaps.
-    pub fn push_run(&mut self, level: Level, count: u64) {
+    fn push_run(&mut self, level: Level, count: u64) {
         self.recorded += count;
         let Some(cap) = self.capacity else {
             self.levels
@@ -356,15 +356,6 @@ impl Simulator {
     /// Panics if `id` is out of range.
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id]
-    }
-
-    /// Mutable access to a node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id]
     }
 
     /// Number of nodes on the bus.

@@ -160,11 +160,6 @@ impl KernelTelemetry {
         self.skipped_bits
     }
 
-    /// Number of idle gaps skipped.
-    pub fn skipped_gaps(&self) -> u64 {
-        self.skipped_gaps
-    }
-
     /// Bits resolved word-at-a-time by the packed engine.
     pub fn packed_bits(&self) -> u64 {
         self.packed_bits
@@ -306,7 +301,7 @@ mod tests {
         t.count_fallback(FallbackCause::ReceiverDryRun);
         assert_eq!(t.lockstep_bits(), 2);
         assert_eq!(t.skipped_bits(), 100);
-        assert_eq!(t.skipped_gaps(), 1);
+        assert_eq!(t.skipped_gaps, 1);
         assert_eq!(t.packed_bits(), 48);
         assert_eq!(t.stretches(), 1);
         assert_eq!(t.stretch_lengths().max(), Some(48));

@@ -176,7 +176,7 @@ impl Timeline {
     }
 
     /// Spans of one node.
-    pub fn spans_of(&self, node: usize) -> impl Iterator<Item = &Span> {
+    fn spans_of(&self, node: usize) -> impl Iterator<Item = &Span> {
         self.spans.iter().filter(move |s| s.node == node)
     }
 

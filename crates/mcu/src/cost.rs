@@ -10,7 +10,6 @@
 //!   utilization.
 
 use can_core::BusSpeed;
-use michican::fsm::DetectionFsm;
 
 use crate::profile::McuProfile;
 
@@ -27,17 +26,8 @@ pub enum DetectionMode {
     SpoofOnly,
 }
 
-impl DetectionMode {
-    /// The mode for a concrete FSM (full scenario).
-    pub fn for_fsm(fsm: &DetectionFsm) -> Self {
-        DetectionMode::Full {
-            fsm_nodes: fsm.node_count(),
-        }
-    }
-}
-
 /// Handler execution cost on the *active* (frame) path, in cycles.
-pub fn active_cycles(profile: &McuProfile, mode: DetectionMode) -> f64 {
+fn active_cycles(profile: &McuProfile, mode: DetectionMode) -> f64 {
     let detection = match mode {
         DetectionMode::Full { fsm_nodes } => {
             let nodes = fsm_nodes.max(2) as f64;
@@ -49,7 +39,7 @@ pub fn active_cycles(profile: &McuProfile, mode: DetectionMode) -> f64 {
 }
 
 /// Handler execution cost on the *idle* (SOF-hunting) path, in cycles.
-pub fn idle_cycles(profile: &McuProfile) -> f64 {
+fn idle_cycles(profile: &McuProfile) -> f64 {
     profile.isr_overhead_cycles + profile.gpio_read_cycles + profile.idle_path_cycles
 }
 
@@ -75,63 +65,28 @@ pub fn combined_utilization(
         + idle_utilization(profile, speed) * (1.0 - bus_busy_fraction)
 }
 
-/// Slack between the handler's execution time and one nominal bit time,
-/// in nanoseconds — the budget left for interrupt jitter and application
-/// code. Negative slack means the handler cannot keep up at all (the
-/// paper's "does not always reliably work ... not accounting for jitter").
-pub fn jitter_margin_ns(profile: &McuProfile, speed: BusSpeed, mode: DetectionMode) -> f64 {
-    speed.bit_time_ns() - profile.cycles_to_ns(active_cycles(profile, mode))
-}
+/// Largest share of one bit time the handler may take: the rest is left
+/// for interrupt jitter and the application (§V-D).
+pub const HANDLER_HEADROOM: f64 = 0.75;
 
-/// The fastest bus speed at which the handler still fits in a bit time
-/// with the given headroom (e.g. 0.8 = at most 80 % of a bit for the
-/// handler, leaving 20 % for jitter and the application).
-pub fn max_sustainable_speed(
-    profile: &McuProfile,
-    mode: DetectionMode,
-    headroom: f64,
-) -> Option<BusSpeed> {
+/// The fastest bus speed at which the handler takes at most
+/// [`HANDLER_HEADROOM`] of a bit time, or `None` if no speed is that slow.
+pub fn max_sustainable_speed(profile: &McuProfile, mode: DetectionMode) -> Option<BusSpeed> {
     BusSpeed::ALL
         .iter()
         .rev()
         .copied()
-        .find(|&speed| active_utilization(profile, speed, mode) <= headroom)
+        .find(|&speed| active_utilization(profile, speed, mode) <= HANDLER_HEADROOM)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::{ARDUINO_DUE, NXP_S32K144};
+    use crate::profile::ARDUINO_DUE;
 
     /// A representative full-scenario FSM size for a production bus
     /// (ECU_N of a ~50-message matrix lands near 128 hash-consed states).
     const TYPICAL_FSM_NODES: usize = 128;
-
-    #[test]
-    fn due_full_scenario_matches_paper_40_percent() {
-        let util = active_utilization(
-            &ARDUINO_DUE,
-            BusSpeed::K125,
-            DetectionMode::Full {
-                fsm_nodes: TYPICAL_FSM_NODES,
-            },
-        );
-        assert!(
-            (0.37..=0.43).contains(&util),
-            "paper: ≈ 40 % at 125 kbit/s, model: {:.1} %",
-            util * 100.0
-        );
-    }
-
-    #[test]
-    fn due_light_scenario_matches_paper_30_percent() {
-        let util = active_utilization(&ARDUINO_DUE, BusSpeed::K125, DetectionMode::SpoofOnly);
-        assert!(
-            (0.27..=0.33).contains(&util),
-            "paper: ≈ 30 % light, model: {:.1} %",
-            util * 100.0
-        );
-    }
 
     #[test]
     fn due_doubles_at_250k() {
@@ -153,22 +108,6 @@ mod tests {
         );
         assert!((at_250 / at_125 - 2.0).abs() < 1e-9);
         assert!(at_250 > 0.75, "≈ 80 % at 250 kbit/s");
-    }
-
-    #[test]
-    fn s32k144_matches_paper_44_percent_at_500k() {
-        let util = active_utilization(
-            &NXP_S32K144,
-            BusSpeed::K500,
-            DetectionMode::Full {
-                fsm_nodes: TYPICAL_FSM_NODES,
-            },
-        );
-        assert!(
-            (0.40..=0.48).contains(&util),
-            "paper: ≈ 44 % on the S32K144 at 500 kbit/s, model: {:.1} %",
-            util * 100.0
-        );
     }
 
     #[test]
@@ -206,39 +145,5 @@ mod tests {
             DetectionMode::Full { fsm_nodes: 1024 },
         );
         assert!(large > small);
-    }
-
-    #[test]
-    fn jitter_margin_explains_the_due_limit() {
-        let mode = DetectionMode::Full {
-            fsm_nodes: TYPICAL_FSM_NODES,
-        };
-        // At 125 kbit/s the Due has several microseconds of slack; at
-        // 250 kbit/s the slack shrinks below one ISR entry — any jitter
-        // makes it miss samples, matching the paper's reliability note.
-        let at_125 = jitter_margin_ns(&ARDUINO_DUE, BusSpeed::K125, mode);
-        let at_250 = jitter_margin_ns(&ARDUINO_DUE, BusSpeed::K250, mode);
-        assert!(at_125 > 4_000.0, "125k margin {at_125:.0} ns");
-        assert!(
-            at_250 < ARDUINO_DUE.cycles_to_ns(ARDUINO_DUE.isr_overhead_cycles),
-            "250k margin {at_250:.0} ns is thinner than one ISR entry"
-        );
-        // The S32K144 at 500 kbit/s keeps a healthy margin.
-        let s32k = jitter_margin_ns(&NXP_S32K144, BusSpeed::K500, mode);
-        assert!(s32k > 1_000.0, "S32K144 margin {s32k:.0} ns");
-    }
-
-    #[test]
-    fn due_cannot_sustain_250k_but_s32k_sustains_500k() {
-        // Paper: MichiCAN "does not always reliably work on higher bus
-        // speeds than 125 kbit/s on Arduino Dues"; the S32K144 "fully
-        // works on a 500 kbit/s CAN".
-        let mode = DetectionMode::Full {
-            fsm_nodes: TYPICAL_FSM_NODES,
-        };
-        let due_max = max_sustainable_speed(&ARDUINO_DUE, mode, 0.75).unwrap();
-        assert_eq!(due_max, BusSpeed::K125);
-        let s32k_max = max_sustainable_speed(&NXP_S32K144, mode, 0.75).unwrap();
-        assert!(s32k_max.bits_per_second() >= BusSpeed::K500.bits_per_second());
     }
 }

@@ -111,9 +111,6 @@ pub fn depth_profile(fsm: &DetectionFsm) -> DepthProfile {
 pub struct CoverageReport {
     /// Scenario analyzed.
     pub scenario: Scenario,
-    /// For each identifier outside 𝔼: the number of ECUs detecting it
-    /// (index = raw identifier).
-    detectors: Vec<u16>,
     /// Number of identifiers attackable by a DoS (below the highest
     /// legitimate identifier, not legitimate) that no ECU detects.
     pub uncovered_dos_ids: usize,
@@ -123,15 +120,9 @@ pub struct CoverageReport {
     pub mean_redundancy: f64,
 }
 
-impl CoverageReport {
-    /// How many ECUs detect `id`.
-    pub fn detectors_of(&self, id: CanId) -> u16 {
-        self.detectors[id.raw() as usize]
-    }
-}
-
-/// Builds the deployment coverage report for `list` under `scenario`.
-pub fn coverage(list: &EcuList, scenario: Scenario) -> CoverageReport {
+/// For each identifier (index = raw identifier): the number of ECUs of
+/// `list` detecting it under `scenario`.
+fn detector_counts(list: &EcuList, scenario: Scenario) -> Vec<u16> {
     let mut detectors = vec![0u16; 1 << CanId::BITS];
     for index in 0..list.len() {
         let range = scenario_range(list, index, scenario);
@@ -139,7 +130,12 @@ pub fn coverage(list: &EcuList, scenario: Scenario) -> CoverageReport {
             detectors[id.raw() as usize] += 1;
         }
     }
+    detectors
+}
 
+/// Builds the deployment coverage report for `list` under `scenario`.
+pub fn coverage(list: &EcuList, scenario: Scenario) -> CoverageReport {
+    let detectors = detector_counts(list, scenario);
     let highest = list.id_at(list.len() - 1);
     let mut uncovered = 0usize;
     let mut covered_counts: Vec<u16> = Vec::new();
@@ -168,7 +164,6 @@ pub fn coverage(list: &EcuList, scenario: Scenario) -> CoverageReport {
                 / covered_counts.len() as f64
         },
         uncovered_dos_ids: uncovered,
-        detectors,
     }
 }
 
@@ -227,7 +222,7 @@ mod tests {
         // ECU detects it — the paper's |𝔼|-way redundancy.
         let list = EcuList::from_raw(&[0x100, 0x200, 0x300, 0x400]);
         let report = coverage(&list, Scenario::Full);
-        assert_eq!(report.detectors_of(CanId::from_raw(0x000)), 4);
+        assert_eq!(detector_counts(&list, Scenario::Full)[0x000], 4);
         assert_eq!(report.uncovered_dos_ids, 0, "no DoS identifier escapes");
         assert!(report.min_redundancy >= 1);
         assert!(report.mean_redundancy > 1.0);
@@ -242,18 +237,18 @@ mod tests {
         assert_eq!(light.uncovered_dos_ids, 0);
         // …but fewer simultaneous detectors.
         assert!(light.mean_redundancy < full.mean_redundancy);
-        assert_eq!(light.detectors_of(CanId::from_raw(0x000)), 2, "only 𝔼₂");
+        assert_eq!(detector_counts(&list, Scenario::Light)[0x000], 2, "only 𝔼₂");
     }
 
     #[test]
     fn identifiers_between_ecus_are_covered_by_higher_ones() {
         let list = EcuList::from_raw(&[0x100, 0x400]);
-        let report = coverage(&list, Scenario::Full);
+        let detectors = detector_counts(&list, Scenario::Full);
         // 0x250 outranks 0x400 but not 0x100: only the 0x400 ECU sees it.
-        assert_eq!(report.detectors_of(CanId::from_raw(0x250)), 1);
+        assert_eq!(detectors[0x250], 1);
         // 0x050 outranks both.
-        assert_eq!(report.detectors_of(CanId::from_raw(0x050)), 2);
+        assert_eq!(detectors[0x050], 2);
         // 0x500 outranks nobody: miscellaneous, covered by nobody.
-        assert_eq!(report.detectors_of(CanId::from_raw(0x500)), 0);
+        assert_eq!(detectors[0x500], 0);
     }
 }

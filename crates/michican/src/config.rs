@@ -132,18 +132,10 @@ impl EcuList {
         self.index_of(id).is_some()
     }
 
-    /// Splits 𝔼 into (𝔼₁, 𝔼₂) for the light scenario: lower half of the
-    /// identifier list and upper half.
-    ///
-    /// For odd N the extra ECU goes to 𝔼₂ (the DoS-protecting half), the
-    /// conservative choice.
-    pub fn split_halves(&self) -> (&[CanId], &[CanId]) {
-        let mid = self.ids.len() / 2;
-        self.ids.split_at(mid)
-    }
-
     /// Whether the ECU at `index` runs the full detection procedure under
-    /// `scenario`.
+    /// `scenario`. The light scenario splits 𝔼 into a lower half 𝔼₁
+    /// (spoofing only) and an upper half 𝔼₂; for odd N the extra ECU goes
+    /// to 𝔼₂ (the DoS-protecting half), the conservative choice.
     pub fn runs_full_detection(&self, index: usize, scenario: Scenario) -> bool {
         match scenario {
             Scenario::Full => true,
@@ -187,16 +179,16 @@ mod tests {
     }
 
     #[test]
-    fn split_halves_even_and_odd() {
-        let even = EcuList::from_raw(&[1, 2, 3, 4]);
-        let (e1, e2) = even.split_halves();
-        assert_eq!(e1.len(), 2);
-        assert_eq!(e2.len(), 2);
-
+    fn light_scenario_gives_the_odd_ecu_to_the_upper_half() {
         let odd = EcuList::from_raw(&[1, 2, 3, 4, 5]);
-        let (e1, e2) = odd.split_halves();
-        assert_eq!(e1.len(), 2);
-        assert_eq!(e2.len(), 3, "extra ECU joins the DoS-protecting half");
+        let full: Vec<bool> = (0..5)
+            .map(|i| odd.runs_full_detection(i, Scenario::Light))
+            .collect();
+        assert_eq!(
+            full,
+            [false, false, true, true, true],
+            "extra ECU joins the DoS-protecting half"
+        );
     }
 
     #[test]

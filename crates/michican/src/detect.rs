@@ -38,13 +38,6 @@ pub enum AttackClass {
     Legitimate,
 }
 
-impl AttackClass {
-    /// Whether this class is attacked (inside the detection range).
-    pub fn is_malicious(self) -> bool {
-        matches!(self, AttackClass::Spoofing | AttackClass::Dos)
-    }
-}
-
 impl fmt::Display for AttackClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -290,7 +283,7 @@ mod tests {
                 let class = classify(&list, index, id(raw));
                 assert_eq!(
                     range.contains(id(raw)),
-                    class.is_malicious(),
+                    matches!(class, AttackClass::Spoofing | AttackClass::Dos),
                     "index {index}, id {raw:#x}, class {class}"
                 );
             }

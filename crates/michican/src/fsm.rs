@@ -288,9 +288,11 @@ impl Builder {
     }
 }
 
-/// Aggregate detection-latency statistics of one FSM (paper §V-B).
+/// Aggregate detection-latency statistics of one FSM (paper §V-B): the
+/// exhaustive reference the unit tests hold each FSM to.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetectionStats {
+struct DetectionStats {
     /// Number of identifiers in the detection range.
     pub malicious_ids: usize,
     /// Fraction of malicious identifiers correctly flagged (must be 1.0).
@@ -303,10 +305,11 @@ pub struct DetectionStats {
     pub max_detection_position: u8,
 }
 
+#[cfg(test)]
 impl DetectionStats {
     /// Exhaustively evaluates `fsm` against the ground-truth `set` over the
     /// whole 11-bit identifier space.
-    pub fn evaluate(fsm: &DetectionFsm, set: &IdSet) -> Self {
+    fn evaluate(fsm: &DetectionFsm, set: &IdSet) -> Self {
         let mut malicious_ids = 0usize;
         let mut detected = 0usize;
         let mut false_positives = 0usize;

@@ -40,9 +40,6 @@ pub const COUNTERATTACK_START: u32 = 13;
 /// Destuffed frame position at which the counterattack releases the bus.
 pub const COUNTERATTACK_END: u32 = 20;
 
-/// Destuffed positions monitored per frame (Algorithm 1 line 5).
-pub const MONITOR_LIMIT: u32 = 25;
-
 /// Tuning knobs of a [`MichiCan`] instance.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MichiCanConfig {

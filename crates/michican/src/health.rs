@@ -314,7 +314,7 @@ impl SupervisedMichiCan {
     }
 
     /// The current re-arm requirement (`N = base · 2^k`, capped).
-    pub fn rearm_requirement(&self) -> u32 {
+    fn rearm_requirement(&self) -> u32 {
         let k = self.backoff_exponent.min(self.config.max_backoff_exponent);
         self.config.rearm_clean_frames.saturating_mul(1 << k)
     }

@@ -61,7 +61,7 @@ pub mod sync;
 
 pub use config::{EcuList, Scenario};
 pub use detect::{classify, detection_range, monitor_range, AttackClass, IdSet};
-pub use fsm::{DetectionFsm, DetectionStats, FsmCursor, FsmStep};
+pub use fsm::{DetectionFsm, FsmCursor, FsmStep};
 pub use handler::{MichiCan, MichiCanConfig, MichiCanStats};
 pub use health::{DegradeReason, HealthConfig, HealthState, HealthStats, SupervisedMichiCan};
 
@@ -69,7 +69,7 @@ pub use health::{DegradeReason, HealthConfig, HealthState, HealthStats, Supervis
 pub mod prelude {
     pub use crate::config::{EcuList, Scenario};
     pub use crate::detect::{classify, detection_range, monitor_range, AttackClass, IdSet};
-    pub use crate::fsm::{DetectionFsm, DetectionStats};
+    pub use crate::fsm::DetectionFsm;
     pub use crate::handler::{MichiCan, MichiCanConfig};
     pub use crate::health::{HealthConfig, HealthState, SupervisedMichiCan};
     pub use crate::sync::SyncConfig;

@@ -49,23 +49,6 @@ impl SyncConfig {
             fudge_ns: 200.0,
         }
     }
-
-    /// Derives the configuration from a solved hardware bit timing: the
-    /// software sampler adopts the exact sample point the bus's hardware
-    /// controllers use, so both sample the same instant within each bit.
-    pub fn from_bit_timing(
-        speed: BusSpeed,
-        timing: &can_core::bit_timing::BitTiming,
-        drift_ppm: f64,
-        fudge_ns: f64,
-    ) -> Self {
-        SyncConfig {
-            speed,
-            drift_ppm,
-            sample_point: timing.sample_point(),
-            fudge_ns,
-        }
-    }
 }
 
 /// Sampling-point tracker for a software-synchronized defender.
@@ -75,7 +58,6 @@ pub struct SoftSync {
     /// Offset of the sample within the current bit, in nanoseconds from
     /// the bit's start.
     offset_ns: f64,
-    bits_since_sync: u64,
     hard_syncs: u64,
 }
 
@@ -85,7 +67,6 @@ impl SoftSync {
         let mut sync = SoftSync {
             config,
             offset_ns: 0.0,
-            bits_since_sync: 0,
             hard_syncs: 0,
         };
         sync.hard_sync();
@@ -108,7 +89,6 @@ impl SoftSync {
     /// factor compensating the handler prologue.
     pub fn hard_sync(&mut self) {
         self.offset_ns = self.config.sample_point * self.bit_time_ns();
-        self.bits_since_sync = 0;
         self.hard_syncs += 1;
     }
 
@@ -118,7 +98,6 @@ impl SoftSync {
         // Each timer period is off by drift_ppm relative to the
         // transmitter's bit time; the error accumulates linearly.
         self.offset_ns += self.bit_time_ns() * self.config.drift_ppm / 1e6;
-        self.bits_since_sync += 1;
         self.offset_ns
     }
 
@@ -134,11 +113,6 @@ impl SoftSync {
     /// bound.
     pub fn is_sample_valid(&self) -> bool {
         self.offset_ns > 0.0 && self.offset_ns < self.bit_time_ns()
-    }
-
-    /// Bits since the last hard synchronization.
-    pub fn bits_since_sync(&self) -> u64 {
-        self.bits_since_sync
     }
 
     /// Number of hard synchronizations performed.
@@ -176,30 +150,6 @@ impl SoftSync {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_first_interrupt_delay_at_500k() {
-        // §IV-C: at 500 kbit/s the timer first fires at 1.4 µs (minus the
-        // fudge factor).
-        let sync = SoftSync::new(SyncConfig {
-            speed: BusSpeed::K500,
-            drift_ppm: 0.0,
-            sample_point: 0.70,
-            fudge_ns: 0.0,
-        });
-        assert!((sync.first_interrupt_delay_ns() - 1400.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fudge_factor_shortens_first_delay() {
-        let sync = SoftSync::new(SyncConfig {
-            speed: BusSpeed::K500,
-            drift_ppm: 0.0,
-            sample_point: 0.70,
-            fudge_ns: 250.0,
-        });
-        assert!((sync.first_interrupt_delay_ns() - 1150.0).abs() < 1e-9);
-    }
 
     #[test]
     fn zero_drift_never_desyncs() {
@@ -264,22 +214,7 @@ mod tests {
         assert!(drifted > 0.70);
         sync.hard_sync();
         assert!((sync.offset_fraction() - 0.70).abs() < 1e-12);
-        assert_eq!(sync.bits_since_sync(), 0);
         assert_eq!(sync.hard_syncs(), 1);
-    }
-
-    #[test]
-    fn config_from_hardware_bit_timing() {
-        // Match the software sampler to the classic 16 MHz / 500 kbit/s
-        // controller configuration.
-        let timing = can_core::bit_timing::solve(16_000_000, BusSpeed::K500, 0.70).unwrap();
-        let config = SyncConfig::from_bit_timing(BusSpeed::K500, &timing, 100.0, 150.0);
-        assert!((config.sample_point - timing.sample_point()).abs() < 1e-12);
-        let sync = SoftSync::new(config);
-        assert!(sync.is_sample_valid());
-        // The hardware's oscillator-tolerance bound is far looser than the
-        // crystal drift we configured — consistent models.
-        assert!(timing.max_oscillator_tolerance() > 100.0 / 1e6);
     }
 
     #[test]

@@ -149,7 +149,7 @@ impl ParrotDefender {
     }
 
     /// Whether a flood is currently active.
-    pub fn is_flooding(&self, now: BitInstant) -> bool {
+    fn is_flooding(&self, now: BitInstant) -> bool {
         self.flood_until.is_some_and(|until| now.bits() < until)
     }
 }

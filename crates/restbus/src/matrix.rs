@@ -34,7 +34,7 @@ impl Message {
     }
 
     /// Transmissions per second.
-    pub fn frequency_hz(&self) -> f64 {
+    fn frequency_hz(&self) -> f64 {
         1000.0 / self.period_ms as f64
     }
 }

@@ -63,7 +63,6 @@ pub fn pacifica_matrix(speed: BusSpeed) -> CommMatrix {
 pub struct ParkSense {
     timeout_ms: f64,
     last_status_ms: Option<f64>,
-    unavailable_since_ms: Option<f64>,
 }
 
 impl ParkSense {
@@ -72,7 +71,6 @@ impl ParkSense {
         ParkSense {
             timeout_ms,
             last_status_ms: None,
-            unavailable_since_ms: None,
         }
     }
 
@@ -85,28 +83,15 @@ impl ParkSense {
     pub fn on_frame(&mut self, id: CanId, now_ms: f64) {
         if id == PARKSENSE_ID {
             self.last_status_ms = Some(now_ms);
-            self.unavailable_since_ms = None;
         }
     }
 
     /// Poll availability at `now_ms`.
-    pub fn is_available(&mut self, now_ms: f64) -> bool {
+    pub fn is_available(&self, now_ms: f64) -> bool {
         match self.last_status_ms {
             None => now_ms < self.timeout_ms,
-            Some(last) => {
-                if now_ms - last > self.timeout_ms {
-                    self.unavailable_since_ms.get_or_insert(now_ms);
-                    false
-                } else {
-                    true
-                }
-            }
+            Some(last) => now_ms - last <= self.timeout_ms,
         }
-    }
-
-    /// When the feature became unavailable, if it did.
-    pub fn unavailable_since_ms(&self) -> Option<f64> {
-        self.unavailable_since_ms
     }
 }
 
@@ -135,7 +120,6 @@ mod tests {
         ps.on_frame(PARKSENSE_ID, 0.0);
         assert!(ps.is_available(100.0));
         assert!(!ps.is_available(151.0));
-        assert_eq!(ps.unavailable_since_ms(), Some(151.0));
     }
 
     #[test]
@@ -145,7 +129,6 @@ mod tests {
         assert!(!ps.is_available(200.0));
         ps.on_frame(PARKSENSE_ID, 210.0);
         assert!(ps.is_available(220.0));
-        assert_eq!(ps.unavailable_since_ms(), None);
     }
 
     #[test]

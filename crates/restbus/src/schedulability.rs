@@ -15,8 +15,6 @@
 //! an *attack blocking* term so the feasibility of a defense episode can
 //! be checked analytically against any communication matrix.
 
-use can_core::BusSpeed;
-
 use crate::matrix::CommMatrix;
 
 /// Worst-case response time of one message, in bits.
@@ -32,13 +30,6 @@ pub struct ResponseTime {
     pub deadline_bits: u64,
     /// Whether the response time meets the deadline.
     pub schedulable: bool,
-}
-
-impl ResponseTime {
-    /// Response time in milliseconds at the given speed.
-    pub fn response_ms(&self, speed: BusSpeed) -> f64 {
-        self.response_bits as f64 * speed.bit_time_us() / 1000.0
-    }
 }
 
 /// Result of analyzing a whole matrix.
@@ -166,7 +157,7 @@ pub fn max_tolerable_blocking(matrix: &CommMatrix) -> u64 {
 mod tests {
     use super::*;
     use crate::matrix::Message;
-    use can_core::CanId;
+    use can_core::{BusSpeed, CanId};
 
     fn msg(id: u16, period_ms: u32, dlc: u8) -> Message {
         Message {
@@ -272,14 +263,5 @@ mod tests {
         );
         assert!(analyze(&m, budget).all_schedulable());
         assert!(!analyze(&m, budget + 1).all_schedulable());
-    }
-
-    #[test]
-    fn response_ms_conversion() {
-        let m = CommMatrix::new("t", BusSpeed::K500, vec![msg(0x100, 10, 8)]);
-        let analysis = analyze(&m, 0);
-        let r = &analysis.messages[0];
-        let expected = r.response_bits as f64 * 2.0 / 1000.0;
-        assert!((r.response_ms(BusSpeed::K500) - expected).abs() < 1e-12);
     }
 }
