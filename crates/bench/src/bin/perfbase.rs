@@ -16,17 +16,26 @@
 //! self-telemetry of one 30 %-load bus under both engines, and the frame
 //! codec's unit costs: the receive parser fed one bit per call and one
 //! 64-bit word per call (CI requires the word path to be ≥ 3× cheaper per
-//! bit), and `stuff_frame`. Every rate is the median of [`REPEATS`] runs.
+//! bit), and `stuff_frame`. It also records the supervised MichiCAN
+//! defender's cost per observed bit in one campaign cell, with packed
+//! stretches observed in closed form and replayed bit by bit (CI requires
+//! the closed form to be ≥ 2× cheaper). Every rate is the median of
+//! [`REPEATS`] runs.
 //! Rates depend on the host; end-to-end timings of the experiment grids
 //! are perfbench's (`BENCHMARK.json`).
 
+use std::cell::RefCell;
 use std::hint::black_box;
+use std::rc::Rc;
 use std::time::Instant;
 
+use bench::campaign::{build_cell_wrapped, CampaignConfig, FaultSpec, Traffic};
+use bench::runner::derive_seed;
 use bench::scenarios::restbus_matrix;
+use can_core::agent::BitAgent;
 use can_core::app::{PeriodicSender, SilentApplication};
 use can_core::bitstream::{encode_frame, stuff_frame, PackedWire};
-use can_core::{packed, BusSpeed, CanFrame, CanId};
+use can_core::{packed, BitDuration, BitInstant, BusSpeed, CanFrame, CanId, Level};
 use can_obs::{Journal, Recorder};
 use can_sim::{Node, RxEvent, RxParser, SimBuilder, Simulator};
 use restbus::ReplayApp;
@@ -230,6 +239,155 @@ fn codec_section(passes: usize) -> [f64; 3] {
     })
 }
 
+/// A state-changing call the campaign's defender received.
+#[derive(Clone, Copy)]
+enum DefenderCall {
+    OwnTx(bool),
+    Bit(Level, BitInstant),
+    Skip(u64, BitInstant),
+    Stretch(u64, u32, bool, BitInstant),
+}
+
+/// Forwards to the defender's agent and logs every call that changes its
+/// state.
+struct CallLog {
+    inner: Box<dyn BitAgent>,
+    calls: Rc<RefCell<Vec<DefenderCall>>>,
+}
+
+impl BitAgent for CallLog {
+    fn on_bit(&mut self, level: Level, now: BitInstant) {
+        self.calls.borrow_mut().push(DefenderCall::Bit(level, now));
+        self.inner.on_bit(level, now);
+    }
+
+    fn tx_level(&self) -> Option<Level> {
+        self.inner.tx_level()
+    }
+
+    fn set_own_transmission(&mut self, transmitting: bool) {
+        self.calls
+            .borrow_mut()
+            .push(DefenderCall::OwnTx(transmitting));
+        self.inner.set_own_transmission(transmitting);
+    }
+
+    fn next_activity(&self, now: BitInstant) -> Option<BitInstant> {
+        self.inner.next_activity(now)
+    }
+
+    fn drive_horizon(&self, now: BitInstant) -> Option<BitInstant> {
+        self.inner.drive_horizon(now)
+    }
+
+    fn drive_until(&self, now: BitInstant) -> BitInstant {
+        self.inner.drive_until(now)
+    }
+
+    fn skip_idle(&mut self, bits: u64, from: BitInstant) {
+        self.calls.borrow_mut().push(DefenderCall::Skip(bits, from));
+        self.inner.skip_idle(bits, from);
+    }
+
+    fn observe_stretch(&mut self, word: u64, len: u32, own_tx: bool, from: BitInstant) {
+        let call = DefenderCall::Stretch(word, len, own_tx, from);
+        self.calls.borrow_mut().push(call);
+        self.inner.observe_stretch(word, len, own_tx, from);
+    }
+}
+
+/// The supervised defender's row: what the packed kernel handed it in the
+/// campaign's benign cell without faults, replayed on fresh copies of it.
+struct DefenderSample {
+    stretches: usize,
+    stretch_bits: u64,
+    lockstep_bits: u64,
+    /// Nanoseconds per observed bit (stretch and lockstep bits; idle skips
+    /// are O(1) calls and count no bits), `[closed_form, per_bit]`.
+    ns_per_bit: [f64; 2],
+}
+
+/// Records the defender's calls over one campaign cell run in the packed
+/// kernel, then replays them `passes` times per sample, with each stretch
+/// observed in closed form (`observe_stretch`) or bit by bit (the trait's
+/// reference loop), every other call alike. The two rows take their
+/// [`REPEATS`] samples in turn.
+fn defender_section(passes: usize) -> DefenderSample {
+    let config = CampaignConfig::default();
+    let calls = Rc::new(RefCell::new(Vec::new()));
+    let log = calls.clone();
+    let mut cell = build_cell_wrapped(
+        Traffic::Benign,
+        FaultSpec::Clean,
+        // The benign/clean cell's seed in the campaign grid.
+        derive_seed(config.seed, 0),
+        config.run_ms,
+        &Recorder::disabled(),
+        &Journal::disabled(),
+        move |inner| Box::new(CallLog { inner, calls: log }),
+    )
+    .expect("the campaign cell builds");
+    let fresh = cell.defender();
+    cell.sim
+        .run_packed(BusSpeed::K500.bits_in_millis(config.run_ms));
+    let calls = calls.take();
+    let (mut stretches, mut stretch_bits, mut lockstep_bits) = (0, 0, 0);
+    for call in &calls {
+        match call {
+            DefenderCall::Stretch(_, len, _, _) => {
+                stretches += 1;
+                stretch_bits += u64::from(*len);
+            }
+            DefenderCall::Bit(..) => lockstep_bits += 1,
+            _ => {}
+        }
+    }
+    let replay = |closed_form: bool| {
+        let mut defender = fresh.clone();
+        for &call in &calls {
+            match call {
+                DefenderCall::OwnTx(own) => defender.set_own_transmission(own),
+                DefenderCall::Bit(level, now) => defender.on_bit(level, now),
+                DefenderCall::Skip(bits, from) => defender.skip_idle(bits, from),
+                DefenderCall::Stretch(word, len, own, from) if closed_form => {
+                    defender.observe_stretch(black_box(word), len, own, from)
+                }
+                DefenderCall::Stretch(word, len, own, from) => {
+                    for i in 0..len {
+                        defender.set_own_transmission(own);
+                        let now = from + BitDuration::bits(u64::from(i));
+                        defender.on_bit(packed::level_at(black_box(word), i), now);
+                    }
+                }
+            }
+        }
+        defender
+    };
+    assert_eq!(
+        format!("{:?}", replay(true)),
+        format!("{:?}", replay(false)),
+        "the closed form must end where the per-bit replay does"
+    );
+    let bits = (stretch_bits + lockstep_bits) as usize;
+    let mut samples = [const { Vec::new() }; 2];
+    for _ in 0..REPEATS {
+        for (row, closed_form) in samples.iter_mut().zip([true, false]) {
+            row.push(ns_per_unit(passes, bits, &mut || {
+                black_box(replay(closed_form));
+            }));
+        }
+    }
+    DefenderSample {
+        stretches,
+        stretch_bits,
+        lockstep_bits,
+        ns_per_bit: samples.map(|mut row| {
+            row.sort_by(f64::total_cmp);
+            row[REPEATS / 2]
+        }),
+    }
+}
+
 fn json_f(value: f64) -> String {
     if value.is_finite() {
         format!("{value:.3}")
@@ -330,6 +488,18 @@ fn main() {
         rx_push / rx_push_word
     );
 
+    // 5. The supervised defender's stretch observation.
+    let defender = defender_section(if quick { 5 } else { 20 });
+    let [observe_closed, observe_per_bit] = defender.ns_per_bit;
+    eprintln!(
+        "  defender: {} stretches, {} stretch + {} lockstep bits: closed form \
+         {observe_closed:.2} ns/bit, per-bit replay {observe_per_bit:.2} ns/bit ({:.1}x)",
+        defender.stretches,
+        defender.stretch_bits,
+        defender.lockstep_bits,
+        observe_per_bit / observe_closed
+    );
+
     let packed_rows: String = packed_samples
         .iter()
         .map(|s| {
@@ -378,6 +548,16 @@ fn main() {
     "rx_push_ns_per_bit": {rx_push},
     "rx_push_word_ns_per_bit": {rx_push_word},
     "stuff_frame_ns": {stuff_ns}
+  }},
+  "defender": {{
+    "cell": "benign/clean",
+    "stretches": {stretches},
+    "stretch_bits": {stretch_bits},
+    "lockstep_bits": {lockstep_bits},
+    "defender_observe_ns_per_bit": {{
+      "closed_form": {observe_closed},
+      "per_bit_replay": {observe_per_bit}
+    }}
   }}
 }}
 "#,
@@ -389,6 +569,11 @@ fn main() {
         rx_push = json_f(rx_push),
         rx_push_word = json_f(rx_push_word),
         stuff_ns = json_f(stuff_ns),
+        stretches = defender.stretches,
+        stretch_bits = defender.stretch_bits,
+        lockstep_bits = defender.lockstep_bits,
+        observe_closed = json_f(observe_closed),
+        observe_per_bit = json_f(observe_per_bit),
     );
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("cannot write {out_path}: {e}");

@@ -433,6 +433,14 @@ pub struct Cell {
     attacker: Option<NodeId>,
 }
 
+impl Cell {
+    /// A copy of the supervised defender in its current state (before the
+    /// run: as built).
+    pub fn defender(&self) -> SupervisedMichiCan {
+        self.defender.0.borrow().clone()
+    }
+}
+
 /// Builds one campaign cell with `recorder` and `journal` attached to the
 /// simulator and the supervised defender. Fault windows are placed
 /// relative to `run_ms`, as in [`run_cell_with`].
@@ -443,6 +451,22 @@ pub fn build_cell(
     run_ms: f64,
     recorder: &Recorder,
     journal: &Journal,
+) -> Result<Cell, CellBuildError> {
+    build_cell_wrapped(traffic, fault, seed, run_ms, recorder, journal, |agent| {
+        agent
+    })
+}
+
+/// [`build_cell`], with the defender's bus agent passed through `wrap`
+/// before it joins the bus (`perfbase` records what the defender sees).
+pub fn build_cell_wrapped(
+    traffic: Traffic,
+    fault: FaultSpec,
+    seed: u64,
+    run_ms: f64,
+    recorder: &Recorder,
+    journal: &Journal,
+    wrap: impl FnOnce(Box<dyn BitAgent>) -> Box<dyn BitAgent>,
 ) -> Result<Cell, CellBuildError> {
     let speed = BusSpeed::K500;
     let run_bits = speed.bits_in_millis(run_ms);
@@ -537,7 +561,8 @@ pub fn build_cell(
         _ => Box::new(defender.clone()),
     };
     let defender_node = builder.node_id();
-    builder = builder.node(Node::new("michican", Box::new(SilentApplication)).with_agent(agent));
+    builder =
+        builder.node(Node::new("michican", Box::new(SilentApplication)).with_agent(wrap(agent)));
     defender
         .0
         .borrow_mut()

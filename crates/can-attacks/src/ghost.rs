@@ -16,7 +16,7 @@
 //! from compromisable software (paper §III, Fig. 3).
 
 use can_core::agent::BitAgent;
-use can_core::watch::{PositionTracker, Tracked, ID_COMPLETE_CNT};
+use can_core::watch::{self, PositionTracker, Tracked, ID_COMPLETE_CNT};
 use can_core::{BitDuration, BitInstant, CanId, Level};
 use can_obs::{Journal, JournalKind};
 
@@ -125,6 +125,10 @@ impl BitAgent for GhostInjector {
     fn skip_idle(&mut self, bits: u64, _from: BitInstant) {
         debug_assert!(!self.injecting);
         self.tracker.skip_idle(bits);
+    }
+
+    fn observe_stretch(&mut self, word: u64, len: u32, _own_tx: bool, from: BitInstant) {
+        watch::observe_tracked(self, |ghost| &mut ghost.tracker, word, len, from);
     }
 }
 

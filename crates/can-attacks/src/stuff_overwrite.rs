@@ -9,7 +9,7 @@
 //! the attacker ever forming a frame a defense could classify.
 //!
 //! [`StuffBitOverwrite`] computes upcoming stuff bits with the shared
-//! [`FrameWatch`] destuffer and strikes the `skip`-th *recessive* stuff
+//! [`FrameWatch`](can_core::watch::FrameWatch) destuffer and strikes the `skip`-th *recessive* stuff
 //! bit of every frame carrying the victim identifier. (Dominant stuff
 //! bits cannot be overwritten on a wired-AND bus.)
 

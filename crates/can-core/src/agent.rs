@@ -127,9 +127,16 @@ pub trait BitAgent {
     /// which the agent's drive is known: declared drive-free by
     /// [`BitAgent::drive_horizon`], declared dominant by
     /// [`BitAgent::drive_until`], or overridden by a transmitter fault on
-    /// its node. The default
-    /// replays the bits one by one; an implementation overrides it to pay
-    /// one dynamic call per stretch instead of two per bit.
+    /// its node.
+    ///
+    /// The default replays the bits one by one: the reference every
+    /// override must equal. The agents on the
+    /// [`PositionTracker`](crate::watch::PositionTracker) front end
+    /// (MichiCAN's handler, its supervised form and the CANnon-style
+    /// ghost) override it in closed form: their SOF hunt consumes a word
+    /// at a time ([`PositionTracker::hunt_word`](crate::watch::PositionTracker::hunt_word)),
+    /// and only the frame bits they act on run per bit. An agent whose
+    /// observation draws randomness per bit keeps the default.
     fn observe_stretch(&mut self, word: u64, len: u32, own_tx: bool, from: BitInstant) {
         for i in 0..len {
             self.set_own_transmission(own_tx);

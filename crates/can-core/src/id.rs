@@ -43,9 +43,6 @@ impl CanId {
     /// DoS" identifier from the paper's threat model.
     pub const HIGHEST_PRIORITY: CanId = CanId(0);
 
-    /// The lowest-priority identifier, `0x7FF`.
-    pub const LOWEST_PRIORITY: CanId = CanId(Self::MAX_RAW);
-
     /// Creates an identifier, validating the 11-bit range.
     ///
     /// # Errors
@@ -272,7 +269,10 @@ mod tests {
     #[test]
     fn neighbors() {
         assert_eq!(CanId::HIGHEST_PRIORITY.higher_priority_neighbor(), None);
-        assert_eq!(CanId::LOWEST_PRIORITY.lower_priority_neighbor(), None);
+        assert_eq!(
+            CanId::from_raw(CanId::MAX_RAW).lower_priority_neighbor(),
+            None
+        );
         assert_eq!(
             CanId::from_raw(0x100).higher_priority_neighbor(),
             Some(CanId::from_raw(0x0FF))

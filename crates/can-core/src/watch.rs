@@ -15,12 +15,17 @@
 //!
 //! Both carry the closed forms the packed kernel asks for: the quiet test
 //! and `skip_idle` of an idle hunt, and a drive-horizon bound under
-//! arbitrary input.
+//! arbitrary input. [`PositionTracker`] also hunts a packed word at once
+//! ([`PositionTracker::hunt_word`], on the word-level arming test
+//! [`armed_mask`] that a supervisor can share), which is how its owners
+//! observe a packed stretch ([`observe_tracked`]).
 
+use crate::agent::BitAgent;
 use crate::bitstream::{Destuffed, Destuffer, FrameLayout, MIN_INTERFRAME_RECESSIVE, STUFF_RUN};
 use crate::id::CanId;
 use crate::level::Level;
-use crate::time::BitInstant;
+use crate::packed;
+use crate::time::{BitDuration, BitInstant};
 
 /// Destuffed position (1-based, SOF = 1) of the last identifier bit: the
 /// arbitration winner is known once [`FrameWatch::cnt`] reaches this.
@@ -46,6 +51,44 @@ fn hunt(recessive_run: &mut u32, level: Level) -> bool {
 /// form of as many [`hunt`] steps.
 fn credit_idle(recessive_run: u32, bits: u64) -> u32 {
     recessive_run.saturating_add(u32::try_from(bits).unwrap_or(u32::MAX))
+}
+
+/// The hunt's arming test over a packed word: bit `i` is set iff wire bit
+/// `i` of the `len` bits of `word` follows at least 11 recessive bits,
+/// counting the recessive run `carried` into bit 0. Bit `len` tests the
+/// bit after the word, so bit `i + 1` says that bit `i` completed such a
+/// run.
+///
+/// A dominant bit `i` is a SOF iff bit `i` is set; every other dominant
+/// bit resets the run, which the shifted `AND`s see directly.
+#[must_use]
+pub fn armed_mask(carried: u32, word: u64, len: u32) -> u128 {
+    const RUN: u32 = MIN_INTERFRAME_RECESSIVE as u32;
+    // Wire bit `i` sits at bit `i + RUN`; below it, the carried run's last
+    // (at most) `RUN` bits.
+    let credit = carried.min(RUN);
+    let carry = ((1u128 << credit) - 1) << (RUN - credit);
+    let recessive = (u128::from(!word & packed::low_mask(len)) << RUN) | carry;
+    // `two`, `four` and `eight` set bit `j` iff the 2, 4 and 8 bits from
+    // `j` on are all recessive; the last line completes 8 + 2 + 1.
+    let two = recessive & (recessive >> 1);
+    let four = two & (two >> 2);
+    let eight = four & (four >> 4);
+    eight & (two >> 8) & (recessive >> 10)
+}
+
+/// The recessive run after the `len` bits of `word`, given the run
+/// `carried` into bit 0: the closed form of as many hunting steps that
+/// open no frame.
+#[must_use]
+pub fn run_after(carried: u32, word: u64, len: u32) -> u32 {
+    let dominant = word & packed::low_mask(len);
+    if dominant == 0 {
+        credit_idle(carried, u64::from(len))
+    } else {
+        // The bits above the last dominant one.
+        len + dominant.leading_zeros() - packed::WORD_BITS
+    }
 }
 
 /// What one pushed wire bit amounted to for a [`PositionTracker`].
@@ -114,6 +157,30 @@ impl PositionTracker {
         }
     }
 
+    /// Whether the tracker is hunting a SOF (not inside a frame).
+    pub fn is_hunting(&self) -> bool {
+        !self.in_frame
+    }
+
+    /// Hunts over the `len` bits of `word` at once: pushes every bit before
+    /// the first SOF and returns that SOF's offset, leaving the SOF itself
+    /// for [`PositionTracker::push`]; `None` when all `len` bits were
+    /// hunting bits. Equivalent to pushing those bits one by one, each
+    /// returning [`Tracked::Idle`].
+    pub fn hunt_word(&mut self, word: u64, len: u32) -> Option<u32> {
+        let sof = self.next_sof(word, len);
+        self.recessive_run = run_after(self.recessive_run, word, sof.unwrap_or(len));
+        sof
+    }
+
+    /// The offset of the first SOF within the `len` bits of `word` for a
+    /// hunting tracker, without pushing anything.
+    pub fn next_sof(&self, word: u64, len: u32) -> Option<u32> {
+        debug_assert!(!self.in_frame, "hunting inside a frame");
+        let armed = armed_mask(self.recessive_run, word, len) as u64;
+        packed::first_dominant(word & armed, len)
+    }
+
     /// Leaves the frame and hunts again with no recessive credit. Bit
     /// stuffing guarantees no false SOF within the rest of the frame.
     pub fn leave(&mut self) {
@@ -163,6 +230,32 @@ impl PositionTracker {
     pub fn dominant_pushes_to(&self, end: u32) -> u64 {
         let bits = end.saturating_sub(self.cnt).max(1);
         self.destuffer.pushes_for_bits(Level::Dominant, bits)
+    }
+}
+
+/// [`BitAgent::observe_stretch`] for an agent on a [`PositionTracker`],
+/// reached through `tracker`: the hunting bits in closed form
+/// ([`PositionTracker::hunt_word`]), every other bit through the agent's
+/// own `on_bit`, so each step of its policy keeps its bit time.
+pub fn observe_tracked<A: BitAgent>(
+    agent: &mut A,
+    tracker: fn(&mut A) -> &mut PositionTracker,
+    word: u64,
+    len: u32,
+    from: BitInstant,
+) {
+    let mut at = 0;
+    while at < len {
+        let hunt = tracker(agent);
+        if hunt.is_hunting() {
+            match hunt.hunt_word(word >> at, len - at) {
+                Some(sof) => at += sof,
+                None => return,
+            }
+        }
+        let now = from + BitDuration::bits(u64::from(at));
+        agent.on_bit(packed::level_at(word, at), now);
+        at += 1;
     }
 }
 
@@ -667,6 +760,48 @@ mod tests {
         assert_eq!(tracker.next_activity(BitInstant::ZERO), None);
         // Leaving gives no recessive credit: a full hunt precedes the SOF.
         assert_eq!(tracker.pushes_until(13, 20), 11 + 13);
+    }
+
+    #[test]
+    fn hunt_word_matches_bitwise_pushes() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for case in 0..4_000u32 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            // Sparse dominant bits, so runs of 11 recessive bits occur.
+            let word = state & (state >> 7) & (state >> 19);
+            let len = case % 65;
+            let mut tracker = PositionTracker::new();
+            tracker.skip_idle(u64::from(case % 14));
+            let mut stepped = tracker.clone();
+            let sof = tracker.hunt_word(word, len);
+            let expect =
+                (0..len).find(|&i| stepped.push(packed::level_at(word, i)) != Tracked::Idle);
+            assert_eq!(sof, expect, "word {word:#x} len {len}");
+            if let Some(at) = sof {
+                assert_eq!(tracker.push(Level::Dominant), Tracked::Sof);
+                assert_eq!(
+                    stepped.cnt(),
+                    1,
+                    "the bitwise side consumed the SOF at {at}"
+                );
+            }
+            assert_eq!(format!("{tracker:?}"), format!("{stepped:?}"));
+        }
+    }
+
+    #[test]
+    fn armed_mask_marks_the_bit_after_eleven_recessive() {
+        // Carrying 11 arms bit 0; a dominant bit 0 then disarms bit 1 until
+        // 11 more recessive bits pass.
+        let armed = armed_mask(11, 0b1, 64);
+        assert_eq!(armed & 0b11, 0b01);
+        assert_eq!((armed >> 1).trailing_zeros(), 11);
+        assert_eq!(armed_mask(0, 0, 11), 1 << 11);
+        assert_eq!(run_after(3, 0, 64), 67);
+        assert_eq!(run_after(3, 0b100, 8), 5);
+        assert_eq!(run_after(3, 1 << 63, 64), 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Detectors as passive bus taps.
 //!
 //! [`DetectorTap`] adapts any [`Detector`] to `can_sim`'s
-//! [`FrameTap`](can_sim::FrameTap) attachment point, so N detectors can
+//! [`can_sim::FrameTap`] attachment point, so N detectors can
 //! observe one simulated bus in a single run without occupying nodes.
 //! The tap is a cheap-clone shared handle (the `Recorder`/`Journal`
 //! idiom): a bench keeps one clone for reading results while a second
@@ -18,7 +18,7 @@
 //! * **can-obs metrics** — `ids_frames_observed_total` /
 //!   `ids_alerts_total` counters labeled by detector variant.
 //! * **Journal emission** — every alert lands in the causal
-//!   [`Journal`](can_obs::Journal) as a [`can_obs::JournalKind::IdsAlert`] event at
+//!   [`can_obs::Journal`] as a [`can_obs::JournalKind::IdsAlert`] event at
 //!   the triggering frame's completion bit, inheriting that frame's
 //!   `frame_seq`/`chain_id` so alert chains reconstruct.
 

@@ -18,7 +18,7 @@
 //!   babbling node driving garbage, or a transient crash and restart.
 //! * **Defender pin faults** ([`PinFaultConfig`] + [`FaultyAgent`]) sit on
 //!   the `CAN_RX` seam between the bus and a
-//!   [`BitAgent`](can_core::agent::BitAgent): sampling jitter, missed
+//!   [`BitAgent`]: sampling jitter, missed
 //!   bit-interrupts and delayed start-of-frame hard-syncs — the failure
 //!   modes a software-defined defense must degrade gracefully under.
 

@@ -16,7 +16,7 @@
 //! * [`sim`] — the two-phase tick driver, event log and signal trace.
 //! * [`event`] — protocol events for metric extraction.
 //! * [`measure`] — bus-off episodes and duration statistics (Table II).
-//! * [`tap`] — passive [`FrameTap`](tap::FrameTap) observers: N intrusion
+//! * [`tap`] — passive [`FrameTap`] observers: N intrusion
 //!   detectors watching one bus without N nodes.
 //! * [`telemetry`] — always-on kernel self-telemetry: bits resolved per
 //!   engine, packed-stretch statistics and fallback causes.

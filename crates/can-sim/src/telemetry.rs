@@ -5,7 +5,7 @@
 //! and packed kernels. Telemetry about the kernels themselves
 //! — how many bits each engine resolved, how long the packed stretches
 //! were, which seam refused a horizon — is *by construction* different per
-//! [`SimMode`](crate::measure::SimMode), so it lives here, outside the
+//! sim mode (`bench::runner::SimMode`), so it lives here, outside the
 //! registry and outside every differential fingerprint. It is always on:
 //! the accounting is a handful of integer adds per quantum (one per bit on
 //! the lockstep path), so every throughput the `perfbase` binary (crate
@@ -115,8 +115,8 @@ fn role_index(role: StretchRole) -> usize {
 }
 
 /// Per-simulator counters for how the three engines resolved bus time.
-/// Always collected; read through [`Simulator::kernel_telemetry`]
-/// (`crate::Simulator::kernel_telemetry`).
+/// Always collected; read through
+/// [`Simulator::kernel_telemetry`](crate::Simulator::kernel_telemetry).
 #[derive(Debug, Clone)]
 pub struct KernelTelemetry {
     lockstep_bits: u64,

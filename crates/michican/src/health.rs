@@ -42,7 +42,8 @@
 
 use can_core::agent::BitAgent;
 use can_core::bitstream::MIN_INTERFRAME_RECESSIVE;
-use can_core::{BitInstant, Level};
+use can_core::watch::{armed_mask, run_after};
+use can_core::{packed, BitInstant, Level};
 use can_obs::{Journal, JournalKind, Recorder};
 use serde::{Deserialize, Serialize};
 
@@ -468,6 +469,122 @@ impl SupervisedMichiCan {
         }
     }
 
+    /// The per-tick bookkeeping of `ticks` contiguous ticks from `first`
+    /// that carry no supervisor event, in closed form: the missed-tick and
+    /// episode windows roll over and the tick timestamp moves on.
+    ///
+    /// A rollover's prevention update lands after the last tick instead of
+    /// at its own, so no rollover may fall while the handler parses a
+    /// frame, the only time it reads prevention.
+    fn tick_quietly(&mut self, first: u64, ticks: u64) {
+        let last = first + ticks - 1;
+        if let Some(start) = window_start_after(
+            self.missed_window_start,
+            self.config.missed_tick_window,
+            first,
+            last,
+        ) {
+            self.missed_window_start = start;
+            self.window_missed = 0;
+        }
+        if let Some(start) = window_start_after(
+            self.episode_window_start,
+            self.config.episode_window_bits,
+            first,
+            last,
+        ) {
+            self.episode_window_start = start;
+            self.episodes_in_window = 0;
+            self.sync_handler_prevention();
+        }
+        self.last_tick = Some(last);
+    }
+
+    /// Observes the longest prefix of the `len` bits of `word`, ticks from
+    /// `t`, over which the watchdog's own bookkeeping has a closed form,
+    /// and returns its length; 0 when tick `t` must run bit by bit.
+    ///
+    /// Bit by bit run: a tick after a gap (or the first one), every tick
+    /// while an eradication watch is open, and the supervisor's own
+    /// events: its SOF edge, the frame close at an 11-bit recessive run
+    /// and a sync loss. Between them a tick only counts: the idle run, the
+    /// tick windows and the sampling drift (one `f64` add per tick, as bit
+    /// by bit). The handler meanwhile hunts in closed form, or parses its
+    /// frame bit by bit up to the bit that starts or releases an
+    /// injection, whose budget and eradication bookkeeping closes the
+    /// prefix.
+    fn observe_quietly(&mut self, word: u64, len: u32, t: u64) -> u32 {
+        let contiguous = self.last_tick.is_some_and(|last| last + 1 == t);
+        if !contiguous || self.watch_deadline.is_some() {
+            return 0;
+        }
+        let armed = armed_mask(self.idle_run, word, len);
+        let sof_edges = word & armed as u64;
+        let closes = if self.in_frame {
+            (armed >> 1) as u64
+        } else {
+            0
+        };
+        let events = packed::first_dominant(sof_edges | closes, len).unwrap_or(len);
+        let (quiet, toggled) = if self.handler.is_hunting() {
+            (self.hunt_quietly(word, events), false)
+        } else {
+            self.parse_quietly(word, events, t)
+        };
+        if quiet == 0 {
+            return 0;
+        }
+        self.tick_quietly(t, u64::from(quiet));
+        self.idle_run = run_after(self.idle_run, word, quiet);
+        if toggled {
+            let last = t + u64::from(quiet) - 1;
+            let injecting = self.handler.is_injecting();
+            self.track_episode_budget(injecting, !injecting, last);
+            self.track_eradication(packed::level_at(word, quiet - 1), !injecting, last);
+        }
+        quiet
+    }
+
+    /// The handler's closed-form hunt over at most `limit` bits of `word`,
+    /// up to its next SOF, with the drift of the ticks it spans; returns
+    /// how many bits it took.
+    fn hunt_quietly(&mut self, word: u64, limit: u32) -> u32 {
+        let mut quiet = self.handler.next_sof(word, limit).unwrap_or(limit);
+        if self.in_frame {
+            quiet = self.sync.advance_while_valid(u64::from(quiet)) as u32;
+        }
+        self.handler.hunt(word, quiet);
+        quiet
+    }
+
+    /// The handler's frame bits, one by one, over at most `limit` bits of
+    /// `word` from tick `t`, each after its tick's drift, up to the bit
+    /// that starts or releases an injection (`true`) or leaves the frame.
+    /// A sync loss or an episode-window rollover ends the run before its
+    /// tick. Returns how many bits it took and whether the last one
+    /// toggled the injection.
+    fn parse_quietly(&mut self, word: u64, limit: u32, t: u64) -> (u32, bool) {
+        let rollover = self
+            .episode_window_start
+            .saturating_add(self.config.episode_window_bits);
+        let limit = limit.min(u32::try_from(rollover.saturating_sub(t)).unwrap_or(u32::MAX));
+        let injecting = self.handler.is_injecting();
+        for at in 0..limit {
+            if self.in_frame && self.sync.advance_while_valid(1) == 0 {
+                return (at, false);
+            }
+            let now = BitInstant::from_bits(t + u64::from(at));
+            self.handler.on_bit(packed::level_at(word, at), now);
+            if self.handler.is_injecting() != injecting {
+                return (at + 1, true);
+            }
+            if self.handler.is_hunting() {
+                return (at + 1, false);
+            }
+        }
+        (limit, false)
+    }
+
     fn track_episode_budget(&mut self, started: bool, released: bool, now: u64) {
         if now.saturating_sub(self.episode_window_start) >= self.config.episode_window_bits {
             self.episode_window_start = now;
@@ -555,6 +672,21 @@ impl BitAgent for SupervisedMichiCan {
         self.track_eradication(level, released, t);
     }
 
+    fn observe_stretch(&mut self, word: u64, len: u32, own_tx: bool, from: BitInstant) {
+        self.handler.set_own_transmission(own_tx);
+        let mut at = 0;
+        while at < len {
+            let t = from.bits() + u64::from(at);
+            let quiet = self.observe_quietly(word >> at, len - at, t);
+            if quiet > 0 {
+                at += quiet;
+            } else {
+                self.on_bit(packed::level_at(word, at), BitInstant::from_bits(t));
+                at += 1;
+            }
+        }
+    }
+
     fn tx_level(&self) -> Option<Level> {
         self.handler.tx_level()
     }
@@ -603,13 +735,10 @@ impl BitAgent for SupervisedMichiCan {
             .saturating_add(self.config.episode_window_bits);
         until = until.min(rollover);
         if self.in_frame {
-            let mut sync = self.sync.clone();
-            if let Some(lost) = (t..until).find(|_| {
-                sync.advance_bit();
-                !sync.is_sample_valid()
-            }) {
-                until = lost;
-            }
+            until = t + self
+                .sync
+                .clone()
+                .advance_while_valid(until.saturating_sub(t));
         }
         BitInstant::from_bits(until.max(t))
     }
@@ -626,34 +755,14 @@ impl BitAgent for SupervisedMichiCan {
         if rest == 0 {
             return;
         }
-        // The remaining ticks `first..=last` are contiguous recessive bits
-        // outside a frame: no gap, no SOF, no episode, no watch.
+        // The remaining ticks are contiguous recessive bits outside a
+        // frame: no gap, no SOF, no episode, no watch.
         debug_assert!(!self.in_frame && self.watch_deadline.is_none());
         let first = from.bits() + 1;
-        let last = from.bits() + rest;
-        if let Some(start) = window_start_after(
-            self.missed_window_start,
-            self.config.missed_tick_window,
-            first,
-            last,
-        ) {
-            self.missed_window_start = start;
-            self.window_missed = 0;
-        }
-        if let Some(start) = window_start_after(
-            self.episode_window_start,
-            self.config.episode_window_bits,
-            first,
-            last,
-        ) {
-            self.episode_window_start = start;
-            self.episodes_in_window = 0;
-            self.sync_handler_prevention();
-        }
+        self.tick_quietly(first, rest);
         self.idle_run = self
             .idle_run
             .saturating_add(u32::try_from(rest).unwrap_or(u32::MAX));
-        self.last_tick = Some(last);
         self.handler.skip_idle(rest, BitInstant::from_bits(first));
     }
 }

@@ -95,10 +95,33 @@ impl SoftSync {
     /// Advances by one timer period; returns the new sampling offset in
     /// nanoseconds within the (ideal) current bit.
     pub fn advance_bit(&mut self) -> f64 {
-        // Each timer period is off by drift_ppm relative to the
-        // transmitter's bit time; the error accumulates linearly.
-        self.offset_ns += self.bit_time_ns() * self.config.drift_ppm / 1e6;
+        self.offset_ns += self.drift_per_bit_ns();
         self.offset_ns
+    }
+
+    /// Advances by up to `bits` timer periods, stopping before the first
+    /// one whose sample would leave the bit; returns how many it took.
+    /// Adds the drift once per period, exactly as [`SoftSync::advance_bit`]
+    /// does, so the offset stays bit-identical to a per-bit walk.
+    pub fn advance_while_valid(&mut self, bits: u64) -> u64 {
+        let (drift, bit) = (self.drift_per_bit_ns(), self.bit_time_ns());
+        let mut offset = self.offset_ns;
+        for taken in 0..bits {
+            let next = offset + drift;
+            if !(next > 0.0 && next < bit) {
+                self.offset_ns = offset;
+                return taken;
+            }
+            offset = next;
+        }
+        self.offset_ns = offset;
+        bits
+    }
+
+    /// Each timer period is off by `drift_ppm` relative to the
+    /// transmitter's bit time; the error accumulates linearly.
+    fn drift_per_bit_ns(&self) -> f64 {
+        self.bit_time_ns() * self.config.drift_ppm / 1e6
     }
 
     /// Current sampling offset as a fraction of the bit time.
@@ -197,6 +220,24 @@ mod tests {
         }
         sync.advance_bit();
         assert!(!sync.is_sample_valid(), "one past the bound");
+    }
+
+    #[test]
+    fn advance_while_valid_stops_before_the_first_loss() {
+        let config = SyncConfig {
+            speed: BusSpeed::K500,
+            drift_ppm: 5000.0,
+            sample_point: 0.70,
+            fudge_ns: 0.0,
+        };
+        let (mut walked, mut stepped) = (SoftSync::new(config), SoftSync::new(config));
+        assert_eq!(walked.advance_while_valid(20), 20);
+        assert_eq!(walked.advance_while_valid(100), 39);
+        for _ in 0..59 {
+            stepped.advance_bit();
+        }
+        assert_eq!(walked, stepped, "bit-identical to the per-bit walk");
+        assert_eq!(walked.advance_while_valid(5), 0);
     }
 
     #[test]
