@@ -320,10 +320,6 @@ impl BitAgent for SharedDefender {
         self.0.borrow().next_activity(now)
     }
 
-    fn skip_idle(&mut self, bits: u64, from: BitInstant) {
-        self.0.borrow_mut().skip_idle(bits, from);
-    }
-
     fn drive_horizon(&self, now: BitInstant) -> Option<BitInstant> {
         self.0.borrow().drive_horizon(now)
     }

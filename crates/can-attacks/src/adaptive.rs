@@ -22,7 +22,7 @@ use can_obs::{Histogram, Journal, JournalKind, Recorder, DEFAULT_BUCKETS};
 use crate::error_flag::ERROR_FLAG_BITS;
 use crate::victim::VictimWatch;
 use can_core::bitstream::MIN_INTERFRAME_RECESSIVE;
-use can_core::watch::{WatchEvent, WatchTrigger, ID_COMPLETE_CNT};
+use can_core::watch::{self, WatchEvent, WatchTrigger, ID_COMPLETE_CNT};
 
 /// Earliest destuffed position the racer will ever strike at: the bit
 /// right after the arbitration field (it must see the whole identifier
@@ -239,8 +239,14 @@ impl BitAgent for AdaptiveRacer {
         now + BitDuration::bits(u64::from(self.flag_left))
     }
 
-    fn skip_idle(&mut self, bits: u64, _from: BitInstant) {
-        self.front.skip_idle(bits, self.flag_left > 0);
+    fn observe_stretch(&mut self, word: u64, len: u32, _own_tx: bool, from: BitInstant) {
+        watch::observe_hunting(
+            self,
+            |a| a.front.quiet_hunt(a.flag_left > 0),
+            word,
+            len,
+            from,
+        );
     }
 }
 

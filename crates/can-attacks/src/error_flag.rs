@@ -13,7 +13,7 @@
 //! destuffed frame position, driving *exactly* six dominant bits.
 
 use can_core::agent::BitAgent;
-use can_core::watch::{WatchTrigger, ID_COMPLETE_CNT};
+use can_core::watch::{self, WatchTrigger, ID_COMPLETE_CNT};
 use can_core::{BitDuration, BitInstant, CanId, Level};
 use can_obs::{Journal, JournalKind};
 
@@ -116,8 +116,14 @@ impl BitAgent for ErrorFlagInjector {
         now + BitDuration::bits(u64::from(self.flag_left))
     }
 
-    fn skip_idle(&mut self, bits: u64, _from: BitInstant) {
-        self.front.skip_idle(bits, self.flag_left > 0);
+    fn observe_stretch(&mut self, word: u64, len: u32, _own_tx: bool, from: BitInstant) {
+        watch::observe_hunting(
+            self,
+            |a| a.front.quiet_hunt(a.flag_left > 0),
+            word,
+            len,
+            from,
+        );
     }
 }
 

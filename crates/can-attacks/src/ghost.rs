@@ -122,13 +122,8 @@ impl BitAgent for GhostInjector {
         now + BitDuration::bits(self.tracker.dominant_pushes_to(LEAVE_CNT))
     }
 
-    fn skip_idle(&mut self, bits: u64, _from: BitInstant) {
-        debug_assert!(!self.injecting);
-        self.tracker.skip_idle(bits);
-    }
-
     fn observe_stretch(&mut self, word: u64, len: u32, _own_tx: bool, from: BitInstant) {
-        watch::observe_tracked(self, |ghost| &mut ghost.tracker, word, len, from);
+        watch::observe_hunting(self, |ghost| ghost.tracker.hunting(), word, len, from);
     }
 }
 

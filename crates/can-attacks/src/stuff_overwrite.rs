@@ -14,7 +14,7 @@
 //! bits cannot be overwritten on a wired-AND bus.)
 
 use can_core::agent::BitAgent;
-use can_core::watch::{WatchEvent, WatchTrigger, ID_COMPLETE_CNT};
+use can_core::watch::{self, WatchEvent, WatchTrigger, ID_COMPLETE_CNT};
 use can_core::{BitInstant, CanId, Level};
 use can_obs::{Journal, JournalKind};
 
@@ -108,8 +108,8 @@ impl BitAgent for StuffBitOverwrite {
         self.front.drive_horizon(now, self.injecting, trigger)
     }
 
-    fn skip_idle(&mut self, bits: u64, _from: BitInstant) {
-        self.front.skip_idle(bits, self.injecting);
+    fn observe_stretch(&mut self, word: u64, len: u32, _own_tx: bool, from: BitInstant) {
+        watch::observe_hunting(self, |a| a.front.quiet_hunt(a.injecting), word, len, from);
     }
 }
 

@@ -1,11 +1,12 @@
 //! The victim-armed front end of the four [`FrameWatch`] attackers
 //! (stuff-bit overwrite, error flag, truncation, adaptive racing), which
 //! differ only in *where* they strike: each keeps only its strike rule and
-//! its counters.
+//! its counters. Each observes a stretch through
+//! [`can_core::watch::observe_hunting`] on [`VictimWatch::quiet_hunt`].
 
 use std::fmt;
 
-use can_core::watch::{FrameWatch, WatchEvent, WatchTrigger, ID_COMPLETE_CNT};
+use can_core::watch::{FrameWatch, Hunt, WatchEvent, WatchTrigger, ID_COMPLETE_CNT};
 use can_core::{BitDuration, BitInstant, CanId, Level};
 use can_obs::{Journal, JournalKind};
 
@@ -80,16 +81,20 @@ impl VictimWatch {
 
     /// The quiet test behind `BitAgent::next_activity`: hunting on an
     /// idle bus while not `driving` only counts recessive bits, which
-    /// [`VictimWatch::skip_idle`] does in closed form.
+    /// [`Hunt::hunt_word`] does in closed form.
     pub(crate) fn next_activity(&self, now: BitInstant, driving: bool) -> Option<BitInstant> {
         (driving || !self.watch.is_idle()).then_some(now)
     }
 
-    /// Closed-form equivalent of pushing `bits` recessive bits inside a
-    /// window [`VictimWatch::next_activity`] declared quiet.
-    pub(crate) fn skip_idle(&mut self, bits: u64, driving: bool) {
-        debug_assert!(!driving, "skip_idle while driving");
-        self.watch.skip_idle(bits);
+    /// The hunt while its owner is quiet: the watch hunts and the owner
+    /// is not `driving`. A hunting bit then only feeds the hunt, since an
+    /// idle watch is never armed; a strike still driving (an error flag
+    /// into an aborted watch) must see its bits one by one.
+    pub(crate) fn quiet_hunt(&mut self, driving: bool) -> Option<&mut Hunt> {
+        if driving {
+            return None;
+        }
+        self.watch.hunting()
     }
 
     /// The least number of further pushes after which `trigger` could

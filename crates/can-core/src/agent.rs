@@ -57,8 +57,8 @@ pub trait BitAgent {
     /// Part of the simulator's *quiescence contract*: returning `Some(t)`
     /// with `t > now` (or `None`, "never") promises that for every bit in
     /// `[now, t)` the agent drives nothing (`tx_level() == None` or
-    /// recessive) and that feeding it that many recessive samples is
-    /// exactly reproduced by [`BitAgent::skip_idle`]. The conservative
+    /// recessive), so the simulator may hand it that many recessive
+    /// samples through one [`BitAgent::skip_idle`] call. The conservative
     /// default `Some(now)` disables skip-ahead around this agent.
     fn next_activity(&self, now: BitInstant) -> Option<BitInstant> {
         Some(now)
@@ -103,17 +103,22 @@ pub trait BitAgent {
     }
 
     /// Advances the agent over `bits` consecutive recessive bus bits
-    /// starting at `from`, in closed form.
+    /// starting at `from`.
     ///
     /// Must be exactly equivalent to `bits` successive calls of
     /// `set_own_transmission(false)` + `on_bit(Level::Recessive, t)` for
     /// `t` in `[from, from + bits)`. Only called inside a window that
-    /// [`BitAgent::next_activity`] declared quiescent. The default
-    /// replays the bits one by one — always correct, never faster.
+    /// [`BitAgent::next_activity`] declared quiet. The default observes
+    /// the gap as all-recessive stretches of at most one word
+    /// ([`BitAgent::observe_stretch`] of a zero word), so an agent whose
+    /// observation hunts a word at a time skips idle bits in closed form
+    /// without overriding this.
     fn skip_idle(&mut self, bits: u64, from: BitInstant) {
-        for i in 0..bits {
-            self.set_own_transmission(false);
-            self.on_bit(Level::Recessive, from + BitDuration::bits(i));
+        let mut done = 0;
+        while done < bits {
+            let len = (bits - done).min(u64::from(packed::WORD_BITS));
+            self.observe_stretch(0, len as u32, false, from + BitDuration::bits(done));
+            done += len;
         }
     }
 
@@ -127,16 +132,20 @@ pub trait BitAgent {
     /// which the agent's drive is known: declared drive-free by
     /// [`BitAgent::drive_horizon`], declared dominant by
     /// [`BitAgent::drive_until`], or overridden by a transmitter fault on
-    /// its node.
+    /// its node; or, through the default [`BitAgent::skip_idle`], inside
+    /// a quiet idle gap.
     ///
     /// The default replays the bits one by one: the reference every
-    /// override must equal. The agents on the
-    /// [`PositionTracker`](crate::watch::PositionTracker) front end
-    /// (MichiCAN's handler, its supervised form and the CANnon-style
-    /// ghost) override it in closed form: their SOF hunt consumes a word
-    /// at a time ([`PositionTracker::hunt_word`](crate::watch::PositionTracker::hunt_word)),
-    /// and only the frame bits they act on run per bit. An agent whose
-    /// observation draws randomness per bit keeps the default.
+    /// override must equal. The agents on the two wire front ends of
+    /// [`crate::watch`] override it in closed form: MichiCAN's handler,
+    /// its supervised form and the CANnon-style ghost on the
+    /// [`PositionTracker`](crate::watch::PositionTracker), and the four
+    /// CANflict-style attackers on the
+    /// [`FrameWatch`](crate::watch::FrameWatch). While quiet, their SOF
+    /// hunt consumes a word at a time
+    /// ([`Hunt::hunt_word`](crate::watch::Hunt::hunt_word)), and only the
+    /// frame bits they act on run per bit. An agent whose observation
+    /// draws randomness per bit keeps the default.
     fn observe_stretch(&mut self, word: u64, len: u32, own_tx: bool, from: BitInstant) {
         for i in 0..len {
             self.set_own_transmission(own_tx);
@@ -222,6 +231,16 @@ mod tests {
         assert!(log.0.iter().all(|&(own, _, _)| own));
         let times: Vec<_> = log.0.iter().map(|&(_, _, t)| t).collect();
         assert_eq!(times, [10, 11, 12, 13]);
+    }
+
+    #[test]
+    fn default_skip_idle_replays_recessive_bits() {
+        let mut log = Log(Vec::new(), true);
+        log.skip_idle(130, BitInstant::from_bits(5));
+        assert_eq!(log.0.len(), 130);
+        for (i, &(own, level, t)) in log.0.iter().enumerate() {
+            assert_eq!((own, level, t), (false, Level::Recessive, 5 + i as u64));
+        }
     }
 
     #[test]

@@ -13,12 +13,12 @@
 //!   formally ends after the CRC sequence, and a naive destuffer would
 //!   mistake the ≥ 8 recessive tail bits for stuff violations.
 //!
-//! Both carry the closed forms the packed kernel asks for: the quiet test
-//! and `skip_idle` of an idle hunt, and a drive-horizon bound under
-//! arbitrary input. [`PositionTracker`] also hunts a packed word at once
-//! ([`PositionTracker::hunt_word`], on the word-level arming test
-//! [`armed_mask`] that a supervisor can share), which is how its owners
-//! observe a packed stretch ([`observe_tracked`]).
+//! Both hunt through one [`Hunt`], which takes a packed word at once
+//! ([`Hunt::hunt_word`], on the word-level arming test [`armed_mask`] that
+//! a supervisor can share). An agent observes a packed stretch, and so an
+//! idle gap, through [`observe_hunting`]: its hunting bits a word at a
+//! time while it is quiet, every other bit through its own `on_bit`. Both
+//! observers also bound their owner's drive horizon under arbitrary input.
 
 use crate::agent::BitAgent;
 use crate::bitstream::{Destuffed, Destuffer, FrameLayout, MIN_INTERFRAME_RECESSIVE, STUFF_RUN};
@@ -30,28 +30,6 @@ use crate::time::{BitDuration, BitInstant};
 /// Destuffed position (1-based, SOF = 1) of the last identifier bit: the
 /// arbitration winner is known once [`FrameWatch::cnt`] reaches this.
 pub const ID_COMPLETE_CNT: u32 = 12;
-
-/// One hunting step, shared by both observers (Algorithm 1's `cnt_sof`):
-/// whether `level` opens a frame, a dominant bit after at least 11
-/// recessive ones. Any other dominant bit (a frame joined late) resets
-/// the run; the caller resets it on a SOF.
-fn hunt(recessive_run: &mut u32, level: Level) -> bool {
-    if level.is_recessive() {
-        *recessive_run = recessive_run.saturating_add(1);
-        false
-    } else if *recessive_run >= MIN_INTERFRAME_RECESSIVE as u32 {
-        true
-    } else {
-        *recessive_run = 0;
-        false
-    }
-}
-
-/// A hunt's recessive run after `bits` more recessive bits: the closed
-/// form of as many [`hunt`] steps.
-fn credit_idle(recessive_run: u32, bits: u64) -> u32 {
-    recessive_run.saturating_add(u32::try_from(bits).unwrap_or(u32::MAX))
-}
 
 /// The hunt's arming test over a packed word: bit `i` is set iff wire bit
 /// `i` of the `len` bits of `word` follows at least 11 recessive bits,
@@ -84,10 +62,86 @@ pub fn armed_mask(carried: u32, word: u64, len: u32) -> u128 {
 pub fn run_after(carried: u32, word: u64, len: u32) -> u32 {
     let dominant = word & packed::low_mask(len);
     if dominant == 0 {
-        credit_idle(carried, u64::from(len))
+        carried.saturating_add(len)
     } else {
         // The bits above the last dominant one.
         len + dominant.leading_zeros() - packed::WORD_BITS
+    }
+}
+
+/// Algorithm 1's SOF hunt (`cnt_sof`), shared by both observers: the
+/// recessive run toward the 11 bits that arm a SOF, fed a bit or a packed
+/// word at a time.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Hunt {
+    recessive_run: u32,
+}
+
+impl Hunt {
+    /// One hunting step: whether `level` opens a frame, a dominant bit
+    /// after at least 11 recessive ones. Any other dominant bit (a frame
+    /// joined late) resets the run; the owner restarts the hunt after a
+    /// SOF.
+    fn step(&mut self, level: Level) -> bool {
+        if level.is_recessive() {
+            self.recessive_run = self.recessive_run.saturating_add(1);
+            false
+        } else if self.recessive_run >= MIN_INTERFRAME_RECESSIVE as u32 {
+            true
+        } else {
+            self.recessive_run = 0;
+            false
+        }
+    }
+
+    /// The recessive bits still needed before a dominant bit is a SOF.
+    fn bits_to_arm(&self) -> u64 {
+        (MIN_INTERFRAME_RECESSIVE as u64).saturating_sub(u64::from(self.recessive_run))
+    }
+
+    /// The offset of the first SOF within the `len` bits of `word`,
+    /// without hunting them.
+    pub fn next_sof(&self, word: u64, len: u32) -> Option<u32> {
+        let armed = armed_mask(self.recessive_run, word, len) as u64;
+        packed::first_dominant(word & armed, len)
+    }
+
+    /// Hunts over the `len` bits of `word` at once: takes every bit before
+    /// the first SOF and returns that SOF's offset, leaving the SOF itself
+    /// to the owner's per-bit push; `None` when all `len` bits were
+    /// hunting bits. Equivalent to as many single hunting steps, none of
+    /// which opens a frame.
+    pub fn hunt_word(&mut self, word: u64, len: u32) -> Option<u32> {
+        let sof = self.next_sof(word, len);
+        self.recessive_run = run_after(self.recessive_run, word, sof.unwrap_or(len));
+        sof
+    }
+}
+
+/// [`BitAgent::observe_stretch`] for an agent on a [`Hunt`], reached
+/// through `quiet_hunt`, which yields it only while the agent is quiet: a
+/// hunting bit then only feeds the hunt. Those bits go a word at a time
+/// ([`Hunt::hunt_word`]); every other bit, the SOF included, goes through
+/// the agent's own `on_bit`, so each step of its policy keeps its bit
+/// time. The agent handles the own-transmission hint itself.
+pub fn observe_hunting<A: BitAgent>(
+    agent: &mut A,
+    quiet_hunt: fn(&mut A) -> Option<&mut Hunt>,
+    word: u64,
+    len: u32,
+    from: BitInstant,
+) {
+    let mut at = 0;
+    while at < len {
+        if let Some(hunt) = quiet_hunt(agent) {
+            match hunt.hunt_word(word >> at, len - at) {
+                Some(sof) => at += sof,
+                None => return,
+            }
+        }
+        let now = from + BitDuration::bits(u64::from(at));
+        agent.on_bit(packed::level_at(word, at), now);
+        at += 1;
     }
 }
 
@@ -114,9 +168,7 @@ pub enum Tracked {
 /// frame, so it needs nothing more.
 #[derive(Debug, Clone, Default)]
 pub struct PositionTracker {
-    in_frame: bool,
-    /// Recessive run while hunting (`cnt_sof`).
-    recessive_run: u32,
+    hunt: Hunt,
     /// Destuffed frame position, SOF = 1 (`cnt`); 0 while hunting.
     cnt: u32,
     destuffer: Destuffer,
@@ -136,12 +188,11 @@ impl PositionTracker {
 
     /// Feeds one sampled wire bit.
     pub fn push(&mut self, level: Level) -> Tracked {
-        if !self.in_frame {
-            if !hunt(&mut self.recessive_run, level) {
+        if self.is_hunting() {
+            if !self.hunt.step(level) {
                 return Tracked::Idle;
             }
-            self.in_frame = true;
-            self.recessive_run = 0;
+            self.hunt = Hunt::default();
             self.cnt = 1;
             self.destuffer.reset();
             // The destuffer must know about the SOF for run counting.
@@ -159,49 +210,27 @@ impl PositionTracker {
 
     /// Whether the tracker is hunting a SOF (not inside a frame).
     pub fn is_hunting(&self) -> bool {
-        !self.in_frame
+        self.cnt == 0
     }
 
-    /// Hunts over the `len` bits of `word` at once: pushes every bit before
-    /// the first SOF and returns that SOF's offset, leaving the SOF itself
-    /// for [`PositionTracker::push`]; `None` when all `len` bits were
-    /// hunting bits. Equivalent to pushing those bits one by one, each
-    /// returning [`Tracked::Idle`].
-    pub fn hunt_word(&mut self, word: u64, len: u32) -> Option<u32> {
-        let sof = self.next_sof(word, len);
-        self.recessive_run = run_after(self.recessive_run, word, sof.unwrap_or(len));
-        sof
-    }
-
-    /// The offset of the first SOF within the `len` bits of `word` for a
-    /// hunting tracker, without pushing anything.
-    pub fn next_sof(&self, word: u64, len: u32) -> Option<u32> {
-        debug_assert!(!self.in_frame, "hunting inside a frame");
-        let armed = armed_mask(self.recessive_run, word, len) as u64;
-        packed::first_dominant(word & armed, len)
+    /// The hunt, while the tracker is hunting.
+    pub fn hunting(&mut self) -> Option<&mut Hunt> {
+        self.is_hunting().then_some(&mut self.hunt)
     }
 
     /// Leaves the frame and hunts again with no recessive credit. Bit
     /// stuffing guarantees no false SOF within the rest of the frame.
     pub fn leave(&mut self) {
-        self.in_frame = false;
-        self.recessive_run = 0;
+        self.hunt = Hunt::default();
         self.cnt = 0;
     }
 
     /// The quiet test behind [`crate::agent::BitAgent::next_activity`]:
     /// hunting on an idle bus only counts recessive bits, which
-    /// [`PositionTracker::skip_idle`] does in closed form, so `None`;
-    /// inside a frame every bit matters.
+    /// [`Hunt::hunt_word`] does in closed form, so `None`; inside a frame
+    /// every bit matters.
     pub fn next_activity(&self, now: BitInstant) -> Option<BitInstant> {
-        self.in_frame.then_some(now)
-    }
-
-    /// Closed-form equivalent of pushing `bits` recessive bits while
-    /// hunting.
-    pub fn skip_idle(&mut self, bits: u64) {
-        debug_assert!(!self.in_frame, "skip_idle inside a frame");
-        self.recessive_run = credit_idle(self.recessive_run, bits);
+        (!self.is_hunting()).then_some(now)
     }
 
     /// The least number of further pushes after which `cnt` could reach
@@ -213,8 +242,8 @@ impl PositionTracker {
     pub fn pushes_until(&self, start: u32, end: u32) -> u64 {
         let (start, cnt) = (u64::from(start), u64::from(self.cnt));
         let sof_idle = MIN_INTERFRAME_RECESSIVE as u64;
-        if !self.in_frame {
-            sof_idle.saturating_sub(u64::from(self.recessive_run)) + start
+        if self.is_hunting() {
+            self.hunt.bits_to_arm() + start
         } else if cnt < start {
             start - cnt
         } else {
@@ -230,32 +259,6 @@ impl PositionTracker {
     pub fn dominant_pushes_to(&self, end: u32) -> u64 {
         let bits = end.saturating_sub(self.cnt).max(1);
         self.destuffer.pushes_for_bits(Level::Dominant, bits)
-    }
-}
-
-/// [`BitAgent::observe_stretch`] for an agent on a [`PositionTracker`],
-/// reached through `tracker`: the hunting bits in closed form
-/// ([`PositionTracker::hunt_word`]), every other bit through the agent's
-/// own `on_bit`, so each step of its policy keeps its bit time.
-pub fn observe_tracked<A: BitAgent>(
-    agent: &mut A,
-    tracker: fn(&mut A) -> &mut PositionTracker,
-    word: u64,
-    len: u32,
-    from: BitInstant,
-) {
-    let mut at = 0;
-    while at < len {
-        let hunt = tracker(agent);
-        if hunt.is_hunting() {
-            match hunt.hunt_word(word >> at, len - at) {
-                Some(sof) => at += sof,
-                None => return,
-            }
-        }
-        let now = from + BitDuration::bits(u64::from(at));
-        agent.on_bit(packed::level_at(word, at), now);
-        at += 1;
     }
 }
 
@@ -317,7 +320,7 @@ const TAIL_BITS: u32 = 10;
 #[derive(Debug, Clone)]
 pub struct FrameWatch {
     state: WatchState,
-    recessive_run: u32,
+    hunt: Hunt,
     destuffer: Destuffer,
     /// Destuffed frame position, SOF = 1. Stuff bits do not advance it.
     cnt: u32,
@@ -326,11 +329,6 @@ pub struct FrameWatch {
     rtr: bool,
     dlc_acc: u8,
     layout: Option<FrameLayout>,
-    /// Level of the most recent wire bit (for stuff-bit prediction).
-    last_level: Option<Level>,
-    /// Recessive run inside the tail, carried into hunting at frame end
-    /// so back-to-back frames re-arm exactly like a real controller.
-    tail_recessive: u32,
 }
 
 impl Default for FrameWatch {
@@ -344,7 +342,7 @@ impl FrameWatch {
     pub fn new() -> Self {
         FrameWatch {
             state: WatchState::BusIdle,
-            recessive_run: 0,
+            hunt: Hunt::default(),
             destuffer: Destuffer::new(),
             cnt: 0,
             id_acc: 0,
@@ -352,14 +350,17 @@ impl FrameWatch {
             rtr: false,
             dlc_acc: 0,
             layout: None,
-            last_level: None,
-            tail_recessive: 0,
         }
     }
 
     /// Whether the watch is hunting (no frame in progress).
     pub fn is_idle(&self) -> bool {
         self.state == WatchState::BusIdle
+    }
+
+    /// The hunt, while the watch is hunting.
+    pub fn hunting(&mut self) -> Option<&mut Hunt> {
+        self.is_idle().then_some(&mut self.hunt)
     }
 
     /// Destuffed position within the current frame (SOF = 1); 0 when idle.
@@ -386,8 +387,10 @@ impl FrameWatch {
     /// Whether the next wire bit will be a **recessive** stuff bit — the
     /// only kind a dominant-drive attacker can overwrite into a stuff
     /// error (a dominant stuff bit is already at the attacker's level).
+    /// The destuffer's run ends at the last wire bit, the one the stuff
+    /// bit must oppose.
     pub fn expecting_recessive_stuff(&self) -> bool {
-        self.expecting_stuff() && self.last_level == Some(Level::Dominant)
+        self.expecting_stuff() && self.destuffer.run().0 == Some(Level::Dominant)
     }
 
     /// Index of the tail bit the *next* wire bit will occupy (0 = CRC
@@ -430,9 +433,7 @@ impl FrameWatch {
         let rehunt = 1 + sof_idle + fresh;
         let cnt = u64::from(self.cnt);
         match (self.state, trigger) {
-            (WatchState::BusIdle, _) => {
-                sof_idle.saturating_sub(u64::from(self.recessive_run)) + fresh
-            }
+            (WatchState::BusIdle, _) => self.hunt.bits_to_arm() + fresh,
             (WatchState::Tail { left }, WatchTrigger::TailIndex(i))
                 if eligible && TAIL_BITS - left < i =>
             {
@@ -470,22 +471,13 @@ impl FrameWatch {
     /// hunt before the next SOF).
     pub fn abort(&mut self) {
         self.state = WatchState::BusIdle;
-        self.recessive_run = 0;
+        self.hunt = Hunt::default();
         self.cnt = 0;
-    }
-
-    /// Closed-form equivalent of pushing `bits` recessive bus bits while
-    /// hunting. Panics (debug) if a frame is in progress — callers gate
-    /// this on [`FrameWatch::is_idle`] via their `next_activity` seam.
-    pub fn skip_idle(&mut self, bits: u64) {
-        debug_assert!(self.is_idle(), "skip_idle outside a quiescent window");
-        self.recessive_run = credit_idle(self.recessive_run, bits);
-        self.last_level = Some(Level::Recessive);
     }
 
     fn enter_frame(&mut self) {
         self.state = WatchState::Stuffed;
-        self.recessive_run = 0;
+        self.hunt = Hunt::default();
         self.destuffer.reset();
         let _ = self.destuffer.push(Level::Dominant);
         self.cnt = 1;
@@ -494,20 +486,13 @@ impl FrameWatch {
         self.rtr = false;
         self.dlc_acc = 0;
         self.layout = None;
-        self.tail_recessive = 0;
     }
 
     /// Feeds one sampled wire bit.
     pub fn push(&mut self, level: Level) -> WatchEvent {
-        let event = self.push_inner(level);
-        self.last_level = Some(level);
-        event
-    }
-
-    fn push_inner(&mut self, level: Level) -> WatchEvent {
         match self.state {
             WatchState::BusIdle => {
-                if hunt(&mut self.recessive_run, level) {
+                if self.hunt.step(level) {
                     self.enter_frame();
                     WatchEvent::Sof
                 } else {
@@ -539,18 +524,17 @@ impl FrameWatch {
                 }
             },
             WatchState::Tail { left } => {
-                if level.is_recessive() {
-                    self.tail_recessive = self.tail_recessive.saturating_add(1);
-                } else {
-                    self.tail_recessive = 0;
-                }
+                // The hunt, fresh since the SOF, counts the tail's
+                // recessive run, so back-to-back frames re-arm exactly
+                // like a real controller. The 10-bit tail cannot arm it.
+                let sof = self.hunt.step(level);
+                debug_assert!(!sof, "a SOF armed inside the frame tail");
                 let left = left - 1;
                 if left == 0 {
                     // Frame complete: hunt again, crediting the recessive
                     // tail run (ACK delimiter + EOF on a clean frame) so
                     // the 3-bit intermission suffices before the next SOF.
                     self.state = WatchState::BusIdle;
-                    self.recessive_run = self.tail_recessive;
                     self.cnt = 0;
                     WatchEvent::FrameEnd
                 } else {
@@ -591,7 +575,6 @@ impl FrameWatch {
                 } else {
                     WatchState::Tail { left: TAIL_BITS }
                 };
-                self.tail_recessive = 0;
             }
         }
     }
@@ -714,20 +697,28 @@ mod tests {
         assert_eq!(watch.push(Level::Dominant), WatchEvent::Sof);
     }
 
+    /// Hunts `bits` recessive bits a word at a time, as an idle gap is.
+    fn hunt_idle(hunt: Option<&mut Hunt>, bits: u32) {
+        let hunt = hunt.expect("hunting");
+        for start in (0..bits).step_by(64) {
+            assert_eq!(hunt.hunt_word(0, (bits - start).min(64)), None);
+        }
+    }
+
     #[test]
-    fn skip_idle_matches_bitwise_replay() {
-        let mut skipped = FrameWatch::new();
+    fn hunting_idle_words_matches_bitwise_replay() {
+        let mut hunted = FrameWatch::new();
         let mut replayed = FrameWatch::new();
-        skipped.skip_idle(500);
+        hunt_idle(hunted.hunting(), 500);
         for _ in 0..500 {
             replayed.push(Level::Recessive);
         }
         let frame = CanFrame::data_frame(CanId::from_raw(0x111), &[7]).unwrap();
         let wire = stuff_frame(&frame);
         for &bit in &wire.bits {
-            assert_eq!(skipped.push(bit), replayed.push(bit));
+            assert_eq!(hunted.push(bit), replayed.push(bit));
         }
-        assert_eq!(skipped.id(), replayed.id());
+        assert_eq!(hunted.id(), replayed.id());
     }
 
     #[test]
@@ -741,7 +732,7 @@ mod tests {
         }
         // Too little idle: a dominant bit is not a SOF.
         assert_eq!(tracker.push(Level::Dominant), Tracked::Idle);
-        tracker.skip_idle(11);
+        hunt_idle(tracker.hunting(), 11);
         assert_eq!(tracker.next_activity(BitInstant::ZERO), None);
         let mut held = 0;
         for &bit in &wire.bits {
@@ -773,9 +764,9 @@ mod tests {
             let word = state & (state >> 7) & (state >> 19);
             let len = case % 65;
             let mut tracker = PositionTracker::new();
-            tracker.skip_idle(u64::from(case % 14));
+            hunt_idle(tracker.hunting(), case % 14);
             let mut stepped = tracker.clone();
-            let sof = tracker.hunt_word(word, len);
+            let sof = tracker.hunting().unwrap().hunt_word(word, len);
             let expect =
                 (0..len).find(|&i| stepped.push(packed::level_at(word, i)) != Tracked::Idle);
             assert_eq!(sof, expect, "word {word:#x} len {len}");
@@ -807,7 +798,7 @@ mod tests {
     #[test]
     fn tracker_bounds_match_a_dominant_drive() {
         let mut tracker = PositionTracker::new();
-        tracker.skip_idle(11);
+        hunt_idle(tracker.hunting(), 11);
         assert_eq!(tracker.push(Level::Dominant), Tracked::Sof);
         assert_eq!(tracker.pushes_until(13, 20), 12);
         // Drive dominant from position 1: count the pushes to position 20.

@@ -25,14 +25,15 @@
 //! [`can_core::watch::PositionTracker`], which the CANnon-style ghost
 //! attacker shares; this module is the policy on top of it.
 //!
-//! A packed stretch reaches the handler in one
-//! [`BitAgent::observe_stretch`] call. Its hunting bits only count a
+//! A packed stretch, or an idle gap through the trait's default
+//! [`BitAgent::skip_idle`], reaches the handler in
+//! [`BitAgent::observe_stretch`] calls. Its hunting bits only count a
 //! recessive run, so the tracker hunts them a word at a time; the frame
 //! bits from the SOF to position 20 take the per-bit path, so every FSM
 //! step, injection and journal event keeps its bit time.
 
 use can_core::agent::BitAgent;
-use can_core::watch::{self, PositionTracker, Tracked};
+use can_core::watch::{self, Hunt, PositionTracker, Tracked};
 use can_core::{BitDuration, BitInstant, Level};
 use can_obs::{Journal, JournalKind, Recorder};
 use serde::{Deserialize, Serialize};
@@ -266,21 +267,14 @@ impl MichiCan {
         &self.fsm
     }
 
-    /// Hunts `len` bits of `word` that hold no SOF, in closed form.
-    pub(crate) fn hunt(&mut self, word: u64, len: u32) {
-        let sof = self.tracker.hunt_word(word, len);
-        debug_assert!(sof.is_none(), "a SOF inside a closed-form hunt");
-    }
-
     /// Whether the handler is hunting a SOF (not parsing a frame).
     pub(crate) fn is_hunting(&self) -> bool {
         self.tracker.is_hunting()
     }
 
-    /// The offset of the hunt's next SOF within the `len` bits of `word`;
-    /// only while hunting.
-    pub(crate) fn next_sof(&self, word: u64, len: u32) -> Option<u32> {
-        self.tracker.next_sof(word, len)
+    /// The SOF hunt, while the handler is hunting.
+    pub(crate) fn hunting(&mut self) -> Option<&mut Hunt> {
+        self.tracker.hunting()
     }
 
     fn enter_frame(&mut self) {
@@ -436,15 +430,9 @@ impl BitAgent for MichiCan {
         )
     }
 
-    fn skip_idle(&mut self, bits: u64, _from: BitInstant) {
-        debug_assert!(!self.injecting);
-        self.tracker.skip_idle(bits);
-        self.own_transmission = false;
-    }
-
     fn observe_stretch(&mut self, word: u64, len: u32, own_tx: bool, from: BitInstant) {
         self.own_transmission = own_tx;
-        watch::observe_tracked(self, |handler| &mut handler.tracker, word, len, from);
+        watch::observe_hunting(self, MichiCan::hunting, word, len, from);
     }
 }
 

@@ -469,37 +469,6 @@ impl SupervisedMichiCan {
         }
     }
 
-    /// The per-tick bookkeeping of `ticks` contiguous ticks from `first`
-    /// that carry no supervisor event, in closed form: the missed-tick and
-    /// episode windows roll over and the tick timestamp moves on.
-    ///
-    /// A rollover's prevention update lands after the last tick instead of
-    /// at its own, so no rollover may fall while the handler parses a
-    /// frame, the only time it reads prevention.
-    fn tick_quietly(&mut self, first: u64, ticks: u64) {
-        let last = first + ticks - 1;
-        if let Some(start) = window_start_after(
-            self.missed_window_start,
-            self.config.missed_tick_window,
-            first,
-            last,
-        ) {
-            self.missed_window_start = start;
-            self.window_missed = 0;
-        }
-        if let Some(start) = window_start_after(
-            self.episode_window_start,
-            self.config.episode_window_bits,
-            first,
-            last,
-        ) {
-            self.episode_window_start = start;
-            self.episodes_in_window = 0;
-            self.sync_handler_prevention();
-        }
-        self.last_tick = Some(last);
-    }
-
     /// Observes the longest prefix of the `len` bits of `word`, ticks from
     /// `t`, over which the watchdog's own bookkeeping has a closed form,
     /// and returns its length; 0 when tick `t` must run bit by bit.
@@ -526,34 +495,54 @@ impl SupervisedMichiCan {
             0
         };
         let events = packed::first_dominant(sof_edges | closes, len).unwrap_or(len);
-        let (quiet, toggled) = if self.handler.is_hunting() {
-            (self.hunt_quietly(word, events), false)
-        } else {
-            self.parse_quietly(word, events, t)
+        let (quiet, toggled) = match self.handler.hunting() {
+            // The handler hunts in closed form up to its next SOF, with
+            // the drift of the ticks it spans.
+            Some(hunt) => {
+                let mut quiet = hunt.next_sof(word, events).unwrap_or(events);
+                if self.in_frame {
+                    quiet = self.sync.advance_while_valid(u64::from(quiet)) as u32;
+                }
+                let sof = hunt.hunt_word(word, quiet);
+                debug_assert!(sof.is_none(), "a SOF inside a closed-form hunt");
+                (quiet, false)
+            }
+            None => self.parse_quietly(word, events, t),
         };
         if quiet == 0 {
             return 0;
         }
-        self.tick_quietly(t, u64::from(quiet));
+        // The missed-tick and episode windows roll over and the tick
+        // timestamp moves on. A rollover's prevention update lands after
+        // the last tick instead of at its own, which only a parsing
+        // handler could tell, and `parse_quietly` stops before one.
+        let last = t + u64::from(quiet) - 1;
+        if let Some(start) = window_start_after(
+            self.missed_window_start,
+            self.config.missed_tick_window,
+            t,
+            last,
+        ) {
+            self.missed_window_start = start;
+            self.window_missed = 0;
+        }
+        if let Some(start) = window_start_after(
+            self.episode_window_start,
+            self.config.episode_window_bits,
+            t,
+            last,
+        ) {
+            self.episode_window_start = start;
+            self.episodes_in_window = 0;
+            self.sync_handler_prevention();
+        }
+        self.last_tick = Some(last);
         self.idle_run = run_after(self.idle_run, word, quiet);
         if toggled {
-            let last = t + u64::from(quiet) - 1;
             let injecting = self.handler.is_injecting();
             self.track_episode_budget(injecting, !injecting, last);
             self.track_eradication(packed::level_at(word, quiet - 1), !injecting, last);
         }
-        quiet
-    }
-
-    /// The handler's closed-form hunt over at most `limit` bits of `word`,
-    /// up to its next SOF, with the drift of the ticks it spans; returns
-    /// how many bits it took.
-    fn hunt_quietly(&mut self, word: u64, limit: u32) -> u32 {
-        let mut quiet = self.handler.next_sof(word, limit).unwrap_or(limit);
-        if self.in_frame {
-            quiet = self.sync.advance_while_valid(u64::from(quiet)) as u32;
-        }
-        self.handler.hunt(word, quiet);
         quiet
     }
 
@@ -698,8 +687,8 @@ impl BitAgent for SupervisedMichiCan {
     fn next_activity(&self, now: BitInstant) -> Option<BitInstant> {
         // Between frames with no eradication watch open, a recessive bit
         // only counts: the idle run, the tick timestamp and the two
-        // window rollovers, all closed-form in `skip_idle`. The handler
-        // must be quiet too (hunting a SOF, not injecting).
+        // window rollovers, all closed-form in `observe_stretch`. The
+        // handler must be quiet too (hunting a SOF, not injecting).
         if self.in_frame || self.watch_deadline.is_some() {
             return Some(now);
         }
@@ -741,29 +730,6 @@ impl BitAgent for SupervisedMichiCan {
                 .advance_while_valid(until.saturating_sub(t));
         }
         BitInstant::from_bits(until.max(t))
-    }
-
-    fn skip_idle(&mut self, bits: u64, from: BitInstant) {
-        if bits == 0 {
-            return;
-        }
-        // The first tick may follow a gap (a crashed MCU's frozen timer),
-        // whose missed-tick accounting may degrade: run it as a normal bit.
-        self.set_own_transmission(false);
-        self.on_bit(Level::Recessive, from);
-        let rest = bits - 1;
-        if rest == 0 {
-            return;
-        }
-        // The remaining ticks are contiguous recessive bits outside a
-        // frame: no gap, no SOF, no episode, no watch.
-        debug_assert!(!self.in_frame && self.watch_deadline.is_none());
-        let first = from.bits() + 1;
-        self.tick_quietly(first, rest);
-        self.idle_run = self
-            .idle_run
-            .saturating_add(u32::try_from(rest).unwrap_or(u32::MAX));
-        self.handler.skip_idle(rest, BitInstant::from_bits(first));
     }
 }
 

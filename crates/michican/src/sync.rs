@@ -55,6 +55,11 @@ impl SyncConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SoftSync {
     config: SyncConfig,
+    /// Nominal bit time in nanoseconds, fixed by `config`.
+    bit_time_ns: f64,
+    /// Each timer period is off by `drift_ppm` relative to the
+    /// transmitter's bit time; the error accumulates linearly.
+    drift_per_bit_ns: f64,
     /// Offset of the sample within the current bit, in nanoseconds from
     /// the bit's start.
     offset_ns: f64,
@@ -64,8 +69,11 @@ pub struct SoftSync {
 impl SoftSync {
     /// Creates a tracker, initially hard-synchronized.
     pub fn new(config: SyncConfig) -> Self {
+        let bit_time_ns = config.speed.bit_time_ns();
         let mut sync = SoftSync {
             config,
+            bit_time_ns,
+            drift_per_bit_ns: bit_time_ns * config.drift_ppm / 1e6,
             offset_ns: 0.0,
             hard_syncs: 0,
         };
@@ -79,23 +87,18 @@ impl SoftSync {
         &self.config
     }
 
-    /// Nominal bit time in nanoseconds.
-    pub fn bit_time_ns(&self) -> f64 {
-        self.config.speed.bit_time_ns()
-    }
-
     /// Performs a hard synchronization (SOF edge): the timer restarts so
     /// the next sample lands at the configured sample point, the fudge
     /// factor compensating the handler prologue.
     pub fn hard_sync(&mut self) {
-        self.offset_ns = self.config.sample_point * self.bit_time_ns();
+        self.offset_ns = self.config.sample_point * self.bit_time_ns;
         self.hard_syncs += 1;
     }
 
     /// Advances by one timer period; returns the new sampling offset in
     /// nanoseconds within the (ideal) current bit.
     pub fn advance_bit(&mut self) -> f64 {
-        self.offset_ns += self.drift_per_bit_ns();
+        self.offset_ns += self.drift_per_bit_ns;
         self.offset_ns
     }
 
@@ -104,7 +107,7 @@ impl SoftSync {
     /// Adds the drift once per period, exactly as [`SoftSync::advance_bit`]
     /// does, so the offset stays bit-identical to a per-bit walk.
     pub fn advance_while_valid(&mut self, bits: u64) -> u64 {
-        let (drift, bit) = (self.drift_per_bit_ns(), self.bit_time_ns());
+        let (drift, bit) = (self.drift_per_bit_ns, self.bit_time_ns);
         let mut offset = self.offset_ns;
         for taken in 0..bits {
             let next = offset + drift;
@@ -118,15 +121,9 @@ impl SoftSync {
         bits
     }
 
-    /// Each timer period is off by `drift_ppm` relative to the
-    /// transmitter's bit time; the error accumulates linearly.
-    fn drift_per_bit_ns(&self) -> f64 {
-        self.bit_time_ns() * self.config.drift_ppm / 1e6
-    }
-
     /// Current sampling offset as a fraction of the bit time.
     pub fn offset_fraction(&self) -> f64 {
-        self.offset_ns / self.bit_time_ns()
+        self.offset_ns / self.bit_time_ns
     }
 
     /// Whether the sample still falls inside the intended bit.
@@ -135,7 +132,7 @@ impl SoftSync {
     /// this uses the full bit as the validity window, so it is an upper
     /// bound.
     pub fn is_sample_valid(&self) -> bool {
-        self.offset_ns > 0.0 && self.offset_ns < self.bit_time_ns()
+        self.offset_ns > 0.0 && self.offset_ns < self.bit_time_ns
     }
 
     /// Number of hard synchronizations performed.
@@ -166,7 +163,7 @@ impl SoftSync {
     /// ("for a 500 kbit/s CAN bus, the timer interrupt would first
     /// activate after 1.4 µs", §IV-C).
     pub fn first_interrupt_delay_ns(&self) -> f64 {
-        self.config.sample_point * self.bit_time_ns() - self.config.fudge_ns
+        self.config.sample_point * self.bit_time_ns - self.config.fudge_ns
     }
 }
 

@@ -1,13 +1,18 @@
-//! Closed-form stretch observation of the `PositionTracker` agents: from
+//! Closed-form observation of the agents on the two wire front ends: from
 //! random reachable states, `observe_stretch(word, len, own_tx, from)`
-//! must equal `len` × (`set_own_transmission(own_tx)` + `on_bit`) on
-//! MichiCAN's handler, the supervised defender (typical sync, a drift that
-//! loses sync inside a frame, and windows short enough to roll over inside
-//! a stretch) and the CANnon-style ghost — on the full `Debug` state
-//! (statistics included), every drive promise, the recorder snapshot and
-//! the journal.
+//! must equal `len` × (`set_own_transmission(own_tx)` + `on_bit`), and,
+//! from every such state that `next_activity` declares quiet,
+//! `skip_idle(k, from)` must equal `k` × (`set_own_transmission(false)` +
+//! `on_bit(Recessive)`). Both hold on MichiCAN's handler, the supervised
+//! defender (typical sync, a drift that loses sync inside a frame, and
+//! windows short enough to roll over inside a stretch), the CANnon-style
+//! ghost and the four CANflict-style `FrameWatch` attackers — on the full
+//! `Debug` state (statistics included), every drive promise, the recorder
+//! snapshot and the journal.
 
-use can_attacks::GhostInjector;
+use can_attacks::{
+    AdaptiveRacer, ErrorFlagInjector, FrameTruncator, GhostInjector, StuffBitOverwrite, TruncateAt,
+};
 use can_core::agent::BitAgent;
 use can_core::bitstream::stuff_frame;
 use can_core::{packed, BitDuration, BitInstant, BusSpeed, CanFrame, CanId, Level};
@@ -19,8 +24,8 @@ use proptest::prelude::*;
 const ATTACK_ID: u16 = 0x064;
 /// A listed, benign id.
 const BENIGN_ID: u16 = 0x173;
-/// The ghost's victim.
-const GHOST_VICTIM: u16 = 0x2A0;
+/// The bit-level attackers' victim.
+const VICTIM: u16 = 0x2A0;
 
 #[derive(Debug, Clone, Copy)]
 enum Kind {
@@ -28,9 +33,16 @@ enum Kind {
     /// Supervised with this health and sync configuration.
     Supervised(HealthConfig, SyncConfig),
     Ghost,
+    StuffOverwrite,
+    /// Its flag starts at destuffed position 16.
+    ErrorFlag,
+    /// Cuts at the ACK delimiter, inside the unstuffed tail.
+    Truncator,
+    /// Probes one victim frame, then strikes.
+    Racer,
 }
 
-fn kinds() -> [Kind; 5] {
+fn kinds() -> [Kind; 9] {
     let typical = SyncConfig::typical(BusSpeed::K500);
     // Loses sync 15 ticks after a hard sync: inside Algorithm 1's window.
     let drifting = SyncConfig {
@@ -49,6 +61,10 @@ fn kinds() -> [Kind; 5] {
         Kind::Supervised(HealthConfig::default(), drifting),
         Kind::Supervised(short_windows, typical),
         Kind::Ghost,
+        Kind::StuffOverwrite,
+        Kind::ErrorFlag,
+        Kind::Truncator,
+        Kind::Racer,
     ]
 }
 
@@ -68,9 +84,10 @@ impl Observed {
     fn new(kind: Kind) -> Self {
         let (recorder, journal) = (Recorder::enabled(), Journal::enabled());
         let handler = || {
-            let list = EcuList::from_raw(&[BENIGN_ID, GHOST_VICTIM]);
+            let list = EcuList::from_raw(&[BENIGN_ID, VICTIM]);
             MichiCan::new(DetectionFsm::for_monitor(&list))
         };
+        let victim = CanId::from_raw(VICTIM);
         let agent: Box<dyn Agent> = match kind {
             Kind::Handler => {
                 let mut handler = handler();
@@ -85,9 +102,30 @@ impl Observed {
                 Box::new(supervised)
             }
             Kind::Ghost => {
-                let mut ghost = GhostInjector::new(CanId::from_raw(GHOST_VICTIM));
+                let mut ghost = GhostInjector::new(victim);
                 ghost.set_journal(journal.clone(), 2);
                 Box::new(ghost)
+            }
+            Kind::StuffOverwrite => {
+                let mut attacker = StuffBitOverwrite::new(victim, 0);
+                attacker.set_journal(journal.clone(), 2);
+                Box::new(attacker)
+            }
+            Kind::ErrorFlag => {
+                let mut attacker = ErrorFlagInjector::new(victim, 16);
+                attacker.set_journal(journal.clone(), 2);
+                Box::new(attacker)
+            }
+            Kind::Truncator => {
+                let mut attacker = FrameTruncator::new(victim, TruncateAt::AckDelim);
+                attacker.set_journal(journal.clone(), 2);
+                Box::new(attacker)
+            }
+            Kind::Racer => {
+                let mut racer = AdaptiveRacer::new(victim, 1, 2, 18);
+                racer.set_journal(journal.clone(), 2);
+                racer.set_recorder(&recorder, 2);
+                Box::new(racer)
             }
         };
         Observed {
@@ -123,9 +161,10 @@ fn segment_bits(selector: u8, entropy: u64) -> (Vec<Level>, bool, u64) {
     // 40–43 the DLC, 48–55 where selector 4 cuts the frame, 63 `own`.
     let frame = |entropy: u64| {
         let id = match (entropy & 0xF) % 5 {
+            _ if selector == 6 => VICTIM,
             0 | 1 => ATTACK_ID,
             2 => BENIGN_ID,
-            3 => GHOST_VICTIM,
+            3 => VICTIM,
             _ => ((entropy >> 8) & 0x7FF) as u16,
         };
         let payload = (entropy >> 20).to_le_bytes();
@@ -152,13 +191,24 @@ fn segment_bits(selector: u8, entropy: u64) -> (Vec<Level>, bool, u64) {
             bits.truncate(((entropy >> 48) & 0xFF) as usize % (bits.len() + 1));
             (bits, own, 0)
         }
+        // The attackers' victim; `reach` cuts it (`strike_cut`).
+        6 => (frame(entropy), own, 0),
         // Raw random levels.
-        _ => {
+        5 => {
             let len = (entropy >> 58) as u32 + 1;
             let bits = (0..len).map(|i| packed::level_at(entropy, i)).collect();
             (bits, own, 0)
         }
+        _ => unreachable!("selector {selector}"),
     }
+}
+
+/// Where `reach` cuts selector 6's victim frame: `k` bits into the
+/// agent's first drive (`k = 0` right after it decides to strike), so
+/// mid-strike or mid-flag, or `k` bits before the frame's end if it has
+/// not driven, so inside the unstuffed tail.
+fn strike_cut(entropy: u64) -> usize {
+    ((entropy >> 48) % 8) as usize
 }
 
 /// Two identical agents fed one prefix bit by bit, the bus being the input
@@ -169,8 +219,17 @@ fn reach(kind: Kind, prefix: &[(u8, u64)]) -> (Observed, Observed, u64) {
     for &(selector, entropy) in prefix {
         let (bits, own, gap) = segment_bits(selector, entropy);
         t += gap;
-        for input in bits {
+        let cut = (selector == 6).then(|| strike_cut(entropy));
+        let mut driven = 0;
+        for (i, &input) in bits.iter().enumerate() {
             let drive = stretch.agent.tx_level().unwrap_or(Level::Recessive);
+            if let Some(k) = cut {
+                let struck = drive.is_dominant() || driven > 0;
+                if (struck && driven == k) || (!struck && bits.len() - i == k) {
+                    break;
+                }
+            }
+            driven += usize::from(drive.is_dominant());
             let bus = input & drive;
             for side in [&mut stretch, &mut stepped] {
                 side.agent.set_own_transmission(own);
@@ -216,6 +275,34 @@ fn check_stretch(
     Ok(())
 }
 
+/// From a reached state, skips `k` idle bits both ways after `gap` missed
+/// ticks, when the agent is quiet there, and compares everything
+/// observable. Returns whether it was quiet.
+fn check_skip(kind: Kind, prefix: &[(u8, u64)], gap: u64, k: u64) -> Result<bool, TestCaseError> {
+    let (mut skip, mut stepped, t) = reach(kind, prefix);
+    let from = BitInstant::from_bits(t + gap);
+    if skip.agent.next_activity(from) == Some(from) {
+        return Ok(false);
+    }
+    skip.agent.skip_idle(k, from);
+    for i in 0..k {
+        stepped.agent.set_own_transmission(false);
+        let now = from + BitDuration::bits(i);
+        stepped.agent.on_bit(Level::Recessive, now);
+    }
+    let end = from + BitDuration::bits(k);
+    prop_assert_eq!(
+        skip.fingerprint(end),
+        stepped.fingerprint(end),
+        "{:?}: skip {} from {} after a {}-tick gap",
+        kind,
+        k,
+        t + gap,
+        gap
+    );
+    Ok(true)
+}
+
 /// A stretch word: dense, sparse (runs of 11 recessive bits, so SOFs), or
 /// all recessive.
 fn stretch_word(draws: (u64, u64, u64), density: u8) -> u64 {
@@ -233,7 +320,7 @@ proptest! {
 
     #[test]
     fn observe_stretch_equals_the_per_bit_replay(
-        prefix in proptest::collection::vec((0u8..6, any::<u64>()), 0..14),
+        prefix in proptest::collection::vec((0u8..7, any::<u64>()), 0..14),
         draws in (any::<u64>(), any::<u64>(), any::<u64>()),
         density in 0u8..4,
         len in 1u32..=64,
@@ -246,23 +333,41 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    #[test]
+    fn skip_idle_equals_the_per_bit_replay(
+        prefix in proptest::collection::vec((0u8..7, any::<u64>()), 0..14),
+        k in 1u64..=4096,
+        gap in 0u64..3,
+    ) {
+        for kind in kinds() {
+            check_skip(kind, &prefix, gap, k)?;
+        }
+    }
+}
+
 /// The forced-run case, pinned: a stretch entered while the counterattack
-/// or the ghost's strike holds the bus dominant, run past the release and
-/// on into the next hunt.
+/// or an attacker's strike holds the bus dominant (the ghost's and the
+/// stuff-bit overwrite's strikes, an error flag, a truncated tail), run
+/// past the release and on into the next hunt. The racer probes one whole
+/// victim frame first.
 #[test]
 fn a_stretch_entered_while_injecting_matches() {
     let attack = (1u8, 0u64); // an ATTACK_ID frame, no payload
-    let victim = (1u8, 3u64); // a GHOST_VICTIM frame, no payload
+    let victim = (1u8, 3u64); // a VICTIM frame, no payload
     for kind in kinds() {
-        let target = if matches!(kind, Kind::Ghost) {
-            victim
-        } else {
-            attack
+        let (target, probe) = match kind {
+            Kind::Handler | Kind::Supervised(..) => (attack, None),
+            Kind::Racer => (victim, Some([(0, 12), victim])),
+            _ => (victim, None),
         };
         let wire = segment_bits(target.0, target.1).0.len() as u64;
         let mut injecting = 0;
         for cut in 0..wire {
-            let prefix = [(0, 12), target_cut(target, cut)];
+            let mut prefix = probe.map_or(Vec::new(), Vec::from);
+            prefix.extend([(0, 12), target_cut(target, cut)]);
             let (agent, _, _) = reach(kind, &prefix);
             if !agent.is_injecting() {
                 continue;
