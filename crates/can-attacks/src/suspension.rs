@@ -45,8 +45,9 @@ pub enum DosKind {
 #[derive(Debug)]
 pub struct SuspensionAttacker {
     kind: DosKind,
-    payload: [u8; 8],
-    dlc: usize,
+    /// The attack frame, built once: the fixed-id kinds post it as is,
+    /// and `Random` posts its payload under a freshly drawn identifier.
+    frame: CanFrame,
     period_bits: u64,
     next_due: u64,
     rng: StdRng,
@@ -61,10 +62,13 @@ impl SuspensionAttacker {
     /// Panics if `period_bits` is zero.
     pub fn new(kind: DosKind, period_bits: u64) -> Self {
         assert!(period_bits > 0, "period must be positive");
+        let id = match kind {
+            DosKind::Targeted { id } => id,
+            DosKind::Traditional | DosKind::Random { .. } => CanId::HIGHEST_PRIORITY,
+        };
         SuspensionAttacker {
             kind,
-            payload: [0; 8],
-            dlc: 8,
+            frame: CanFrame::data_frame(id, &[0; 8]).expect("valid attack frame"),
             period_bits,
             next_due: 0,
             rng: StdRng::seed_from_u64(0x5EED_CADE),
@@ -77,11 +81,12 @@ impl SuspensionAttacker {
     }
 
     /// Overrides the payload (default: 8 zero bytes).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `payload` is longer than 8 bytes.
     pub fn with_payload(mut self, payload: &[u8]) -> Self {
-        assert!(payload.len() <= 8);
-        self.dlc = payload.len();
-        self.payload = [0; 8];
-        self.payload[..payload.len()].copy_from_slice(payload);
+        self.frame = CanFrame::data_frame(self.frame.id(), payload).expect("at most 8 bytes");
         self
     }
 
@@ -89,28 +94,20 @@ impl SuspensionAttacker {
     pub fn kind(&self) -> DosKind {
         self.kind
     }
-
-    fn attack_id(&mut self) -> CanId {
-        match self.kind {
-            DosKind::Traditional => CanId::HIGHEST_PRIORITY,
-            DosKind::Targeted { id } => id,
-            DosKind::Random { below } => {
-                let bound = below.raw().max(1);
-                CanId::from_raw(self.rng.random_range(0..bound))
-            }
-        }
-    }
 }
 
 impl Application for SuspensionAttacker {
     fn poll(&mut self, now: BitInstant) -> Option<CanFrame> {
-        if now.bits() >= self.next_due {
-            self.next_due = now.bits() + self.period_bits;
-            let id = self.attack_id();
-            let dlc = self.dlc;
-            Some(CanFrame::data_frame(id, &self.payload[..dlc]).expect("valid attack frame"))
-        } else {
-            None
+        if now.bits() < self.next_due {
+            return None;
+        }
+        self.next_due = now.bits() + self.period_bits;
+        match self.kind {
+            DosKind::Random { below } => {
+                let id = CanId::from_raw(self.rng.random_range(0..below.raw().max(1)));
+                Some(CanFrame::data_frame(id, self.frame.data()).expect("valid attack frame"))
+            }
+            DosKind::Traditional | DosKind::Targeted { .. } => Some(self.frame),
         }
     }
 

@@ -145,7 +145,9 @@ pub trait BitAgent {
     /// hunt consumes a word at a time
     /// ([`Hunt::hunt_word`](crate::watch::Hunt::hunt_word)), and only the
     /// frame bits they act on run per bit. An agent whose observation
-    /// draws randomness per bit keeps the default.
+    /// draws randomness per bit can still draw per bit and hand each run
+    /// of bits it delivers on to a closed-form observation, as the
+    /// simulator's pin-fault wrapper does.
     fn observe_stretch(&mut self, word: u64, len: u32, own_tx: bool, from: BitInstant) {
         for i in 0..len {
             self.set_own_transmission(own_tx);

@@ -13,10 +13,20 @@
 //! A decision made while sampling bit `t` therefore first affects the bus
 //! at bit `t + 1` — the same one-bit reaction latency a real controller has
 //! when it samples at ~70 % of the bit time.
+//!
+//! ## Stepping in place
+//!
+//! [`Controller::on_sample_into`] changes the current state where it
+//! lies (a parser push, a countdown, a wire index) and assigns a new state
+//! only on a transition (frame joined, error raised, intermission over).
+//! The transmitting state holds only its wire index and monitor parser:
+//! the wire itself is the controller's last encoded frame, kept after the
+//! attempt, so a retransmission of the same frame drives it again without
+//! a new [`encode_frame`] call.
 
 use can_core::bitstream::{encode_frame, PackedWire, IFS_BITS};
 use can_core::errors::CanErrorKind;
-use can_core::{counters, packed, BitInstant, CanFrame, ErrorCounters, ErrorState, Level};
+use can_core::{counters, packed, BitInstant, CanFrame, CanId, ErrorCounters, ErrorState, Level};
 
 use crate::event::{ErrorRole, EventKind};
 use crate::parser::{RxEvent, RxParser};
@@ -51,42 +61,36 @@ impl Default for ControllerConfig {
     }
 }
 
-/// An in-flight transmission: the stuffed wire as packed words, built
-/// once per attempt by the word-level encoder
-/// ([`can_core::bitstream::encode_frame`]), with no heap.
+/// The last frame a controller encoded and its stuffed wire as packed
+/// words ([`can_core::bitstream::encode_frame`]), inline with no heap.
+///
+/// The transmitting state drives this wire. It stays after the attempt, so
+/// a retransmission of the same frame (identifier, DLC and data) reuses
+/// it, while any other frame is encoded afresh: the pair is always a frame
+/// and its own encoding.
 #[derive(Debug, Clone)]
-struct TxJob {
+struct TxWire {
     frame: CanFrame,
-    /// The wire bits, their stuff-bit mask and length.
     wire: PackedWire,
-    /// Wire index of the ACK slot.
-    ack_index: usize,
-    /// Number of bits already driven and sampled.
-    index: usize,
 }
 
-impl TxJob {
+impl TxWire {
     fn new(frame: CanFrame) -> Self {
-        let wire = encode_frame(&frame);
-        // ACK slot is the second-to-10th bit from the end:
-        // ... CRC delim | ACK slot | ACK delim | EOF(7)
-        let ack_index = wire.len - 9;
-        TxJob {
+        TxWire {
             frame,
-            wire,
-            ack_index,
-            index: 0,
+            wire: encode_frame(&frame),
         }
     }
 
-    /// The level driven at the current wire index.
-    fn level(&self) -> Level {
-        self.wire.level(self.index)
+    /// Wire index of the ACK slot: the ninth bit from the end
+    /// (... CRC delim | ACK slot | ACK delim | EOF(7)).
+    fn ack_index(&self) -> usize {
+        self.wire.len - 9
     }
 
-    /// The next up-to-64 wire bits as one dominant-mask word.
-    fn window(&self) -> u64 {
-        packed::extract_window(&self.wire.words, self.index)
+    /// The up-to-64 wire bits from `index` as one dominant-mask word.
+    fn window(&self, index: usize) -> u64 {
+        packed::extract_window(&self.wire.words, index)
     }
 }
 
@@ -317,8 +321,10 @@ enum State {
     Receiving {
         parser: RxParser,
     },
+    /// Driving the controller's [`TxWire`]: `index` bits are already
+    /// driven and sampled, and `parser` monitors the bus.
     Transmitting {
-        tx: TxJob,
+        index: usize,
         parser: RxParser,
     },
     ErrorSignaling(ErrSig),
@@ -369,6 +375,8 @@ pub struct Controller {
     /// Transmit mailboxes: at most one pending frame per identifier;
     /// lowest identifier transmits first.
     pending: Vec<CanFrame>,
+    /// The last frame encoded, which the transmitting state drives.
+    tx: TxWire,
     /// Drive a dominant ACK during the next bit.
     drive_ack: bool,
     last_reported_state: ErrorState,
@@ -383,6 +391,10 @@ impl Controller {
             counters: ErrorCounters::new(),
             state: State::Integrating { recessive_run: 0 },
             pending: Vec::new(),
+            // Any frame with its own wire keeps the cache sound.
+            tx: TxWire::new(
+                CanFrame::data_frame(CanId::from_raw(0), &[]).expect("an empty frame is valid"),
+            ),
             drive_ack: false,
             last_reported_state: ErrorState::ErrorActive,
         }
@@ -454,13 +466,12 @@ impl Controller {
         Some(self.pending.swap_remove(best))
     }
 
-    /// Re-queues a frame whose transmission failed, unless the application
-    /// has meanwhile posted a newer frame with the same identifier.
-    fn requeue(&mut self, frame: CanFrame) {
-        if !self.config.retransmit {
-            return;
-        }
-        if !self.pending.iter().any(|f| f.id() == frame.id()) {
+    /// Re-queues the frame whose transmission failed, unless the
+    /// application has meanwhile posted a newer frame with the same
+    /// identifier.
+    fn requeue(&mut self) {
+        let frame = self.tx.frame;
+        if self.config.retransmit && !self.pending.iter().any(|f| f.id() == frame.id()) {
             self.pending.push(frame);
         }
     }
@@ -468,7 +479,7 @@ impl Controller {
     /// The level this controller drives during the upcoming bit time.
     pub fn tx_level(&self) -> Level {
         match &self.state {
-            State::Transmitting { tx, .. } => tx.level(),
+            State::Transmitting { index, .. } => self.tx.wire.level(*index),
             State::ErrorSignaling(sig) if sig.drive_word() != 0 => Level::Dominant,
             State::Receiving { .. } if self.drive_ack => Level::Dominant,
             _ => Level::Recessive,
@@ -486,42 +497,151 @@ impl Controller {
     ///
     /// `out` must be [`StepOutput::clear`]ed (or fresh); reusing one
     /// buffer across bits avoids a per-bit allocation on the simulator's
-    /// hot path.
-    pub fn on_sample_into(&mut self, bus: Level, now: BitInstant, out: &mut StepOutput) {
+    /// hot path. The state steps in place; only a transition assigns a
+    /// new one.
+    pub fn on_sample_into(&mut self, bus: Level, _now: BitInstant, out: &mut StepOutput) {
         // The ACK drive is one-shot: the bit being processed was the slot.
         self.drive_ack = false;
 
-        // `state` is replaced wholesale to keep the borrow checker happy.
-        let state = std::mem::replace(&mut self.state, State::Idle);
-        self.state = match state {
+        match &mut self.state {
             State::Integrating { recessive_run } => {
-                let run = if bus.is_recessive() {
-                    recessive_run + 1
+                if bus.is_dominant() {
+                    *recessive_run = 0;
+                } else if *recessive_run >= 10 {
+                    self.state = State::Idle;
                 } else {
-                    0
-                };
-                if run >= 11 {
-                    State::Idle
-                } else {
-                    State::Integrating { recessive_run: run }
+                    *recessive_run += 1;
                 }
             }
-            State::Idle => self.sample_idle(bus, now, out),
-            State::Receiving { parser } => self.sample_receiving(parser, bus, now, out),
-            State::Transmitting { tx, parser } => {
-                self.sample_transmitting(tx, parser, bus, now, out)
+            State::Idle => {
+                if bus.is_dominant() {
+                    self.join_as_receiver();
+                } else if !self.pending.is_empty() {
+                    self.start_transmission(out);
+                }
             }
-            State::ErrorSignaling(sig) => self.sample_error(sig, bus, out),
+            State::Receiving { parser } => match parser.push(bus) {
+                RxEvent::Continue => {}
+                RxEvent::AckSlotNext => self.drive_ack = self.config.ack_enabled,
+                RxEvent::Done(frame) => {
+                    self.counters.on_receive_success();
+                    out.events.push(EventKind::FrameReceived { frame });
+                    out.received = Some(frame);
+                    self.state = State::Intermission {
+                        remaining: IFS_BITS as u8,
+                        then_suspend: false,
+                    };
+                }
+                RxEvent::Fault(kind) => self.receive_error(kind, out),
+            },
+            State::Transmitting { index, parser } => {
+                let sent = self.tx.wire.level(*index);
+                let in_arbitration = parser.in_arbitration();
+                let rx_event = parser.push(bus);
+                let at_ack = *index == self.tx.ack_index();
+                if sent == bus && at_ack && bus.is_recessive() {
+                    // Nobody acknowledged.
+                    self.transmit_error(CanErrorKind::Ack, out);
+                } else if sent == bus || (at_ack && bus.is_dominant()) {
+                    // Levels matched, or a receiver acknowledged the frame.
+                    *index += 1;
+                    if *index == self.tx.wire.len {
+                        let frame = self.tx.frame;
+                        self.counters.on_transmit_success();
+                        out.events.push(EventKind::TransmissionSucceeded { frame });
+                        out.transmitted = Some(frame);
+                        let then_suspend = self.counters.state() == ErrorState::ErrorPassive;
+                        self.state = State::Intermission {
+                            remaining: IFS_BITS as u8,
+                            then_suspend,
+                        };
+                    }
+                } else if in_arbitration && sent.is_recessive() {
+                    // Lost arbitration: continue as receiver of the winner,
+                    // whose bit the parser has already consumed.
+                    out.events.push(EventKind::ArbitrationLost {
+                        id: self.tx.frame.id(),
+                    });
+                    let parser = *parser;
+                    self.requeue();
+                    match rx_event {
+                        RxEvent::Fault(kind) => self.receive_error(kind, out),
+                        _ => self.state = State::Receiving { parser },
+                    }
+                } else {
+                    // Bit or stuff error in our own transmission.
+                    let kind = if self.tx.wire.is_stuff_bit(*index) {
+                        CanErrorKind::Stuff
+                    } else {
+                        CanErrorKind::Bit
+                    };
+                    self.transmit_error(kind, out);
+                }
+            }
+            State::ErrorSignaling(sig) => match sig.step(bus) {
+                SigStep::Quiet => {}
+                SigStep::SevereRec => {
+                    self.counters.on_receive_error_severe();
+                }
+                SigStep::Leave if sig.then_bus_off => {
+                    out.events.push(EventKind::BusOff);
+                    self.state = State::BusOff {
+                        recessive_run: 0,
+                        sequences: 0,
+                    };
+                }
+                SigStep::Leave => {
+                    let then_suspend =
+                        sig.was_transmitter && self.counters.state() == ErrorState::ErrorPassive;
+                    self.state = State::Intermission {
+                        remaining: IFS_BITS as u8,
+                        then_suspend,
+                    };
+                }
+            },
             State::Intermission {
                 remaining,
                 then_suspend,
-            } => self.sample_intermission(remaining, then_suspend, bus, now, out),
-            State::Suspend { remaining } => self.sample_suspend(remaining, bus, now, out),
+            } => {
+                if bus.is_dominant() {
+                    // Another node's SOF (a dominant bit during intermission
+                    // is interpreted as a start of frame; overload frames
+                    // are not modelled).
+                    self.join_as_receiver();
+                } else if *remaining > 1 {
+                    *remaining -= 1;
+                } else if *then_suspend {
+                    self.state = State::Suspend {
+                        remaining: SUSPEND_BITS,
+                    };
+                } else {
+                    self.start_transmission(out);
+                }
+            }
+            State::Suspend { remaining } => {
+                if bus.is_dominant() {
+                    // Another node started first; we join as receiver and
+                    // compete again afterwards (ISO 11898-1 suspend-
+                    // transmission rule, central to the paper's Experiment
+                    // 5 analysis).
+                    self.join_as_receiver();
+                } else if *remaining > 1 {
+                    *remaining -= 1;
+                } else {
+                    self.start_transmission(out);
+                }
+            }
             State::BusOff {
                 recessive_run,
                 sequences,
-            } => self.sample_bus_off(recessive_run, sequences, bus, out),
-        };
+            } => {
+                if recovery_step(recessive_run, sequences, bus) {
+                    self.counters.reset_after_recovery();
+                    out.events.push(EventKind::Recovered);
+                    self.state = State::Idle;
+                }
+            }
+        }
 
         self.report_state_change(out);
     }
@@ -534,261 +654,63 @@ impl Controller {
         }
     }
 
-    fn start_transmission(&mut self, out: &mut StepOutput) -> State {
-        match self.take_highest_priority_pending() {
-            Some(frame) => {
-                out.events
-                    .push(EventKind::TransmissionStarted { id: frame.id() });
-                State::Transmitting {
-                    tx: TxJob::new(frame),
-                    parser: RxParser::new(),
-                }
-            }
-            None => State::Idle,
+    /// Starts transmitting the highest-priority pending frame, or goes
+    /// idle when none is pending. A retransmission of the last frame
+    /// encoded drives its wire again.
+    fn start_transmission(&mut self, out: &mut StepOutput) {
+        let Some(frame) = self.take_highest_priority_pending() else {
+            self.state = State::Idle;
+            return;
+        };
+        out.events
+            .push(EventKind::TransmissionStarted { id: frame.id() });
+        if self.tx.frame != frame {
+            self.tx = TxWire::new(frame);
         }
+        self.state = State::Transmitting {
+            index: 0,
+            parser: RxParser::new(),
+        };
     }
 
-    fn join_as_receiver(&mut self, sof: Level, now: BitInstant, out: &mut StepOutput) -> State {
-        debug_assert!(sof.is_dominant(), "joining requires a dominant SOF");
-        let parser = RxParser::new();
-        self.sample_receiving(parser, sof, now, out)
+    /// Joins the frame whose SOF was just sampled, as its receiver.
+    fn join_as_receiver(&mut self) {
+        let mut parser = RxParser::new();
+        let sof = parser.push(Level::Dominant);
+        debug_assert_eq!(sof, RxEvent::Continue, "a dominant SOF starts a frame");
+        self.state = State::Receiving { parser };
     }
 
-    fn sample_idle(&mut self, bus: Level, now: BitInstant, out: &mut StepOutput) -> State {
-        if bus.is_dominant() {
-            self.join_as_receiver(bus, now, out)
-        } else if !self.pending.is_empty() {
-            self.start_transmission(out)
-        } else {
-            State::Idle
-        }
-    }
-
-    fn sample_receiving(
-        &mut self,
-        mut parser: RxParser,
-        bus: Level,
-        _now: BitInstant,
-        out: &mut StepOutput,
-    ) -> State {
-        match parser.push(bus) {
-            RxEvent::Continue => State::Receiving { parser },
-            RxEvent::AckSlotNext => {
-                if self.config.ack_enabled {
-                    self.drive_ack = true;
-                }
-                State::Receiving { parser }
-            }
-            RxEvent::Done(frame) => {
-                self.counters.on_receive_success();
-                out.events.push(EventKind::FrameReceived { frame });
-                out.received = Some(frame);
-                State::Intermission {
-                    remaining: IFS_BITS as u8,
-                    then_suspend: false,
-                }
-            }
-            RxEvent::Fault(kind) => {
-                self.counters.on_receive_error();
-                out.events.push(EventKind::ErrorDetected {
-                    kind,
-                    role: ErrorRole::Receiver,
-                });
-                State::ErrorSignaling(ErrSig::new(false, true, false))
-            }
-        }
-    }
-
-    fn sample_transmitting(
-        &mut self,
-        mut tx: TxJob,
-        mut parser: RxParser,
-        bus: Level,
-        now: BitInstant,
-        out: &mut StepOutput,
-    ) -> State {
-        let sent = tx.level();
-        let in_arbitration = parser.in_arbitration();
-        let rx_event = parser.push(bus);
-        let mismatch = sent != bus;
-
-        if mismatch {
-            if in_arbitration && sent.is_recessive() && bus.is_dominant() {
-                // Lost arbitration: continue as receiver of the winner.
-                out.events
-                    .push(EventKind::ArbitrationLost { id: tx.frame.id() });
-                self.requeue(tx.frame);
-                // The parser already consumed this bit; stay receiving.
-                return match rx_event {
-                    RxEvent::Fault(kind) => {
-                        self.counters.on_receive_error();
-                        out.events.push(EventKind::ErrorDetected {
-                            kind,
-                            role: ErrorRole::Receiver,
-                        });
-                        State::ErrorSignaling(ErrSig::new(false, true, false))
-                    }
-                    _ => State::Receiving { parser },
-                };
-            }
-            if tx.index == tx.ack_index && bus.is_dominant() {
-                // A receiver acknowledged the frame; not an error.
-                tx.index += 1;
-                return State::Transmitting { tx, parser };
-            }
-            // Bit or stuff error in our own transmission.
-            let kind = if tx.wire.is_stuff_bit(tx.index) {
-                CanErrorKind::Stuff
-            } else {
-                CanErrorKind::Bit
-            };
-            return self.transmit_error(tx, kind, now, out);
-        }
-
-        // Levels matched.
-        if tx.index == tx.ack_index && bus.is_recessive() {
-            // Nobody acknowledged.
-            return self.transmit_ack_error(tx, now, out);
-        }
-
-        tx.index += 1;
-        if tx.index == tx.wire.len {
-            self.counters.on_transmit_success();
-            out.events
-                .push(EventKind::TransmissionSucceeded { frame: tx.frame });
-            out.transmitted = Some(tx.frame);
-            let then_suspend = self.counters.state() == ErrorState::ErrorPassive;
-            return State::Intermission {
-                remaining: IFS_BITS as u8,
-                then_suspend,
-            };
-        }
-        State::Transmitting { tx, parser }
-    }
-
-    fn transmit_error(
-        &mut self,
-        tx: TxJob,
-        kind: CanErrorKind,
-        _now: BitInstant,
-        out: &mut StepOutput,
-    ) -> State {
-        // Flag polarity follows the state *before* the increment (paper
-        // Fig. 6: the 16th error is still signalled with an active flag).
-        let active_before = self.counters.state() == ErrorState::ErrorActive;
-        let new_state = self.counters.on_transmit_error();
+    fn receive_error(&mut self, kind: CanErrorKind, out: &mut StepOutput) {
+        self.counters.on_receive_error();
         out.events.push(EventKind::ErrorDetected {
             kind,
-            role: ErrorRole::Transmitter,
+            role: ErrorRole::Receiver,
         });
-        self.requeue(tx.frame);
-        let mut sig = ErrSig::new(true, false, active_before);
-        if new_state == ErrorState::BusOff {
-            sig.then_bus_off = true;
-        }
-        State::ErrorSignaling(sig)
+        self.state = State::ErrorSignaling(ErrSig::new(false, true, false));
     }
 
-    fn transmit_ack_error(&mut self, tx: TxJob, _now: BitInstant, out: &mut StepOutput) -> State {
+    fn transmit_error(&mut self, kind: CanErrorKind, out: &mut StepOutput) {
+        // Flag polarity follows the state *before* the increment (paper
+        // Fig. 6: the 16th error is still signalled with an active flag).
         let active_before = self.counters.state() == ErrorState::ErrorActive;
         // ISO 11898-1 exception: an error-passive transmitter detecting an
         // ACK error (and no dominant bit during its passive flag) does not
         // increment its TEC. A lone node on a bus therefore never reaches
         // bus-off through missing acknowledgments.
-        let new_state = if active_before {
-            self.counters.on_transmit_error()
-        } else {
+        let new_state = if kind == CanErrorKind::Ack && !active_before {
             self.counters.state()
+        } else {
+            self.counters.on_transmit_error()
         };
         out.events.push(EventKind::ErrorDetected {
-            kind: CanErrorKind::Ack,
+            kind,
             role: ErrorRole::Transmitter,
         });
-        self.requeue(tx.frame);
+        self.requeue();
         let mut sig = ErrSig::new(true, false, active_before);
-        if new_state == ErrorState::BusOff {
-            sig.then_bus_off = true;
-        }
-        State::ErrorSignaling(sig)
-    }
-
-    fn sample_error(&mut self, mut sig: ErrSig, bus: Level, out: &mut StepOutput) -> State {
-        match sig.step(bus) {
-            SigStep::Quiet => State::ErrorSignaling(sig),
-            SigStep::SevereRec => {
-                self.counters.on_receive_error_severe();
-                State::ErrorSignaling(sig)
-            }
-            SigStep::Leave if sig.then_bus_off => {
-                out.events.push(EventKind::BusOff);
-                State::BusOff {
-                    recessive_run: 0,
-                    sequences: 0,
-                }
-            }
-            SigStep::Leave => {
-                let then_suspend =
-                    sig.was_transmitter && self.counters.state() == ErrorState::ErrorPassive;
-                State::Intermission {
-                    remaining: IFS_BITS as u8,
-                    then_suspend,
-                }
-            }
-        }
-    }
-
-    fn sample_intermission(
-        &mut self,
-        remaining: u8,
-        then_suspend: bool,
-        bus: Level,
-        now: BitInstant,
-        out: &mut StepOutput,
-    ) -> State {
-        if bus.is_dominant() {
-            // Another node's SOF (a dominant bit during intermission is
-            // interpreted as a start of frame; overload frames are not
-            // modelled).
-            return self.join_as_receiver(bus, now, out);
-        }
-        if remaining > 1 {
-            State::Intermission {
-                remaining: remaining - 1,
-                then_suspend,
-            }
-        } else if then_suspend {
-            State::Suspend {
-                remaining: SUSPEND_BITS,
-            }
-        } else if !self.pending.is_empty() {
-            self.start_transmission(out)
-        } else {
-            State::Idle
-        }
-    }
-
-    fn sample_suspend(
-        &mut self,
-        remaining: u8,
-        bus: Level,
-        now: BitInstant,
-        out: &mut StepOutput,
-    ) -> State {
-        if bus.is_dominant() {
-            // Another node started first; we join as receiver and compete
-            // again afterwards (ISO 11898-1 suspend-transmission rule,
-            // central to the paper's Experiment 5 analysis).
-            return self.join_as_receiver(bus, now, out);
-        }
-        if remaining > 1 {
-            State::Suspend {
-                remaining: remaining - 1,
-            }
-        } else if !self.pending.is_empty() {
-            self.start_transmission(out)
-        } else {
-            State::Idle
-        }
+        sig.then_bus_off = new_state == ErrorState::BusOff;
+        self.state = State::ErrorSignaling(sig);
     }
 
     /// The earliest bit time at or after `now` at which this controller
@@ -962,18 +884,21 @@ impl Controller {
         };
         match &self.state {
             State::Receiving { .. } => Some(StretchRole::Receive),
-            State::Transmitting { tx, .. } => {
+            State::Transmitting { index, .. } => {
                 // Stop before the ACK slot (a receiver answers there) and
                 // before the final bit (transmit-success event).
-                let mut tx_cap = tx.wire.len - 1 - tx.index;
-                if tx.index <= tx.ack_index {
-                    tx_cap = tx_cap.min(tx.ack_index - tx.index);
+                let (index, ack_index) = (*index, self.tx.ack_index());
+                let mut tx_cap = self.tx.wire.len - 1 - index;
+                if index <= ack_index {
+                    tx_cap = tx_cap.min(ack_index - index);
                 }
                 if tx_cap == 0 {
                     return None;
                 }
                 *cap = (*cap).min(tx_cap as u64);
-                Some(StretchRole::Transmit { word: tx.window() })
+                Some(StretchRole::Transmit {
+                    word: self.tx.window(index),
+                })
             }
             State::ErrorSignaling(sig) => Some(StretchRole::Signal { sig: *sig }),
             State::Idle => {
@@ -1004,16 +929,16 @@ impl Controller {
     /// can meet is the `AckSlotNext` at its CRC delimiter, its last bit
     /// at most: one [`RxParser::push_word`] consumes the window.
     pub(crate) fn commit_transmit(&mut self, n: u32) {
-        let State::Transmitting { tx, parser } = &mut self.state else {
+        let State::Transmitting { index, parser } = &mut self.state else {
             unreachable!("commit_transmit on a non-transmitting controller")
         };
-        let (consumed, event) = parser.push_word(tx.window(), n);
+        let (consumed, event) = parser.push_word(self.tx.window(*index), n);
         debug_assert!(
             consumed == n || (consumed + 1 == n && event == RxEvent::AckSlotNext),
             "a transmitter's stretch ends at its CRC delimiter"
         );
-        tx.index += n as usize;
-        debug_assert!(tx.index < tx.wire.len);
+        *index += n as usize;
+        debug_assert!(*index < self.tx.wire.len);
     }
 
     /// The parser a stretch commit advances: the receive parser while
@@ -1034,10 +959,10 @@ impl Controller {
     pub(crate) fn commit_parser(&mut self, post: &RxParser, n: u32) {
         match &mut self.state {
             State::Receiving { parser } => *parser = *post,
-            State::Transmitting { tx, parser } => {
+            State::Transmitting { index, parser } => {
                 *parser = *post;
-                tx.index += n as usize;
-                debug_assert!(tx.index < tx.wire.len);
+                *index += n as usize;
+                debug_assert!(*index < self.tx.wire.len);
             }
             _ => unreachable!("commit_parser on a controller without a frame parser"),
         }
@@ -1124,54 +1049,31 @@ impl Controller {
                 sequences,
             } => {
                 for i in 0..n {
-                    if packed::level_at(bus, i).is_dominant() {
-                        *recessive_run = 0;
-                    } else {
-                        *recessive_run += 1;
-                        if u32::from(*recessive_run) == counters::RECOVERY_SEQUENCE_BITS {
-                            *recessive_run = 0;
-                            *sequences += 1;
-                            debug_assert!(*sequences < counters::RECOVERY_SEQUENCES);
-                        }
-                    }
+                    let recovered =
+                        recovery_step(recessive_run, sequences, packed::level_at(bus, i));
+                    debug_assert!(!recovered, "stretch must stop before recovery");
                 }
             }
             _ => unreachable!("commit_passive_word on a non-countdown controller"),
         }
     }
+}
 
-    fn sample_bus_off(
-        &mut self,
-        recessive_run: u8,
-        sequences: u32,
-        bus: Level,
-        out: &mut StepOutput,
-    ) -> State {
-        if bus.is_dominant() {
-            return State::BusOff {
-                recessive_run: 0,
-                sequences,
-            };
-        }
-        let run = recessive_run + 1;
-        if run as u32 == counters::RECOVERY_SEQUENCE_BITS {
-            let sequences = sequences + 1;
-            if sequences >= counters::RECOVERY_SEQUENCES {
-                self.counters.reset_after_recovery();
-                out.events.push(EventKind::Recovered);
-                return State::Idle;
-            }
-            State::BusOff {
-                recessive_run: 0,
-                sequences,
-            }
-        } else {
-            State::BusOff {
-                recessive_run: run,
-                sequences,
-            }
-        }
+/// One bus-off recovery sample: counts recessive bits in sequences of
+/// [`counters::RECOVERY_SEQUENCE_BITS`] (a dominant bit restarts the
+/// sequence); returns whether the last sequence completed.
+fn recovery_step(recessive_run: &mut u8, sequences: &mut u32, bus: Level) -> bool {
+    if bus.is_dominant() {
+        *recessive_run = 0;
+        return false;
     }
+    *recessive_run += 1;
+    if u32::from(*recessive_run) < counters::RECOVERY_SEQUENCE_BITS {
+        return false;
+    }
+    *recessive_run = 0;
+    *sequences += 1;
+    *sequences >= counters::RECOVERY_SEQUENCES
 }
 
 #[cfg(test)]
@@ -1561,5 +1463,106 @@ mod tests {
         assert_eq!(c.counters().rec(), 0);
         sample_levels(&mut c, &[true]);
         assert_eq!(c.counters().rec(), 8);
+    }
+
+    /// Node 0's transmission attempts on a bus with one acknowledging
+    /// receiver, as the levels it drove from each SOF. Before each bit,
+    /// `script` may act on the controller (given the attempts so far) and
+    /// returns whether the bus is forced dominant at that bit.
+    fn attempts(
+        c: &mut Controller,
+        bits: u64,
+        mut script: impl FnMut(&mut Controller, &[Vec<Level>]) -> bool,
+    ) -> Vec<Vec<Level>> {
+        let mut rx = Controller::new(ControllerConfig::default());
+        let mut attempts: Vec<Vec<Level>> = Vec::new();
+        for t in 0..bits {
+            let forced = script(c, &attempts);
+            let drive = c.tx_level();
+            if c.is_transmitting() {
+                attempts.last_mut().unwrap().push(drive);
+            }
+            let bus = if forced {
+                Level::Dominant
+            } else {
+                drive & rx.tx_level()
+            };
+            let now = BitInstant::from_bits(t);
+            rx.on_sample(bus, now);
+            let out = c.on_sample(bus, now);
+            if out
+                .events
+                .iter()
+                .any(|e| matches!(e, EventKind::TransmissionStarted { .. }))
+            {
+                attempts.push(Vec::new());
+            }
+        }
+        attempts
+    }
+
+    /// Asserts that every one of `attempts` drives a prefix of `frame`'s
+    /// stuffed wire, bit for bit, and that the last drives all of it. (A
+    /// retry may meet an ACK error first: the receiver's passive flag
+    /// ends after the transmitter's, so it can miss the next SOF.)
+    fn assert_drives(attempts: &[Vec<Level>], frame: &CanFrame) {
+        let wire = encode_frame(frame);
+        let levels: Vec<Level> = (0..wire.len).map(|i| wire.level(i)).collect();
+        for attempt in attempts {
+            assert_eq!(attempt[..], levels[..attempt.len()]);
+        }
+        assert_eq!(attempts.last().map(Vec::len), Some(wire.len));
+    }
+
+    /// Forces one bit error into the first attempt: a recessive bit after
+    /// the arbitration field.
+    fn corrupt_first(c: &mut Controller, attempts: &[Vec<Level>]) -> bool {
+        attempts.len() == 1
+            && attempts[0].len() >= 24
+            && c.is_transmitting()
+            && c.tx_level().is_recessive()
+    }
+
+    #[test]
+    fn a_retry_after_a_bit_error_drives_the_frames_own_wire() {
+        let sent = frame(0x2A5, &[0xAA, 0x55, 0xF0, 0x0F]);
+        let mut c = Controller::new(ControllerConfig::default());
+        c.enqueue(sent);
+        let attempts = attempts(&mut c, 600, corrupt_first);
+        assert!(attempts.len() >= 2, "the first attempt fails");
+        assert_drives(&attempts[1..], &sent);
+        assert_eq!(c.pending_count(), 0, "the retry succeeded");
+    }
+
+    #[test]
+    fn a_retry_drives_a_newer_frame_posted_under_the_same_id() {
+        let (old, newer) = (frame(0x2A5, &[0xAA, 0x55]), frame(0x2A5, &[0x01, 0x02]));
+        let mut c = Controller::new(ControllerConfig::default());
+        c.enqueue(old);
+        let attempts = attempts(&mut c, 600, |c, attempts| {
+            if attempts.len() == 1 && attempts[0].len() == 10 {
+                c.enqueue(newer);
+            }
+            corrupt_first(c, attempts)
+        });
+        assert!(attempts.len() >= 2, "the first attempt fails");
+        assert_drives(&attempts[1..], &newer);
+    }
+
+    #[test]
+    fn nothing_stale_is_sent_after_a_reset() {
+        let (old, newer) = (frame(0x2A5, &[0xAA, 0x55]), frame(0x2A5, &[0x01]));
+        let mut c = Controller::new(ControllerConfig::default());
+        c.enqueue(old);
+        // A reset mid-frame flushes the mailbox: nothing more is sent.
+        let before = attempts(&mut c, 600, |c, attempts| {
+            if attempts.len() == 1 && attempts[0].len() == 30 && c.is_transmitting() {
+                c.reset();
+            }
+            false
+        });
+        assert_eq!(before.iter().map(Vec::len).collect::<Vec<_>>(), [30]);
+        c.enqueue(newer);
+        assert_drives(&attempts(&mut c, 600, |_, _| false), &newer);
     }
 }

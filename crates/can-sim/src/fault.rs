@@ -23,7 +23,7 @@
 //!   modes a software-defined defense must degrade gracefully under.
 
 use can_core::agent::BitAgent;
-use can_core::{packed, BitInstant, Level};
+use can_core::{packed, BitDuration, BitInstant, Level};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -733,20 +733,11 @@ impl<A: BitAgent> FaultyAgent<A> {
     pub fn into_inner(self) -> A {
         self.inner
     }
-}
 
-impl<A> std::fmt::Debug for FaultyAgent<A> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FaultyAgent")
-            .field("config", &self.config)
-            .field("idle_run", &self.idle_run)
-            .field("sof_mask", &self.sof_mask)
-            .finish()
-    }
-}
-
-impl<A: BitAgent> BitAgent for FaultyAgent<A> {
-    fn on_bit(&mut self, level: Level, now: BitInstant) {
+    /// The level the inner agent sees for one bus level, `None` when the
+    /// bit interrupt is missed. Draws from the pin-fault RNG as a real
+    /// bit does: SOF delay, then missed bit, then flip.
+    fn sample(&mut self, level: Level) -> Option<Level> {
         let sof_edge = level.is_dominant() && self.idle_run >= IDLE_BITS_BEFORE_SOF;
         if level.is_recessive() {
             self.idle_run = self.idle_run.saturating_add(1);
@@ -765,22 +756,39 @@ impl<A: BitAgent> BitAgent for FaultyAgent<A> {
             // The hard-sync interrupt has not fired yet: the agent still
             // believes the bus is idle.
             self.sof_mask -= 1;
-            self.inner.on_bit(Level::Recessive, now);
-            return;
+            return Some(Level::Recessive);
         }
 
         if self.config.missed_bit_prob > 0.0 && self.rng.random_bool(self.config.missed_bit_prob) {
-            return;
+            return None;
         }
 
-        let seen = if self.config.sample_flip_prob > 0.0
-            && self.rng.random_bool(self.config.sample_flip_prob)
+        if self.config.sample_flip_prob > 0.0 && self.rng.random_bool(self.config.sample_flip_prob)
         {
-            level.opposite()
+            Some(level.opposite())
         } else {
-            level
-        };
-        self.inner.on_bit(seen, now);
+            Some(level)
+        }
+    }
+}
+
+impl<A: std::fmt::Debug> std::fmt::Debug for FaultyAgent<A> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FaultyAgent")
+            .field("inner", &self.inner)
+            .field("config", &self.config)
+            .field("rng", &self.rng)
+            .field("idle_run", &self.idle_run)
+            .field("sof_mask", &self.sof_mask)
+            .finish()
+    }
+}
+
+impl<A: BitAgent> BitAgent for FaultyAgent<A> {
+    fn on_bit(&mut self, level: Level, now: BitInstant) {
+        if let Some(seen) = self.sample(level) {
+            self.inner.on_bit(seen, now);
+        }
     }
 
     fn tx_level(&self) -> Option<Level> {
@@ -798,12 +806,39 @@ impl<A: BitAgent> BitAgent for FaultyAgent<A> {
         self.inner.drive_horizon(now)
     }
 
-    // `observe_stretch` keeps the per-bit default on purpose: every
-    // observed bit may draw from the pin-fault RNG, so a stretch cannot be
-    // handed to the inner agent in one call. `drive_until` keeps its
-    // no-promise default for the same reason: the inner agent's forced run
-    // assumes it samples dominant, and a flipped or missed sample breaks
-    // that.
+    // `drive_until` keeps its no-promise default: the inner agent's forced
+    // run assumes it samples dominant, and a flipped or missed sample
+    // breaks that.
+
+    /// Draws per bit, as [`BitAgent::on_bit`] does, and hands each run of
+    /// delivered bits (a missed bit ends a run) to the inner agent's
+    /// closed-form observation. The own-transmission hint is a setter, so
+    /// giving it once up front equals giving it before every bit.
+    fn observe_stretch(&mut self, word: u64, len: u32, own_tx: bool, from: BitInstant) {
+        if len == 0 {
+            return;
+        }
+        self.inner.set_own_transmission(own_tx);
+        // The current run: its first bit and the levels the inner agent
+        // sees. The end of the stretch ends the last run.
+        let (mut start, mut seen) = (0, 0u64);
+        for i in 0..=len {
+            let delivered = if i < len {
+                self.sample(packed::level_at(word, i))
+            } else {
+                None
+            };
+            if let Some(level) = delivered {
+                seen |= u64::from(level.is_dominant()) << (i - start);
+                continue;
+            }
+            if i > start {
+                let at = from + BitDuration::bits(u64::from(start));
+                self.inner.observe_stretch(seen, i - start, own_tx, at);
+            }
+            (start, seen) = (i + 1, 0);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -5,10 +5,12 @@
 //! `skip_idle(k, from)` must equal `k` × (`set_own_transmission(false)` +
 //! `on_bit(Recessive)`). Both hold on MichiCAN's handler, the supervised
 //! defender (typical sync, a drift that loses sync inside a frame, and
-//! windows short enough to roll over inside a stretch), the CANnon-style
-//! ghost and the four CANflict-style `FrameWatch` attackers — on the full
-//! `Debug` state (statistics included), every drive promise, the recorder
-//! snapshot and the journal.
+//! windows short enough to roll over inside a stretch), the supervised
+//! defender behind a faulty `CAN_RX` pin (flipped, missed and late SOF
+//! samples), the CANnon-style ghost and the four CANflict-style
+//! `FrameWatch` attackers — on the full `Debug` state (statistics and the
+//! pin-fault RNG included), every drive promise, the recorder snapshot and
+//! the journal.
 
 use can_attacks::{
     AdaptiveRacer, ErrorFlagInjector, FrameTruncator, GhostInjector, StuffBitOverwrite, TruncateAt,
@@ -17,6 +19,7 @@ use can_core::agent::BitAgent;
 use can_core::bitstream::stuff_frame;
 use can_core::{packed, BitDuration, BitInstant, BusSpeed, CanFrame, CanId, Level};
 use can_obs::{Journal, Recorder};
+use can_sim::{FaultyAgent, PinFaultConfig};
 use michican::prelude::*;
 use proptest::prelude::*;
 
@@ -32,6 +35,8 @@ enum Kind {
     Handler,
     /// Supervised with this health and sync configuration.
     Supervised(HealthConfig, SyncConfig),
+    /// The supervised defender (typical sync) behind a faulty pin.
+    Faulty,
     Ghost,
     StuffOverwrite,
     /// Its flag starts at destuffed position 16.
@@ -42,7 +47,7 @@ enum Kind {
     Racer,
 }
 
-fn kinds() -> [Kind; 9] {
+fn kinds() -> [Kind; 10] {
     let typical = SyncConfig::typical(BusSpeed::K500);
     // Loses sync 15 ticks after a hard sync: inside Algorithm 1's window.
     let drifting = SyncConfig {
@@ -60,6 +65,7 @@ fn kinds() -> [Kind; 9] {
         Kind::Supervised(HealthConfig::default(), typical),
         Kind::Supervised(HealthConfig::default(), drifting),
         Kind::Supervised(short_windows, typical),
+        Kind::Faulty,
         Kind::Ghost,
         Kind::StuffOverwrite,
         Kind::ErrorFlag,
@@ -100,6 +106,20 @@ impl Observed {
                 supervised.set_recorder(recorder.clone(), 2);
                 supervised.set_journal(journal.clone(), 2);
                 Box::new(supervised)
+            }
+            Kind::Faulty => {
+                let sync = SyncConfig::typical(BusSpeed::K500);
+                let mut supervised =
+                    SupervisedMichiCan::new(handler(), HealthConfig::default(), sync);
+                supervised.set_recorder(recorder.clone(), 2);
+                supervised.set_journal(journal.clone(), 2);
+                let pin = PinFaultConfig {
+                    sample_flip_prob: 0.05,
+                    missed_bit_prob: 0.05,
+                    sof_delay_prob: 0.2,
+                    sof_delay_bits: 2,
+                };
+                Box::new(FaultyAgent::new(supervised, pin, 7))
             }
             Kind::Ghost => {
                 let mut ghost = GhostInjector::new(victim);
@@ -359,7 +379,7 @@ fn a_stretch_entered_while_injecting_matches() {
     let victim = (1u8, 3u64); // a VICTIM frame, no payload
     for kind in kinds() {
         let (target, probe) = match kind {
-            Kind::Handler | Kind::Supervised(..) => (attack, None),
+            Kind::Handler | Kind::Supervised(..) | Kind::Faulty => (attack, None),
             Kind::Racer => (victim, Some([(0, 12), victim])),
             _ => (victim, None),
         };
