@@ -86,7 +86,8 @@
 //! killed (or RSS-guard-stopped) run continues with `--resume <dir>`,
 //! which rebuilds the workload from the journal header. The final merged
 //! `can-obs/v2` snapshot lands in `<dir>/snapshot.json` and is
-//! byte-identical for every shard count and across any kill/resume point
+//! byte-identical for every shard count and across any kill/resume point,
+//! and an uninterrupted run writes the same journal at every shard count
 //! (see `DESIGN.md §10`). The report on stdout is deterministic; progress
 //! and paths go to stderr.
 //!

@@ -650,7 +650,21 @@ fn cell_outcome(cell: Cell) -> CellOutcome {
     }
 }
 
-/// Runs the full campaign (grid = [`default_grid`] × benign/attack) on
+/// The campaign's cells in grid order: every [`default_grid`] fault under
+/// benign traffic, then every fault under attack. A cell's index in this
+/// list fixes its seed, in the campaign and in the crash-tolerant sweep.
+pub fn campaign_grid() -> Vec<(Traffic, FaultSpec)> {
+    [Traffic::Benign, Traffic::Attack]
+        .into_iter()
+        .flat_map(|traffic| {
+            default_grid()
+                .into_iter()
+                .map(move |fault| (traffic, fault))
+        })
+        .collect()
+}
+
+/// Runs the full campaign (grid = [`campaign_grid`]) on
 /// `config.shards` workers and checks the three invariants on the
 /// below-threshold cells. Each cell's seed is fixed by its grid index, and
 /// outcomes, per-cell registries and journals are reduced in grid order
@@ -659,16 +673,8 @@ fn cell_outcome(cell: Cell) -> CellOutcome {
 /// simulation mode. The worker count comes from `config.shards` (the
 /// campaign's own parameter), not from `opts`.
 pub fn run_campaign_with(config: &CampaignConfig, opts: &ExecOpts) -> CampaignReport {
-    let grid: Vec<(Traffic, FaultSpec)> = [Traffic::Benign, Traffic::Attack]
-        .into_iter()
-        .flat_map(|traffic| {
-            default_grid()
-                .into_iter()
-                .map(move |fault| (traffic, fault))
-        })
-        .collect();
     let run_ms = config.run_ms;
-    let cells = ExperimentPlan::new(grid, config.seed).run_with(
+    let cells = ExperimentPlan::new(campaign_grid(), config.seed).run_with(
         &opts.clone().with_shards(config.shards),
         |_index, seed, (traffic, fault), cell_opts| {
             run_cell_with(traffic, fault, seed, run_ms, cell_opts)

@@ -234,9 +234,6 @@ pub struct IdsOutcome {
 pub struct IdsSim {
     /// The assembled four-node simulator with all taps installed.
     pub sim: Simulator,
-    /// Always-enabled probe carrying the defense's and the detectors'
-    /// metric series.
-    pub probe: Recorder,
     /// Shared handles to the attached detector taps, in selection order.
     pub taps: Vec<DetectorTap>,
     /// The victim ECU's node id.
@@ -254,7 +251,8 @@ pub struct IdsSim {
 /// Assembles one bake-off cell: victim (+defense), gated attacker,
 /// benign sender, receiver — and one passive [`DetectorTap`] per
 /// selected detector variant, all observing the same bus in this single
-/// run. Pure with respect to `recorder`/`journal`.
+/// run. Pure with respect to `recorder`/`journal`. The recorder carries
+/// the bus's, the defense's and every detector's series.
 ///
 /// The causal event [`Journal`] is threaded through the bus, the defense
 /// (node 0), the attacker (node 1) and every detector tap
@@ -269,15 +267,14 @@ pub fn build_ids_cell_observed(
     journal: Journal,
 ) -> IdsSim {
     let victim = CanId::from_raw(IDS_VICTIM_ID);
-    let probe = Recorder::enabled();
 
     let mut builder = SimBuilder::new(TABLE2_SPEED)
-        .recorder(recorder)
+        .recorder(recorder.clone())
         .journal(journal.clone());
 
     // Node 0: the victim ECU (and, when defended, the defense).
     let victim_node = builder.node_id();
-    builder = mount_victim(builder, cell.defense, &probe, &journal);
+    builder = mount_victim(builder, cell.defense, &recorder, &journal);
 
     // Node 1: the attacker, gated behind the start deadline — or a
     // silent placeholder on clean cells.
@@ -326,7 +323,7 @@ pub fn build_ids_cell_observed(
     for variant in detectors {
         let tap = DetectorTap::new(variant.label(), variant.instantiate())
             .with_arm_at(IDS_ARM_AT_BITS)
-            .with_recorder(probe.clone())
+            .with_recorder(recorder.clone())
             .with_journal(journal.clone(), IDS_TAP_JOURNAL_NODE);
         builder = builder.tap(tap.as_frame_tap());
         taps.push(tap);
@@ -334,7 +331,6 @@ pub fn build_ids_cell_observed(
 
     IdsSim {
         sim: builder.build(),
-        probe,
         taps,
         victim_node,
         attacker_node,
@@ -380,7 +376,6 @@ pub fn run_ids_cell(
 ) -> IdsOutcome {
     let IdsSim {
         mut sim,
-        probe,
         taps,
         attacker_node,
         ..
@@ -417,9 +412,6 @@ pub fn run_ids_cell(
             }
         })
         .collect();
-
-    // Export the defense/detector series alongside the cell's can_* series.
-    opts.recorder.merge_registry(&probe.into_registry());
 
     IdsOutcome {
         scenario: cell.scenario.label(),

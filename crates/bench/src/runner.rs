@@ -4,7 +4,9 @@
 //! seeded simulations: the 16-cell fault campaign, the random-FSM
 //! detection sweep, the six Table II replications, the multi-attacker
 //! scan, the attack zoo, the IDS bake-off. Each fans its cells out through
-//! [`ExperimentPlan::run_with`] across a rayon pool while keeping the
+//! [`ExperimentPlan::run_with`] across a rayon pool, and the crash-tolerant
+//! sweep ([`crate::sweep`]) runs its windows of chunks through
+//! [`ExperimentPlan::run`]. This is the one grid executor; it keeps the
 //! *determinism contract* that makes the artifacts regression material
 //! rather than statistics:
 //!
@@ -224,10 +226,10 @@ impl<C: Send> ExperimentPlan<C> {
     /// so the merged snapshot and journal export are byte-identical for
     /// every shard count (`tests/metrics_determinism.rs` locks this down).
     ///
-    /// Each metered cell also records its wall time under the
-    /// `bench_cell_wall` span (host-dependent; excluded from the JSON
-    /// snapshot) and bumps the `bench_cells_total` counter. With both sinks
-    /// disabled this is a plain [`ExperimentPlan::run`].
+    /// Each cell also records its wall time under the `bench_cell_wall`
+    /// span (host-dependent; excluded from the JSON snapshot) and bumps the
+    /// `bench_cells_total` counter. There is one path: a disabled sink's
+    /// per-cell handle, span, counter and merge are no-ops.
     pub fn run_with<R, F>(self, opts: &ExecOpts, run_cell: F) -> Vec<R>
     where
         R: Send,
@@ -241,10 +243,6 @@ impl<C: Send> ExperimentPlan<C> {
             n => n,
         };
         let plan = self.with_shards(shards);
-        if !rec_on && !jrn_on {
-            return plan
-                .run(|i, seed, cell| run_cell(i, seed, cell, &ExecOpts::new().with_mode(mode)));
-        }
         let outs: Vec<(R, Registry, JournalStore)> = plan.run(|i, seed, cell| {
             let cell_opts = ExecOpts {
                 recorder: if rec_on {

@@ -6,11 +6,13 @@
 //! resumable, memory-bounded sweep over an arbitrarily large cell grid,
 //! built from four pieces:
 //!
-//! 1. **Streaming shard scheduler.** Cells are enumerated lazily by index
-//!    from a [`SweepWorkload`] (no materialized grid) and grouped into
-//!    fixed-size *chunks* — the unit of scheduling, checkpointing and
-//!    recovery. `shards` worker threads pull chunk indices from a shared
-//!    queue.
+//! 1. **Chunk windows on the shared executor.** Cells are enumerated
+//!    lazily by index from a [`SweepWorkload`] (no materialized grid) and
+//!    grouped into fixed-size *chunks* — the unit of scheduling,
+//!    checkpointing and recovery. The pending chunks run in chunk-index
+//!    order, in windows of at most `shards` chunks, each window fanned out
+//!    through [`ExperimentPlan::run`] like every other grid. A window waits
+//!    for its slowest chunk, so at most `shards` chunks are in flight.
 //! 2. **Supervision.** Every cell attempt runs under
 //!    `std::panic::catch_unwind`, optionally on a watchdog thread with a
 //!    timeout. Panics and timeouts are retried with capped exponential
@@ -26,21 +28,24 @@
 //! 4. **Journal.** Each completed chunk is appended to a versioned JSONL
 //!    journal (`journal.jsonl`) as a record carrying the chunk's merged
 //!    `can-obs/v2` snapshot and its quarantine list, flushed before the
-//!    next chunk is accepted. A killed run resumes by re-running only the
+//!    next record is written. A killed run resumes by re-running only the
 //!    chunks missing from the journal; a torn trailing record (the only
 //!    kind a `SIGKILL` can produce) is detected and dropped.
 //!
 //! **Determinism contract, extended to recovery:** cell seeds are derived
-//! from `(master seed, cell index)` and the final snapshot is produced by
-//! merging chunk snapshots *from the journal, in chunk-index order* — the
-//! same code path whether the run was serial, sharded, killed and resumed,
-//! or already complete. Same grid + seeds ⇒ byte-identical final merged
-//! snapshot at any shard count and across any kill/resume point
+//! from `(master seed, cell index)`, chunk records land in the journal in
+//! chunk order, and the final snapshot is produced by merging chunk
+//! snapshots *from the journal, in chunk-index order* — the same code path
+//! whether the run was serial, sharded, killed and resumed, or already
+//! complete. Same grid + seeds ⇒ byte-identical final merged snapshot at
+//! any shard count and across any kill/resume point, and an uninterrupted
+//! sweep writes the same journal bytes at any shard count
 //! (`crates/bench/tests/sweep_resume.rs` and the `sweep-crash-smoke` CI
 //! job assert exactly this).
 
 use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
+use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::fs::{self, OpenOptions};
@@ -48,15 +53,15 @@ use std::io::Write as _;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, Once};
+use std::sync::{Arc, Once};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use can_obs::json::{self, JsonValue};
 use can_obs::{Recorder, Registry, PERCENT_BUCKETS};
 
-use crate::campaign::{default_grid, try_run_cell_with, FaultSpec, Traffic};
-use crate::runner::{derive_seed, ExecOpts, SimMode};
+use crate::campaign::{campaign_grid, try_run_cell_with, FaultSpec, Traffic};
+use crate::runner::{derive_seed, ExecOpts, ExperimentPlan, SimMode};
 
 /// Schema tag of the sweep journal; bump on any incompatible change. Its
 /// chunks embed `can-obs/v2` snapshots; any other tag is refused on resume.
@@ -144,16 +149,8 @@ impl CampaignSweep {
     /// A sweep of `replicas` seed-replicas of the default campaign grid,
     /// each cell simulating `run_ms` milliseconds of bus time.
     pub fn new(replicas: u64, run_ms: f64, mode: SimMode) -> Self {
-        let grid = [Traffic::Benign, Traffic::Attack]
-            .into_iter()
-            .flat_map(|traffic| {
-                default_grid()
-                    .into_iter()
-                    .map(move |fault| (traffic, fault))
-            })
-            .collect();
         CampaignSweep {
-            grid,
+            grid: campaign_grid(),
             replicas,
             run_ms,
             mode,
@@ -433,15 +430,16 @@ fn workload_from_json(doc: &JsonValue) -> Result<Arc<dyn SweepWorkload>, String>
 pub struct SweepConfig {
     /// Master seed; cell `i` runs with `derive_seed(seed, i)`.
     pub seed: u64,
-    /// Worker threads (`1` = the serial reference path).
+    /// Chunks run at once on the executor (`1` = the serial reference
+    /// path, on the calling thread).
     pub shards: usize,
     /// Cells per chunk — the scheduling, checkpoint and recovery unit.
     pub chunk_cells: u64,
     /// Attempts per cell before quarantine (≥ 1).
     pub max_attempts: u32,
     /// Wall-clock budget per cell attempt; `None` disables the watchdog
-    /// (cells then run inline on the shard worker, with panic isolation
-    /// only).
+    /// (cells then run inline on the executor's worker, with panic
+    /// isolation only).
     pub cell_timeout: Option<Duration>,
     /// Base retry backoff, doubled per retry (capped at 2¹⁶×).
     pub retry_backoff: Duration,
@@ -533,12 +531,12 @@ impl Heartbeat {
         }
     }
 
-    fn on_chunk(&mut self, result: &ChunkResult) {
+    fn on_chunk(&mut self, record: &ChunkRecord) {
         self.chunks_done += 1;
-        self.cells_done += result.cells;
-        self.cells_this_run += result.cells;
-        self.quarantined += result.poisoned.len() as u64;
-        self.retries += result.retries;
+        self.cells_done += record.cells;
+        self.cells_this_run += record.cells;
+        self.quarantined += record.poisoned.len() as u64;
+        self.retries += record.retries;
     }
 
     /// Emits a beat if the configured interval elapsed (`force` skips the
@@ -986,18 +984,21 @@ fn read_journal(path: &Path) -> Result<Journal, SweepError> {
 // Supervision
 // ---------------------------------------------------------------------
 
-/// Suppresses the default panic-hook stderr spam for panics the sweep
-/// supervisor catches and classifies (threads named `sweep-…`); panics on
-/// any other thread keep the previous hook's behavior.
+thread_local! {
+    /// Set while this thread runs a supervised cell attempt, whose panic
+    /// the supervisor catches and classifies.
+    static IN_ATTEMPT: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Suppresses the default panic-hook stderr spam for panics inside a
+/// supervised cell attempt, on whichever thread it runs; every other panic
+/// keeps the previous hook's behavior.
 fn install_quarantine_hook() {
     static HOOK: Once = Once::new();
     HOOK.call_once(|| {
         let previous = panic::take_hook();
         panic::set_hook(Box::new(move |info| {
-            let suppressed = thread::current()
-                .name()
-                .is_some_and(|name| name.starts_with("sweep-"));
-            if !suppressed {
+            if !IN_ATTEMPT.with(Cell::get) {
                 previous(info);
             }
         }));
@@ -1027,9 +1028,12 @@ fn attempt_inline(
     attempt: u32,
 ) -> AttemptOutcome {
     let recorder = Recorder::enabled();
-    match panic::catch_unwind(AssertUnwindSafe(|| {
+    IN_ATTEMPT.with(|flag| flag.set(true));
+    let caught = panic::catch_unwind(AssertUnwindSafe(|| {
         workload.run_cell(cell, seed, attempt, &recorder)
-    })) {
+    }));
+    IN_ATTEMPT.with(|flag| flag.set(false));
+    match caught {
         Ok(Ok(())) => AttemptOutcome::Completed(recorder.into_registry()),
         Ok(Err(e)) if e.retryable => AttemptOutcome::Retryable(e.message),
         Ok(Err(e)) => AttemptOutcome::Fatal(e.message),
@@ -1059,7 +1063,7 @@ fn run_attempt(
     match spawned {
         Err(e) => AttemptOutcome::Retryable(format!("cannot spawn cell thread: {e}")),
         // A timed-out cell thread is abandoned (its result, if it ever
-        // arrives, is dropped with the channel); the shard moves on.
+        // arrives, is dropped with the channel); the chunk moves on.
         Ok(_detached) => match rx.recv_timeout(timeout) {
             Ok(outcome) => outcome,
             Err(_) => AttemptOutcome::Retryable(format!("timed out after {timeout:?}")),
@@ -1111,20 +1115,13 @@ fn supervise_cell(
     )
 }
 
-struct ChunkResult {
-    chunk: u64,
-    cells: u64,
-    retries: u64,
-    poisoned: Vec<PoisonedCell>,
-    registry: Registry,
-}
-
+/// Runs one chunk's cells in index order and returns its journal record.
 fn run_chunk(
     workload: &Arc<dyn SweepWorkload>,
     config: &SweepConfig,
     total_cells: u64,
     chunk: u64,
-) -> ChunkResult {
+) -> ChunkRecord {
     let first = chunk * config.chunk_cells;
     let last = (first + config.chunk_cells).min(total_cells);
     let mut registry = Registry::new();
@@ -1140,12 +1137,12 @@ fn run_chunk(
             Err(poison) => poisoned.push(poison),
         }
     }
-    ChunkResult {
+    ChunkRecord {
         chunk,
         cells: last - first,
         retries,
         poisoned,
-        registry,
+        obs: registry.snapshot_json(),
     }
 }
 
@@ -1196,8 +1193,8 @@ fn current_rss_mb() -> Option<u64> {
 /// from it run (resume); a journal for a different grid is an error. On
 /// success the final merged snapshot is written to `<dir>/snapshot.json`
 /// and returned in the report — built by merging the journal's chunk
-/// snapshots from disk in chunk-index order, whatever order they were
-/// completed or recovered in.
+/// snapshots from disk in chunk-index order, whichever invocation
+/// recorded them.
 pub fn run_sweep(
     workload: Arc<dyn SweepWorkload>,
     config: &SweepConfig,
@@ -1271,60 +1268,21 @@ pub fn run_sweep(
         .clone()
         .map(|hc| Heartbeat::new(hc, total_cells, total_chunks, &resumed));
 
-    if !pending.is_empty() {
-        install_quarantine_hook();
-        let queue = Arc::new(Mutex::new(
-            pending.iter().copied().collect::<VecDeque<u64>>(),
-        ));
-        let (tx, rx) = mpsc::channel::<ChunkResult>();
-        let shards = config.shards.max(1).min(pending.len());
-        let mut workers = Vec::with_capacity(shards);
-        for w in 0..shards {
-            let queue = Arc::clone(&queue);
-            let tx = tx.clone();
-            let workload = Arc::clone(&workload);
-            let config = config.clone();
-            workers.push(
-                thread::Builder::new()
-                    .name(format!("sweep-worker-{w}"))
-                    .spawn(move || loop {
-                        let next = queue.lock().expect("queue lock").pop_front();
-                        let Some(chunk) = next else { break };
-                        let result = run_chunk(&workload, &config, total_cells, chunk);
-                        if tx.send(result).is_err() {
-                            break; // supervisor gone (abort / guard trip)
-                        }
-                    })
-                    .map_err(|e| SweepError::Io(format!("cannot spawn shard worker: {e}")))?,
-            );
-        }
-        drop(tx);
-
-        let mut journal = OpenOptions::new()
-            .append(true)
-            .open(&journal_path)
-            .map_err(|e| SweepError::Io(format!("cannot open {}: {e}", journal_path.display())))?;
-        let stop_dispatch = || queue.lock().expect("queue lock").clear();
-        let mut written = 0u64;
-        while written < pending.len() as u64 {
-            let result = match rx.recv() {
-                Ok(result) => result,
-                Err(_) => {
-                    return Err(SweepError::Journal(
-                        "shard workers exited before completing the sweep".into(),
-                    ))
-                }
-            };
+    install_quarantine_hook();
+    let mut journal = OpenOptions::new()
+        .append(true)
+        .open(&journal_path)
+        .map_err(|e| SweepError::Io(format!("cannot open {}: {e}", journal_path.display())))?;
+    let shards = config.shards.max(1);
+    let mut written = 0u64;
+    for window in pending.chunks(shards) {
+        let records = ExperimentPlan::new(window.to_vec(), config.seed)
+            .with_shards(shards)
+            .run(|_, _, chunk| run_chunk(&workload, config, total_cells, chunk));
+        for record in records {
             if let Some(hb) = heartbeat.as_mut() {
-                hb.on_chunk(&result);
+                hb.on_chunk(&record);
             }
-            let record = ChunkRecord {
-                chunk: result.chunk,
-                cells: result.cells,
-                retries: result.retries,
-                poisoned: result.poisoned,
-                obs: result.registry.snapshot_json(),
-            };
             journal
                 .write_all(render_chunk(&record).as_bytes())
                 .and_then(|()| journal.flush())
@@ -1339,19 +1297,14 @@ pub fn run_sweep(
             }
             if let (Some(limit_mb), Some(rss_mb)) = (config.max_rss_mb, current_rss_mb()) {
                 if rss_mb > limit_mb {
-                    stop_dispatch();
                     return Err(SweepError::MemoryLimit { rss_mb, limit_mb });
                 }
             }
             if config.stop_after_chunks == Some(written) {
-                stop_dispatch();
                 return Err(SweepError::Aborted {
                     chunks_done: written,
                 });
             }
-        }
-        for worker in workers {
-            let _ = worker.join();
         }
     }
     // Final beat regardless of interval, so the sinks always end on the

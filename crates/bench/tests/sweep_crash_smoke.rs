@@ -117,3 +117,45 @@ fn sigkill_mid_sweep_then_resume_matches_uninterrupted_run() {
     std::fs::remove_dir_all(&ref_dir).ok();
     std::fs::remove_dir_all(&victim_dir).ok();
 }
+
+#[test]
+fn caught_cell_panics_print_nothing_at_any_shard_count() {
+    // The supervisor catches and quarantines the chaos panics; the panic
+    // hook must keep them off stderr on the calling thread (`-j 1`) and on
+    // the executor's workers (`-j 4`) alike.
+    for shards in ["1", "4"] {
+        let dir = tmp_dir(&format!("quiet{shards}"));
+        let run = Command::new(BIN)
+            .args([
+                "sweep",
+                "--dir",
+                dir.to_str().unwrap(),
+                "--workload",
+                "synthetic",
+                "--cells",
+                "64",
+                "--cell-work",
+                "10",
+                "--chunk",
+                "8",
+                "--chaos-panic",
+                "9",
+                "-j",
+                shards,
+            ])
+            .output()
+            .expect("run chaotic sweep");
+        assert!(run.status.success(), "sweep failed at -j {shards}");
+        let stdout = String::from_utf8_lossy(&run.stdout);
+        assert!(
+            stdout.contains("quarantined 7"),
+            "cells 8, 17, …, 62 panic: {stdout}"
+        );
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(
+            !stderr.contains("panic"),
+            "a caught panic reached stderr at -j {shards}: {stderr}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}

@@ -119,6 +119,49 @@ fn kill_and_resume_is_byte_identical_at_every_point() {
 }
 
 #[test]
+fn uninterrupted_journal_bytes_do_not_depend_on_the_shard_count() {
+    // Chunk records land in chunk order, so an uninterrupted sweep writes
+    // the same journal at any shard count, quarantined cells included.
+    // Cells 98, 198 and 298 hang once past the timeout, so their chunks
+    // (6, 12, 18) finish after later chunks when several run at once.
+    let chaos = ChaosSpec {
+        panic_every: 47,
+        hang_every: 100,
+        hang_transient: true,
+        hang_ms: 1_000,
+        ..ChaosSpec::NONE
+    };
+    let run = |shards: usize| {
+        let dir = tmp_dir(&format!("shards{shards}"));
+        let config = SweepConfig {
+            cell_timeout: Some(Duration::from_millis(40)),
+            ..config(shards, 16)
+        };
+        let report = run_sweep(chaotic(300, chaos), &config, &dir).unwrap();
+        let journal = fs::read(dir.join(JOURNAL_FILE)).unwrap();
+        fs::remove_dir_all(&dir).ok();
+        (journal, report.render(), report.snapshot)
+    };
+    let serial = run(1);
+    assert_eq!(
+        serial.1.matches("poisoned cell").count(),
+        6,
+        "cells 46, 93, …, 281 panic: {}",
+        serial.1
+    );
+    assert!(serial.1.contains("retries 15"), "{}", serial.1);
+    for shards in [2, 4] {
+        let sharded = run(shards);
+        assert!(
+            sharded.0 == serial.0,
+            "journal bytes differ at shards={shards}"
+        );
+        assert_eq!(sharded.1, serial.1, "report, shards={shards}");
+        assert_eq!(sharded.2, serial.2, "snapshot, shards={shards}");
+    }
+}
+
+#[test]
 fn transient_hangs_are_retried_and_permanent_hangs_quarantined() {
     let base = SweepConfig {
         cell_timeout: Some(Duration::from_millis(40)),

@@ -13,8 +13,6 @@
 //! region are therefore always a *stuff error* — the mechanism MichiCAN's
 //! counterattack exploits.
 
-use serde::{Deserialize, Serialize};
-
 use crate::crc::Crc15;
 use crate::errors::DecodeError;
 use crate::frame::CanFrame;
@@ -36,7 +34,7 @@ pub const IFS_BITS: usize = 3;
 pub const MIN_INTERFRAME_RECESSIVE: usize = 1 + EOF_BITS + IFS_BITS;
 
 /// The fields of a CAN 2.0A data frame, in wire order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FrameField {
     /// Start-of-frame bit (dominant).
     Sof,
@@ -101,7 +99,7 @@ impl FrameField {
 }
 
 /// Field spans of a frame in *unstuffed* bit coordinates (half-open ranges).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameLayout {
     data_bits: usize,
 }

@@ -19,8 +19,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// TEC increment on a transmit error.
 pub const TEC_ERROR_INCREMENT: u16 = 8;
 
@@ -61,7 +59,7 @@ pub const RECOVERY_SEQUENCES: u32 = 128;
 pub const RECOVERY_SEQUENCE_BITS: u32 = 11;
 
 /// Fault-confinement state of a node (Fig. 1b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ErrorState {
     /// TEC ≤ 127 and REC ≤ 127; signals errors with active (dominant) flags.
     ErrorActive,
@@ -98,7 +96,7 @@ impl fmt::Display for ErrorState {
 /// }
 /// assert_eq!(c.state(), ErrorState::BusOff);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ErrorCounters {
     tec: u16,
     rec: u16,

@@ -8,14 +8,12 @@
 use core::fmt;
 use std::error::Error;
 
-use serde::{Deserialize, Serialize};
-
 /// The five CAN error types.
 ///
 /// MichiCAN's counterattack deliberately provokes [`Bit`](CanErrorKind::Bit)
 /// and [`Stuff`](CanErrorKind::Stuff) errors in the attacker's transmission
 /// (paper §IV-E); the simulator raises all five.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CanErrorKind {
     /// Bit monitoring: a transmitter read back a bus level different from
     /// the level it wrote (outside arbitration and the ACK slot).

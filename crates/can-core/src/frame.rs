@@ -2,8 +2,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::errors::InvalidFrame;
 use crate::id::CanId;
 
@@ -29,7 +27,7 @@ pub const MAX_PAYLOAD: usize = 8;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CanFrame {
     id: CanId,
     rtr: bool,

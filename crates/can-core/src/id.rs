@@ -7,8 +7,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::errors::InvalidId;
 use crate::level::Level;
 
@@ -28,8 +26,7 @@ use crate::level::Level;
 /// assert!(brake.outranks(infotainment));
 /// assert_eq!(format!("{brake}"), "0x064");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CanId(u16);
 
 impl CanId {

@@ -8,8 +8,6 @@
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulated time, counted in nominal bit times since simulation
 /// start.
 ///
@@ -19,9 +17,7 @@ use serde::{Deserialize, Serialize};
 /// let t1 = t0 + BitDuration::bits(35);
 /// assert_eq!(t1.elapsed_since(t0), BitDuration::bits(35));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct BitInstant(u64);
 
 impl BitInstant {
@@ -78,9 +74,7 @@ impl fmt::Display for BitInstant {
 }
 
 /// A span of simulated time, counted in nominal bit times.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct BitDuration(u64);
 
 impl BitDuration {
@@ -148,7 +142,7 @@ impl fmt::Display for BitDuration {
 ///
 /// All ECUs on a bus share the same speed, fixed by the OEM at production
 /// time (paper §V-A). The nominal bit time is the reciprocal of the speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BusSpeed {
     /// 50 kbit/s — the speed of the paper's Arduino Due online evaluation.
     K50,

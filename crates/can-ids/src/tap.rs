@@ -40,10 +40,12 @@ struct TapState {
     /// Completion times of every observed frame.
     observed: Vec<u64>,
     alerts: Vec<Alert>,
-    recorder: Option<Recorder>,
+    recorder: Recorder,
     frames_key: String,
     alerts_key: String,
-    journal: Option<(Journal, u32)>,
+    journal: Journal,
+    /// Pseudo-node id stamped on this tap's journal events.
+    journal_node: u32,
 }
 
 /// A [`Detector`] attached to the bus as a passive frame tap.
@@ -79,10 +81,11 @@ impl DetectorTap {
                 arm_at: None,
                 observed: Vec::new(),
                 alerts: Vec::new(),
-                recorder: None,
+                recorder: Recorder::disabled(),
                 frames_key,
                 alerts_key,
-                journal: None,
+                journal: Journal::disabled(),
+                journal_node: 0,
             })),
         }
     }
@@ -96,7 +99,7 @@ impl DetectorTap {
 
     /// Attaches a metrics recorder for the per-variant counters.
     pub fn with_recorder(self, recorder: Recorder) -> Self {
-        self.state.borrow_mut().recorder = Some(recorder);
+        self.state.borrow_mut().recorder = recorder;
         self
     }
 
@@ -104,7 +107,11 @@ impl DetectorTap {
     /// (a pseudo-node id for the observer, conventionally one past the
     /// bus's real nodes).
     pub fn with_journal(self, journal: Journal, node: u32) -> Self {
-        self.state.borrow_mut().journal = Some((journal, node));
+        {
+            let mut state = self.state.borrow_mut();
+            state.journal = journal;
+            state.journal_node = node;
+        }
         self
     }
 
@@ -167,33 +174,28 @@ impl DetectorTap {
 impl FrameTap for DetectorTap {
     fn on_frame(&mut self, frame: &CanFrame, now: BitInstant) {
         let state = &mut *self.state.borrow_mut();
+        let (journal, node) = (&state.journal, state.journal_node);
         if let Some(deadline) = state.arm_at {
             if now.bits() >= deadline {
                 state.arm_at = None;
                 if state.detector.phase() == IdsPhase::Training {
                     state.detector.arm();
-                    if let Some((journal, node)) = &state.journal {
-                        journal.event(now.bits(), *node, JournalKind::IdsArmed, &state.label);
-                    }
+                    journal.event(now.bits(), node, JournalKind::IdsArmed, &state.label);
                 }
             }
         }
         state.observed.push(now.bits());
-        if let Some(recorder) = &state.recorder {
-            recorder.inc(&state.frames_key);
-        }
+        state.recorder.inc(&state.frames_key);
         if let Some(alert) = state.detector.observe(frame, now) {
-            if let Some(recorder) = &state.recorder {
-                recorder.inc(&state.alerts_key);
-            }
-            if let Some((journal, node)) = &state.journal {
+            state.recorder.inc(&state.alerts_key);
+            if journal.is_enabled() {
                 let detail = format!(
                     "{} {} id=0x{:03X}",
                     state.label,
                     alert.kind.label(),
                     alert.id.raw()
                 );
-                journal.event(now.bits(), *node, JournalKind::IdsAlert, &detail);
+                journal.event(now.bits(), node, JournalKind::IdsAlert, &detail);
             }
             state.alerts.push(alert);
         }

@@ -10,10 +10,9 @@ use core::fmt;
 use std::error::Error;
 
 use can_core::CanId;
-use serde::{Deserialize, Serialize};
 
 /// How an ECU participates in detection (paper §IV-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scenario {
     /// Every ECU runs the full detection range 𝔻 (spoofing + DoS).
     Full,
@@ -63,7 +62,7 @@ impl Error for ConfigError {}
 /// assert_eq!(list.len(), 2);
 /// assert_eq!(list.id_at(1).raw(), 0x00F);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EcuList {
     ids: Vec<CanId>,
 }

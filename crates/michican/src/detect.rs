@@ -18,12 +18,11 @@
 use core::fmt;
 
 use can_core::CanId;
-use serde::{Deserialize, Serialize};
 
 use crate::config::{EcuList, Scenario};
 
 /// How ECU_i classifies an observed identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttackClass {
     /// The observed identifier equals the ECU's own (Definition IV.1).
     Spoofing,
@@ -86,7 +85,7 @@ pub fn classify(list: &EcuList, index: usize, observed: CanId) -> AttackClass {
 
 /// A sorted set of disjoint, inclusive identifier intervals — the
 /// representation of a detection range 𝔻.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct IdSet {
     /// Disjoint, sorted, inclusive `[lo, hi]` intervals.
     intervals: Vec<(u16, u16)>,

@@ -14,7 +14,6 @@
 //! ≈ 9) falls out of the pruning.
 
 use can_core::{CanId, Level};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 use crate::detect::IdSet;
@@ -23,7 +22,7 @@ use crate::detect::IdSet;
 const DEPTH: u32 = CanId::BITS as u32;
 
 /// Terminal/internal node of the detection FSM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum FsmNode {
     /// The identifier prefix is certainly inside 𝔻.
     Malicious,
@@ -82,7 +81,7 @@ impl FsmCursor {
 /// assert!(fsm.classify(CanId::new(0x003).unwrap())); // DoS id
 /// assert!(!fsm.classify(CanId::new(0x005).unwrap())); // legitimate peer
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DetectionFsm {
     nodes: Vec<FsmNode>,
     root: u16,

@@ -36,7 +36,6 @@ use can_core::agent::BitAgent;
 use can_core::watch::{self, Hunt, PositionTracker, Tracked};
 use can_core::{BitDuration, BitInstant, Level};
 use can_obs::{Journal, JournalKind, Recorder};
-use serde::{Deserialize, Serialize};
 
 use crate::fsm::{DetectionFsm, FsmCursor, FsmStep};
 
@@ -48,7 +47,7 @@ pub const COUNTERATTACK_START: u32 = 13;
 pub const COUNTERATTACK_END: u32 = 20;
 
 /// Tuning knobs of a [`MichiCan`] instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MichiCanConfig {
     /// When `false`, the handler only detects (IDS mode) and never touches
     /// `CAN_TX`.
@@ -72,7 +71,7 @@ impl Default for MichiCanConfig {
 }
 
 /// Running counters of a [`MichiCan`] instance.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MichiCanStats {
     /// Frames whose SOF was observed.
     pub frames_monitored: u64,

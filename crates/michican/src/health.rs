@@ -45,13 +45,12 @@ use can_core::bitstream::MIN_INTERFRAME_RECESSIVE;
 use can_core::watch::{armed_mask, run_after};
 use can_core::{packed, BitInstant, Level};
 use can_obs::{Journal, JournalKind, Recorder};
-use serde::{Deserialize, Serialize};
 
 use crate::handler::MichiCan;
 use crate::sync::{SoftSync, SyncConfig};
 
 /// Tuning knobs of the health watchdog.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthConfig {
     /// Consecutive counterattack failures that trigger degradation.
     pub max_counterattack_failures: u32,
@@ -112,7 +111,7 @@ impl HealthConfig {
 }
 
 /// Why the watchdog degraded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DegradeReason {
     /// Too many consecutive counterattack failures.
     CounterattackFailures,
@@ -138,7 +137,7 @@ pub enum HealthState {
 }
 
 /// Running counters of the watchdog.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HealthStats {
     /// Ticks that never arrived (timestamp gaps).
     pub missed_ticks: u64,

@@ -18,13 +18,12 @@
 //! sufficient, and why free-running timers are not.
 
 use can_core::BusSpeed;
-use serde::{Deserialize, Serialize};
 
 /// Default sampling point within the nominal bit time (70 %).
 pub const DEFAULT_SAMPLE_POINT: f64 = 0.70;
 
 /// Configuration of the software synchronization model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyncConfig {
     /// Bus speed (fixes the nominal bit time).
     pub speed: BusSpeed,

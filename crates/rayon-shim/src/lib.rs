@@ -2,9 +2,9 @@
 //!
 //! The build environment of this repository has no access to crates.io, so
 //! this workspace-local crate provides the slice of the `rayon 1.x` surface
-//! the code base uses: [`ThreadPoolBuilder`]/[`ThreadPool::install`],
-//! [`current_num_threads`], [`join`], and `into_par_iter().map(..).collect()`
-//! via [`prelude`].
+//! that `bench::runner::ExperimentPlan`, the one grid executor, calls:
+//! [`ThreadPoolBuilder`]/[`ThreadPool::install`] and
+//! `into_par_iter().map(..).collect()` via [`prelude`].
 //!
 //! Scheduling: upstream rayon runs a per-thread work-stealing deque; this
 //! shim runs scoped worker threads pulling indices from one shared atomic
@@ -32,7 +32,7 @@ thread_local! {
 /// The number of threads the ambient pool would use: the installed pool's
 /// width inside [`ThreadPool::install`], the machine's available
 /// parallelism otherwise.
-pub fn current_num_threads() -> usize {
+fn current_num_threads() -> usize {
     INSTALLED_THREADS
         .with(Cell::get)
         .unwrap_or_else(default_threads)
@@ -98,11 +98,6 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    /// The pool's thread count.
-    pub fn current_num_threads(&self) -> usize {
-        self.threads
-    }
-
     /// Runs `op` with this pool installed as the ambient pool: parallel
     /// iterators inside use this pool's thread count. Restores the previous
     /// ambient pool afterwards, also on panic.
@@ -123,25 +118,6 @@ impl ThreadPool {
         });
         op()
     }
-}
-
-/// Runs the two closures, potentially in parallel, and returns both
-/// results (upstream `rayon::join`).
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_num_threads() <= 1 {
-        return (a(), b());
-    }
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        (ra, hb.join().expect("rayon-shim: join closure panicked"))
-    })
 }
 
 /// Maps `items` through `f` on `threads` scoped workers pulling from a
@@ -323,13 +299,7 @@ mod tests {
     #[test]
     fn zero_threads_means_default() {
         let pool = ThreadPoolBuilder::new().num_threads(0).build().unwrap();
-        assert!(pool.current_num_threads() >= 1);
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = join(|| 2 + 2, || "ok");
-        assert_eq!((a, b), (4, "ok"));
+        assert!(pool.install(current_num_threads) >= 1);
     }
 
     #[test]

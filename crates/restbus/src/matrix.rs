@@ -5,10 +5,9 @@ use core::fmt;
 use std::collections::BTreeMap;
 
 use can_core::{BusSpeed, CanId};
-use serde::{Deserialize, Serialize};
 
 /// One periodic message definition.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Message {
     /// The message identifier.
     pub id: CanId,
@@ -50,7 +49,7 @@ impl fmt::Display for Message {
 }
 
 /// A complete communication matrix for one bus.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommMatrix {
     /// Matrix name, e.g. "veh-d/bus-1".
     pub name: String,

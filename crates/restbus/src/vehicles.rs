@@ -18,12 +18,11 @@
 use can_core::{BusSpeed, CanId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::matrix::{CommMatrix, Message};
 
 /// The four evaluation vehicles (paper §V-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Vehicle {
     /// Veh. A — luxury mid-size sedan.
     A,

@@ -1,12 +1,12 @@
 //! Offline vendored stand-in for `serde`'s derive macros.
 //!
-//! The build environment of this repository cannot reach crates.io, and no
-//! code in the workspace actually calls `Serialize`/`Deserialize` methods —
-//! the derives exist on types so that a future serialization backend can be
-//! dropped in. This crate keeps those annotations compiling by providing
-//! no-op derive macros (including the `#[serde(...)]` helper attribute).
-//! Swapping back to real serde is a one-line change in the workspace
-//! manifest.
+//! The build environment of this repository cannot reach crates.io. No
+//! type in the workspace derives `Serialize`/`Deserialize` and no code
+//! calls them: JSON goes through `can_obs::json`. This crate stays only
+//! because six manifests still list `serde` and `perfbench/Cargo.lock`
+//! records it; dropping it rewrites that lock, so it goes together with
+//! the next benchmark change. Its no-op derives (with the `#[serde(...)]`
+//! helper attribute) emit no code.
 
 use proc_macro::TokenStream;
 

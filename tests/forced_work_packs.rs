@@ -12,7 +12,7 @@
 //! that moves any of these counts has changed what the agent promised.
 
 use bench::attackzoo::{build_zoo_cell_observed, zoo_cells, ZOO_HORIZON_BITS};
-use bench::campaign::{build_cell, default_grid, CampaignConfig, Traffic};
+use bench::campaign::{build_cell, campaign_grid, CampaignConfig};
 use bench::idsbench::{build_ids_cell_observed, ids_cells, IDS_HORIZON_BITS};
 use bench::runner::derive_seed;
 use can_core::BusSpeed;
@@ -64,12 +64,9 @@ fn campaign_injections_and_tx_faults_ride_the_packed_kernel() {
         ..CampaignConfig::default()
     };
     let run_bits = BusSpeed::K500.bits_in_millis(config.run_ms);
-    let grid = [Traffic::Benign, Traffic::Attack]
-        .into_iter()
-        .flat_map(|traffic| default_grid().into_iter().map(move |f| (traffic, f)));
     let mut forced = 0;
     let mut decisions = Decisions::default();
-    for (index, (traffic, fault)) in grid.enumerate() {
+    for (index, (traffic, fault)) in campaign_grid().into_iter().enumerate() {
         let seed = derive_seed(config.seed, index);
         let mut cell = build_cell(
             traffic,
